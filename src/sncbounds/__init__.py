@@ -21,13 +21,10 @@ from .errors import (
 from .traffic import (
     MarkovFluidSource,
     MmooParams,
-    PacketArrival,
     Scenario,
     StatePath,
     aggregate_generator,
     aggregate_source,
-    mmoo_derived,
-    packetize,
     sample_path,
     stationary_distribution,
 )
@@ -42,9 +39,7 @@ from .martingale import (
     martingale_sample_path_bound,
 )
 from .standard import (
-    EffectiveBandwidthEval,
     StandardBoundResult,
-    effective_bandwidth,
     effective_bandwidth_rate,
     solve_eb_equation,
     standard_delay_bound,

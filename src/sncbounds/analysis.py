@@ -29,19 +29,21 @@ __all__ = [
     "ExperimentSpec",
     "AdmissionQuery",
     "palm_prefactor",
+    "bound_rows",
     "compare_experiment",
     "scaling_experiment",
     "admission_max_flows",
     "verify",
     "VERIFY_SUITES",
+    "BOUND_COLUMNS",
     "COMPARE_COLUMNS",
     "rows_to_csv",
 ]
 
-COMPARE_COLUMNS = ("scheduler", "n1", "n2", "rho", "d",
-                   "martingale_raw", "martingale_disp",
-                   "standard_raw", "standard_disp", "theta_star",
-                   "sim_median", "sim_q25", "sim_q75", "sim_n")
+BOUND_COLUMNS = ("scheduler", "n1", "n2", "rho", "d",
+                 "martingale_raw", "martingale_disp",
+                 "standard_raw", "standard_disp", "theta_star")
+COMPARE_COLUMNS = BOUND_COLUMNS + ("sim_median", "sim_q25", "sim_q75", "sim_n")
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,6 @@ class ExperimentSpec:
     sim: SimConfig
     palm_mode: str = "total"
     gps_exponent: str = "total"
-    out: Optional[str] = None
 
     def __post_init__(self):
         if self.palm_mode not in ("total", "through"):
@@ -89,15 +90,14 @@ def rows_to_csv(rows: list[dict], columns) -> str:
     return "\n".join(lines) + "\n"
 
 
-def compare_experiment(spec: ExperimentSpec, n_jobs: Optional[int] = None) -> list[dict]:
-    """Palm-corrected bounds next to simulated CCDF box stats, one row per d."""
-    scenario, sched = spec.scenario, spec.scheduler
-    palm = palm_prefactor(scenario, spec.palm_mode)
-    box = replicate(scenario, sched, spec.sim, n_jobs=n_jobs)
+def bound_rows(scenario: Scenario, sched: SchedulerSpec, grid,
+               palm_mode: str = "total", gps_exponent: str = "total") -> list[dict]:
+    """Palm-corrected martingale and standard bounds, one BOUND_COLUMNS row per d."""
+    palm = palm_prefactor(scenario, palm_mode)
     rows = []
-    for j, d in enumerate(box.delay_grid):
+    for d in grid:
         mart = palm * martingale_delay_bound(scenario, sched, d,
-                                             gps_exponent=spec.gps_exponent).value
+                                             gps_exponent=gps_exponent).value
         std = standard_delay_bound(scenario, sched, d)
         std_raw = palm * std.value
         rows.append({
@@ -106,9 +106,18 @@ def compare_experiment(spec: ExperimentSpec, n_jobs: Optional[int] = None) -> li
             "martingale_raw": mart, "martingale_disp": min(1.0, mart),
             "standard_raw": std_raw, "standard_disp": min(1.0, std_raw),
             "theta_star": std.theta_star,
-            "sim_median": float(box.median[j]), "sim_q25": float(box.q25[j]),
-            "sim_q75": float(box.q75[j]), "sim_n": box.replications,
         })
+    return rows
+
+
+def compare_experiment(spec: ExperimentSpec, n_jobs: Optional[int] = None) -> list[dict]:
+    """Bound rows next to simulated CCDF box stats, one COMPARE_COLUMNS row per d."""
+    box = replicate(spec.scenario, spec.scheduler, spec.sim, n_jobs=n_jobs)
+    rows = bound_rows(spec.scenario, spec.scheduler, box.delay_grid,
+                      spec.palm_mode, spec.gps_exponent)
+    for j, row in enumerate(rows):
+        row.update(sim_median=float(box.median[j]), sim_q25=float(box.q25[j]),
+                   sim_q75=float(box.q75[j]), sim_n=box.replications)
     return rows
 
 

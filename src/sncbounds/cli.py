@@ -5,6 +5,7 @@ and one of --rho / --per-flow-capacity) or from a JSON scenario file.  Delay
 grids accept a single value, a comma list, or start:stop:count.  Output is
 CSV (default) or JSON, to --out or stdout; CSV is byte-stable for a fixed
 configuration and master seed.  Column layouts are documented in docs/formats.md.
+A failed run prints ``error: ...`` on stderr and exits with code 2.
 """
 
 from __future__ import annotations
@@ -16,25 +17,22 @@ import sys
 import numpy as np
 
 from .analysis import (
+    BOUND_COLUMNS,
     COMPARE_COLUMNS,
     AdmissionQuery,
     ExperimentSpec,
     admission_max_flows,
+    bound_rows,
     compare_experiment,
-    palm_prefactor,
     rows_to_csv,
     scaling_experiment,
     verify,
 )
-from .errors import InvalidParamsError
-from .martingale import SchedulerSpec, martingale_delay_bound
+from .errors import SncboundsError
+from .martingale import SchedulerSpec
 from .sim import SimConfig, box_stats_csv, box_stats_json, replicate
-from .standard import standard_delay_bound
 from .traffic import MmooParams, Scenario
 
-BOUND_COLUMNS = ("scheduler", "n1", "n2", "rho", "d",
-                 "martingale_raw", "martingale_disp",
-                 "standard_raw", "standard_disp", "theta_star")
 SCALING_COLUMNS = ("n", "martingale", "standard", "ratio",
                    "alpha_fit", "alpha_closed")
 ADMISSION_COLUMNS = ("capacity", "d", "epsilon", "method", "scheduler",
@@ -48,12 +46,20 @@ def _parse_grid(text: str) -> tuple:
     return tuple(float(x) for x in text.split(","))
 
 
-def _add_scenario_args(p: argparse.ArgumentParser):
-    p.add_argument("--scenario", help="JSON scenario file (overrides the flags below)")
+# ---------------------------------------------------------------------------
+# flag groups, each declared once
+
+
+def _add_source_args(p: argparse.ArgumentParser):
     p.add_argument("--lambda", dest="lam", type=float, default=0.5,
                    help="On->Off rate (default 0.5)")
     p.add_argument("--mu", type=float, default=0.1, help="Off->On rate (default 0.1)")
     p.add_argument("--peak", type=float, default=1.0, help="peak rate while On (default 1)")
+
+
+def _add_scenario_args(p: argparse.ArgumentParser):
+    p.add_argument("--scenario", help="JSON scenario file (overrides the flags below)")
+    _add_source_args(p)
     p.add_argument("--n1", type=int, default=5, help="through sub-flows (default 5)")
     p.add_argument("--n2", type=int, default=5, help="cross sub-flows (default 5)")
     g = p.add_mutually_exclusive_group()
@@ -67,6 +73,21 @@ def _add_scheduler_args(p: argparse.ArgumentParser):
     p.add_argument("--d1", type=float, default=0.0, help="EDF through deadline")
     p.add_argument("--d2", type=float, default=0.0, help="EDF cross deadline")
     p.add_argument("--phi1", type=float, default=0.5, help="GPS through weight")
+
+
+def _add_grid_arg(p: argparse.ArgumentParser):
+    p.add_argument("--d", default="1,2,3,4,5,6,7,8,9,10",
+                   help="delay grid: value, comma list, or start:stop:count")
+
+
+def _add_palm_arg(p: argparse.ArgumentParser):
+    p.add_argument("--palm", choices=("total", "through"), default="total",
+                   help="Palm prefactor exponent: n1+n2 (total) or n1 (through)")
+
+
+def _add_bound_args(p: argparse.ArgumentParser):
+    _add_grid_arg(p)
+    _add_palm_arg(p)
     p.add_argument("--gps-exponent", choices=("total", "through"), default="total",
                    help="prefactor exponent of the GPS martingale bound")
 
@@ -78,14 +99,21 @@ def _add_sim_args(p: argparse.ArgumentParser):
                    help="measured through packets (full scale: 10^7)")
     p.add_argument("--warmup", type=int, default=10_000,
                    help="discarded through packets (full scale: 10^6)")
+    p.add_argument("--jobs", type=int, default=None,
+                   help="parallel replications (at most one process per replication and CPU)")
+
+
+def _add_delay_arg(p: argparse.ArgumentParser):
+    p.add_argument("--delay", type=float, default=5.0, help="target delay d")
 
 
 def _add_output_args(p: argparse.ArgumentParser):
-    p.add_argument("--palm", choices=("total", "through"), default="total")
-    p.add_argument("--d", default="1,2,3,4,5,6,7,8,9,10",
-                   help="delay grid: value, comma list, or start:stop:count")
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
+# ---------------------------------------------------------------------------
+# arguments to inputs, rows to output
 
 
 def _scenario_from_args(args) -> Scenario:
@@ -107,78 +135,54 @@ def _scheduler_from_args(args) -> SchedulerSpec:
     return SchedulerSpec(args.scheduler)
 
 
-def _emit(text: str, out):
-    if out:
-        with open(out, "w") as fh:
+def _sim_config_from_args(args) -> SimConfig:
+    return SimConfig(measured_packets=args.packets, warmup_packets=args.warmup,
+                     replications=args.reps, delay_grid=_parse_grid(args.d),
+                     master_seed=args.seed)
+
+
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _emit(args, csv_text: str, json_text: str) -> int:
+    """Write the text of the chosen --format to --out or stdout."""
+    text = json_text if args.format == "json" else csv_text
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return 0
 
 
 def _cmd_bound(args) -> int:
-    scenario = _scenario_from_args(args)
-    sched = _scheduler_from_args(args)
-    palm = palm_prefactor(scenario, args.palm)
-    rows = []
-    for d in _parse_grid(args.d):
-        mart = palm * martingale_delay_bound(scenario, sched, d,
-                                             gps_exponent=args.gps_exponent).value
-        std = standard_delay_bound(scenario, sched, d)
-        std_raw = palm * std.value
-        rows.append({
-            "scheduler": sched.kind, "n1": scenario.n1, "n2": scenario.n2,
-            "rho": scenario.rho, "d": d,
-            "martingale_raw": mart, "martingale_disp": min(1.0, mart),
-            "standard_raw": std_raw, "standard_disp": min(1.0, std_raw),
-            "theta_star": std.theta_star,
-        })
-    if args.format == "json":
-        _emit(json.dumps(rows, indent=2) + "\n", args.out)
-    else:
-        _emit(rows_to_csv(rows, BOUND_COLUMNS), args.out)
-    return 0
+    rows = bound_rows(_scenario_from_args(args), _scheduler_from_args(args),
+                      _parse_grid(args.d), args.palm, args.gps_exponent)
+    return _emit(args, rows_to_csv(rows, BOUND_COLUMNS), _json(rows))
 
 
 def _cmd_simulate(args) -> int:
-    scenario = _scenario_from_args(args)
-    sched = _scheduler_from_args(args)
-    cfg = SimConfig(measured_packets=args.packets, warmup_packets=args.warmup,
-                    replications=args.reps, delay_grid=_parse_grid(args.d),
-                    master_seed=args.seed)
-    box = replicate(scenario, sched, cfg, n_jobs=args.jobs)
-    _emit(box_stats_json(box) + "\n" if args.format == "json" else box_stats_csv(box),
-          args.out)
-    return 0
+    box = replicate(_scenario_from_args(args), _scheduler_from_args(args),
+                    _sim_config_from_args(args), n_jobs=args.jobs)
+    return _emit(args, box_stats_csv(box), box_stats_json(box) + "\n")
 
 
 def _cmd_compare(args) -> int:
-    scenario = _scenario_from_args(args)
-    sched = _scheduler_from_args(args)
-    cfg = SimConfig(measured_packets=args.packets, warmup_packets=args.warmup,
-                    replications=args.reps, delay_grid=_parse_grid(args.d),
-                    master_seed=args.seed)
-    spec = ExperimentSpec(scenario, sched, cfg, palm_mode=args.palm,
-                          gps_exponent=args.gps_exponent, out=args.out)
+    spec = ExperimentSpec(_scenario_from_args(args), _scheduler_from_args(args),
+                          _sim_config_from_args(args), palm_mode=args.palm,
+                          gps_exponent=args.gps_exponent)
     rows = compare_experiment(spec, n_jobs=args.jobs)
-    if args.format == "json":
-        _emit(json.dumps(rows, indent=2) + "\n", args.out)
-    else:
-        _emit(rows_to_csv(rows, COMPARE_COLUMNS), args.out)
-    return 0
+    return _emit(args, rows_to_csv(rows, COMPARE_COLUMNS), _json(rows))
 
 
 def _cmd_scaling(args) -> int:
-    scenario = _scenario_from_args(args)
-    sched = _scheduler_from_args(args)
-    result = scaling_experiment(scenario, [int(x) for x in args.n_list.split(",")],
-                                args.delay, sched)
+    result = scaling_experiment(_scenario_from_args(args),
+                                [int(x) for x in args.n_list.split(",")],
+                                args.delay, _scheduler_from_args(args))
     rows = [dict(r, alpha_fit=result["alpha_fit"], alpha_closed=result["alpha_closed"])
             for r in result["rows"]]
-    if args.format == "json":
-        _emit(json.dumps(result, indent=2) + "\n", args.out)
-    else:
-        _emit(rows_to_csv(rows, SCALING_COLUMNS), args.out)
-    return 0
+    return _emit(args, rows_to_csv(rows, SCALING_COLUMNS), _json(result))
 
 
 def _cmd_admission(args) -> int:
@@ -193,21 +197,12 @@ def _cmd_admission(args) -> int:
             res = admission_max_flows(q)
             rows.append({"capacity": cap, "d": args.delay, "epsilon": args.epsilon,
                          "method": method, "scheduler": sched.kind, **res})
-    if args.format == "json":
-        _emit(json.dumps(rows, indent=2) + "\n", args.out)
-    else:
-        _emit(rows_to_csv(rows, ADMISSION_COLUMNS), args.out)
-    return 0
+    return _emit(args, rows_to_csv(rows, ADMISSION_COLUMNS), _json(rows))
 
 
 def _cmd_verify(args) -> int:
-    try:
-        results = verify(args.suite)
-    except InvalidParamsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     failed = False
-    for name, ok, detail in results:
+    for name, ok, detail in verify(args.suite):
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         failed |= not ok
     return 1 if failed else 0
@@ -220,57 +215,37 @@ def build_parser() -> argparse.ArgumentParser:
                     "under FIFO/SP/EDF/GPS, with a packet-level validation simulator.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bound", help="evaluate Palm-corrected delay bounds on a grid")
-    _add_scenario_args(p)
-    _add_scheduler_args(p)
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_bound)
+    def add(name, func, help_text, *groups):
+        p = sub.add_parser(name, help=help_text)
+        for add_group in groups:
+            add_group(p)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("simulate", help="run the packet-level simulator")
-    _add_scenario_args(p)
-    _add_scheduler_args(p)
-    _add_sim_args(p)
-    _add_output_args(p)
-    p.add_argument("--jobs", type=int, default=None, help="parallel replications")
-    p.set_defaults(func=_cmd_simulate)
+    add("bound", _cmd_bound, "evaluate Palm-corrected delay bounds on a grid",
+        _add_scenario_args, _add_scheduler_args, _add_bound_args, _add_output_args)
+    add("simulate", _cmd_simulate, "run the packet-level simulator",
+        _add_scenario_args, _add_scheduler_args, _add_grid_arg, _add_sim_args,
+        _add_output_args)
+    add("compare", _cmd_compare, "bounds vs simulation, one CSV row per grid point",
+        _add_scenario_args, _add_scheduler_args, _add_bound_args, _add_sim_args,
+        _add_output_args)
 
-    p = sub.add_parser("compare", help="bounds vs simulation, one CSV row per grid point")
-    _add_scenario_args(p)
-    _add_scheduler_args(p)
-    _add_sim_args(p)
-    _add_output_args(p)
-    p.add_argument("--jobs", type=int, default=None, help="parallel replications")
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("scaling", help="bounds as the flow count grows, rho and c fixed")
-    _add_scenario_args(p)
-    _add_scheduler_args(p)
+    p = add("scaling", _cmd_scaling, "bounds as the flow count grows, rho and c fixed",
+            _add_scenario_args, _add_scheduler_args, _add_delay_arg, _add_output_args)
     p.add_argument("--n-list", default="10,20,50,100,200,500,1000",
                    help="comma list of even flow counts")
-    p.add_argument("--delay", type=float, default=5.0, help="target delay d")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--palm", choices=("total", "through"), default="total")
-    p.set_defaults(func=_cmd_scaling)
 
-    p = sub.add_parser("admission", help="largest admissible flow count per capacity")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    p.add_argument("--mu", type=float, default=0.1)
-    p.add_argument("--peak", type=float, default=1.0)
-    _add_scheduler_args(p)
+    p = add("admission", _cmd_admission, "largest admissible flow count per capacity",
+            _add_source_args, _add_scheduler_args, _add_delay_arg, _add_palm_arg,
+            _add_output_args)
     p.add_argument("--capacity", required=True, help="comma list of capacities C")
-    p.add_argument("--delay", type=float, default=5.0, help="target delay d")
     p.add_argument("--epsilon", type=float, default=1e-3, help="violation target")
     p.add_argument("--method", choices=("martingale", "standard", "both"),
                    default="both")
-    p.add_argument("--palm", choices=("total", "through"), default="total")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=_cmd_admission)
 
-    p = sub.add_parser("verify", help="run a named property suite")
+    p = add("verify", _cmd_verify, "run a named property suite")
     p.add_argument("suite", help="suite name or 'all'")
-    p.set_defaults(func=_cmd_verify)
 
     return parser
 
@@ -279,7 +254,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidParamsError, ValueError) as exc:
+    except (SncboundsError, ValueError, ArithmeticError) as exc:
+        # ArithmeticError: overflow or a zero division in the linear-domain
+        # bounds at large flow counts
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,41 +1,49 @@
-"""Exception types raised by the bound calculators and traffic models."""
+"""Exception types raised by the bound calculators, traffic models and simulator."""
 
 
-class InvalidParamsError(ValueError):
+class SncboundsError(Exception):
+    """Base of every error this package raises on purpose."""
+
+
+class InvalidParamsError(SncboundsError, ValueError):
     """A model parameter violates its basic constraints (e.g. a rate <= 0)."""
 
 
-class UnstableScenarioError(ValueError):
+class UnstableScenarioError(SncboundsError, ValueError):
     """Utilization at or above 1: steady-state delay does not exist."""
 
 
-class TrivialScenarioError(ValueError):
+class TrivialScenarioError(SncboundsError, ValueError):
     """Peak rate <= per-flow capacity: the queue never builds, delay is zero."""
 
 
-class GpsInfeasibleError(ValueError):
+class GpsInfeasibleError(SncboundsError, ValueError):
     """The GPS-allocated capacity cannot carry the through aggregate."""
 
 
-class ReducibleChainError(ValueError):
+class ReducibleChainError(SncboundsError, ValueError):
     """The generator matrix is singular or the chain is not irreducible."""
 
 
-class NonReversibleError(ValueError):
+class NonReversibleError(SncboundsError, ValueError):
     """The modulating chain fails detailed balance; only reversible chains are supported."""
 
 
-class DegenerateSourceError(ValueError):
+class DegenerateSourceError(SncboundsError, ValueError):
     """The source has no usable eigenstructure (e.g. a single-state chain)."""
 
 
-class ZeroDriftError(ValueError):
+class ZeroDriftError(SncboundsError, ValueError):
     """A state's arrival rate equals the allocated capacity even after perturbation."""
 
 
-class EigenvectorError(RuntimeError):
+class EigenvectorError(SncboundsError, RuntimeError):
     """No positive eigenvector found; signals a numerical failure."""
 
 
-class NoFeasibleSplitError(ValueError):
+class NoFeasibleSplitError(SncboundsError, ValueError):
     """No capacity split satisfies both per-class stability conditions."""
+
+
+class ArrivalGenerationError(SncboundsError, RuntimeError):
+    """Arrival generation fell short of the packets a replication needs."""

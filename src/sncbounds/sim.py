@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidParamsError
+from .errors import ArrivalGenerationError, InvalidParamsError
 from .martingale import SchedulerSpec, martingale_constants
 from .traffic import Scenario, packet_arrays, sample_path, spawned_rng
 
@@ -44,7 +45,6 @@ __all__ = [
     "simulate",
     "replicate",
     "martingale_mc_estimate",
-    "delay_stats_csv",
     "box_stats_csv",
 ]
 
@@ -143,7 +143,8 @@ def _flow_arrivals(scenario: Scenario, cfg: SimConfig, replication_index: int):
         if flows[0][0].size >= need:
             return flows
         horizon *= 1.5
-    raise RuntimeError("could not generate enough through packets")
+    raise ArrivalGenerationError(
+        f"could not generate {need} through packets in 12 attempts at growing horizons")
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +363,13 @@ def replicate(scenario: Scenario, sched: SchedulerSpec, cfg: SimConfig,
     """Run all replications and aggregate per-grid-point CCDFs into box stats.
 
     Replication k is seeded by (master_seed, k); results are deterministic
-    and independent of ``n_jobs`` (processes used when n_jobs > 1).
+    and independent of ``n_jobs``.  Processes are used when n_jobs > 1, at
+    most one per replication and per CPU.
     """
     jobs = [(scenario, sched, cfg, k) for k in range(cfg.replications)]
-    if n_jobs and n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as ex:
+    workers = min(n_jobs or 1, cfg.replications, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             stats = list(ex.map(_one_replication, jobs))
     else:
         stats = [_one_replication(j) for j in jobs]
@@ -437,24 +440,6 @@ def martingale_mc_estimate(scenario: Scenario, t: float, samples: int, seed,
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def delay_stats_csv(stats: DelayStats) -> str:
-    lines = ["d,ccdf,sample_count"]
-    for d, c in zip(stats.delay_grid, stats.ccdf):
-        lines.append(f"{d:.12g},{c:.12g},{stats.sample_count}")
-    return "\n".join(lines) + "\n"
-
-
-def delay_stats_json(stats: DelayStats) -> str:
-    return json.dumps({
-        "sample_count": stats.sample_count,
-        "quantiles": {"p25": stats.q25, "p50": stats.q50,
-                      "p75": stats.q75, "p99": stats.q99},
-        "delay_grid": list(stats.delay_grid),
-        "ccdf": stats.ccdf.tolist(),
-        "unstable": stats.unstable,
-    })
 
 
 def box_stats_csv(box: BoxStats) -> str:

@@ -30,9 +30,7 @@ from .martingale import SchedulerSpec, martingale_constants
 from .traffic import MmooParams, Scenario
 
 __all__ = [
-    "EffectiveBandwidthEval",
     "StandardBoundResult",
-    "effective_bandwidth",
     "effective_bandwidth_rate",
     "solve_eb_equation",
     "standard_sample_path_bound",
@@ -41,17 +39,6 @@ __all__ = [
 
 _PRESCAN_POINTS = 256
 _EDGE = 1e-9  # relative inset of the optimization interval
-
-
-@dataclass(frozen=True)
-class EffectiveBandwidthEval:
-    """Dominant/subdominant rates and weights of the two-exponential MGF."""
-
-    theta: float
-    r_theta: float
-    r_prime_theta: float
-    w: float
-    w_prime: float
 
 
 @dataclass(frozen=True)
@@ -81,21 +68,6 @@ def effective_bandwidth_rate(theta, params: MmooParams):
     sq = np.sqrt(b * b + 4.0 * mu * theta * peak)
     r = np.where(b > 0, 2.0 * mu * peak / (sq + b), (sq - b) / (2.0 * theta))
     return r if r.ndim else float(r)
-
-
-def effective_bandwidth(theta: float, params: MmooParams) -> EffectiveBandwidthEval:
-    """Full evaluation at one exponent: r, r', and the mixture weights."""
-    if not theta > 0:
-        raise InvalidParamsError(f"theta must be > 0, got {theta}")
-    lam, mu, peak = params.lam, params.mu, params.peak
-    b = lam + mu - theta * peak
-    sq = math.sqrt(b * b + 4.0 * mu * theta * peak)
-    r = 2.0 * mu * peak / (sq + b) if b > 0 else (sq - b) / (2.0 * theta)
-    r_prime = (-b - sq) / (2.0 * theta)
-    denom = (r - r_prime) * (lam + mu)
-    w_prime = (lam * r + mu * (r - peak)) / denom
-    w = (-lam * r_prime + mu * (peak - r_prime)) / denom
-    return EffectiveBandwidthEval(theta, r, r_prime, w, w_prime)
 
 
 def solve_eb_equation(params: MmooParams, c: float) -> float:

@@ -26,13 +26,10 @@ __all__ = [
     "Scenario",
     "MarkovFluidSource",
     "StatePath",
-    "PacketArrival",
-    "mmoo_derived",
     "aggregate_generator",
     "aggregate_source",
     "stationary_distribution",
     "sample_path",
-    "packetize",
     "packet_arrays",
     "spawned_rng",
 ]
@@ -84,11 +81,6 @@ class MmooParams:
     @classmethod
     def from_json_dict(cls, d: dict) -> "MmooParams":
         return cls(lam=d["lambda"], mu=d["mu"], peak=d["peak"])
-
-
-def mmoo_derived(params: MmooParams) -> dict:
-    """Steady-state On probability and mean rate of a single source."""
-    return {"p": params.on_probability, "mean_rate": params.mean_rate}
 
 
 @dataclass(frozen=True)
@@ -285,10 +277,6 @@ class StatePath:
     durations: np.ndarray
     horizon: float
 
-    @property
-    def segments(self) -> list[tuple[int, float]]:
-        return list(zip(self.states.tolist(), self.durations.tolist()))
-
     def time_in_state(self, state: int) -> float:
         return float(self.durations[self.states == state].sum())
 
@@ -334,16 +322,6 @@ def sample_path(source: MarkovFluidSource, horizon: float, seed) -> StatePath:
     return StatePath(np.array(states, dtype=np.int64), np.array(durations), horizon)
 
 
-@dataclass(frozen=True)
-class PacketArrival:
-    """One packet: timestamped when its last bit arrives; size in (0, 1]."""
-
-    time: float
-    size: float
-    flow: str = "through"
-    subflow: int = 0
-
-
 def packet_arrays(path: StatePath, peak: float) -> tuple[np.ndarray, np.ndarray]:
     """Packetized arrivals of a binary On/Off path as (times, sizes) arrays.
 
@@ -352,7 +330,7 @@ def packet_arrays(path: StatePath, peak: float) -> tuple[np.ndarray, np.ndarray]
     P*tau - floor(P*tau) at the dwell end.  Total bits equal the fluid volume.
     """
     if path.states.size and path.states.max() > 1:
-        raise InvalidParamsError("packetize expects a binary On/Off path")
+        raise InvalidParamsError("packet_arrays expects a binary On/Off path")
     on = path.states == 1
     starts = np.concatenate(([0.0], np.cumsum(path.durations)[:-1]))[on]
     durs = path.durations[on]
@@ -371,11 +349,3 @@ def packet_arrays(path: StatePath, peak: float) -> tuple[np.ndarray, np.ndarray]
     sizes = np.concatenate([np.ones(total), frac[keep]])
     order = np.argsort(times, kind="stable")
     return times[order], sizes[order]
-
-
-def packetize(path: StatePath, peak: float, flow: str = "through",
-              subflow: int = 0) -> list[PacketArrival]:
-    """Packetized arrivals of a binary On/Off path as PacketArrival records."""
-    times, sizes = packet_arrays(path, peak)
-    return [PacketArrival(float(t), float(s), flow, subflow)
-            for t, s in zip(times, sizes)]

@@ -257,3 +257,40 @@ class TestCli:
     def test_invalid_scenario_exit_code(self, capsys):
         assert main(["bound", "--rho", "1.2", "--d", "1"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        # K**n underflows to 0.0 at n = 10^4: ZeroDivisionError in the ratio
+        ["scaling", "--n-list", "10,10000"],
+        # exp overflows in the EDF(10,1) bound at n = 10^4: OverflowError
+        ["bound", "--n1", "5000", "--n2", "5000", "--scheduler", "edf",
+         "--d1", "10", "--d2", "1", "--d", "5"],
+    ])
+    def test_arithmetic_failure_exit_code(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_arrival_shortfall_exit_code(self, capsys, monkeypatch):
+        import numpy as np
+
+        import sncbounds.sim as sim
+
+        monkeypatch.setattr(sim, "packet_arrays",
+                            lambda path, peak: (np.empty(0), np.empty(0)))
+        assert main(["simulate", "--n1", "1", "--n2", "1", "--packets", "50",
+                     "--warmup", "0", "--reps", "1", "--d", "1"]) == 2
+        assert "could not generate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["scaling", "--palm", "through"],
+        ["scaling", "--gps-exponent", "through"],
+        ["admission", "--capacity", "2", "--gps-exponent", "through"],
+        ["simulate", "--palm", "through"],
+        ["simulate", "--gps-exponent", "through"],
+    ])
+    def test_unread_flags_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -20,8 +20,6 @@ from sncbounds.sim import (
     _instability_flag,
     box_stats_csv,
     box_stats_json,
-    delay_stats_csv,
-    delay_stats_json,
     simulate_events,
 )
 
@@ -247,6 +245,38 @@ class TestReplicate:
         par = replicate(scenario(), SchedulerSpec.sp(), cfg, n_jobs=2)
         assert np.array_equal(seq.per_replication, par.per_replication)
 
+    @pytest.mark.parametrize("n_jobs,reps,cpus,workers", [
+        (10**6, 3, 64, 3),      # at most one worker per replication
+        (10**6, 8, 4, 4),       # at most one worker per CPU
+        (2, 8, 4, 2),
+    ])
+    def test_jobs_clamped(self, monkeypatch, n_jobs, reps, cpus, workers):
+        import sncbounds.sim as sim
+
+        started = []
+
+        class RecordingPool:
+            """Stands in for ProcessPoolExecutor: records the size, runs serially."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
+        cfg = small_cfg(measured_packets=200, warmup_packets=20, replications=reps)
+        box = replicate(scenario(), SchedulerSpec.fifo(), cfg, n_jobs=n_jobs)
+        assert started == [workers]
+        assert box.replications == reps
+
     def test_serialization(self):
         cfg = small_cfg(replications=2)
         box = replicate(scenario(), SchedulerSpec.fifo(), cfg)
@@ -254,9 +284,6 @@ class TestReplicate:
         assert csv.splitlines()[0] == "d,median,q25,q75,min,max,outlier_count"
         assert len(csv.splitlines()) == len(GRID) + 1
         assert box_stats_json(box)
-        st = simulate(scenario(), SchedulerSpec.fifo(), cfg, 0)
-        assert delay_stats_csv(st).splitlines()[0] == "d,ccdf,sample_count"
-        assert delay_stats_json(st)
 
 
 class TestMartingaleMc:

@@ -10,7 +10,6 @@ from sncbounds import (
     Scenario,
     SchedulerSpec,
     TrivialScenarioError,
-    effective_bandwidth,
     effective_bandwidth_rate,
     martingale_constants,
     martingale_delay_bound,
@@ -57,21 +56,15 @@ class TestEffectiveBandwidth:
             assert effective_bandwidth_rate(gamma, BASE_SOURCE) == pytest.approx(
                 c, rel=1e-12)
 
-    def test_weights_sum_to_one(self):
+    def test_between_mean_rate_and_peak(self):
         for th in (0.01, 0.2, 1.0, 5.0):
-            ev = effective_bandwidth(th, BASE_SOURCE)
-            assert ev.w + ev.w_prime == pytest.approx(1.0, rel=1e-12)
-            assert ev.r_prime_theta <= ev.r_theta
-            assert BASE_SOURCE.mean_rate <= ev.r_theta <= BASE_SOURCE.peak
+            r = effective_bandwidth_rate(th, BASE_SOURCE)
+            assert BASE_SOURCE.mean_rate <= r <= BASE_SOURCE.peak
 
     def test_monotone_nondecreasing(self):
         ths = np.geomspace(1e-6, 100.0, 300)
         rs = effective_bandwidth_rate(ths, BASE_SOURCE)
         assert (np.diff(rs) >= -1e-15).all()
-
-    def test_nonpositive_theta_rejected(self):
-        with pytest.raises(InvalidParamsError):
-            effective_bandwidth(0.0, BASE_SOURCE)
 
 
 class TestSolveEbEquation:

@@ -15,8 +15,6 @@ from sncbounds import (
     UnstableScenarioError,
     aggregate_generator,
     aggregate_source,
-    mmoo_derived,
-    packetize,
     sample_path,
     stationary_distribution,
 )
@@ -27,17 +25,16 @@ BASE_SOURCE = MmooParams(0.5, 0.1, 1.0)
 
 class TestMmooParams:
     def test_base_source_derived(self):
-        d = mmoo_derived(BASE_SOURCE)
-        assert d["p"] == pytest.approx(1 / 6, abs=1e-15)
-        assert d["mean_rate"] == pytest.approx(1 / 6, abs=1e-15)
+        assert BASE_SOURCE.on_probability == pytest.approx(1 / 6, abs=1e-15)
+        assert BASE_SOURCE.mean_rate == pytest.approx(1 / 6, abs=1e-15)
 
     def test_symmetric_rates_give_half(self):
-        assert mmoo_derived(MmooParams(0.7, 0.7, 3.0))["p"] == pytest.approx(0.5)
+        assert MmooParams(0.7, 0.7, 3.0).on_probability == pytest.approx(0.5)
 
     def test_direct_formula(self):
-        d = mmoo_derived(MmooParams(0.3, 0.6, 2.0))
-        assert d["p"] == pytest.approx(2 / 3, rel=1e-14)
-        assert d["mean_rate"] == pytest.approx(4 / 3, rel=1e-14)
+        src = MmooParams(0.3, 0.6, 2.0)
+        assert src.on_probability == pytest.approx(2 / 3, rel=1e-14)
+        assert src.mean_rate == pytest.approx(4 / 3, rel=1e-14)
 
     @pytest.mark.parametrize("lam,mu,peak", [(0, 1, 1), (1, -2, 1), (1, 1, 0)])
     def test_invalid_rates_rejected(self, lam, mu, peak):
@@ -186,7 +183,8 @@ class TestSamplePath:
     def test_single_state_chain(self):
         src = MarkovFluidSource(np.zeros((1, 1)), np.array([2.0]))
         path = sample_path(src, 7.5, 1)
-        assert path.segments == [(0, 7.5)]
+        assert path.states.tolist() == [0]
+        assert path.durations.tolist() == [7.5]
 
     def test_invariants(self):
         path = sample_path(BASE_SOURCE.as_fluid_source(), 500.0, 42)
@@ -214,18 +212,20 @@ class TestSamplePath:
 class TestPacketize:
     def test_half_packet_dwell(self):
         path = StatePath(np.array([1]), np.array([3.5]), 3.5)
-        pkts = packetize(path, 1.0)
-        assert [(p.time, p.size) for p in pkts] == [
-            (1.0, 1.0), (2.0, 1.0), (3.0, 1.0), (3.5, 0.5)]
+        times, sizes = packet_arrays(path, 1.0)
+        assert times.tolist() == [1.0, 2.0, 3.0, 3.5]
+        assert sizes.tolist() == [1.0, 1.0, 1.0, 0.5]
 
     def test_off_dwell_emits_nothing(self):
         path = StatePath(np.array([0]), np.array([4.0]), 4.0)
-        assert packetize(path, 1.0) == []
+        times, sizes = packet_arrays(path, 1.0)
+        assert times.size == sizes.size == 0
 
     def test_integer_dwell_no_fraction(self):
         path = StatePath(np.array([1]), np.array([2.0]), 2.0)
-        pkts = packetize(path, 1.0)
-        assert [(p.time, p.size) for p in pkts] == [(1.0, 1.0), (2.0, 1.0)]
+        times, sizes = packet_arrays(path, 1.0)
+        assert times.tolist() == [1.0, 2.0]
+        assert sizes.tolist() == [1.0, 1.0]
 
     def test_volume_conservation_and_ordering(self):
         src = MmooParams(0.7, 0.3, 1.7)
@@ -238,13 +238,8 @@ class TestPacketize:
 
     def test_non_binary_path_rejected(self):
         path = StatePath(np.array([2]), np.array([1.0]), 1.0)
-        with pytest.raises(InvalidParamsError):
-            packetize(path, 1.0)
-
-    def test_flow_labels(self):
-        path = StatePath(np.array([1]), np.array([1.5]), 1.5)
-        pkts = packetize(path, 1.0, flow="cross", subflow=3)
-        assert all(p.flow == "cross" and p.subflow == 3 for p in pkts)
+        with pytest.raises(InvalidParamsError, match="packet_arrays"):
+            packet_arrays(path, 1.0)
 
 
 class TestRngContract:
