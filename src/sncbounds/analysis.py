@@ -23,7 +23,7 @@ from .martingale import (
 )
 from .standard import standard_delay_bound
 from .traffic import MmooParams, Scenario
-from .sim import SimConfig, replicate
+from .sim import SimConfig, check_delay_grid, replicate
 
 __all__ = [
     "ExperimentSpec",
@@ -93,6 +93,7 @@ def rows_to_csv(rows: list[dict], columns) -> str:
 def bound_rows(scenario: Scenario, sched: SchedulerSpec, grid,
                palm_mode: str = "total", gps_exponent: str = "total") -> list[dict]:
     """Palm-corrected martingale and standard bounds, one BOUND_COLUMNS row per d."""
+    check_delay_grid(grid)
     palm = palm_prefactor(scenario, palm_mode)
     rows = []
     for d in grid:

@@ -49,6 +49,13 @@ __all__ = [
 ]
 
 
+def check_delay_grid(grid) -> None:
+    """Reject a delay grid that is empty, negative, NaN or not strictly increasing."""
+    g = np.asarray(grid, dtype=float)
+    if g.size == 0 or not (g >= 0).all() or not (np.diff(g) > 0).all():
+        raise InvalidParamsError("delay grid must be nonempty, >= 0, strictly increasing")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Replication protocol: measured/warm-up through packets and a delay grid."""
@@ -64,9 +71,7 @@ class SimConfig:
             raise InvalidParamsError("need 0 <= warmup < measured packets")
         if self.replications < 1:
             raise InvalidParamsError("need at least one replication")
-        grid = np.asarray(self.delay_grid, dtype=float)
-        if grid.size == 0 or (grid < 0).any() or (np.diff(grid) <= 0).any():
-            raise InvalidParamsError("delay grid must be nonempty, >= 0, strictly increasing")
+        check_delay_grid(self.delay_grid)
 
     @classmethod
     def desk_scale(cls, **kw) -> "SimConfig":
@@ -109,25 +114,59 @@ class BoxStats:
 # arrival generation
 
 
+_SLACK_SD = 4.0  # standard deviations of the through packet count added to the horizon
+_TAIL_CYCLES = 10.0  # mean On-Off cycles of cross traffic after the last needed packet
+
+
+def _arrival_horizon(scenario: Scenario, need: int) -> tuple[float, float]:
+    """Horizon over which the through sources emit ``need`` packets, and its tail.
+
+    A source completes lam*mu/(lam+mu) On-dwells per unit time and emits
+    1/(exp(lam/P) - 1) + 1 packets per On-dwell: its whole packets are
+    geometric, plus one fractional packet.  The horizon is the mean time the
+    n1 through sources take to emit ``need`` packets, plus ``_SLACK_SD``
+    standard deviations of that count (the renewal-reward variance of an
+    On-Off cycle), plus a tail of ``_TAIL_CYCLES`` mean cycles.
+    """
+    params = scenario.params
+    lam, mu, peak = params.lam, params.mu, params.peak
+    cycle_mean = 1.0 / lam + 1.0 / mu
+    whole = 1.0 / math.expm1(lam / peak)  # mean whole packets per On-dwell
+    # per cycle, K packets in C time: Var(K) is geometric (floor and fraction
+    # of an exponential are independent), so Cov(K, C) = Var(K)/P
+    var_k = whole * (whole + 1.0)
+    rate = (whole + 1.0) / cycle_mean  # packets per unit time per source
+    var_rate = (var_k * (1.0 - 2.0 * rate / peak)
+                + rate ** 2 * (1.0 / lam ** 2 + 1.0 / mu ** 2)) / cycle_mean
+    through_rate = scenario.n1 * rate
+    mean_time = need / through_rate
+    slack = _SLACK_SD * math.sqrt(scenario.n1 * var_rate * mean_time) / through_rate
+    tail = _TAIL_CYCLES * cycle_mean
+    return mean_time + slack + tail, tail
+
+
 def _flow_arrivals(scenario: Scenario, cfg: SimConfig, replication_index: int):
     """Merged (times, sizes) per flow, with enough through packets.
 
-    The horizon grows geometrically until the through flow has emitted at
-    least warmup+measured packets; subflow seeds are horizon-independent, so
-    regeneration extends the same sample paths.
+    Arrivals are generated over ``_arrival_horizon`` and accepted only if
+    warmup+measured through packets all arrive before its tail starts, so
+    the last measured ones stay exposed to the cross traffic that arrives
+    while they wait.  Otherwise, rarely, the horizon grows geometrically;
+    subflow seeds are horizon-independent, so regeneration extends the same
+    sample paths.
     """
-    params = scenario.params
     need = cfg.warmup_packets + cfg.measured_packets
-    rate = scenario.n1 * params.mean_rate  # through packets per unit time
-    horizon = need / rate * 1.15 + 10.0 * (1.0 / params.lam + 1.0 / params.mu)
+    horizon, tail = _arrival_horizon(scenario, need)
+    peak = scenario.params.peak
+    source = scenario.params.as_fluid_source()
     for _ in range(12):
         flows = []
         for flow_id, count in ((0, scenario.n1), (1, scenario.n2)):
             times, sizes, subs = [], [], []
             for j in range(count):
                 rng = spawned_rng(cfg.master_seed, replication_index, flow_id, j)
-                path = sample_path(params.as_fluid_source(), horizon, rng)
-                t, s = packet_arrays(path, params.peak)
+                path = sample_path(source, horizon, rng)
+                t, s = packet_arrays(path, peak)
                 times.append(t)
                 sizes.append(s)
                 subs.append(np.full(t.size, j, dtype=np.int64))
@@ -140,7 +179,7 @@ def _flow_arrivals(scenario: Scenario, cfg: SimConfig, replication_index: int):
                 flows.append((t[order], s[order]))
             else:
                 flows.append((np.empty(0), np.empty(0)))
-        if flows[0][0].size >= need:
+        if np.searchsorted(flows[0][0], horizon - tail) >= need:
             return flows
         horizon *= 1.5
     raise ArrivalGenerationError(

@@ -47,13 +47,17 @@ class StandardBoundResult:
 
     The two-term EDF bound optimizes each term separately; ``terms`` holds
     (value, theta_star, L) per term and the top-level fields describe the
-    first term.
+    first term.  ``at_edge`` is true when the minimum of any term lies at an
+    end of its optimization interval, within the ``_EDGE`` inset (and the
+    golden-section tolerance): the objective still fell toward the end, so
+    the bound may be loose or vacuous.
     """
 
     value: float
     theta_star: float
     L: float
     terms: tuple = ()
+    at_edge: bool = False
 
 
 def effective_bandwidth_rate(theta, params: MmooParams):
@@ -117,8 +121,11 @@ def _golden_min(f: Callable[[float], float], lo: float, hi: float,
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-def _minimize_theta(log_obj: Callable, theta_max: float) -> tuple[float, float]:
+def _minimize_theta(log_obj: Callable, theta_max: float) -> tuple[float, float, bool]:
     """Minimize a log-objective over the open interval (0, theta_max).
+
+    Returns the minimizer, the minimum and whether the minimizer lies at an
+    end of the inset interval.
 
     A 256-point log-spaced pre-scan brackets the minimum; golden-section
     refines it.  The pre-scan minimum is the fallback if the objective is
@@ -142,7 +149,7 @@ def _minimize_theta(log_obj: Callable, theta_max: float) -> tuple[float, float]:
                          tol=1e-12 * theta_max)
     if vals[i] < fv:
         th, fv = float(grid[i]), float(vals[i])
-    return th, fv
+    return th, fv, min(th, theta_max - th) <= 2.0 * _EDGE * theta_max
 
 
 def _optimized_bound(scenario: Scenario, exponent) -> StandardBoundResult:
@@ -155,9 +162,10 @@ def _optimized_bound(scenario: Scenario, exponent) -> StandardBoundResult:
         r = effective_bandwidth_rate(th, params)
         return 1.0 + math.log(c) - np.log(c - r) + exponent(th, r)
 
-    th, fv = _minimize_theta(log_obj, gamma)
+    th, fv, at_edge = _minimize_theta(log_obj, gamma)
     r_star = effective_bandwidth_rate(th, params)
-    return StandardBoundResult(math.exp(fv), th, c * math.e / (c - r_star))
+    return StandardBoundResult(math.exp(fv), th, c * math.e / (c - r_star),
+                               at_edge=at_edge)
 
 
 def standard_sample_path_bound(scenario: Scenario, u: float, sigma: float) -> StandardBoundResult:
@@ -207,9 +215,10 @@ def standard_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float) -> 
             r = effective_bandwidth_rate(th, params)
             return math.log(phi_c) - np.log(phi_c - n1 * r) - th * phi_c * d
 
-        th, fv = _minimize_theta(log_obj, gamma_gps)
+        th, fv, at_edge = _minimize_theta(log_obj, gamma_gps)
         r_star = effective_bandwidth_rate(th, params)
-        return StandardBoundResult(math.exp(fv), th, phi_c / (phi_c - n1 * r_star))
+        return StandardBoundResult(math.exp(fv), th, phi_c / (phi_c - n1 * r_star),
+                                   at_edge=at_edge)
 
     if sched.kind == "fifo":
         return _optimized_bound(scenario, lambda th, r: -th * cap * d)
@@ -237,11 +246,13 @@ def standard_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float) -> 
             r = effective_bandwidth_rate(th, params)
             return 1.0 + math.log(c_resc) - np.log(c_resc - r) - th * cap * d
 
-        th2, fv2 = _minimize_theta(log_obj2, gamma_resc)
+        th2, fv2, at_edge2 = _minimize_theta(log_obj2, gamma_resc)
         r2 = effective_bandwidth_rate(th2, params)
-        second = StandardBoundResult(math.exp(fv2), th2, c_resc * math.e / (c_resc - r2))
+        second = StandardBoundResult(math.exp(fv2), th2, c_resc * math.e / (c_resc - r2),
+                                     at_edge=at_edge2)
     return StandardBoundResult(
         first.value + second.value, first.theta_star, first.L,
         terms=((first.value, first.theta_star, first.L),
                (second.value, second.theta_star, second.L)),
+        at_edge=first.at_edge or second.at_edge,
     )

@@ -5,12 +5,16 @@ fractional remainder of an On-dwell.  All sampling is driven by numpy
 Generators derived from ``numpy.random.SeedSequence(master, spawn_key=key)``,
 so replication ``k`` of any experiment is a pure function of
 ``(master_seed, k)`` and independent replications can run in parallel.
+Sample paths draw their dwells in fixed-size blocks of vectorized
+exponentials, so a path over a longer horizon extends the shorter one.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
+
 import numpy as np
 
 from .errors import (
@@ -281,45 +285,65 @@ class StatePath:
         return float(self.durations[self.states == state].sum())
 
 
+_BLOCK = 1024  # dwells drawn per block; even, so a two-state block starts in one state
+
+
 def sample_path(source: MarkovFluidSource, horizon: float, seed) -> StatePath:
     """Simulate the chain in its steady state over [0, horizon].
 
-    Initial state is drawn from the stationary law; dwell in state i is
-    exponential with rate -q[i,i]; the next state is chosen proportional to
-    the off-diagonal row.  Memorylessness makes residual-time handling
-    unnecessary.  The final dwell is truncated at the horizon.
+    The initial state is drawn from the stationary law; the dwell in state i
+    is exponential with rate -q[i,i] and the next state is chosen in
+    proportion to the off-diagonal row.  Memorylessness makes residual-time
+    handling unnecessary.  The final dwell is truncated at the horizon.
+
+    Dwells are drawn in blocks of ``_BLOCK`` as standard exponentials divided
+    by the exit rates of the block's states, then cut at the horizon.  A
+    two-state chain alternates, so its states need no draws; a larger chain
+    walks its jump chain over one block of uniforms, each located in the
+    cumulative jump row of the current state.  The block size does not
+    depend on the horizon, so a longer horizon extends the same path.
     """
     if not horizon > 0:
         raise InvalidParamsError(f"horizon must be > 0, got {horizon}")
     rng = spawned_rng(seed)
-    q = source.generator
     m = source.n_states
-    exit_rates = -np.diag(q)
-    # per-state jump distributions, precomputed once
-    jump_p = []
-    for i in range(m):
-        if exit_rates[i] > 0:
-            row = q[i] * (np.arange(m) != i)
-            jump_p.append(row / row.sum())
-        else:
-            jump_p.append(None)
     state = int(rng.choice(m, p=source.stationary))
-    states, durations = [], []
+    if m == 1:  # absorbing: an irreducible chain has no other
+        return StatePath(np.array([state], dtype=np.int64), np.array([float(horizon)]),
+                         horizon)
+    q = source.generator
+    exit_rates = -np.diag(q)
+    if m == 2:
+        alternating = np.resize(np.array([state, 1 - state], dtype=np.int64), _BLOCK)
+    else:
+        jump = q * (1.0 - np.eye(m))
+        cum_rows = np.cumsum(jump, axis=1)
+        # dividing by the row total makes the last entry exactly 1.0, so a
+        # uniform in [0, 1) always lands on a state with positive rate
+        cum_rows = (cum_rows / cum_rows[:, -1:]).tolist()
+    states, dwells, ends = [], [], []
     t = 0.0
     while t < horizon:
-        if exit_rates[state] <= 0:  # absorbing (single-state chain)
-            states.append(state)
-            durations.append(horizon - t)
-            break
-        dwell = rng.exponential(1.0 / exit_rates[state])
-        dwell = min(dwell, horizon - t)
-        states.append(state)
-        durations.append(dwell)
-        t += dwell
-        if t >= horizon:
-            break
-        state = int(rng.choice(m, p=jump_p[state]))
-    return StatePath(np.array(states, dtype=np.int64), np.array(durations), horizon)
+        if m == 2:
+            block = alternating
+        else:
+            walk = []
+            for u in rng.random(_BLOCK).tolist():
+                walk.append(state)
+                state = bisect_right(cum_rows[state], u)
+            block = np.array(walk, dtype=np.int64)
+        dwell = rng.standard_exponential(_BLOCK) / exit_rates[block]
+        end = np.cumsum(dwell)
+        end += t
+        states.append(block)
+        dwells.append(dwell)
+        ends.append(end)
+        t = float(end[-1])
+    end = np.concatenate(ends)
+    last = int(np.searchsorted(end, horizon, side="left"))  # first dwell reaching it
+    durations = np.concatenate(dwells)[:last + 1]
+    durations[last] = horizon - (end[last - 1] if last else 0.0)
+    return StatePath(np.concatenate(states)[:last + 1], durations, horizon)
 
 
 def packet_arrays(path: StatePath, peak: float) -> tuple[np.ndarray, np.ndarray]:

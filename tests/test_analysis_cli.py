@@ -271,6 +271,13 @@ class TestCli:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("grid", ["1:10:0", "5,1", "nan"])
+    def test_bad_bound_grid_exit_code(self, capsys, grid):
+        assert main(["bound", "--d", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: delay grid")
+
     def test_arrival_shortfall_exit_code(self, capsys, monkeypatch):
         import numpy as np
 

@@ -281,3 +281,11 @@ class TestStandardDelayBounds:
     def test_negative_d_rejected(self):
         with pytest.raises(InvalidParamsError):
             standard_delay_bound(scenario(), SchedulerSpec.fifo(), -1.0)
+
+    def test_minimum_on_interval_edge_flagged(self):
+        # pinned in tests/golden/bound-sp-capacity.csv: the SP objective still
+        # falls as theta -> 0, so theta* sits on the inset left end
+        res = standard_delay_bound(Scenario(4, 6, 0.25, BASE_SOURCE), SchedulerSpec.sp(), 1.0)
+        assert res.theta_star == pytest.approx(2.67e-10, rel=1e-2)
+        assert res.at_edge
+        assert not standard_delay_bound(scenario(), SchedulerSpec.fifo(), 5.0).at_edge

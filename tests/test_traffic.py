@@ -209,6 +209,66 @@ class TestSamplePath:
         assert np.array_equal(a.durations, b.durations)
 
 
+def three_state_source() -> MarkovFluidSource:
+    """Reversible 3-state chain with every jump allowed: q_ij = s_ij / pi_i."""
+    pi = np.array([0.2, 0.3, 0.5])
+    sym = np.array([[0.0, 0.1, 0.2], [0.1, 0.0, 0.3], [0.2, 0.3, 0.0]])
+    q = sym / pi[:, None]
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return MarkovFluidSource(q, np.array([0.0, 1.0, 2.0]))
+
+
+CHAINS = {"on_off": BASE_SOURCE.as_fluid_source, "three_state": three_state_source}
+
+
+class TestBlockSampling:
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    @pytest.mark.parametrize("h1,h2", [(300.0, 3e4), (1e4, 3e4)])
+    def test_longer_horizon_extends_the_path(self, chain, h1, h2):
+        src = CHAINS[chain]()
+        a = sample_path(src, h1, (8, 3))
+        b = sample_path(src, h2, (8, 3))
+        k = a.states.size
+        assert b.states.size > k
+        assert np.array_equal(a.states, b.states[:k])
+        assert np.array_equal(a.durations[:-1], b.durations[:k - 1])
+        assert a.durations[-1] <= b.durations[k - 1]
+
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    def test_mean_dwell_is_inverse_exit_rate(self, chain):
+        src = CHAINS[chain]()
+        path = sample_path(src, 2e5, 77)
+        states, dwells = path.states[:-1], path.durations[:-1]  # last is truncated
+        for i, rate in enumerate(-np.diag(src.generator)):
+            mine = dwells[states == i]
+            se = 1.0 / rate / math.sqrt(mine.size)
+            assert abs(mine.mean() - 1.0 / rate) < 3 * se, (i, mine.size)
+
+    def test_three_state_occupancy_matches_stationary(self):
+        src = three_state_source()
+        horizon = 2e5
+        path = sample_path(src, horizon, 5)
+        pi = src.stationary
+        # asymptotic variance of the time fraction in i is 2 pi_i D_ii / T,
+        # with deviation matrix D = (Pi - Q)^-1 - Pi
+        big_pi = np.tile(pi, (pi.size, 1))
+        dev = np.linalg.inv(big_pi - src.generator) - big_pi
+        assert (np.diff(path.states) != 0).all()
+        for i in range(pi.size):
+            se = math.sqrt(2 * pi[i] * dev[i, i] / horizon)
+            assert abs(path.time_in_state(i) / horizon - pi[i]) < 3 * se, i
+
+    @pytest.mark.parametrize("replication", [0, 1, 2])
+    def test_desk_horizon_yields_enough_through_packets(self, replication):
+        from sncbounds.sim import SimConfig, _flow_arrivals
+
+        sc = Scenario.from_utilization(5, 5, 0.75, BASE_SOURCE)
+        cfg = SimConfig.desk_scale(replications=1, master_seed=20240810)
+        need = cfg.warmup_packets + cfg.measured_packets
+        (through, _), _ = _flow_arrivals(sc, cfg, replication)
+        assert need <= through.size <= 1.10 * need
+
+
 class TestPacketize:
     def test_half_packet_dwell(self):
         path = StatePath(np.array([1]), np.array([3.5]), 3.5)
