@@ -18,6 +18,31 @@ served next.  V and the finish trackers reset whenever the system empties.
 At equal timestamps departures are processed before arrivals, and ties are
 broken through-flow first, then by subflow id, then by sequence number.
 
+Service runs busy period by busy period.  A busy period is a stretch in
+which the server never idles; every work-conserving discipline has the same
+ones, and the FIFO work recursion finds them.  Nothing carries over from one
+busy period to the next: the server starts again at the next arrival, and
+the WFQ virtual time and finish trackers reset when the system empties.  So
+each busy period (a "lane") is served on its own, with the arithmetic of the
+scalar head-selection loop ``_serve_loop`` applied operation for operation,
+and the departures equal those of the loop run over the whole sample path,
+bit for bit.  The FIFO recursion rounds differently from that loop, so a
+split stands only if the exact last departure of a lane comes before the
+next lane's first arrival; lanes that touch are merged and served again
+(inside a lane the loop's idle jump and WFQ reset still apply).
+
+A lane of one packet departs at arrival + size/C.  The others are served in
+lockstep by ``_lockstep``: step k serves the k-th packet of every lane at
+once (under WFQ a step handles one arrival or departure of each lane, and
+serves a packet once every arrival up to the free instant has its tag).
+The ``_SCALAR_LANES`` longest lanes go through ``_serve_loop`` instead, and
+the rest, longest first, through lockstep calls of at most
+``_LOCKSTEP_LANES`` lanes (the reasons for each constant are next to it).
+``simulate`` stops after the warm-up plus measured through packets: busy
+periods after the one that holds the last of them are not served, and
+packets served after it stay NaN.  Served bits are one running sum over the
+service order.  FIFO itself takes its departures from the recursion.
+
 Warm-up is counted in through-flow packets.  All randomness derives from
 (master_seed, replication, subflow) spawn keys, so replications are
 reproducible and independent.
@@ -107,6 +132,7 @@ class BoxStats:
     maximum: np.ndarray
     outliers: tuple          # per grid point, values beyond 1.5 IQR whiskers
     replications: int
+    unstable_reps: int = 0   # replications whose backlog ran away (DelayStats.unstable)
     per_replication: np.ndarray = field(repr=False, default=None)
 
 
@@ -187,38 +213,80 @@ def _flow_arrivals(scenario: Scenario, cfg: SimConfig, replication_index: int):
 
 
 # ---------------------------------------------------------------------------
-# service loops
+# service
+
+# Lanes per lockstep call, taken longest first.  Per-step temporaries and
+# per-lane state are a few dozen arrays of this width: 4096 keeps them
+# near 1 MB, while the calls after the first, holding the short lanes, add
+# only a few steps each.
+_LOCKSTEP_LANES = 1 << 12
+# Longest lanes of a run served by the scalar loop instead.  A lockstep
+# step costs 30 (SP/EDF) to 100 (WFQ) NumPy calls whatever its width, so the
+# step count is set by the longest lane served in lockstep: handing the few
+# longest to the scalar loop, at 1 to 6 us per packet, cuts the steps to the
+# length of the next one.  Of 32, 64, 96 and 128, 32 served a desk run (4.4e4
+# busy periods, the longest about 400 packets) fastest and tied at the
+# 2.2e3-packet size of the benchmark's warm-up.
+_SCALAR_LANES = 32
 
 
-def _fifo_fast(tt, ts, ct, cs, cap):
-    """Vectorized FIFO departures via the work recursion.
+def _merge(T, S, nt, cap):
+    """Stable merge of the two sorted flows, the FIFO work recursion, busy periods.
 
-    depart_k = max(arrive_k, depart_{k-1}) + size_k/C rewrites as a running
-    maximum over arrive_j minus cumulative prior service.
+    ``T``/``S`` hold the arrival times and sizes of the ``nt`` through
+    packets followed by the cross packets (the flat index).  A through
+    packet's merged index is its own index plus the cross packets strictly
+    before it, and a cross packet's its own plus the through packets at or
+    before it: the permutation of a stable sort of ``T``, through first on
+    ties.  FIFO departures follow from depart_k = max(arrive_k,
+    depart_{k-1}) + size_k/C, rewritten as a running maximum over arrive_j
+    minus cumulative prior service.  Returns (merged index of each through
+    packet, cumulative bits and FIFO departures in merged order,
+    ``_busy_periods`` bounds).
     """
-    t = np.concatenate([tt, ct])
-    s = np.concatenate([ts, cs])
-    is_cross = np.concatenate([np.zeros(tt.size, bool), np.ones(ct.size, bool)])
-    order = np.lexsort((is_cross, t))  # through first on ties
-    t, s, is_cross = t[order], s[order], is_cross[order]
-    service = np.cumsum(s) / cap
-    depart = np.maximum.accumulate(t - (service - s / cap)) + service
-    return t, s, is_cross, depart
+    tt, ct = T[:nt], T[nt:]
+    pos_t = np.searchsorted(ct, tt, side="left") + np.arange(nt)
+    pos_c = np.searchsorted(tt, ct, side="right") + np.arange(ct.size)
+    t = np.empty(T.size + 1)  # the last arrival, at +inf, ends the last busy period
+    t[pos_t], t[pos_c], t[-1] = tt, ct, np.inf
+    s = np.empty(S.size)
+    s[pos_t], s[pos_c] = S[:nt], S[nt:]
+    del pos_c
+    bits = np.cumsum(s)
+    service = bits / cap
+    fifo = s  # in place: max.accumulate(t - (service - s/C)) + service
+    np.divide(s, cap, out=fifo)
+    np.subtract(service, fifo, out=fifo)
+    np.subtract(t[:-1], fifo, out=fifo)
+    np.maximum.accumulate(fifo, out=fifo)
+    fifo += service
+    return pos_t, bits, fifo, _busy_periods(t, fifo)
 
 
-def _serve_loop(kind, tt, ts, ct, cs, cap, need, d1=0.0, d2=0.0,
-                phi1=0.5, drain=False):
+def _busy_periods(t, fifo):
+    """Merged-index bounds of the busy periods, from 0 to the packet count.
+
+    A busy period starts where an arrival finds the FIFO server idle; every
+    work-conserving discipline has the same ones.  ``t`` ends with an
+    arrival at +inf, which finds the server idle after the last one.
+    """
+    return np.concatenate([[0], np.flatnonzero(t[1:] > fifo) + 1])
+
+
+def _serve_loop(kind, tt, ts, ct, cs, cap, d1=0.0, d2=0.0, phi1=0.5):
     """Two-queue head-selection service loop for all disciplines.
 
     Within each flow, EDF deadlines and WFQ finish tags are increasing, so
     the discipline's next packet is always one of the two queue heads.
-    Returns (through departs, cross departs), each aligned with the input
-    arrival order; unserved entries are NaN when the loop stops early.
+    Serves everything and returns (through departs, cross departs, through
+    ranks, cross ranks), aligned with the input arrival order; a rank is
+    the packet's place in the service order.
     """
     nt, nc = tt.size, ct.size
-    dep_t = np.full(nt, np.nan)
-    dep_c = np.full(nc, np.nan)
-    served_bits_t = np.empty(nt)
+    dep_t = np.empty(nt)
+    dep_c = np.empty(nc)
+    rank_t = np.empty(nt, dtype=np.intp)
+    rank_c = np.empty(nc, dtype=np.intp)
     phi2 = 1.0 - phi1
     wfq = kind == "gps"
     if wfq:
@@ -232,8 +300,6 @@ def _serve_loop(kind, tt, ts, ct, cs, cap, need, d1=0.0, d2=0.0,
     f1 = f2 = 0.0          # per-flow last finish tags
     pend_flow, pend_time = -1, math.inf
     free = 0.0
-    through_served = 0
-    cum_bits = 0.0
     inf = math.inf
 
     def wfq_advance(to):
@@ -274,8 +340,6 @@ def _serve_loop(kind, tt, ts, ct, cs, cap, need, d1=0.0, d2=0.0,
                 tag_ic += 1
 
     while it < nt or ic < nc:
-        if not drain and through_served >= need:
-            break
         t_head = tt[it] if it < nt else inf
         c_head = ct[ic] if ic < nc else inf
         if t_head > free and c_head > free:
@@ -303,21 +367,226 @@ def _serve_loop(kind, tt, ts, ct, cs, cap, need, d1=0.0, d2=0.0,
 
         if take_t:
             dep = free + ts[it] / cap
-            cum_bits += ts[it]
             dep_t[it] = dep
-            served_bits_t[it] = cum_bits
+            rank_t[it] = it + ic
             it += 1
-            through_served += 1
         else:
             dep = free + cs[ic] / cap
-            cum_bits += cs[ic]
             dep_c[ic] = dep
+            rank_c[ic] = it + ic
             ic += 1
         if wfq:
             pend_flow, pend_time = (0 if take_t else 1), dep
         free = dep
 
-    return dep_t, dep_c, served_bits_t
+    return dep_t, dep_c, rank_t, rank_c
+
+
+def _lockstep(kind, T, S, cap, lo_t, hi_t, lo_c, hi_c, start, d1, d2, phi1, dep, svc):
+    """Serve lanes sorted longest first, all of them a step at a time.
+
+    ``T``/``S`` hold the arrival times and sizes of all through packets then
+    all cross packets (the flat index); lane i owns [lo_t, hi_t) and
+    [lo_c, hi_c) of it and starts at merged index ``start``.  Each step
+    applies the scalar loop's arithmetic to every lane: the idle jump, then
+    under SP/EDF/FIFO one head selection.  Under WFQ a step handles the next
+    arrival or departure at or before the free instant, and selects a head
+    when no arrival at or before that instant is left, so a lane of n
+    packets takes about 2n steps.  A finished lane has NaN heads, serves
+    nothing and keeps its state, so the steps cover the lanes up to the last
+    unfinished one.  Writes departures and service positions into ``dep``
+    and ``svc`` at flat indices (the last slot takes the writes of lanes
+    that serve nothing in a step) and returns each lane's last departure.
+    """
+    wfq = kind == "gps"
+    it, ic, pos = lo_t.copy(), lo_c.copy(), start.copy()
+    free = np.full(it.size, -np.inf)
+    inf, nan = np.inf, np.nan
+    nothing = dep.size - 1
+    if wfq:
+        # a packet's finish tag is read only while it waits and its
+        # departure written only once it is served, so both share ``dep``
+        tags = dep
+        phi2 = 1.0 - phi1
+        gt, gc = lo_t.copy(), lo_c.copy()        # next packet to tag per flow
+        q1 = np.zeros(it.size, dtype=np.intp)    # packets in system per flow
+        q2 = np.zeros(it.size, dtype=np.intp)
+        v, vt, f1, f2 = (np.zeros(it.size) for _ in range(4))
+        pend = np.full(it.size, inf)             # departure not yet processed
+        pend_c = np.zeros(it.size, dtype=bool)   # ... and whether it is cross
+
+    w = it.size
+    while w:
+        it_, ic_, hi_t_, hi_c_, free_, pos_ = it[:w], ic[:w], hi_t[:w], hi_c[:w], free[:w], pos[:w]
+        th = np.where(it_ < hi_t_, T.take(it_, mode="clip"), nan)
+        ch = np.where(ic_ < hi_c_, T.take(ic_, mode="clip"), nan)
+        np.fmax(free_, np.fmin(th, ch), out=free_)  # idle jump
+        t_ok = th <= free_
+        c_ok = ch <= free_
+        if kind == "fifo":
+            take = t_ok & (~c_ok | (th <= ch))
+        elif kind == "sp":
+            take = t_ok & ~c_ok
+        elif kind == "edf":
+            dl_t, dl_c = th + d1, ch + d2
+            take = np.where(t_ok & c_ok, (dl_t < dl_c) | ((dl_t == dl_c) & (th <= ch)), t_ok)
+        else:
+            take = np.where(t_ok & c_ok, tags.take(it_) <= tags.take(ic_), t_ok)
+        take_c = c_ok & ~take  # neither takes: the lane is finished
+        idx = np.where(take, it_, np.where(take_c, ic_, nothing))
+        d = free_ + S.take(idx, mode="clip") / cap
+        serve = take | take_c
+
+        if wfq:
+            # an event: advance V, then a departure (first on ties) or an
+            # arrival (through first on ties) that gets its finish tag
+            gt_, gc_, q1_, q2_ = gt[:w], gc[:w], q1[:w], q2[:w]
+            v_, vt_, f1_, f2_, pend_, pend_c_ = (v[:w], vt[:w], f1[:w], f2[:w],
+                                                 pend[:w], pend_c[:w])
+            ta = np.where(gt_ < hi_t_, T.take(gt_, mode="clip"), inf)
+            ca = np.where(gc_ < hi_c_, T.take(gc_, mode="clip"), inf)
+            arrive = np.minimum(ta, ca)
+            nxt = np.minimum(arrive, pend_)
+            event = nxt <= free_
+            denom = np.where(q1_ > 0, phi1, 0.0) + np.where(q2_ > 0, phi2, 0.0)
+            np.copyto(v_, v_ + (nxt - vt_) * cap / denom, where=event & (denom > 0.0))
+            np.copyto(vt_, nxt, where=event)
+            gone = event & (pend_ <= arrive)
+            q1_ -= gone & ~pend_c_
+            q2_ -= gone & pend_c_
+            np.copyto(pend_, inf, where=gone)
+            come = event & ~gone
+            come_t = come & (ta <= ca)
+            come_c = come & ~come_t
+            reset = event & (q1_ + q2_ == 0)  # the system is empty
+            np.copyto(v_, 0.0, where=reset)
+            np.copyto(f1_, 0.0, where=reset)
+            np.copyto(f2_, 0.0, where=reset)
+            q1_ += come_t
+            q2_ += come_c
+            g = np.where(come_t, gt_, gc_)
+            tag = (np.maximum(np.where(come_t, f1_, f2_), v_)
+                   + S.take(g, mode="clip") / np.where(come_t, phi1, phi2))
+            np.copyto(f1_, tag, where=come_t)
+            np.copyto(f2_, tag, where=come_c)
+            tags[np.where(come, g, nothing)] = tag
+            gt_ += come_t
+            gc_ += come_c
+            # select only once every arrival up to the free instant is tagged
+            serve &= ~come & (arrive > free_)
+            np.copyto(pend_, d, where=serve)
+            np.copyto(pend_c_, take_c, where=serve)
+            idx = np.where(serve, idx, nothing)
+
+        dep[idx] = d
+        svc[idx] = pos_
+        it_ += serve & take
+        ic_ += serve & take_c
+        np.copyto(free_, d, where=serve)
+        pos_ += serve
+        # NumPy keeps freed buffers under 1 KiB for reuse, one cache per
+        # byte size, so narrowing lane by lane would leave a buffer of every
+        # size behind: below 1024 lanes, widths are multiples of 128
+        left = (it_ < hi_t_) | (ic_ < hi_c_)
+        k = int(left[::-1].argmax())
+        live = w - k if left[w - 1 - k] else 0
+        w = live if live >= 1024 else min(-(-live // 128) * 128, w)
+    return free
+
+
+def _serve_lanes(kind, T, S, cap, pos_t, bounds, lanes, d1, d2, phi1, dep, svc):
+    """Serve the given lanes exactly as the scalar loop would; last departures.
+
+    Lane i is the busy period [bounds[i], bounds[i+1]) of the merged order.
+    A lane of one packet departs at arrival + size/C, the ``_SCALAR_LANES``
+    longest go through ``_serve_loop`` on their own packets, and the rest
+    through ``_lockstep``.
+    """
+    nt = pos_t.size
+    last = np.empty(lanes.size)
+    start = bounds[lanes]
+    n = bounds[lanes + 1] - start
+    one = np.flatnonzero(n == 1)
+    m = start[one]
+    p = np.searchsorted(pos_t, m)
+    p = np.where(pos_t.take(p, mode="clip") == m, p, nt + m - p)
+    dep[p] = T[p] + S[p] / cap
+    svc[p] = m
+    last[one] = dep[p]
+    many = np.flatnonzero(n > 1)
+    many = many[np.argsort(-n[many], kind="stable")]
+    start, end = start[many], start[many] + n[many]
+    del n, one, m, p
+    lo_t, hi_t = np.searchsorted(pos_t, start), np.searchsorted(pos_t, end)
+    lo_c, hi_c = nt + start - lo_t, nt + end - hi_t
+    for i in range(min(_SCALAR_LANES, many.size)):
+        a, z, c, e = lo_t[i], hi_t[i], lo_c[i], hi_c[i]
+        dt, dc, rt, rc = _serve_loop(kind, T[a:z], S[a:z], T[c:e], S[c:e], cap,
+                                     d1=d1, d2=d2, phi1=phi1)
+        dep[a:z], dep[c:e] = dt, dc
+        svc[a:z], svc[c:e] = start[i] + rt, start[i] + rc
+        last[many[i]] = max(dt.max(initial=-np.inf), dc.max(initial=-np.inf))
+    for g in range(_SCALAR_LANES, many.size, _LOCKSTEP_LANES):
+        group = slice(g, g + _LOCKSTEP_LANES)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            last[many[group]] = _lockstep(kind, T, S, cap, lo_t[group], hi_t[group],
+                                          lo_c[group], hi_c[group], start[group],
+                                          d1, d2, phi1, dep, svc)
+    return last
+
+
+def _serve(kind, T, S, pos_t, bounds, cap, need=None, d1=0.0, d2=0.0, phi1=0.5):
+    """Departures of a non-preemptive two-flow server, busy period by busy period.
+
+    Gives, bit for bit, what the scalar loop gives on the whole run; see the
+    module docstring.  ``T``/``S`` are the flat arrivals, ``pos_t`` the
+    through packets' merged indices and ``bounds`` the busy periods, both
+    from ``_merge``.  ``need`` stops service after the ``need``-th through
+    packet (None serves all).  Returns (through departs, cross departs,
+    through served bits): entries served after the stop are NaN, and served
+    bits count all bits served up to and including each through packet.
+    """
+    nt, n_all = pos_t.size, T.size
+    dep = np.full(n_all + 1, np.nan)
+    svc = np.full(n_all + 1, n_all, dtype=np.int32)  # place in the service order
+    stop = need is not None and need <= nt
+    stop_at = pos_t[need - 1] if stop else n_all - 1
+    last = np.full(bounds.size - 1, np.nan)  # last departure; NaN: not served yet
+    while True:
+        served = np.searchsorted(bounds, stop_at, side="right")  # lanes [0, served)
+        todo = np.flatnonzero(np.isnan(last[:served]))
+        last[todo] = _serve_lanes(kind, T, S, cap, pos_t, bounds, todo,
+                                  d1, d2, phi1, dep, svc)
+        # a split is exact only if the server is idle when the next lane begins
+        inner = np.arange(1, min(served + 1, bounds.size - 1))
+        lo_t = np.searchsorted(pos_t, bounds[inner])
+        lo_c = nt + bounds[inner] - lo_t
+        first = np.minimum(np.where(lo_t < nt, T.take(lo_t, mode="clip"), np.inf),
+                           np.where(lo_c < n_all, T.take(lo_c, mode="clip"), np.inf))
+        touch = inner[last[inner - 1] >= first]
+        if not touch.size:
+            break
+        keep = np.ones(bounds.size, dtype=bool)
+        keep[touch] = False
+        last = last[keep[:-1]]
+        last[~keep[1:][keep[:-1]]] = np.nan  # the merged lanes
+        bounds = bounds[keep]
+
+    cut = svc[need - 1] if stop else n_all - 1
+    dep[svc > cut] = np.nan
+    bits = np.empty(n_all + 1)  # sizes in service order, then their running sum
+    bits[svc[:n_all]] = S
+    np.cumsum(bits[:cut + 1], out=bits[:cut + 1])
+    served_bits = bits[svc[:nt]]
+    served_bits[svc[:nt] > cut] = np.nan
+    return dep[:nt], dep[nt:n_all], served_bits
+
+
+def _serve_flows(kind, tt, ts, ct, cs, cap, need=None, d1=0.0, d2=0.0, phi1=0.5):
+    """``_serve`` on per-flow arrival arrays, each sorted by time."""
+    T, S = np.concatenate([tt, ct]), np.concatenate([ts, cs])
+    pos_t, _, _, bounds = _merge(T, S, tt.size, cap)
+    return _serve(kind, T, S, pos_t, bounds, cap, need, d1=d1, d2=d2, phi1=phi1)
 
 
 def _instability_flag(backlog: np.ndarray) -> bool:
@@ -338,36 +607,36 @@ def _stats_from_delays(delays: np.ndarray, grid, unstable: bool) -> DelayStats:
                       tuple(garr.tolist()), ccdf, unstable)
 
 
+def _flat_arrivals(scenario: Scenario, cfg: SimConfig, replication_index: int):
+    """Arrival times and sizes of all through packets then all cross packets."""
+    (tt, ts), (ct, cs) = _flow_arrivals(scenario, cfg, replication_index)
+    return np.concatenate([tt, ct]), np.concatenate([ts, cs]), tt.size
+
+
 def simulate(scenario: Scenario, sched: SchedulerSpec, cfg: SimConfig,
              replication_index: int = 0) -> DelayStats:
     """One replication: generate arrivals, serve at rate C, summarize delays."""
-    (tt, ts), (ct, cs) = _flow_arrivals(scenario, cfg, replication_index)
+    T, S, nt = _flat_arrivals(scenario, cfg, replication_index)
     cap = scenario.capacity
     need = cfg.warmup_packets + cfg.measured_packets
-
+    pos_t, bits, fifo, bounds = _merge(T, S, nt, cap)
     if sched.kind == "fifo":
-        t, s, is_cross, depart = _fifo_fast(tt, ts, ct, cs, cap)
-        thr = ~is_cross
-        delays_all = (depart - t)[thr]
-        dep_thr = depart[thr]
-        served_bits = np.cumsum(s)[thr]
+        dep_thr = fifo[pos_t]
+        served_bits = bits[pos_t]
     else:
-        dep_t, dep_c, served_bits = _serve_loop(
-            sched.kind, tt, ts, ct, cs, cap, need,
+        del fifo
+        dep_thr, _, served_bits = _serve(
+            sched.kind, T, S, pos_t, bounds, cap, need,
             d1=sched.d1_star, d2=sched.d2_star, phi1=sched.phi1)
-        delays_all = dep_t - tt
-        dep_thr = dep_t
-    delays = delays_all[cfg.warmup_packets:need]
+    delays = dep_thr[cfg.warmup_packets:need] - T[cfg.warmup_packets:need]
     dep_win = dep_thr[cfg.warmup_packets:need]
     served_win = served_bits[cfg.warmup_packets:need]
 
-    # backlog (bits in system) sampled at each measured through departure
-    arr_t = np.concatenate([tt, ct])
-    arr_order = np.argsort(arr_t, kind="stable")
-    arr_t = arr_t[arr_order]
-    arr_bits = np.cumsum(np.concatenate([ts, cs])[arr_order])
-    idx = np.searchsorted(arr_t, dep_win, side="right")
-    arrived = np.where(idx > 0, arr_bits[np.maximum(idx - 1, 0)], 0.0)
+    # backlog (bits in system) sampled at each measured through departure;
+    # arrivals up to a time are counted per flow, the same as in merged order
+    idx = (np.searchsorted(T[:nt], dep_win, side="right")
+           + np.searchsorted(T[nt:], dep_win, side="right"))
+    arrived = np.where(idx > 0, bits[np.maximum(idx - 1, 0)], 0.0)
     backlog = arrived - served_win
 
     return _stats_from_delays(delays, cfg.delay_grid, _instability_flag(backlog))
@@ -382,9 +651,8 @@ def simulate_events(scenario: Scenario, sched: SchedulerSpec, cfg: SimConfig,
     """
     (tt, ts), (ct, cs) = _flow_arrivals(scenario, cfg, replication_index)
     cap = scenario.capacity
-    dep_t, dep_c, _ = _serve_loop(
-        sched.kind, tt, ts, ct, cs, cap, need=tt.size,
-        d1=sched.d1_star, d2=sched.d2_star, phi1=sched.phi1, drain=True)
+    dep_t, dep_c, _ = _serve_flows(sched.kind, tt, ts, ct, cs, cap,
+                                   d1=sched.d1_star, d2=sched.d2_star, phi1=sched.phi1)
     return {
         "through": {"arrival": tt, "size": ts, "depart": dep_t},
         "cross": {"arrival": ct, "size": cs, "depart": dep_c},
@@ -422,7 +690,8 @@ def replicate(scenario: Scenario, sched: SchedulerSpec, cfg: SimConfig,
     )
     return BoxStats(tuple(np.asarray(cfg.delay_grid, float).tolist()),
                     med, q25, q75, ccdfs.min(axis=0), ccdfs.max(axis=0),
-                    outliers, cfg.replications, per_replication=ccdfs)
+                    outliers, cfg.replications,
+                    unstable_reps=sum(st.unstable for st in stats), per_replication=ccdfs)
 
 
 # ---------------------------------------------------------------------------
@@ -501,4 +770,5 @@ def box_stats_json(box: BoxStats) -> str:
         "max": box.maximum.tolist(),
         "outliers": [list(o) for o in box.outliers],
         "replications": box.replications,
+        "unstable_reps": box.unstable_reps,
     })

@@ -1,11 +1,13 @@
-"""Byte-exact CLI output for the subcommands that run no simulation.
+"""Byte-exact CLI output.
 
 Each case's expected stdout is the file ``tests/golden/<case>.<format>``.
-Simulation output (``simulate``/``compare``) is not pinned, since its bytes
-follow the random streams of arrival generation; ``compare`` is only held to
-carry ``bound``'s rows as its leading columns.  After an intended change of
-format or value, re-pin a case by writing ``sncbounds <args> --format <fmt>``
-to its file.
+The bound subcommands are pinned in CSV and JSON.  ``simulate`` (CSV and
+JSON) and ``compare`` (CSV) are pinned for every scheduler at a fixed seed
+and a small size: their bytes follow the random streams of arrival
+generation and the exact departure times of the service disciplines, so a
+change to either shows here.  ``compare`` is also held to carry ``bound``'s
+rows as its leading columns.  After an intended change of format or value,
+re-pin a case by writing ``sncbounds <args> --format <fmt>`` to its file.
 """
 
 import csv
@@ -38,6 +40,21 @@ CASES = {
                   "--epsilon", "1e-3"],
 }
 
+SCHEDULERS = {
+    "fifo": ["--scheduler", "fifo"],
+    "sp": ["--scheduler", "sp"],
+    "edf-10-1": ["--scheduler", "edf", "--d1", "10", "--d2", "1"],
+    "edf-1-10": ["--scheduler", "edf", "--d1", "1", "--d2", "10"],
+    "gps": ["--scheduler", "gps", "--phi1", "0.5"],
+}
+SIM = [*SCENARIO, *GRID, "--packets", "2000", "--warmup", "200", "--reps", "2",
+       "--seed", "11"]
+SIM_CASES = {}
+for _name, _sched in SCHEDULERS.items():
+    SIM_CASES[f"simulate-{_name}", "csv"] = ["simulate", *SIM, *_sched]
+    SIM_CASES[f"simulate-{_name}", "json"] = ["simulate", *SIM, *_sched]
+    SIM_CASES[f"compare-{_name}", "csv"] = ["compare", *SIM, *_sched]
+
 
 def _stdout(capsys, argv):
     assert main(argv) == 0
@@ -49,6 +66,12 @@ def _stdout(capsys, argv):
 def test_stdout_bytes(capsys, case, fmt):
     expected = (GOLDEN / f"{case}.{fmt}").read_text()
     assert _stdout(capsys, CASES[case] + ["--format", fmt]) == expected
+
+
+@pytest.mark.parametrize("case,fmt", sorted(SIM_CASES))
+def test_simulation_stdout_bytes(capsys, case, fmt):
+    expected = (GOLDEN / f"{case}.{fmt}").read_text()
+    assert _stdout(capsys, SIM_CASES[case, fmt] + ["--format", fmt]) == expected
 
 
 @pytest.mark.parametrize("sched", [["--scheduler", "fifo"],

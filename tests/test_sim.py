@@ -16,8 +16,9 @@ from sncbounds import (
     simulate,
 )
 from sncbounds.sim import (
-    _fifo_fast,
+    _flat_arrivals,
     _instability_flag,
+    _merge,
     box_stats_csv,
     box_stats_json,
     simulate_events,
@@ -115,11 +116,10 @@ class TestSimulateBasics:
     def test_fifo_fast_path_matches_generic_loop(self):
         cfg = small_cfg(measured_packets=3000)
         sc = scenario()
-        ev = simulate_events(sc, SchedulerSpec.fifo(), cfg, 0)  # generic loop
-        from sncbounds.sim import _flow_arrivals
-        (tt, ts), (ct, cs) = _flow_arrivals(sc, cfg, 0)
-        t, s, is_cross, depart = _fifo_fast(tt, ts, ct, cs, sc.capacity)
-        fast_thr = depart[~is_cross]
+        ev = simulate_events(sc, SchedulerSpec.fifo(), cfg, 0)  # head selection
+        T, S, nt = _flat_arrivals(sc, cfg, 0)
+        pos_t, _, depart, _ = _merge(T, S, nt, sc.capacity)
+        fast_thr = depart[pos_t]
         assert np.allclose(fast_thr, ev["through"]["depart"], rtol=1e-9, atol=1e-9)
 
 
@@ -276,6 +276,22 @@ class TestReplicate:
         box = replicate(scenario(), SchedulerSpec.fifo(), cfg, n_jobs=n_jobs)
         assert started == [workers]
         assert box.replications == reps
+
+    def test_unstable_replications_counted(self, monkeypatch):
+        import json
+
+        import sncbounds.sim as sim
+
+        cfg = small_cfg(measured_packets=2000, warmup_packets=100, replications=3)
+        box = replicate(scenario(), SchedulerSpec.sp(), cfg)
+        assert box.unstable_reps == 0
+        flags = iter([False, True, True])
+        monkeypatch.setattr(sim, "_instability_flag", lambda backlog: next(flags))
+        box = replicate(scenario(), SchedulerSpec.sp(), cfg)
+        assert box.unstable_reps == 2
+        doc = json.loads(box_stats_json(box))
+        assert list(doc)[-1] == "unstable_reps" and doc["unstable_reps"] == 2
+        assert "unstable" not in box_stats_csv(box)
 
     def test_serialization(self):
         cfg = small_cfg(replications=2)
