@@ -254,9 +254,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SncboundsError, ValueError, ArithmeticError) as exc:
+    except (SncboundsError, ValueError, ArithmeticError, OSError) as exc:
         # ArithmeticError: overflow or a zero division in the linear-domain
-        # bounds at large flow counts
+        # bounds at large flow counts; OSError: an unreadable --scenario file
+        # or an unwritable --out path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

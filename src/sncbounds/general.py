@@ -143,12 +143,19 @@ def single_flow_fluid_bound(src: MarkovFluidSource, capacity: float, sigma: floa
     if variant not in ("constrained", "legacy"):
         raise InvalidParamsError(f"variant must be constrained|legacy, got {variant!r}")
     gd = generalized_decay(src, capacity)
-    num = float(src.stationary @ gd.eigenvector)
-    if variant == "constrained":
-        den = float(gd.eigenvector[gd.drifts >= 0].min())
-    else:
-        den = float(gd.eigenvector.min())
-    return num / den * math.exp(-gd.gamma * sigma)
+    k = _prefactor(gd, src.stationary, gd.gamma, constrained=variant == "constrained")
+    return k * math.exp(-gd.gamma * sigma)
+
+
+def _prefactor(gd: GeneralizedDecay, pi: np.ndarray, gamma: float,
+               constrained: bool = True) -> float:
+    """Single-source prefactor pi.e / min e at decay ``gamma``, e = h**(gamma/gamma_1).
+
+    The min runs over the drift-nonnegative states, or over all states when
+    not ``constrained``.
+    """
+    e = gd.eigenvector ** (gamma / gd.gamma)
+    return float(pi @ e) / float((e[gd.drifts >= 0] if constrained else e).min())
 
 
 @dataclass(frozen=True)
@@ -208,8 +215,7 @@ def general_sample_path_bound(src1: MarkovFluidSource,
             gammas = np.linspace(0.0, gmax, grid.gamma_points)
         for g in gammas:
             if gd2 is None:
-                e1 = gd1.eigenvector ** (g / gd1.gamma)
-                k = float(pi1 @ e1) / float(e1[gd1.drifts >= 0].min())
+                k = _prefactor(gd1, pi1, g)
             else:
                 k = _k_factor(gd1, gd2, pi1, pi2, g)
             val = k * math.exp(-g * (c1 * u + sigma))
@@ -274,7 +280,7 @@ def mmoo_consistency_check(scenario: Scenario) -> dict:
     kn_closed = closed.K ** n
     kn_general = float(src.stationary @ h) * math.exp(theta_hat * cap_eff / params.peak)
 
-    sf = single_flow_fluid_bound(src, cap, 0.0, "constrained")
+    sf = _prefactor(gd, src.stationary, gd.gamma)
     crossing = math.ceil(cap / params.peak) - cap / params.peak
     sf_predicted = kn_closed * math.exp(closed.theta * crossing)
 

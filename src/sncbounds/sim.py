@@ -39,9 +39,13 @@ The ``_SCALAR_LANES`` longest lanes go through ``_serve_loop`` instead, and
 the rest, longest first, through lockstep calls of at most
 ``_LOCKSTEP_LANES`` lanes (the reasons for each constant are next to it).
 ``simulate`` stops after the warm-up plus measured through packets: busy
-periods after the one that holds the last of them are not served, and
-packets served after it stay NaN.  Served bits are one running sum over the
-service order.  FIFO itself takes its departures from the recursion.
+periods after the one that holds the last of them are not served, and their
+packets stay NaN.  FIFO itself takes its departures from the recursion.
+
+The kernels return departures only.  The backlog that ``DelayStats.unstable``
+samples needs no service order: every discipline here is work-conserving, so
+all leave the same unfinished work at every instant, and the FIFO recursion
+gives it (C times the wait left to the FIFO departure of the last arrival).
 
 Warm-up is counted in through-flow packets.  All randomness derives from
 (master_seed, replication, subflow) spawn keys, so replications are
@@ -188,20 +192,19 @@ def _flow_arrivals(scenario: Scenario, cfg: SimConfig, replication_index: int):
     for _ in range(12):
         flows = []
         for flow_id, count in ((0, scenario.n1), (1, scenario.n2)):
-            times, sizes, subs = [], [], []
+            times, sizes = [], []
             for j in range(count):
                 rng = spawned_rng(cfg.master_seed, replication_index, flow_id, j)
                 path = sample_path(source, horizon, rng)
                 t, s = packet_arrays(path, peak)
                 times.append(t)
                 sizes.append(s)
-                subs.append(np.full(t.size, j, dtype=np.int64))
             if times:
+                # concatenated in (subflow, sequence) order, which a stable
+                # sort keeps among equal times
                 t = np.concatenate(times)
                 s = np.concatenate(sizes)
-                sub = np.concatenate(subs)
-                seq = np.concatenate([np.arange(a.size) for a in times])
-                order = np.lexsort((seq, sub, t))
+                order = np.argsort(t, kind="stable")
                 flows.append((t[order], s[order]))
             else:
                 flows.append((np.empty(0), np.empty(0)))
@@ -241,8 +244,7 @@ def _merge(T, S, nt, cap):
     ties.  FIFO departures follow from depart_k = max(arrive_k,
     depart_{k-1}) + size_k/C, rewritten as a running maximum over arrive_j
     minus cumulative prior service.  Returns (merged index of each through
-    packet, cumulative bits and FIFO departures in merged order,
-    ``_busy_periods`` bounds).
+    packet, FIFO departures in merged order, ``_busy_periods`` bounds).
     """
     tt, ct = T[:nt], T[nt:]
     pos_t = np.searchsorted(ct, tt, side="left") + np.arange(nt)
@@ -252,15 +254,14 @@ def _merge(T, S, nt, cap):
     s = np.empty(S.size)
     s[pos_t], s[pos_c] = S[:nt], S[nt:]
     del pos_c
-    bits = np.cumsum(s)
-    service = bits / cap
+    service = np.cumsum(s) / cap
     fifo = s  # in place: max.accumulate(t - (service - s/C)) + service
     np.divide(s, cap, out=fifo)
     np.subtract(service, fifo, out=fifo)
     np.subtract(t[:-1], fifo, out=fifo)
     np.maximum.accumulate(fifo, out=fifo)
     fifo += service
-    return pos_t, bits, fifo, _busy_periods(t, fifo)
+    return pos_t, fifo, _busy_periods(t, fifo)
 
 
 def _busy_periods(t, fifo):
@@ -278,15 +279,12 @@ def _serve_loop(kind, tt, ts, ct, cs, cap, d1=0.0, d2=0.0, phi1=0.5):
 
     Within each flow, EDF deadlines and WFQ finish tags are increasing, so
     the discipline's next packet is always one of the two queue heads.
-    Serves everything and returns (through departs, cross departs, through
-    ranks, cross ranks), aligned with the input arrival order; a rank is
-    the packet's place in the service order.
+    Serves everything and returns (through departs, cross departs), aligned
+    with the input arrival order.
     """
     nt, nc = tt.size, ct.size
     dep_t = np.empty(nt)
     dep_c = np.empty(nc)
-    rank_t = np.empty(nt, dtype=np.intp)
-    rank_c = np.empty(nc, dtype=np.intp)
     phi2 = 1.0 - phi1
     wfq = kind == "gps"
     if wfq:
@@ -368,38 +366,35 @@ def _serve_loop(kind, tt, ts, ct, cs, cap, d1=0.0, d2=0.0, phi1=0.5):
         if take_t:
             dep = free + ts[it] / cap
             dep_t[it] = dep
-            rank_t[it] = it + ic
             it += 1
         else:
             dep = free + cs[ic] / cap
             dep_c[ic] = dep
-            rank_c[ic] = it + ic
             ic += 1
         if wfq:
             pend_flow, pend_time = (0 if take_t else 1), dep
         free = dep
 
-    return dep_t, dep_c, rank_t, rank_c
+    return dep_t, dep_c
 
 
-def _lockstep(kind, T, S, cap, lo_t, hi_t, lo_c, hi_c, start, d1, d2, phi1, dep, svc):
+def _lockstep(kind, T, S, cap, lo_t, hi_t, lo_c, hi_c, d1, d2, phi1, dep):
     """Serve lanes sorted longest first, all of them a step at a time.
 
     ``T``/``S`` hold the arrival times and sizes of all through packets then
     all cross packets (the flat index); lane i owns [lo_t, hi_t) and
-    [lo_c, hi_c) of it and starts at merged index ``start``.  Each step
-    applies the scalar loop's arithmetic to every lane: the idle jump, then
-    under SP/EDF/FIFO one head selection.  Under WFQ a step handles the next
+    [lo_c, hi_c) of it.  Each step applies the scalar loop's arithmetic to
+    every lane: the idle jump, then under SP/EDF/FIFO one head selection.  Under WFQ a step handles the next
     arrival or departure at or before the free instant, and selects a head
     when no arrival at or before that instant is left, so a lane of n
     packets takes about 2n steps.  A finished lane has NaN heads, serves
     nothing and keeps its state, so the steps cover the lanes up to the last
-    unfinished one.  Writes departures and service positions into ``dep``
-    and ``svc`` at flat indices (the last slot takes the writes of lanes
-    that serve nothing in a step) and returns each lane's last departure.
+    unfinished one.  Writes departures into ``dep`` at flat indices (the
+    last slot takes the writes of lanes that serve nothing in a step) and
+    returns each lane's last departure.
     """
     wfq = kind == "gps"
-    it, ic, pos = lo_t.copy(), lo_c.copy(), start.copy()
+    it, ic = lo_t.copy(), lo_c.copy()
     free = np.full(it.size, -np.inf)
     inf, nan = np.inf, np.nan
     nothing = dep.size - 1
@@ -417,7 +412,7 @@ def _lockstep(kind, T, S, cap, lo_t, hi_t, lo_c, hi_c, start, d1, d2, phi1, dep,
 
     w = it.size
     while w:
-        it_, ic_, hi_t_, hi_c_, free_, pos_ = it[:w], ic[:w], hi_t[:w], hi_c[:w], free[:w], pos[:w]
+        it_, ic_, hi_t_, hi_c_, free_ = it[:w], ic[:w], hi_t[:w], hi_c[:w], free[:w]
         th = np.where(it_ < hi_t_, T.take(it_, mode="clip"), nan)
         ch = np.where(ic_ < hi_c_, T.take(ic_, mode="clip"), nan)
         np.fmax(free_, np.fmin(th, ch), out=free_)  # idle jump
@@ -479,11 +474,9 @@ def _lockstep(kind, T, S, cap, lo_t, hi_t, lo_c, hi_c, start, d1, d2, phi1, dep,
             idx = np.where(serve, idx, nothing)
 
         dep[idx] = d
-        svc[idx] = pos_
         it_ += serve & take
         ic_ += serve & take_c
         np.copyto(free_, d, where=serve)
-        pos_ += serve
         # NumPy keeps freed buffers under 1 KiB for reuse, one cache per
         # byte size, so narrowing lane by lane would leave a buffer of every
         # size behind: below 1024 lanes, widths are multiples of 128
@@ -494,7 +487,7 @@ def _lockstep(kind, T, S, cap, lo_t, hi_t, lo_c, hi_c, start, d1, d2, phi1, dep,
     return free
 
 
-def _serve_lanes(kind, T, S, cap, pos_t, bounds, lanes, d1, d2, phi1, dep, svc):
+def _serve_lanes(kind, T, S, cap, pos_t, bounds, lanes, d1, d2, phi1, dep):
     """Serve the given lanes exactly as the scalar loop would; last departures.
 
     Lane i is the busy period [bounds[i], bounds[i+1]) of the merged order.
@@ -511,7 +504,6 @@ def _serve_lanes(kind, T, S, cap, pos_t, bounds, lanes, d1, d2, phi1, dep, svc):
     p = np.searchsorted(pos_t, m)
     p = np.where(pos_t.take(p, mode="clip") == m, p, nt + m - p)
     dep[p] = T[p] + S[p] / cap
-    svc[p] = m
     last[one] = dep[p]
     many = np.flatnonzero(n > 1)
     many = many[np.argsort(-n[many], kind="stable")]
@@ -521,17 +513,15 @@ def _serve_lanes(kind, T, S, cap, pos_t, bounds, lanes, d1, d2, phi1, dep, svc):
     lo_c, hi_c = nt + start - lo_t, nt + end - hi_t
     for i in range(min(_SCALAR_LANES, many.size)):
         a, z, c, e = lo_t[i], hi_t[i], lo_c[i], hi_c[i]
-        dt, dc, rt, rc = _serve_loop(kind, T[a:z], S[a:z], T[c:e], S[c:e], cap,
-                                     d1=d1, d2=d2, phi1=phi1)
+        dt, dc = _serve_loop(kind, T[a:z], S[a:z], T[c:e], S[c:e], cap,
+                             d1=d1, d2=d2, phi1=phi1)
         dep[a:z], dep[c:e] = dt, dc
-        svc[a:z], svc[c:e] = start[i] + rt, start[i] + rc
         last[many[i]] = max(dt.max(initial=-np.inf), dc.max(initial=-np.inf))
     for g in range(_SCALAR_LANES, many.size, _LOCKSTEP_LANES):
         group = slice(g, g + _LOCKSTEP_LANES)
         with np.errstate(divide="ignore", invalid="ignore"):
             last[many[group]] = _lockstep(kind, T, S, cap, lo_t[group], hi_t[group],
-                                          lo_c[group], hi_c[group], start[group],
-                                          d1, d2, phi1, dep, svc)
+                                          lo_c[group], hi_c[group], d1, d2, phi1, dep)
     return last
 
 
@@ -541,14 +531,12 @@ def _serve(kind, T, S, pos_t, bounds, cap, need=None, d1=0.0, d2=0.0, phi1=0.5):
     Gives, bit for bit, what the scalar loop gives on the whole run; see the
     module docstring.  ``T``/``S`` are the flat arrivals, ``pos_t`` the
     through packets' merged indices and ``bounds`` the busy periods, both
-    from ``_merge``.  ``need`` stops service after the ``need``-th through
-    packet (None serves all).  Returns (through departs, cross departs,
-    through served bits): entries served after the stop are NaN, and served
-    bits count all bits served up to and including each through packet.
+    from ``_merge``.  ``need`` stops service after the busy period that holds
+    the ``need``-th through packet (None serves all).  Returns (through
+    departs, cross departs); packets of later busy periods are NaN.
     """
     nt, n_all = pos_t.size, T.size
     dep = np.full(n_all + 1, np.nan)
-    svc = np.full(n_all + 1, n_all, dtype=np.int32)  # place in the service order
     stop = need is not None and need <= nt
     stop_at = pos_t[need - 1] if stop else n_all - 1
     last = np.full(bounds.size - 1, np.nan)  # last departure; NaN: not served yet
@@ -556,7 +544,7 @@ def _serve(kind, T, S, pos_t, bounds, cap, need=None, d1=0.0, d2=0.0, phi1=0.5):
         served = np.searchsorted(bounds, stop_at, side="right")  # lanes [0, served)
         todo = np.flatnonzero(np.isnan(last[:served]))
         last[todo] = _serve_lanes(kind, T, S, cap, pos_t, bounds, todo,
-                                  d1, d2, phi1, dep, svc)
+                                  d1, d2, phi1, dep)
         # a split is exact only if the server is idle when the next lane begins
         inner = np.arange(1, min(served + 1, bounds.size - 1))
         lo_t = np.searchsorted(pos_t, bounds[inner])
@@ -571,21 +559,13 @@ def _serve(kind, T, S, pos_t, bounds, cap, need=None, d1=0.0, d2=0.0, phi1=0.5):
         last = last[keep[:-1]]
         last[~keep[1:][keep[:-1]]] = np.nan  # the merged lanes
         bounds = bounds[keep]
-
-    cut = svc[need - 1] if stop else n_all - 1
-    dep[svc > cut] = np.nan
-    bits = np.empty(n_all + 1)  # sizes in service order, then their running sum
-    bits[svc[:n_all]] = S
-    np.cumsum(bits[:cut + 1], out=bits[:cut + 1])
-    served_bits = bits[svc[:nt]]
-    served_bits[svc[:nt] > cut] = np.nan
-    return dep[:nt], dep[nt:n_all], served_bits
+    return dep[:nt], dep[nt:n_all]
 
 
 def _serve_flows(kind, tt, ts, ct, cs, cap, need=None, d1=0.0, d2=0.0, phi1=0.5):
     """``_serve`` on per-flow arrival arrays, each sorted by time."""
     T, S = np.concatenate([tt, ct]), np.concatenate([ts, cs])
-    pos_t, _, _, bounds = _merge(T, S, tt.size, cap)
+    pos_t, _, bounds = _merge(T, S, tt.size, cap)
     return _serve(kind, T, S, pos_t, bounds, cap, need, d1=d1, d2=d2, phi1=phi1)
 
 
@@ -619,25 +599,21 @@ def simulate(scenario: Scenario, sched: SchedulerSpec, cfg: SimConfig,
     T, S, nt = _flat_arrivals(scenario, cfg, replication_index)
     cap = scenario.capacity
     need = cfg.warmup_packets + cfg.measured_packets
-    pos_t, bits, fifo, bounds = _merge(T, S, nt, cap)
+    pos_t, fifo, bounds = _merge(T, S, nt, cap)
     if sched.kind == "fifo":
         dep_thr = fifo[pos_t]
-        served_bits = bits[pos_t]
     else:
-        del fifo
-        dep_thr, _, served_bits = _serve(
-            sched.kind, T, S, pos_t, bounds, cap, need,
-            d1=sched.d1_star, d2=sched.d2_star, phi1=sched.phi1)
+        dep_thr, _ = _serve(sched.kind, T, S, pos_t, bounds, cap, need,
+                            d1=sched.d1_star, d2=sched.d2_star, phi1=sched.phi1)
     delays = dep_thr[cfg.warmup_packets:need] - T[cfg.warmup_packets:need]
     dep_win = dep_thr[cfg.warmup_packets:need]
-    served_win = served_bits[cfg.warmup_packets:need]
 
-    # backlog (bits in system) sampled at each measured through departure;
-    # arrivals up to a time are counted per flow, the same as in merged order
+    # backlog (bits in system) sampled at each measured through departure:
+    # the FIFO unfinished work, which every discipline here shares (module
+    # docstring); arrivals are counted per flow, the same as in merged order
     idx = (np.searchsorted(T[:nt], dep_win, side="right")
            + np.searchsorted(T[nt:], dep_win, side="right"))
-    arrived = np.where(idx > 0, bits[np.maximum(idx - 1, 0)], 0.0)
-    backlog = arrived - served_win
+    backlog = cap * np.maximum(fifo[idx - 1] - dep_win, 0.0)
 
     return _stats_from_delays(delays, cfg.delay_grid, _instability_flag(backlog))
 
@@ -651,8 +627,8 @@ def simulate_events(scenario: Scenario, sched: SchedulerSpec, cfg: SimConfig,
     """
     (tt, ts), (ct, cs) = _flow_arrivals(scenario, cfg, replication_index)
     cap = scenario.capacity
-    dep_t, dep_c, _ = _serve_flows(sched.kind, tt, ts, ct, cs, cap,
-                                   d1=sched.d1_star, d2=sched.d2_star, phi1=sched.phi1)
+    dep_t, dep_c = _serve_flows(sched.kind, tt, ts, ct, cs, cap,
+                                d1=sched.d1_star, d2=sched.d2_star, phi1=sched.phi1)
     return {
         "through": {"arrival": tt, "size": ts, "depart": dep_t},
         "cross": {"arrival": ct, "size": cs, "depart": dep_c},

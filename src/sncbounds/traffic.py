@@ -84,7 +84,16 @@ class MmooParams:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MmooParams":
-        return cls(lam=d["lambda"], mu=d["mu"], peak=d["peak"])
+        lam, mu, peak = _json_values(d, "lambda", "mu", "peak")
+        return cls(lam=lam, mu=mu, peak=peak)
+
+
+def _json_values(d: dict, *keys) -> list:
+    """``d[key]`` for each key; a missing key is an ``InvalidParamsError``."""
+    missing = [k for k in keys if k not in d]
+    if missing:
+        raise InvalidParamsError(f"missing JSON key {', '.join(map(repr, missing))}")
+    return [d[k] for k in keys]
 
 
 @dataclass(frozen=True)
@@ -155,8 +164,8 @@ class Scenario:
     def from_json_dict(cls, d: dict) -> "Scenario":
         params = MmooParams.from_json_dict(d)
         if "per_flow_capacity" in d:
-            return cls(d["n1"], d["n2"], d["per_flow_capacity"], params)
-        return cls.from_utilization(d["n1"], d["n2"], d["rho"], params)
+            return cls(*_json_values(d, "n1", "n2", "per_flow_capacity"), params)
+        return cls.from_utilization(*_json_values(d, "n1", "n2", "rho"), params)
 
 
 def aggregate_generator(n: int, params: MmooParams) -> np.ndarray:

@@ -258,6 +258,32 @@ class TestCli:
         assert main(["bound", "--rho", "1.2", "--d", "1"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("missing", ["n2", "rho", "lambda"])
+    def test_scenario_file_missing_key_exit_code(self, tmp_path, capsys, missing):
+        doc = {"lambda": 0.5, "mu": 0.1, "peak": 1.0, "n1": 5, "n2": 5, "rho": 0.75}
+        del doc[missing]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert main(["bound", "--scenario", str(path), "--d", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert repr(missing) in captured.err
+
+    def test_missing_scenario_file_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert main(["bound", "--scenario", str(path), "--d", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
+    def test_unwritable_out_path_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "no" / "such" / "dir" / "x.csv"
+        assert main(["bound", "--d", "1,2", "--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(path) in captured.err
+        assert not path.parent.exists()
+
     @pytest.mark.parametrize("argv", [
         # K**n underflows to 0.0 at n = 10^4: ZeroDivisionError in the ratio
         ["scaling", "--n-list", "10,10000"],

@@ -2,8 +2,10 @@
 
 ``serial_reference._serve_loop`` is the one-packet-per-iteration loop the
 simulator used before busy periods were served in lockstep.  The kernel must
-reproduce it exactly: departures of both flows (NaN where the loop stopped
-before serving) and the served bits of every served through packet.
+reproduce its departures of both flows exactly, on every packet the loop
+served (the kernel serves the rest of the busy period where the loop stopped).
+The simulator's backlog, taken from the FIFO workload, must equal the bits
+arrived minus the bits the loop served, at every through departure.
 """
 
 import numpy as np
@@ -35,11 +37,9 @@ def assert_same_as_reference(name, tt, ts, ct, cs, cap, need):
     want = reference(kind, tt, ts, ct, cs, cap, tt.size if drain else need,
                      d1=d1, d2=d2, phi1=phi1, drain=drain)
     got = sim._serve_flows(kind, tt, ts, ct, cs, cap, need, d1=d1, d2=d2, phi1=phi1)
-    assert np.array_equal(got[0], want[0], equal_nan=True)
-    assert np.array_equal(got[1], want[1], equal_nan=True)
-    served = ~np.isnan(want[0])
-    assert np.array_equal(got[2][served], want[2][served])
-    assert np.isnan(got[2][~served]).all()
+    for dep, loop_dep in zip(got, want[:2]):
+        served = ~np.isnan(loop_dep)
+        assert np.array_equal(dep[served], loop_dep[served])
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +67,23 @@ def arrivals():
 def test_generated_traffic(arrivals, size, seed, name, drain):
     tt, ts, ct, cs, cap, need = arrivals(size, seed)
     assert_same_as_reference(name, tt, ts, ct, cs, cap, None if drain else need)
+
+
+@pytest.mark.parametrize("name", sorted(DISCIPLINES))
+@pytest.mark.parametrize("size, seed", [("small", 0), ("small", 1), ("small", 5), ("desk", 0)])
+def test_backlog_from_fifo_workload(arrivals, size, seed, name):
+    """``simulate``'s backlog is the arrived minus the served bits of the loop."""
+    tt, ts, ct, cs, cap, need = arrivals(size, seed)
+    kind, d1, d2, phi1 = DISCIPLINES[name]
+    dep, _, served_bits = reference(kind, tt, ts, ct, cs, cap, need,
+                                    d1=d1, d2=d2, phi1=phi1)
+    dep, served_bits = dep[:need], served_bits[:need]
+    T, S = np.concatenate([tt, ct]), np.concatenate([ts, cs])
+    _, fifo, _ = sim._merge(T, S, tt.size, cap)
+    idx = np.searchsorted(tt, dep, side="right") + np.searchsorted(ct, dep, side="right")
+    arrived = np.cumsum(S[np.argsort(T, kind="stable")])[idx - 1]
+    backlog = cap * np.maximum(fifo[idx - 1] - dep, 0.0)
+    assert np.abs(backlog - (arrived - served_bits)).max() <= 1e-8
 
 
 @pytest.mark.parametrize("name", sorted(DISCIPLINES))

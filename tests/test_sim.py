@@ -118,7 +118,7 @@ class TestSimulateBasics:
         sc = scenario()
         ev = simulate_events(sc, SchedulerSpec.fifo(), cfg, 0)  # head selection
         T, S, nt = _flat_arrivals(sc, cfg, 0)
-        pos_t, _, depart, _ = _merge(T, S, nt, sc.capacity)
+        pos_t, depart, _ = _merge(T, S, nt, sc.capacity)
         fast_thr = depart[pos_t]
         assert np.allclose(fast_thr, ev["through"]["depart"], rtol=1e-9, atol=1e-9)
 
@@ -223,6 +223,29 @@ class TestInstabilityFlag:
     def test_normal_run_unflagged(self):
         st = simulate(scenario(), SchedulerSpec.fifo(), small_cfg(), 0)
         assert not st.unstable
+
+    SCHEDULERS = {"fifo": SchedulerSpec.fifo(), "sp": SchedulerSpec.sp(),
+                  "edf_10_1": SchedulerSpec.edf(10.0, 1.0),
+                  "edf_1_10": SchedulerSpec.edf(1.0, 10.0), "gps": SchedulerSpec.gps(0.5)}
+
+    @pytest.mark.parametrize("name", sorted(SCHEDULERS))
+    def test_overload_in_last_third_flagged(self, monkeypatch, name):
+        import sncbounds.sim as sim
+
+        # 30 + 300 through packets; the measured middle third is packets
+        # [130, 230).  Up to t = 240 one through packet per unit time and a
+        # cross packet every other one load C = 2.22 to 0.68; from t = 240
+        # on, 4 through and 2 cross packets per unit time overload it, and
+        # arrivals go on long after the last measured through packet leaves
+        sc = scenario()
+        cfg = small_cfg(measured_packets=300, warmup_packets=30, replications=1)
+        tt = np.concatenate([np.arange(240.0), 240.0 + np.arange(0.0, 3000.0, 0.25)])
+        ct = np.concatenate([np.arange(0.5, 240.0, 2.0), 240.0 + np.arange(0.1, 3000.0, 0.5)])
+        flows = [(tt, np.ones(tt.size)), (ct, np.ones(ct.size))]
+        monkeypatch.setattr(sim, "_flow_arrivals", lambda scenario, cfg, k: flows)
+        assert simulate(sc, self.SCHEDULERS[name], cfg, 0).unstable
+        monkeypatch.undo()
+        assert not simulate(sc, self.SCHEDULERS[name], cfg, 0).unstable
 
 
 class TestReplicate:
