@@ -74,6 +74,18 @@ def effective_bandwidth_rate(theta, params: MmooParams):
     return r if r.ndim else float(r)
 
 
+def _r_theta(theta: float, params: MmooParams) -> float:
+    """``effective_bandwidth_rate`` for one float: the same IEEE operations.
+
+    Add, multiply, divide and square root are correctly rounded in both
+    ``math`` and NumPy, so the two agree bit for bit.
+    """
+    lam, mu, peak = params.lam, params.mu, params.peak
+    b = lam + mu - theta * peak
+    sq = math.sqrt(b * b + 4.0 * mu * theta * peak)
+    return 2.0 * mu * peak / (sq + b) if b > 0 else (sq - b) / (2.0 * theta)
+
+
 def solve_eb_equation(params: MmooParams, c: float) -> float:
     """Unique root of r_theta = c by bisection, to |r - c| <= 1e-12*c.
 
@@ -87,12 +99,12 @@ def solve_eb_equation(params: MmooParams, c: float) -> float:
         )
     lo, hi = 0.0, 1.0
     for _ in range(200):
-        if effective_bandwidth_rate(hi, params) > c:
+        if _r_theta(hi, params) > c:
             break
         hi *= 2.0
     for _ in range(400):
         mid = 0.5 * (lo + hi)
-        r = effective_bandwidth_rate(mid, params)
+        r = _r_theta(mid, params)
         if abs(r - c) <= 1e-12 * c or (hi - lo) < 1e-16 * hi:
             return mid
         if r < c:
@@ -121,8 +133,35 @@ def _golden_min(f: Callable[[float], float], lo: float, hi: float,
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-def _minimize_theta(log_obj: Callable, theta_max: float) -> tuple[float, float, bool]:
-    """Minimize a log-objective over the open interval (0, theta_max).
+def _log_objective(params: MmooParams, const: float, cm: float, k: float, exponent):
+    """Array and float evaluators of ``const - log(cm - k*r_theta) + exponent(theta, r_theta)``.
+
+    Both give +inf where the margin ``cm - k*r_theta`` is not positive or
+    is NaN (on arrays, through the log of a margin at or below zero) and
+    where the value is NaN.  Both take the logarithm with ``np.log``:
+    ``math.log`` differs from it in the last bit on some inputs.
+    """
+
+    def on_array(th: np.ndarray) -> np.ndarray:
+        r = effective_bandwidth_rate(th, params)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = const - np.log(cm - k * r) + exponent(th, r)
+        return np.where(np.isnan(vals), np.inf, vals)
+
+    def on_float(th: float) -> float:
+        r = _r_theta(th, params)
+        margin = cm - k * r
+        if not margin > 0:
+            return math.inf
+        val = const - float(np.log(margin)) + exponent(th, r)
+        return math.inf if math.isnan(val) else val
+
+    return on_array, on_float
+
+
+def _minimize_theta(params: MmooParams, const: float, cm: float, k: float, exponent,
+                    theta_max: float) -> tuple[float, float, bool]:
+    """Minimize ``const - log(cm - k*r_theta) + exponent(theta, r_theta)`` over (0, theta_max).
 
     Returns the minimizer, the minimum and whether the minimizer lies at an
     end of the inset interval.
@@ -130,42 +169,46 @@ def _minimize_theta(log_obj: Callable, theta_max: float) -> tuple[float, float, 
     A 256-point log-spaced pre-scan brackets the minimum; golden-section
     refines it.  The pre-scan minimum is the fallback if the objective is
     not unimodal, so the result never exceeds the scanned values.  Float
-    dust can push the feasibility margin c - r_theta to or below zero at
-    the right endpoint when the utilization is extreme; such points are
-    treated as infeasible (+inf).
+    dust can push the feasibility margin to or below zero at the right
+    endpoint when the utilization is extreme; such points are treated as
+    infeasible (+inf).
+
+    The pre-scan evaluates all 256 points at once on NumPy arrays; the
+    golden-section steps evaluate one point at a time on Python floats,
+    where NumPy's per-call overhead would dominate.  The two evaluators run
+    the same IEEE operations in the same order, and both take the logarithm
+    with ``np.log``, so they agree bit for bit and the result does not
+    depend on which of them produced a value.
     """
-
-    def safe(th):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.asarray(log_obj(th), dtype=float)
-        return np.where(np.isnan(vals), np.inf, vals)
-
+    on_array, on_float = _log_objective(params, const, cm, k, exponent)
     grid = np.geomspace(_EDGE * theta_max, theta_max * (1.0 - _EDGE), _PRESCAN_POINTS)
-    vals = safe(grid)
+    vals = on_array(grid)
     i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    th, fv = _golden_min(lambda t: float(safe(np.asarray(t))), lo, hi,
-                         tol=1e-12 * theta_max)
+    lo = float(grid[max(i - 1, 0)])
+    hi = float(grid[min(i + 1, len(grid) - 1)])
+    th, fv = _golden_min(on_float, lo, hi, tol=1e-12 * theta_max)
     if vals[i] < fv:
         th, fv = float(grid[i]), float(vals[i])
     return th, fv, min(th, theta_max - th) <= 2.0 * _EDGE * theta_max
 
 
-def _optimized_bound(scenario: Scenario, exponent) -> StandardBoundResult:
-    """inf over feasible theta of L * exp(exponent(theta, r_theta))."""
-    params = scenario.params
-    c = scenario.per_flow_capacity
-    gamma = martingale_constants(scenario).gamma
+def _optimized_bound(params: MmooParams, theta_max: float, cm: float, k: float,
+                     exponent, euler: bool = True) -> StandardBoundResult:
+    """inf over theta in (0, theta_max) of L * exp(exponent(theta, r_theta)).
 
-    def log_obj(th):
-        r = effective_bandwidth_rate(th, params)
-        return 1.0 + math.log(c) - np.log(c - r) + exponent(th, r)
-
-    th, fv, at_edge = _minimize_theta(log_obj, gamma)
-    r_star = effective_bandwidth_rate(th, params)
-    return StandardBoundResult(math.exp(fv), th, c * math.e / (c - r_star),
+    L = cm*e/(cm - k*r_theta), or cm/(cm - k*r_theta) without ``euler``.
+    """
+    const = 1.0 + math.log(cm) if euler else math.log(cm)
+    th, fv, at_edge = _minimize_theta(params, const, cm, k, exponent, theta_max)
+    numer = cm * math.e if euler else cm
+    return StandardBoundResult(math.exp(fv), th, numer / (cm - k * _r_theta(th, params)),
                                at_edge=at_edge)
+
+
+def _scenario_bound(scenario: Scenario, exponent) -> StandardBoundResult:
+    """The bound with L = c*e/(c - r_theta) over the interval (0, gamma)."""
+    return _optimized_bound(scenario.params, martingale_constants(scenario).gamma,
+                            scenario.per_flow_capacity, 1, exponent)
 
 
 def standard_sample_path_bound(scenario: Scenario, u: float, sigma: float) -> StandardBoundResult:
@@ -174,7 +217,7 @@ def standard_sample_path_bound(scenario: Scenario, u: float, sigma: float) -> St
         raise InvalidParamsError(f"u must be >= 0, got {u}")
     cap = scenario.capacity
     n2 = scenario.n2
-    return _optimized_bound(
+    return _scenario_bound(
         scenario, lambda th, r: -th * (cap - n2 * r) * u - th * sigma
     )
 
@@ -208,31 +251,23 @@ def standard_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float) -> 
             raise TrivialScenarioError(
                 "GPS-allocated per-flow capacity at or above the peak rate"
             )
-        gamma_gps = solve_eb_equation(params, c_gps)
         phi_c = sched.phi1 * cap
-
-        def log_obj(th):
-            r = effective_bandwidth_rate(th, params)
-            return math.log(phi_c) - np.log(phi_c - n1 * r) - th * phi_c * d
-
-        th, fv, at_edge = _minimize_theta(log_obj, gamma_gps)
-        r_star = effective_bandwidth_rate(th, params)
-        return StandardBoundResult(math.exp(fv), th, phi_c / (phi_c - n1 * r_star),
-                                   at_edge=at_edge)
+        return _optimized_bound(params, solve_eb_equation(params, c_gps), phi_c, n1,
+                                lambda th, r: -th * phi_c * d, euler=False)
 
     if sched.kind == "fifo":
-        return _optimized_bound(scenario, lambda th, r: -th * cap * d)
+        return _scenario_bound(scenario, lambda th, r: -th * cap * d)
 
     if sched.kind == "sp":
-        return _optimized_bound(scenario, lambda th, r: -th * (cap - n2 * r) * d)
+        return _scenario_bound(scenario, lambda th, r: -th * (cap - n2 * r) * d)
 
     y = sched.d1_star - sched.d2_star
     if y >= 0:
-        return _optimized_bound(
+        return _scenario_bound(
             scenario, lambda th, r: th * n2 * r * min(y, d) - th * cap * d
         )
 
-    first = _optimized_bound(
+    first = _scenario_bound(
         scenario, lambda th, r: th * (cap - n1 * r) * y - th * cap * d
     )
     c_resc = scenario.n / n1 * scenario.per_flow_capacity
@@ -240,16 +275,8 @@ def standard_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float) -> 
         # through flows alone can never backlog the full server
         second = StandardBoundResult(0.0, math.inf, math.inf)
     else:
-        gamma_resc = solve_eb_equation(params, c_resc)
-
-        def log_obj2(th):
-            r = effective_bandwidth_rate(th, params)
-            return 1.0 + math.log(c_resc) - np.log(c_resc - r) - th * cap * d
-
-        th2, fv2, at_edge2 = _minimize_theta(log_obj2, gamma_resc)
-        r2 = effective_bandwidth_rate(th2, params)
-        second = StandardBoundResult(math.exp(fv2), th2, c_resc * math.e / (c_resc - r2),
-                                     at_edge=at_edge2)
+        second = _optimized_bound(params, solve_eb_equation(params, c_resc), c_resc, 1,
+                                  lambda th, r: -th * cap * d)
     return StandardBoundResult(
         first.value + second.value, first.theta_star, first.L,
         terms=((first.value, first.theta_star, first.L),

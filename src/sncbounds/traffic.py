@@ -89,10 +89,19 @@ class MmooParams:
 
 
 def _json_values(d: dict, *keys) -> list:
-    """``d[key]`` for each key; a missing key is an ``InvalidParamsError``."""
+    """``d[key]`` for each key, each a JSON number.
+
+    A document that is not a JSON object, a missing key, or a value that is
+    not a number (``true``/``false`` included) is an ``InvalidParamsError``.
+    """
+    if not isinstance(d, dict):
+        raise InvalidParamsError(f"scenario JSON must be an object, got {type(d).__name__}")
     missing = [k for k in keys if k not in d]
     if missing:
         raise InvalidParamsError(f"missing JSON key {', '.join(map(repr, missing))}")
+    for k in keys:
+        if isinstance(d[k], bool) or not isinstance(d[k], (int, float)):
+            raise InvalidParamsError(f"JSON key {k!r} must be a number, got {d[k]!r}")
     return [d[k] for k in keys]
 
 

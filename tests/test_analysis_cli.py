@@ -270,6 +270,21 @@ class TestCli:
         assert captured.err.startswith("error: ")
         assert repr(missing) in captured.err
 
+    @pytest.mark.parametrize("doc,named", [
+        (5, "int"),
+        ({"lambda": 0.5, "mu": 0.1, "peak": 1.0, "n1": "five", "n2": 5, "rho": 0.75}, "'n1'"),
+        ({"lambda": "0.5", "mu": 0.1, "peak": 1.0, "n1": 5, "n2": 5, "rho": 0.75}, "'lambda'"),
+        ({"lambda": 0.5, "mu": 0.1, "peak": 1.0, "n1": 5, "n2": True, "rho": 0.75}, "'n2'"),
+    ])
+    def test_scenario_file_wrong_type_exit_code(self, tmp_path, capsys, doc, named):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert main(["bound", "--scenario", str(path), "--d", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and named in captured.err
+        assert "Traceback" not in captured.err
+
     def test_missing_scenario_file_exit_code(self, tmp_path, capsys):
         path = tmp_path / "absent.json"
         assert main(["bound", "--scenario", str(path), "--d", "5"]) == 2

@@ -1,0 +1,178 @@
+"""Bit-exact regression oracle for the standard-bound optimizer.
+
+``tests/golden/standard-grid.json`` pins, as ``float.hex`` strings, every
+field of ``standard_delay_bound`` on a grid of schedulers, flow counts,
+utilizations and delays, and ``solve_eb_equation`` at the random parameters
+of the ``theta-star-equals-gamma`` verify suite.  An input the library
+rejects is pinned by the name of the error it raises.  The grid holds
+n1 = n2 = n/2 and the paper's source.  After an intended change of value,
+re-pin with ``python tests/test_standard_grid.py``.
+
+The optimizer's pre-scan runs on NumPy arrays and its golden-section steps
+on Python floats; the two evaluators of the objective must agree bit for
+bit, which is checked here directly.
+"""
+
+import itertools
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from sncbounds import (
+    MmooParams,
+    Scenario,
+    SchedulerSpec,
+    solve_eb_equation,
+    standard,
+    standard_delay_bound,
+)
+from sncbounds.errors import SncboundsError
+
+GOLDEN = Path(__file__).parent / "golden" / "standard-grid.json"
+SOURCE = MmooParams(0.5, 0.1, 1.0)
+OTHER_SOURCE = MmooParams(0.7, 0.3, 1.7)
+SCHEDULERS = {
+    "fifo": SchedulerSpec.fifo(),
+    "sp": SchedulerSpec.sp(),
+    "edf-10-1": SchedulerSpec.edf(10.0, 1.0),
+    "edf-1-10": SchedulerSpec.edf(1.0, 10.0),
+    "gps-0.5": SchedulerSpec.gps(0.5),
+    "gps-0.3": SchedulerSpec.gps(0.3),
+    "edf-0-5": SchedulerSpec.edf(0.0, 5.0),
+}
+FLOWS = (2, 10, 1000, 100_000)
+RHOS = (0.5, 0.75, 0.999)
+DELAYS = (0.0, 1.0, 5.0, 40.0)
+
+
+def _hex(x):
+    return float.hex(float(x))
+
+
+def bound_record(sched: str, n: int, rho: float, d: float) -> dict:
+    rec = {"sched": sched, "n": n, "rho": rho, "d": d}
+    sc = Scenario.from_utilization(n // 2, n // 2, rho, SOURCE)
+    try:
+        res = standard_delay_bound(sc, SCHEDULERS[sched], d)
+    except (SncboundsError, ArithmeticError) as exc:
+        rec["error"] = type(exc).__name__
+        return rec
+    rec.update(value=_hex(res.value), theta_star=_hex(res.theta_star), L=_hex(res.L),
+               terms=[[_hex(x) for x in term] for term in res.terms],
+               at_edge=bool(res.at_edge))
+    return rec
+
+
+def eb_parameters():
+    """(params, c) as drawn by the ``theta-star-equals-gamma`` verify suite."""
+    rng = np.random.default_rng(2024)
+    out = []
+    for _ in range(100):
+        lam = rng.uniform(0.05, 3.0)
+        mu = rng.uniform(0.05, 3.0)
+        peak = rng.uniform(0.5, 4.0)
+        params = MmooParams(lam, mu, peak)
+        p = params.on_probability
+        rho = rng.uniform(p + 1e-3, 1 - 1e-3)
+        if rho <= p:
+            continue
+        out.append((params, params.mean_rate / rho))
+    return out
+
+
+def eb_record(params: MmooParams, c: float) -> dict:
+    return {"lambda": _hex(params.lam), "mu": _hex(params.mu), "peak": _hex(params.peak),
+            "c": _hex(c), "root": _hex(solve_eb_equation(params, c))}
+
+
+def compute() -> dict:
+    return {
+        "standard_delay_bound": [bound_record(s, n, rho, d) for s in SCHEDULERS
+                                 for n in FLOWS for rho in RHOS for d in DELAYS],
+        "solve_eb_equation": [eb_record(p, c) for p, c in eb_parameters()],
+    }
+
+
+def render(data: dict) -> str:
+    """One record per line, so a diff names the inputs that moved."""
+    parts = []
+    for key, records in data.items():
+        body = ",\n".join("  " + json.dumps(r) for r in records)
+        parts.append(f' "{key}": [\n{body}\n ]')
+    return "{\n" + ",\n".join(parts) + "\n}\n"
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("sched", sorted(SCHEDULERS))
+def test_standard_delay_bound_bits(golden, sched):
+    expected = [r for r in golden["standard_delay_bound"] if r["sched"] == sched]
+    assert len(expected) == len(FLOWS) * len(RHOS) * len(DELAYS)
+    got = [bound_record(sched, r["n"], r["rho"], r["d"]) for r in expected]
+    assert [(g, e) for g, e in zip(got, expected) if g != e] == []
+
+
+def test_solve_eb_equation_bits(golden):
+    got = [eb_record(p, c) for p, c in eb_parameters()]
+    assert got == golden["solve_eb_equation"]
+
+
+def test_result_fields_are_python_scalars():
+    for sched in SCHEDULERS.values():
+        for rho in RHOS:
+            sc = Scenario.from_utilization(5, 5, rho, SOURCE)
+            try:
+                res = standard_delay_bound(sc, sched, np.float64(5.0))
+            except SncboundsError:
+                continue
+            assert type(res.value) is float
+            assert type(res.theta_star) is float
+            assert type(res.L) is float
+            assert type(res.at_edge) is bool
+            for term in res.terms:
+                assert [type(x) for x in term] == [float, float, float]
+    edf = standard_delay_bound(Scenario.from_utilization(5, 5, 0.75, SOURCE),
+                               SCHEDULERS["edf-1-10"], 5.0)
+    assert len(edf.terms) == 2
+
+
+@pytest.mark.parametrize("sched", sorted(SCHEDULERS))
+def test_float_and_array_evaluators_agree(monkeypatch, sched):
+    """At the 256 pre-scan points and a uniform sweep of each interval.
+
+    The second source has a peak rate other than 1, so that products with
+    the peak round.
+    """
+    calls = []
+    minimize = standard._minimize_theta
+
+    def spy(*args):
+        calls.append(args)
+        return minimize(*args)
+
+    monkeypatch.setattr(standard, "_minimize_theta", spy)
+    for n, rho, source in itertools.product((2, 1000), RHOS, (SOURCE, OTHER_SOURCE)):
+        sc = Scenario.from_utilization(n // 2, n // 2, rho, source)
+        for d in (0.0, 5.0):
+            try:
+                standard_delay_bound(sc, SCHEDULERS[sched], d)
+            except SncboundsError:
+                pass
+    assert calls
+    for params, const, cm, k, exponent, theta_max in calls:
+        on_array, on_float = standard._log_objective(params, const, cm, k, exponent)
+        prescan = np.geomspace(standard._EDGE * theta_max,
+                               theta_max * (1.0 - standard._EDGE), standard._PRESCAN_POINTS)
+        thetas = np.concatenate([prescan, np.linspace(0.0, theta_max, 1026)[1:-1]])
+        from_array = on_array(thetas)
+        from_float = np.array([on_float(float(th)) for th in thetas])
+        assert from_array.tobytes() == from_float.tobytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(render(compute()))
