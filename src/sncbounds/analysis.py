@@ -1,9 +1,9 @@
 """Experiment harness: bound-vs-simulation comparison, scaling, admission.
 
-Bounds on the virtual delay are converted to packet-delay bounds by the Palm
-prefactor 1/(1 - (1-p)^n), which conditions on an arrival at the observation
-instant.  Raw (unclamped) values are kept everywhere; min(1, .) clamping for
-display happens here and only here.
+Bounds on the virtual delay are converted to packet-delay bounds of the
+through flow by the Palm prefactor 1/(1 - (1-p)^n1), which conditions on a
+through arrival at the observation instant.  Raw (unclamped) values are kept
+everywhere; min(1, .) clamping for display happens here and only here.
 """
 
 from __future__ import annotations
@@ -53,28 +53,16 @@ class ExperimentSpec:
     scenario: Scenario
     scheduler: SchedulerSpec
     sim: SimConfig
-    palm_mode: str = "total"
-    gps_exponent: str = "total"
-
-    def __post_init__(self):
-        if self.palm_mode not in ("total", "through"):
-            raise InvalidParamsError(f"palm mode must be total|through, got {self.palm_mode!r}")
 
 
-def palm_prefactor(scenario: Scenario, mode: str = "total") -> float:
-    """Packet-delay correction 1/(1-(1-p)^n).
+def palm_prefactor(scenario: Scenario) -> float:
+    """Packet-delay correction 1/(1-(1-p)^n1).
 
-    ``total`` uses n = n1+n2; ``through`` uses n1, which
-    matches conditioning on the through flow's own instantaneous arrivals.
+    Conditioning on an arrival of the through flow: at least one of its n1
+    sub-flows is On, which happens with probability 1-(1-p)^n1.
     """
     p = scenario.params.on_probability
-    if mode == "total":
-        count = scenario.n
-    elif mode == "through":
-        count = scenario.n1
-    else:
-        raise InvalidParamsError(f"palm mode must be total|through, got {mode!r}")
-    return 1.0 / (1.0 - (1.0 - p) ** count)
+    return 1.0 / (1.0 - (1.0 - p) ** scenario.n1)
 
 
 def _fmt(x) -> str:
@@ -90,15 +78,13 @@ def rows_to_csv(rows: list[dict], columns) -> str:
     return "\n".join(lines) + "\n"
 
 
-def bound_rows(scenario: Scenario, sched: SchedulerSpec, grid,
-               palm_mode: str = "total", gps_exponent: str = "total") -> list[dict]:
+def bound_rows(scenario: Scenario, sched: SchedulerSpec, grid) -> list[dict]:
     """Palm-corrected martingale and standard bounds, one BOUND_COLUMNS row per d."""
     check_delay_grid(grid)
-    palm = palm_prefactor(scenario, palm_mode)
+    palm = palm_prefactor(scenario)
     rows = []
     for d in grid:
-        mart = palm * martingale_delay_bound(scenario, sched, d,
-                                             gps_exponent=gps_exponent).value
+        mart = palm * martingale_delay_bound(scenario, sched, d).value
         std = standard_delay_bound(scenario, sched, d)
         std_raw = palm * std.value
         rows.append({
@@ -114,8 +100,7 @@ def bound_rows(scenario: Scenario, sched: SchedulerSpec, grid,
 def compare_experiment(spec: ExperimentSpec, n_jobs: Optional[int] = None) -> list[dict]:
     """Bound rows next to simulated CCDF box stats, one COMPARE_COLUMNS row per d."""
     box = replicate(spec.scenario, spec.scheduler, spec.sim, n_jobs=n_jobs)
-    rows = bound_rows(spec.scenario, spec.scheduler, box.delay_grid,
-                      spec.palm_mode, spec.gps_exponent)
+    rows = bound_rows(spec.scenario, spec.scheduler, box.delay_grid)
     for j, row in enumerate(rows):
         row.update(sim_median=float(box.median[j]), sim_q25=float(box.q25[j]),
                    sim_q75=float(box.q75[j]), sim_n=box.replications)
@@ -167,7 +152,6 @@ class AdmissionQuery:
     scheduler: SchedulerSpec
     params: MmooParams
     method: str = "martingale"
-    palm_mode: str = "total"
 
     def __post_init__(self):
         if not 0 < self.epsilon <= 1:
@@ -188,7 +172,7 @@ def _violation(q: AdmissionQuery, n: int) -> float:
         raw = martingale_delay_bound(sc, q.scheduler, q.d).value
     else:
         raw = standard_delay_bound(sc, q.scheduler, q.d).value
-    return min(1.0, palm_prefactor(sc, q.palm_mode) * raw)
+    return min(1.0, palm_prefactor(sc) * raw)
 
 
 def admission_max_flows(q: AdmissionQuery) -> dict:

@@ -80,18 +80,6 @@ def _add_grid_arg(p: argparse.ArgumentParser):
                    help="delay grid: value, comma list, or start:stop:count")
 
 
-def _add_palm_arg(p: argparse.ArgumentParser):
-    p.add_argument("--palm", choices=("total", "through"), default="total",
-                   help="Palm prefactor exponent: n1+n2 (total) or n1 (through)")
-
-
-def _add_bound_args(p: argparse.ArgumentParser):
-    _add_grid_arg(p)
-    _add_palm_arg(p)
-    p.add_argument("--gps-exponent", choices=("total", "through"), default="total",
-                   help="prefactor exponent of the GPS martingale bound")
-
-
 def _add_sim_args(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--reps", type=int, default=10, help="replications (full scale: 100)")
@@ -158,7 +146,7 @@ def _emit(args, csv_text: str, json_text: str) -> int:
 
 def _cmd_bound(args) -> int:
     rows = bound_rows(_scenario_from_args(args), _scheduler_from_args(args),
-                      _parse_grid(args.d), args.palm, args.gps_exponent)
+                      _parse_grid(args.d))
     return _emit(args, rows_to_csv(rows, BOUND_COLUMNS), _json(rows))
 
 
@@ -170,8 +158,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_compare(args) -> int:
     spec = ExperimentSpec(_scenario_from_args(args), _scheduler_from_args(args),
-                          _sim_config_from_args(args), palm_mode=args.palm,
-                          gps_exponent=args.gps_exponent)
+                          _sim_config_from_args(args))
     rows = compare_experiment(spec, n_jobs=args.jobs)
     return _emit(args, rows_to_csv(rows, COMPARE_COLUMNS), _json(rows))
 
@@ -193,7 +180,7 @@ def _cmd_admission(args) -> int:
         for method in (("martingale", "standard") if args.method == "both"
                        else (args.method,)):
             q = AdmissionQuery(cap, args.delay, args.epsilon, sched, params,
-                               method=method, palm_mode=args.palm)
+                               method=method)
             res = admission_max_flows(q)
             rows.append({"capacity": cap, "d": args.delay, "epsilon": args.epsilon,
                          "method": method, "scheduler": sched.kind, **res})
@@ -223,12 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     add("bound", _cmd_bound, "evaluate Palm-corrected delay bounds on a grid",
-        _add_scenario_args, _add_scheduler_args, _add_bound_args, _add_output_args)
+        _add_scenario_args, _add_scheduler_args, _add_grid_arg, _add_output_args)
     add("simulate", _cmd_simulate, "run the packet-level simulator",
         _add_scenario_args, _add_scheduler_args, _add_grid_arg, _add_sim_args,
         _add_output_args)
     add("compare", _cmd_compare, "bounds vs simulation, one CSV row per grid point",
-        _add_scenario_args, _add_scheduler_args, _add_bound_args, _add_sim_args,
+        _add_scenario_args, _add_scheduler_args, _add_grid_arg, _add_sim_args,
         _add_output_args)
 
     p = add("scaling", _cmd_scaling, "bounds as the flow count grows, rho and c fixed",
@@ -237,8 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of even flow counts")
 
     p = add("admission", _cmd_admission, "largest admissible flow count per capacity",
-            _add_source_args, _add_scheduler_args, _add_delay_arg, _add_palm_arg,
-            _add_output_args)
+            _add_source_args, _add_scheduler_args, _add_delay_arg, _add_output_args)
     p.add_argument("--capacity", required=True, help="comma list of capacities C")
     p.add_argument("--epsilon", type=float, default=1e-3, help="violation target")
     p.add_argument("--method", choices=("martingale", "standard", "both"),

@@ -132,30 +132,20 @@ def fluid_effective_bandwidth(theta: float, src: MarkovFluidSource) -> float:
     return zeta / theta
 
 
-def single_flow_fluid_bound(src: MarkovFluidSource, capacity: float, sigma: float,
-                            variant: str = "constrained") -> float:
-    """Steady-state bound P(Q > sigma) <= prefactor * exp(-gamma*sigma).
-
-    ``constrained`` takes the denominator min over drift-nonnegative states
-    (the states reachable at the crossing), ``legacy`` over all states; the
-    constrained bound is never larger.
-    """
-    if variant not in ("constrained", "legacy"):
-        raise InvalidParamsError(f"variant must be constrained|legacy, got {variant!r}")
+def single_flow_fluid_bound(src: MarkovFluidSource, capacity: float, sigma: float) -> float:
+    """Steady-state bound P(Q > sigma) <= prefactor * exp(-gamma*sigma)."""
     gd = generalized_decay(src, capacity)
-    k = _prefactor(gd, src.stationary, gd.gamma, constrained=variant == "constrained")
-    return k * math.exp(-gd.gamma * sigma)
+    return _prefactor(gd, src.stationary, gd.gamma) * math.exp(-gd.gamma * sigma)
 
 
-def _prefactor(gd: GeneralizedDecay, pi: np.ndarray, gamma: float,
-               constrained: bool = True) -> float:
+def _prefactor(gd: GeneralizedDecay, pi: np.ndarray, gamma: float) -> float:
     """Single-source prefactor pi.e / min e at decay ``gamma``, e = h**(gamma/gamma_1).
 
-    The min runs over the drift-nonnegative states, or over all states when
-    not ``constrained``.
+    The min runs over the drift-nonnegative states, the states reachable when
+    the queue crosses a level.
     """
     e = gd.eigenvector ** (gamma / gd.gamma)
-    return float(pi @ e) / float((e[gd.drifts >= 0] if constrained else e).min())
+    return float(pi @ e) / float(e[gd.drifts >= 0].min())
 
 
 @dataclass(frozen=True)

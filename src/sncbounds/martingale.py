@@ -152,8 +152,7 @@ def martingale_sample_path_bound(scenario: Scenario, u: float, sigma: float) -> 
     )
 
 
-def martingale_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float,
-                           gps_exponent: str = "total") -> DelayBound:
+def martingale_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float) -> DelayBound:
     """Delay-violation bound P(W1 > d) <= value for the through aggregate.
 
     FIFO:  K^n e^{-gamma C d}
@@ -161,10 +160,8 @@ def martingale_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float,
     EDF:   d1* >= d2* (ties included):  K^n e^{gamma C2 min(d1*-d2*, d)} e^{-gamma C d};
            d1* <  d2*:  adds K'^n e^{-gamma' C d} with constants from the
            rescaled per-flow capacity c' = (n/n1) c.
-    GPS:   K^n e^{-gamma phi1 C d} with GPS-reduced constants.  The default
-           prefactor exponent is the total flow count n;
-           ``gps_exponent="through"`` switches it to K^{n1}, the count of
-           flows actually present in the reduced single-class system.
+    GPS:   K^{n1} e^{-gamma phi1 C d} with GPS-reduced constants: the reduced
+           system holds only the n1 through flows, on a server of rate phi1 C.
     """
     if d < 0:
         raise InvalidParamsError(f"d must be >= 0, got {d}")
@@ -173,13 +170,7 @@ def martingale_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float,
 
     if sched.kind == "gps":
         consts = gps_constants(scenario, sched.phi1)
-        if gps_exponent == "total":
-            count = n
-        elif gps_exponent == "through":
-            count = scenario.n1
-        else:
-            raise InvalidParamsError(f"gps_exponent must be total|through, got {gps_exponent!r}")
-        prefactor = consts.K ** count
+        prefactor = consts.K ** scenario.n1
         decay = consts.gamma * sched.phi1 * cap
         return DelayBound(prefactor * math.exp(-decay * d), decay, prefactor, consts.gamma)
 
@@ -218,8 +209,7 @@ def martingale_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float,
                       terms=((term1_pref, decay), (term2_pref, decay2)))
 
 
-def martingale_decay_rate(scenario: Scenario, sched: SchedulerSpec,
-                          gps_exponent: str = "total") -> float:
+def martingale_decay_rate(scenario: Scenario, sched: SchedulerSpec) -> float:
     """Asymptotic decay rate in d: gamma*C for FIFO/EDF, gamma*C1 for SP,
     gamma_gps*phi1*C for GPS."""
     if sched.kind == "gps":

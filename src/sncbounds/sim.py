@@ -618,24 +618,6 @@ def simulate(scenario: Scenario, sched: SchedulerSpec, cfg: SimConfig,
     return _stats_from_delays(delays, cfg.delay_grid, _instability_flag(backlog))
 
 
-def simulate_events(scenario: Scenario, sched: SchedulerSpec, cfg: SimConfig,
-                    replication_index: int = 0) -> dict:
-    """Small-run debug variant: full per-packet event log, everything served.
-
-    Returns arrays for both flows: arrival time, size, departure time.
-    Intended for audits (work conservation, ordering); not for long runs.
-    """
-    (tt, ts), (ct, cs) = _flow_arrivals(scenario, cfg, replication_index)
-    cap = scenario.capacity
-    dep_t, dep_c = _serve_flows(sched.kind, tt, ts, ct, cs, cap,
-                                d1=sched.d1_star, d2=sched.d2_star, phi1=sched.phi1)
-    return {
-        "through": {"arrival": tt, "size": ts, "depart": dep_t},
-        "cross": {"arrival": ct, "size": cs, "depart": dep_c},
-        "capacity": cap,
-    }
-
-
 def _one_replication(args):
     scenario, sched, cfg, k = args
     return simulate(scenario, sched, cfg, k)

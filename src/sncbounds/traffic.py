@@ -11,7 +11,6 @@ exponentials, so a path over a longer horizon extends the shorter one.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -78,9 +77,6 @@ class MmooParams:
         """Two-state fluid view: state 0 silent, state 1 emitting at ``peak``."""
         q = np.array([[-self.mu, self.mu], [self.lam, -self.lam]])
         return MarkovFluidSource(q, np.array([0.0, self.peak]))
-
-    def to_json_dict(self) -> dict:
-        return {"lambda": self.lam, "mu": self.mu, "peak": self.peak}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MmooParams":
@@ -162,12 +158,6 @@ class Scenario:
     @property
     def rho(self) -> float:
         return self.params.mean_rate / self.per_flow_capacity
-
-    def to_json_dict(self) -> dict:
-        d = self.params.to_json_dict()
-        d.update({"n1": self.n1, "n2": self.n2,
-                  "per_flow_capacity": self.per_flow_capacity})
-        return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Scenario":
@@ -269,20 +259,6 @@ class MarkovFluidSource:
     @property
     def mean_rate(self) -> float:
         return float(self.stationary @ self.rates)
-
-    def to_json_dict(self) -> dict:
-        return {"generator": self.generator.tolist(), "rates": self.rates.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "MarkovFluidSource":
-        return cls(np.array(d["generator"]), np.array(d["rates"]))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, s: str) -> "MarkovFluidSource":
-        return cls.from_json_dict(json.loads(s))
 
 
 def aggregate_source(n: int, params: MmooParams) -> MarkovFluidSource:

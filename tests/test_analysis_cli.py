@@ -29,21 +29,15 @@ def scenario(rho=0.75, n1=5, n2=5):
 
 
 class TestPalmPrefactor:
-    def test_total_mode_example(self):
-        assert palm_prefactor(scenario()) == pytest.approx(1.19261, abs=1e-5)
-
     def test_through_mode_example(self):
-        assert palm_prefactor(scenario(), "through") == pytest.approx(1.67190, abs=1e-5)
+        # n1 = 5 through sub-flows, p = 1/6: 1/(1-(5/6)^5)
+        assert palm_prefactor(scenario()) == pytest.approx(1.67190, abs=1e-5)
 
     def test_always_on_sources_no_correction(self):
         # p -> 1 forces c > peak (zero-delay regime), so allow_trivial
         nearly_on = Scenario.from_utilization(2, 2, 0.9, MmooParams(1e-6, 10.0, 1.0),
                                               allow_trivial=True)
         assert palm_prefactor(nearly_on) == pytest.approx(1.0, abs=1e-6)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(InvalidParamsError):
-            palm_prefactor(scenario(), "both")
 
 
 class TestCompareExperiment:
@@ -70,10 +64,6 @@ class TestCompareExperiment:
         with pytest.raises(InvalidParamsError):
             SimConfig(measured_packets=100, warmup_packets=0, replications=1,
                       delay_grid=())
-
-    def test_bad_palm_mode_rejected(self):
-        with pytest.raises(InvalidParamsError):
-            ExperimentSpec(scenario(), SchedulerSpec.fifo(), self.CFG, palm_mode="x")
 
     def test_standard_bound_looseness_at_high_utilization(self):
         # at 90% utilization the classical bound overshoots the simulated
@@ -180,8 +170,8 @@ class TestCli:
         assert lines[0].startswith("scheduler,n1,n2,rho,d,martingale_raw")
         assert len(lines) == 3
         d5 = lines[2].split(",")
-        # palm-corrected martingale bound at d=5
-        assert float(d5[5]) == pytest.approx(0.12626, abs=1e-4)
+        # martingale bound K^n e^{-gamma C d} at d=5 times the Palm factor
+        assert float(d5[5]) == pytest.approx(0.10587 * 1.67190, abs=1e-4)
 
     def test_bound_json(self, capsys):
         rc = main(["bound", "--rho", "0.75", "--d", "2", "--format", "json"])
@@ -220,7 +210,8 @@ class TestCli:
         rc = main(["bound", "--scenario", str(path), "--d", "5"])
         assert rc == 0
         row = capsys.readouterr().out.strip().splitlines()[1].split(",")
-        assert float(row[5]) == pytest.approx(0.12626, abs=1e-4)
+        # the scenario of test_bound_csv, so its value at d=5
+        assert float(row[5]) == pytest.approx(0.10587 * 1.67190, abs=1e-4)
 
     def test_out_file(self, tmp_path):
         path = tmp_path / "rows.csv"
@@ -331,6 +322,11 @@ class TestCli:
         assert "could not generate" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
+        ["bound", "--palm", "through"],
+        ["bound", "--gps-exponent", "through"],
+        ["compare", "--palm", "through"],
+        ["compare", "--gps-exponent", "through"],
+        ["admission", "--capacity", "2", "--palm", "through"],
         ["scaling", "--palm", "through"],
         ["scaling", "--gps-exponent", "through"],
         ["admission", "--capacity", "2", "--gps-exponent", "through"],

@@ -1,7 +1,9 @@
 """Byte-exact CLI output.
 
 Each case's expected stdout is the file ``tests/golden/<case>.<format>``.
-The bound subcommands are pinned in CSV and JSON.  ``simulate`` (CSV and
+The bound subcommands are pinned in CSV and JSON; each ``bound`` case runs
+with the one bound form its scheduler has (through-flow Palm factor, GPS
+prefactor K^n1), so no case passes a variant flag.  ``simulate`` (CSV and
 JSON) and ``compare`` (CSV) are pinned for every scheduler at a fixed seed
 and a small size: their bytes follow the random streams of arrival
 generation and the exact departure times of the service disciplines, so a
@@ -29,9 +31,7 @@ CASES = {
                        "--d1", "10", "--d2", "1"],
     "bound-edf-1-10": ["bound", *SCENARIO, *GRID, "--scheduler", "edf",
                        "--d1", "1", "--d2", "10"],
-    "bound-gps-through": ["bound", *SCENARIO, *GRID, "--scheduler", "gps",
-                          "--phi1", "0.5", "--gps-exponent", "through",
-                          "--palm", "through"],
+    "bound-gps": ["bound", *SCENARIO, *GRID, "--scheduler", "gps", "--phi1", "0.5"],
     "bound-sp-capacity": ["bound", "--n1", "4", "--n2", "6",
                           "--per-flow-capacity", "0.25", *GRID, "--scheduler", "sp"],
     "scaling": ["scaling", "--rho", "0.75", "--n-list", "10,20,50,100",

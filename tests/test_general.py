@@ -132,20 +132,11 @@ class TestSingleFlowBound:
             consts = martingale_constants(sc)
             cap = sc.capacity
             src = aggregate_source(n, BASE_SOURCE)
-            got = single_flow_fluid_bound(src, cap, 0.0, "constrained")
+            got = single_flow_fluid_bound(src, cap, 0.0)
             crossing = math.ceil(cap / 1.0) - cap / 1.0
             expect = consts.K**n * math.exp(consts.theta * crossing)
             assert got == pytest.approx(expect, rel=1e-9)
             assert got <= consts.K**n * (1 + 1e-12)
-
-    def test_legacy_at_least_constrained(self):
-        for n in (1, 3, 6):
-            src = aggregate_source(n, BASE_SOURCE)
-            cap = n * (2 / 9)
-            for sigma in (0.0, 2.0, 10.0):
-                legacy = single_flow_fluid_bound(src, cap, sigma, "legacy")
-                constrained = single_flow_fluid_bound(src, cap, sigma, "constrained")
-                assert constrained < legacy  # strict: the Off state is the min
 
     def test_sigma_zero_at_most_one(self):
         for n in (1, 4, 8):
@@ -160,10 +151,6 @@ class TestSingleFlowBound:
         v1 = single_flow_fluid_bound(src, cap, 6.0)
         assert v1 / v0 == pytest.approx(math.exp(-5 * gamma), rel=1e-12)
 
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(InvalidParamsError):
-            single_flow_fluid_bound(aggregate_source(2, BASE_SOURCE), 0.5, 0.0, "x")
-
 
 class TestGeneralSamplePathBound:
     def test_null_cross_flow_reduces_to_single_flow(self):
@@ -173,7 +160,7 @@ class TestGeneralSamplePathBound:
         sigma = 3.0
         res = general_sample_path_bound(src, None, cap, 0.0, sigma,
                                         GridConfig(gamma_values=np.array([gamma1])))
-        direct = single_flow_fluid_bound(src, cap, sigma, "constrained")
+        direct = single_flow_fluid_bound(src, cap, sigma)
         assert res.value == pytest.approx(direct, rel=1e-12)
         assert res.c1 == cap
         # silent source behaves as no source
@@ -186,7 +173,7 @@ class TestGeneralSamplePathBound:
     def test_full_infimum_never_exceeds_endpoint(self):
         src = aggregate_source(5, BASE_SOURCE)
         cap = 5 * (2 / 9)
-        direct = single_flow_fluid_bound(src, cap, 3.0, "constrained")
+        direct = single_flow_fluid_bound(src, cap, 3.0)
         res = general_sample_path_bound(src, None, cap, 0.0, 3.0)
         assert res.value <= direct * (1 + 1e-12)
 

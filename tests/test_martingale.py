@@ -223,15 +223,9 @@ class TestGps:
         # n1=n2 and phi1=1/2 reduce the GPS system to the same utilization
         assert consts.gamma == pytest.approx(martingale_constants(sc).gamma, rel=1e-12)
         got = martingale_delay_bound(sc, SchedulerSpec.gps(0.5), 5.0)
-        expect = consts.K**10 * math.exp(-consts.gamma * 0.5 * sc.capacity * 5.0)
+        # the reduced system holds only the n1 = 5 through flows
+        expect = consts.K**5 * math.exp(-consts.gamma * 0.5 * sc.capacity * 5.0)
         assert got.value == pytest.approx(expect, rel=1e-12)
-
-    def test_exponent_switch(self):
-        sc = scenario()
-        total = martingale_delay_bound(sc, SchedulerSpec.gps(0.5), 3.0, gps_exponent="total")
-        through = martingale_delay_bound(sc, SchedulerSpec.gps(0.5), 3.0, gps_exponent="through")
-        consts = gps_constants(sc, 0.5)
-        assert through.value == pytest.approx(total.value / consts.K**5, rel=1e-12)
 
     def test_unstable_weight_rejected(self):
         sc = scenario(0.9)

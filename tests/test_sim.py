@@ -17,11 +17,12 @@ from sncbounds import (
 )
 from sncbounds.sim import (
     _flat_arrivals,
+    _flow_arrivals,
     _instability_flag,
     _merge,
+    _serve_flows,
     box_stats_csv,
     box_stats_json,
-    simulate_events,
 )
 
 BASE_SOURCE = MmooParams(0.5, 0.1, 1.0)
@@ -30,6 +31,18 @@ GRID = tuple(float(x) for x in range(1, 11))
 
 def scenario(rho=0.75, n1=5, n2=5, **kw):
     return Scenario.from_utilization(n1, n2, rho, BASE_SOURCE, **kw)
+
+
+def event_log(sc, sched, cfg, replication_index=0):
+    """Arrival, size and departure of every packet of both flows, all served."""
+    (tt, ts), (ct, cs) = _flow_arrivals(sc, cfg, replication_index)
+    dep_t, dep_c = _serve_flows(sched.kind, tt, ts, ct, cs, sc.capacity,
+                                d1=sched.d1_star, d2=sched.d2_star, phi1=sched.phi1)
+    return {
+        "through": {"arrival": tt, "size": ts, "depart": dep_t},
+        "cross": {"arrival": ct, "size": cs, "depart": dep_c},
+        "capacity": sc.capacity,
+    }
 
 
 def small_cfg(**kw):
@@ -98,8 +111,8 @@ class TestSimulateBasics:
         # predecessor, briefly waiting, but no delay ever exceeds one
         # full-packet service time 1/C
         sc = Scenario(1, 0, 1.5, BASE_SOURCE, allow_trivial=True)
-        ev = simulate_events(sc, SchedulerSpec.fifo(),
-                             small_cfg(measured_packets=2000, warmup_packets=0), 0)
+        ev = event_log(sc, SchedulerSpec.fifo(),
+                       small_cfg(measured_packets=2000, warmup_packets=0), 0)
         thr = ev["through"]
         cap = ev["capacity"]
         delays = thr["depart"] - thr["arrival"]
@@ -108,15 +121,15 @@ class TestSimulateBasics:
         assert np.allclose(delays[unit], 1.0 / cap, rtol=1e-12, atol=1e-12)
 
     def test_fifo_departures_in_arrival_order(self):
-        ev = simulate_events(scenario(), SchedulerSpec.fifo(),
-                             small_cfg(measured_packets=3000), 0)
+        ev = event_log(scenario(), SchedulerSpec.fifo(),
+                       small_cfg(measured_packets=3000), 0)
         thr = ev["through"]
         assert (np.diff(thr["depart"]) > 0).all()
 
     def test_fifo_fast_path_matches_generic_loop(self):
         cfg = small_cfg(measured_packets=3000)
         sc = scenario()
-        ev = simulate_events(sc, SchedulerSpec.fifo(), cfg, 0)  # head selection
+        ev = event_log(sc, SchedulerSpec.fifo(), cfg, 0)  # head selection
         T, S, nt = _flat_arrivals(sc, cfg, 0)
         pos_t, depart, _ = _merge(T, S, nt, sc.capacity)
         fast_thr = depart[pos_t]
@@ -148,14 +161,14 @@ class TestConservationAndAudit:
         cfg = small_cfg(measured_packets=2000, warmup_packets=0)
         for sched in (SchedulerSpec.fifo(), SchedulerSpec.sp(),
                       SchedulerSpec.edf(10.0, 1.0), SchedulerSpec.gps(0.5)):
-            ev = simulate_events(scenario(), sched, cfg, 0)
+            ev = event_log(scenario(), sched, cfg, 0)
             self.audit(ev)
 
     def test_sp_cross_flow_never_worse_than_fifo(self):
         cfg = small_cfg(measured_packets=2500, warmup_packets=0)
         sc = scenario()
-        fifo = simulate_events(sc, SchedulerSpec.fifo(), cfg, 0)
-        sp = simulate_events(sc, SchedulerSpec.sp(), cfg, 0)
+        fifo = event_log(sc, SchedulerSpec.fifo(), cfg, 0)
+        sp = event_log(sc, SchedulerSpec.sp(), cfg, 0)
         d_fifo = fifo["cross"]["depart"] - fifo["cross"]["arrival"]
         d_sp = sp["cross"]["depart"] - sp["cross"]["arrival"]
         assert (d_sp <= d_fifo + 1e-9).all()
@@ -166,7 +179,7 @@ class TestConservationAndAudit:
         # one maximum packet
         cfg = small_cfg(measured_packets=4000, warmup_packets=0)
         phi1 = 0.5
-        ev = simulate_events(scenario(), SchedulerSpec.gps(phi1), cfg, 0)
+        ev = event_log(scenario(), SchedulerSpec.gps(phi1), cfg, 0)
         cap = ev["capacity"]
 
         def volume(rec, s, t):

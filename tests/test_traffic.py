@@ -42,8 +42,7 @@ class TestMmooParams:
             MmooParams(lam, mu, peak)
 
     def test_json_round_trip(self):
-        d = BASE_SOURCE.to_json_dict()
-        assert d == {"lambda": 0.5, "mu": 0.1, "peak": 1.0}
+        d = {"lambda": 0.5, "mu": 0.1, "peak": 1.0}
         assert MmooParams.from_json_dict(d) == BASE_SOURCE
 
 
@@ -70,9 +69,10 @@ class TestScenario:
             Scenario(0, 2, 0.5, BASE_SOURCE)
 
     def test_json_round_trip(self):
+        doc = json.loads('{"lambda": 0.5, "mu": 0.1, "peak": 1.0, "n1": 5, "n2": 3, '
+                         '"per_flow_capacity": 0.25}')
+        assert Scenario.from_json_dict(doc) == Scenario(5, 3, 0.25, BASE_SOURCE)
         sc = Scenario.from_utilization(5, 3, 0.75, BASE_SOURCE)
-        again = Scenario.from_json_dict(json.loads(json.dumps(sc.to_json_dict())))
-        assert again == sc
         via_rho = Scenario.from_json_dict(
             {"lambda": 0.5, "mu": 0.1, "peak": 1.0, "n1": 5, "n2": 3, "rho": 0.75})
         assert via_rho.per_flow_capacity == pytest.approx(sc.per_flow_capacity)
@@ -163,12 +163,6 @@ class TestMarkovFluidSource:
         src = aggregate_source(2, BASE_SOURCE)
         with pytest.raises(ValueError):
             src.rates[0] = 5.0
-
-    def test_json_round_trip(self):
-        src = aggregate_source(2, BASE_SOURCE)
-        again = MarkovFluidSource.from_json(src.to_json())
-        assert np.allclose(again.generator, src.generator)
-        assert np.allclose(again.rates, src.rates)
 
     def test_bad_generator_rejected(self):
         with pytest.raises(InvalidParamsError):
