@@ -16,7 +16,6 @@ from .errors import (
     ReducibleChainError,
     TrivialScenarioError,
     UnstableScenarioError,
-    ZeroDriftError,
 )
 from .traffic import (
     MarkovFluidSource,
@@ -34,16 +33,13 @@ from .martingale import (
     SchedulerSpec,
     gps_constants,
     martingale_constants,
-    martingale_decay_rate,
     martingale_delay_bound,
-    martingale_sample_path_bound,
 )
 from .standard import (
     StandardBoundResult,
     effective_bandwidth_rate,
     solve_eb_equation,
     standard_delay_bound,
-    standard_sample_path_bound,
 )
 from .general import (
     GeneralBoundResult,

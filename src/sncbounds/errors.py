@@ -33,12 +33,8 @@ class DegenerateSourceError(SncboundsError, ValueError):
     """The source has no usable eigenstructure (e.g. a single-state chain)."""
 
 
-class ZeroDriftError(SncboundsError, ValueError):
-    """A state's arrival rate equals the allocated capacity even after perturbation."""
-
-
 class EigenvectorError(SncboundsError, RuntimeError):
-    """No positive eigenvector found; signals a numerical failure."""
+    """No positive eigenvector within tolerance, or a stationary probability underflowed to 0.0."""
 
 
 class NoFeasibleSplitError(SncboundsError, ValueError):

@@ -5,12 +5,21 @@ allocated capacity C solves the generalized eigenproblem
 
     Q h = -gamma * diag(u) h,     u_j = r_j - C,
 
-taken at the eigenvalue -gamma with the largest negative real part that
-carries a strictly positive eigenvector.  The two-flow bound couples two
-such solutions through a double infimum over the capacity split C1 + C2 = C
-and a common decay gamma <= min(gamma_1, gamma_2); eigenvector entries enter
-with exponents gamma/gamma_k (the power that turns each exponential
-supermartingale into one with common decay).
+with h strictly positive.  Every source is reversible, so Q is similar to
+the symmetric S = D^1/2 Q D^-1/2, D = diag(pi), and gamma is the positive
+root of the convex top eigenvalue lambda_max(S + theta*diag(u)) (Elwalid &
+Mitra, IEEE/ACM ToN 1993).  Newton's method finds it with one symmetric
+eigensolve per step.  h, equal to D^-1/2 g for the top eigenvector g, is
+solved from (Q + gamma*diag(u)) h = 0 directly, which keeps the entries
+that g, far below its largest entry, loses to rounding.  No step divides by
+a drift, so a state whose rate equals C is solved as it stands, without
+perturbing the capacity.  The effective bandwidth is the top eigenvalue of
+the same symmetric matrix with u replaced by r.
+
+The two-flow bound couples two such solutions through a double infimum over
+the capacity split C1 + C2 = C and a common decay gamma <= min(gamma_1,
+gamma_2); eigenvector entries enter with exponents gamma/gamma_k (the power
+that turns each exponential supermartingale into one with common decay).
 """
 
 from __future__ import annotations
@@ -28,7 +37,6 @@ from .errors import (
     NoFeasibleSplitError,
     TrivialScenarioError,
     UnstableScenarioError,
-    ZeroDriftError,
 )
 from .martingale import martingale_constants
 from .traffic import MarkovFluidSource, Scenario, aggregate_source
@@ -45,7 +53,8 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-10
-_SIGN_TOL = 1e-9
+_NEWTON_TOL = 1e-14  # relative Newton step at which gamma has converged
+_NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -57,40 +66,31 @@ class GeneralizedDecay:
     drifts: np.ndarray
 
 
-def _decay_from_drifts(q: np.ndarray, u: np.ndarray) -> GeneralizedDecay:
-    m = -np.diag(1.0 / u) @ q
-    vals, vecs = np.linalg.eig(m)
-    scale = max(1.0, float(np.abs(vals).max()))
-    order = np.argsort(vals.real)
-    for i in order:
-        if vals[i].real <= 1e-12 * scale or abs(vals[i].imag) > _SIGN_TOL * scale:
-            continue
-        v = vecs[:, i]
-        pivot = v[np.argmax(np.abs(v))]
-        v = (v * np.conj(pivot / abs(pivot))).real
-        if v[np.argmax(np.abs(v))] < 0:
-            v = -v
-        if v.min() <= _SIGN_TOL * v.max():
-            continue  # not sign-consistent
-        gamma = float(vals[i].real)
-        h = v / v.min()
-        residual = float(np.abs(q @ h + gamma * u * h).max())
-        if residual <= _RESIDUAL_TOL * float(np.abs(h).max()):
-            return GeneralizedDecay(gamma, h, u.copy())
-    raise EigenvectorError(
-        "no positive generalized eigenvector with the required residual; "
-        "numerical failure or invalid source"
-    )
+def _symmetrized(q: np.ndarray) -> np.ndarray:
+    """S = D^1/2 Q D^-1/2, D = diag(pi), of a reversible generator Q.
+
+    Detailed balance makes ``S_ij = sqrt(q_ij * q_ji)`` off the diagonal,
+    so S is symmetric without reference to pi; ``S_ii = q_ii``.
+    """
+    s = np.sqrt(q * q.T)
+    np.fill_diagonal(s, np.diag(q))
+    return s
 
 
 def generalized_decay(src: MarkovFluidSource, allocated_capacity: float) -> GeneralizedDecay:
-    """Solve the generalized eigenproblem for one source at its allocated capacity.
+    """Decay rate gamma and eigenvector h with Q h = -gamma diag(r - C) h.
+
+    ``f(theta) = lambda_max(S + theta*diag(u))`` is convex with ``f(0) = 0``
+    and ``f'(0) = mean - C < 0``, and ``f(theta) >= q_jj + theta*u_j``.  So
+    Newton steps ``f/f'``, ``f' = g' diag(u) g`` at the unit top eigenvector
+    g, descend monotonically to gamma from ``min over u_j > 0 of
+    -q_jj/u_j``.  h is pinned to 1 where g peaks; the other equations form a
+    proper principal submatrix of an irreducible Metzler matrix with Perron
+    root 0, which is nonsingular.  h is then scaled to minimum 1.
 
     Requires stability (mean rate < capacity) and a non-degenerate source.
-    A state whose rate equals the capacity makes diag(u) singular; the
-    capacity is then perturbed by 1e-9*C and the solve retried once,
-    downward by preference so the crossing state stays in the drift-
-    nonnegative set (the continuous limit of the bound).
+    Raises ``EigenvectorError`` when h is not positive or misses the
+    residual tolerance.
     """
     if src.n_states < 2:
         raise DegenerateSourceError(
@@ -106,30 +106,39 @@ def generalized_decay(src: MarkovFluidSource, allocated_capacity: float) -> Gene
             f"allocated capacity {c:.6g} at or above the peak rate "
             f"{src.rates.max():.6g}: the queue never builds"
         )
-    rate_scale = max(c, float(np.abs(src.rates).max()))
+    q = src.generator
     u = src.rates - c
-    if np.abs(u).min() <= 1e-12 * rate_scale:
-        # Prefer the downward perturbation: it keeps the zero-drift state in
-        # the crossing set, the continuous limit of the bound.  Fall back to
-        # upward if the stability margin is thinner than the perturbation.
-        c_pert = c * (1.0 - 1e-9)
-        if not src.mean_rate < c_pert:
-            c_pert = c * (1.0 + 1e-9)
-        u = src.rates - c_pert
-        if np.abs(u).min() <= 1e-12 * rate_scale:
-            raise ZeroDriftError(
-                "a state rate equals the allocated capacity even after perturbation"
-            )
-    return _decay_from_drifts(src.generator, u)
+    s, du = _symmetrized(q), np.diag(u)
+    theta = float((-np.diag(q)[u > 0] / u[u > 0]).min())
+    for _ in range(_NEWTON_STEPS):
+        vals, vecs = np.linalg.eigh(s + theta * du)
+        g = vecs[:, -1]
+        step = float(vals[-1] / (g @ (u * g)))
+        if not step > _NEWTON_TOL * theta:
+            break
+        theta -= step
+    else:
+        raise EigenvectorError(f"decay-rate Newton iteration did not converge (theta={theta:.6g})")
+    a = q + theta * du
+    k = int(np.argmax(np.abs(g)))
+    rest = np.arange(len(u)) != k
+    h = np.ones(len(u))
+    h[rest] = np.linalg.solve(-a[np.ix_(rest, rest)], a[rest, k])
+    if not h.min() > 0:
+        raise EigenvectorError(f"eigenvector has a non-positive entry {h.min():.3g}")
+    h /= h.min()
+    residual = float(np.abs(a @ h).max() / h.max())
+    if not residual <= _RESIDUAL_TOL:
+        raise EigenvectorError(f"eigenvector residual {residual:.3g} of its largest entry")
+    return GeneralizedDecay(theta, h, u)
 
 
 def fluid_effective_bandwidth(theta: float, src: MarkovFluidSource) -> float:
-    """alpha_theta = zeta_theta/theta, zeta the largest-real eigenvalue of Q + theta*diag(r)."""
+    """alpha_theta = zeta_theta/theta, zeta the largest eigenvalue of Q + theta*diag(r)."""
     if not theta > 0:
         raise InvalidParamsError(f"theta must be > 0, got {theta}")
-    m = src.generator + theta * np.diag(src.rates)
-    zeta = float(np.linalg.eigvals(m).real.max())
-    return zeta / theta
+    m = _symmetrized(src.generator) + np.diag(theta * src.rates)
+    return float(np.linalg.eigvalsh(m)[-1]) / theta
 
 
 def single_flow_fluid_bound(src: MarkovFluidSource, capacity: float, sigma: float) -> float:
@@ -233,7 +242,7 @@ def general_sample_path_bound(src1: MarkovFluidSource,
         try:
             gd1 = generalized_decay(src1, float(c1))
             gd2 = generalized_decay(src2, float(capacity - c1))
-        except (TrivialScenarioError, UnstableScenarioError, ZeroDriftError):
+        except (TrivialScenarioError, UnstableScenarioError):
             continue
         usable += 1
         consider(gd1, gd2, src1.stationary, src2.stationary, float(c1))
@@ -259,8 +268,6 @@ def mmoo_consistency_check(scenario: Scenario) -> dict:
     closed = martingale_constants(scenario)
     src = aggregate_source(n, params)
     gd = generalized_decay(src, cap)
-    # reconstruct the capacity actually solved for (zero-drift perturbation)
-    cap_eff = float(src.rates[0] - gd.drifts[0])
 
     h = gd.eigenvector
     theta_hats = -np.log(h[1:] / h[:-1])
@@ -268,7 +275,7 @@ def mmoo_consistency_check(scenario: Scenario) -> dict:
     theta_spread = float(np.abs(theta_hats - theta_hat).max())
 
     kn_closed = closed.K ** n
-    kn_general = float(src.stationary @ h) * math.exp(theta_hat * cap_eff / params.peak)
+    kn_general = float(src.stationary @ h) * math.exp(theta_hat * cap / params.peak)
 
     sf = _prefactor(gd, src.stationary, gd.gamma)
     crossing = math.ceil(cap / params.peak) - cap / params.peak

@@ -30,9 +30,7 @@ __all__ = [
     "SchedulerSpec",
     "DelayBound",
     "martingale_constants",
-    "martingale_sample_path_bound",
     "martingale_delay_bound",
-    "martingale_decay_rate",
     "gps_constants",
 ]
 
@@ -102,7 +100,6 @@ class DelayBound:
     value: float
     decay_rate: float
     prefactor: float
-    achieving_parameter: float
     terms: tuple = ()
 
 
@@ -142,16 +139,6 @@ def gps_constants(scenario: Scenario, phi1: float) -> MartingaleConstants:
                       params.peak, c_gps)
 
 
-def martingale_sample_path_bound(scenario: Scenario, u: float, sigma: float) -> float:
-    """K**n * exp(-gamma*(C1*u + sigma)) for the two-aggregate sample-path event."""
-    if u < 0:
-        raise InvalidParamsError(f"u must be >= 0, got {u}")
-    consts = martingale_constants(scenario)
-    return consts.K ** scenario.n * math.exp(
-        -consts.gamma * (scenario.through_capacity * u + sigma)
-    )
-
-
 def martingale_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float) -> DelayBound:
     """Delay-violation bound P(W1 > d) <= value for the through aggregate.
 
@@ -172,25 +159,25 @@ def martingale_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float) -
         consts = gps_constants(scenario, sched.phi1)
         prefactor = consts.K ** scenario.n1
         decay = consts.gamma * sched.phi1 * cap
-        return DelayBound(prefactor * math.exp(-decay * d), decay, prefactor, consts.gamma)
+        return DelayBound(prefactor * math.exp(-decay * d), decay, prefactor)
 
     consts = martingale_constants(scenario)
     kn = consts.K ** n
 
     if sched.kind == "fifo":
         decay = consts.gamma * cap
-        return DelayBound(kn * math.exp(-decay * d), decay, kn, consts.gamma)
+        return DelayBound(kn * math.exp(-decay * d), decay, kn)
 
     if sched.kind == "sp":
         decay = consts.gamma * scenario.through_capacity
-        return DelayBound(kn * math.exp(-decay * d), decay, kn, consts.gamma)
+        return DelayBound(kn * math.exp(-decay * d), decay, kn)
 
     # EDF
     y = sched.d1_star - sched.d2_star
     decay = consts.gamma * cap
     if y >= 0:
         prefactor = kn * math.exp(consts.gamma * scenario.cross_capacity * min(y, d))
-        return DelayBound(prefactor * math.exp(-decay * d), decay, prefactor, consts.gamma)
+        return DelayBound(prefactor * math.exp(-decay * d), decay, prefactor)
     term1_pref = kn * math.exp(consts.gamma * scenario.cross_capacity * y)
     term1 = term1_pref * math.exp(-decay * d)
     c_resc = scenario.n / scenario.n1 * scenario.per_flow_capacity
@@ -205,16 +192,5 @@ def martingale_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float) -
         term2_pref = resc.K ** n
         decay2 = resc.gamma * cap
         term2 = term2_pref * math.exp(-decay2 * d)
-    return DelayBound(term1 + term2, decay, term1_pref, consts.gamma,
+    return DelayBound(term1 + term2, decay, term1_pref,
                       terms=((term1_pref, decay), (term2_pref, decay2)))
-
-
-def martingale_decay_rate(scenario: Scenario, sched: SchedulerSpec) -> float:
-    """Asymptotic decay rate in d: gamma*C for FIFO/EDF, gamma*C1 for SP,
-    gamma_gps*phi1*C for GPS."""
-    if sched.kind == "gps":
-        return gps_constants(scenario, sched.phi1).gamma * sched.phi1 * scenario.capacity
-    consts = martingale_constants(scenario)
-    if sched.kind == "sp":
-        return consts.gamma * scenario.through_capacity
-    return consts.gamma * scenario.capacity

@@ -33,7 +33,6 @@ __all__ = [
     "StandardBoundResult",
     "effective_bandwidth_rate",
     "solve_eb_equation",
-    "standard_sample_path_bound",
     "standard_delay_bound",
 ]
 
@@ -209,17 +208,6 @@ def _scenario_bound(scenario: Scenario, exponent) -> StandardBoundResult:
     """The bound with L = c*e/(c - r_theta) over the interval (0, gamma)."""
     return _optimized_bound(scenario.params, martingale_constants(scenario).gamma,
                             scenario.per_flow_capacity, 1, exponent)
-
-
-def standard_sample_path_bound(scenario: Scenario, u: float, sigma: float) -> StandardBoundResult:
-    """Optimized union/Chernoff sample-path bound (virtual-delay building block)."""
-    if u < 0:
-        raise InvalidParamsError(f"u must be >= 0, got {u}")
-    cap = scenario.capacity
-    n2 = scenario.n2
-    return _scenario_bound(
-        scenario, lambda th, r: -th * (cap - n2 * r) * u - th * sigma
-    )
 
 
 def standard_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float) -> StandardBoundResult:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    EigenvectorError,
     InvalidParamsError,
     NonReversibleError,
     ReducibleChainError,
@@ -174,40 +175,66 @@ def aggregate_generator(n: int, params: MmooParams) -> np.ndarray:
     """
     if n < 1:
         raise InvalidParamsError(f"need n >= 1, got {n}")
+    i = np.arange(n)
     q = np.zeros((n + 1, n + 1))
-    for i in range(n + 1):
-        if i < n:
-            q[i, i + 1] = (n - i) * params.mu
-        if i > 0:
-            q[i, i - 1] = i * params.lam
-        q[i, i] = -q[i].sum()
+    q[i, i + 1] = (n - i) * params.mu
+    q[i + 1, i] = (i + 1) * params.lam
+    np.fill_diagonal(q, -q.sum(axis=1))
     return q
 
 
 def stationary_distribution(q: np.ndarray) -> np.ndarray:
-    """Solve pi Q = 0, sum(pi) = 1 by a dense solve.
+    """Stationary law of a reversible generator by detailed balance.
 
-    One balance equation is replaced by the normalization row; adequate for
-    the few-hundred-state chains used here.
+    A breadth-first spanning tree of the transitions ``q_ij > 0`` from state
+    0 fixes ``log pi_j - log pi_i = log(q_ij / q_ji)`` along each tree edge
+    (Kelly, *Reversibility and Stochastic Networks*, 1979), and the law is
+    normalized.  The log domain keeps tail probabilities far below the
+    largest.  ``MarkovFluidSource`` checks detailed balance off the tree.
+
+    Raises ``ReducibleChainError`` when some state is unreachable from state
+    0, ``NonReversibleError`` when a tree edge has no reverse transition,
+    and ``EigenvectorError`` when a probability underflows to 0.0.
     """
     q = np.asarray(q, dtype=float)
     m = q.shape[0]
     if q.shape != (m, m):
         raise InvalidParamsError(f"generator must be square, got {q.shape}")
-    a = q.T.copy()
-    a[-1, :] = 1.0
-    b = np.zeros(m)
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise ReducibleChainError(f"singular generator: {exc}") from exc
-    scale = max(1.0, float(np.abs(q).max()))
-    residual = float(np.abs(pi @ q).max())
-    if residual > 1e-12 * scale or pi.min() <= 0:
+    rows, cols = np.nonzero(q > 0)  # a diagonal entry never reaches a new state
+    starts = np.searchsorted(rows, np.arange(m + 1))
+    seen = np.zeros(m, dtype=bool)
+    seen[0] = True
+    order, parents = [0], []
+    for i in order:  # grows as the search reaches new states
+        nbr = cols[starts[i]:starts[i + 1]]
+        new = nbr[~seen[nbr]]
+        seen[new] = True
+        order.extend(new.tolist())
+        parents.extend([i] * new.size)
+    if len(order) < m:
         raise ReducibleChainError(
-            f"no strictly positive stationary vector (residual={residual:.3g}, "
-            f"min={pi.min():.3g}); chain is likely reducible"
+            f"{m - len(order)} of {m} states unreachable from state 0; "
+            "the chain is reducible"
+        )
+    child = np.array(order[1:], dtype=np.intp)
+    parent = np.array(parents, dtype=np.intp)
+    back = q[child, parent]
+    if not (back > 0).all():
+        j = int(np.argmin(back > 0))
+        raise NonReversibleError(
+            f"transition {parent[j]} -> {child[j]} has no reverse; "
+            "only reversible modulating chains are supported"
+        )
+    log_pi = [0.0] * m
+    for j, i, step in zip(order[1:], parents, np.log(q[parent, child] / back).tolist()):
+        log_pi[j] = log_pi[i] + step
+    log_pi = np.array(log_pi)
+    pi = np.exp(log_pi - log_pi.max())
+    pi /= pi.sum()
+    if not pi.min() > 0:
+        raise EigenvectorError(
+            f"stationary probability underflows to 0.0 (log ratio to the "
+            f"largest {log_pi.min() - log_pi.max():.4g})"
         )
     return pi
 

@@ -85,15 +85,22 @@ class TestGeneralizedDecay:
             assert (gd.eigenvector > 0).all()
             assert gd.eigenvector.min() == pytest.approx(1.0)
 
-    def test_zero_drift_state_perturbed(self):
-        # state rate 1.0 equals the allocated capacity exactly
+    def test_zero_drift_state_exact(self):
+        # state rate 1.0 equals the allocated capacity exactly; per flow
+        # c = 1/3 and rho = 1/2, so gamma = 0.6 * 0.5 / (2/3) = 0.45
         src = aggregate_source(3, BASE_SOURCE)
         gd = generalized_decay(src, 1.0)
-        assert np.abs(gd.drifts).min() > 0
-        # the perturbed capacity stays within 1e-9 relative of the request
-        assert src.rates[0] - gd.drifts[0] == pytest.approx(1.0, rel=1e-8)
+        assert gd.drifts.tolist() == [-1.0, 0.0, 1.0, 2.0]
+        assert gd.gamma == pytest.approx(0.45, abs=1e-12)
         near = generalized_decay(src, 1.0 + 1e-7)
         assert gd.gamma == pytest.approx(near.gamma, rel=1e-5)
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    @pytest.mark.parametrize("fraction", [0.95, 0.99])
+    def test_near_peak_aggregate_keeps_per_flow_decay(self, n, fraction):
+        gd = generalized_decay(aggregate_source(n, BASE_SOURCE), fraction * n)
+        gamma = martingale_constants(Scenario(n, 0, fraction, BASE_SOURCE)).gamma
+        assert gd.gamma == pytest.approx(gamma, rel=1e-10)
 
 
 class TestFluidEffectiveBandwidth:
@@ -239,7 +246,10 @@ class TestGeneralSamplePathBound:
 
 class TestMmooConsistency:
     def test_reference_scenarios(self):
-        for rho, n1, n2 in ((0.75, 5, 5), (0.9, 10, 10)):
+        # at rho 0.5 the capacity 6 equals the rate of state 6: zero drift;
+        # at n = 50..200 the eigenvector spans up to 31 decades
+        for rho, n1, n2 in ((0.75, 5, 5), (0.9, 10, 10), (0.5, 9, 9),
+                            (0.75, 25, 25), (0.9, 50, 50), (0.75, 100, 100)):
             sc = Scenario.from_utilization(n1, n2, rho, BASE_SOURCE)
             rep = mmoo_consistency_check(sc)
             assert rep["gamma_abs_delta"] <= 1e-8 * rep["gamma_closed"]

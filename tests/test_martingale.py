@@ -13,9 +13,7 @@ from sncbounds import (
     UnstableScenarioError,
     gps_constants,
     martingale_constants,
-    martingale_decay_rate,
     martingale_delay_bound,
-    martingale_sample_path_bound,
 )
 
 BASE_SOURCE = MmooParams(0.5, 0.1, 1.0)
@@ -85,25 +83,32 @@ class TestConstants:
 
 
 class TestSamplePathBound:
+    """The sample-path bound K^n exp(-gamma (C1 u + sigma)) through its
+    instantiations: (u=0, sigma=C d) is FIFO and (u=d, sigma=0) is SP."""
+
     def test_zero_exponent_gives_prefactor(self):
         sc = scenario()
         consts = martingale_constants(sc)
-        assert martingale_sample_path_bound(sc, 0.0, 0.0) == pytest.approx(
-            consts.K ** 10, rel=1e-14)
+        for sched in (SchedulerSpec.fifo(), SchedulerSpec.sp()):
+            assert martingale_delay_bound(sc, sched, 0.0).value == pytest.approx(
+                consts.K ** 10, rel=1e-14)
 
     def test_matches_fifo_instantiation(self):
         sc = scenario()
-        spb = martingale_sample_path_bound(sc, 0.0, sc.capacity * 5.0)
+        consts = martingale_constants(sc)
+
+        def spb(u, sigma):
+            return consts.K ** 10 * math.exp(-consts.gamma * (sc.through_capacity * u + sigma))
+
         fifo = martingale_delay_bound(sc, SchedulerSpec.fifo(), 5.0).value
-        assert spb == pytest.approx(fifo, rel=1e-14)
-        assert spb == pytest.approx(0.1059, abs=5e-5)
+        sp = martingale_delay_bound(sc, SchedulerSpec.sp(), 5.0).value
+        assert fifo == pytest.approx(spb(0.0, sc.capacity * 5.0), rel=1e-14)
+        assert sp == pytest.approx(spb(5.0, 0.0), rel=1e-14)
+        assert fifo == pytest.approx(0.1059, abs=5e-5)
 
     def test_large_sigma_vanishes(self):
-        assert martingale_sample_path_bound(scenario(), 0.0, 1e6) == 0.0
-
-    def test_negative_u_rejected(self):
-        with pytest.raises(InvalidParamsError):
-            martingale_sample_path_bound(scenario(), -1.0, 0.0)
+        sc = scenario()
+        assert martingale_delay_bound(sc, SchedulerSpec.fifo(), 1e6 / sc.capacity).value == 0.0
 
 
 class TestDelayBounds:
@@ -242,20 +247,23 @@ class TestGps:
             SchedulerSpec.gps(1.0)
 
 
+def decay_rate(sc: Scenario, sched: SchedulerSpec) -> float:
+    """Asymptotic decay rate in d, as ``DelayBound.decay_rate`` reports it."""
+    return martingale_delay_bound(sc, sched, 1.0).decay_rate
+
+
 class TestDecayRates:
     def test_table_of_rates(self):
         sc = scenario()
         g = martingale_constants(sc).gamma
-        assert martingale_decay_rate(sc, SchedulerSpec.fifo()) == pytest.approx(
-            3 / 7, rel=1e-12)
-        assert martingale_decay_rate(sc, SchedulerSpec.sp()) == pytest.approx(
-            3 / 14, rel=1e-12)
+        assert decay_rate(sc, SchedulerSpec.fifo()) == pytest.approx(3 / 7, rel=1e-12)
+        assert decay_rate(sc, SchedulerSpec.sp()) == pytest.approx(3 / 14, rel=1e-12)
         for deadlines in ((10.0, 1.0), (1.0, 10.0), (2.0, 2.0)):
-            assert martingale_decay_rate(sc, SchedulerSpec.edf(*deadlines)) == \
+            assert decay_rate(sc, SchedulerSpec.edf(*deadlines)) == \
                 pytest.approx(g * sc.capacity, rel=1e-14)
 
     def test_gps_rate(self):
         sc = scenario()
         consts = gps_constants(sc, 0.45)
-        assert martingale_decay_rate(sc, SchedulerSpec.gps(0.45)) == pytest.approx(
+        assert decay_rate(sc, SchedulerSpec.gps(0.45)) == pytest.approx(
             consts.gamma * 0.45 * sc.capacity, rel=1e-14)

@@ -15,7 +15,6 @@ from sncbounds import (
     martingale_delay_bound,
     solve_eb_equation,
     standard_delay_bound,
-    standard_sample_path_bound,
 )
 
 BASE_SOURCE = MmooParams(0.5, 0.1, 1.0)
@@ -98,9 +97,13 @@ class TestSolveEbEquation:
 
 
 class TestSamplePathBound:
+    """The sample-path bound inf L exp(-theta (C - n2 r_theta) u - theta sigma)
+    through its instantiations: (u=0, sigma=C d) is FIFO, (u=d, sigma=0) is
+    SP and (u=y, sigma=C (d-y)) is EDF with deadline gap y <= d."""
+
     def test_zero_arguments_approach_L_limit(self):
         sc = scenario()
-        res = standard_sample_path_bound(sc, 0.0, 0.0)
+        res = standard_delay_bound(sc, SchedulerSpec.fifo(), 0.0)
         limit = math.e * (2 / 9) / (2 / 9 - 1 / 6)  # = 4e ~ 10.873
         assert limit == pytest.approx(10.873127, abs=1e-5)
         assert res.value >= limit * (1 - 1e-12)
@@ -110,14 +113,14 @@ class TestSamplePathBound:
         sc = scenario()
         gamma = martingale_constants(sc).gamma
         cap, c, n2 = sc.capacity, sc.per_flow_capacity, sc.n2
-        sigma = 5 * cap
+        u = 5.0
 
         def obj(ths):
             r = effective_bandwidth_rate(ths, sc.params)
-            return c * math.e / (c - r) * np.exp(-ths * (cap - n2 * r) * 0.0 - ths * sigma)
+            return c * math.e / (c - r) * np.exp(-ths * (cap - n2 * r) * u)
 
         oracle, _ = grid_oracle(obj, gamma)
-        res = standard_sample_path_bound(sc, 0.0, sigma)
+        res = standard_delay_bound(sc, SchedulerSpec.sp(), u)
         assert res.value == pytest.approx(oracle, rel=1e-3)
         assert res.value <= oracle * (1 + 1e-12)
 
@@ -125,7 +128,7 @@ class TestSamplePathBound:
         # gamma - theta* ~ 1/sigma, so the optimum crowds the right endpoint
         sc = scenario()
         gamma = martingale_constants(sc).gamma
-        res = standard_sample_path_bound(sc, 0.0, 1e4)
+        res = standard_delay_bound(sc, SchedulerSpec.fifo(), 1e4 / sc.capacity)
         assert res.value < 1e-200
         assert res.theta_star < gamma
         assert res.theta_star == pytest.approx(gamma, rel=1e-2)
@@ -133,7 +136,7 @@ class TestSamplePathBound:
     def test_feasible_interval_and_L(self):
         sc = scenario()
         gamma = martingale_constants(sc).gamma
-        res = standard_sample_path_bound(sc, 2.0, 10.0)
+        res = standard_delay_bound(sc, SchedulerSpec.edf(3.0, 1.0), 2.0 + 10.0 / sc.capacity)
         assert 0 < res.theta_star < gamma
         assert res.L > 1.0
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sncbounds import (
+    EigenvectorError,
     InvalidParamsError,
     MarkovFluidSource,
     MmooParams,
@@ -129,6 +130,21 @@ class TestStationaryDistribution:
             ref = np.array([math.comb(n, i) * p**i * (1 - p)**(n - i)
                             for i in range(n + 1)])
             assert np.abs(pi - ref).max() < 1e-10
+
+    @pytest.mark.parametrize("n", [50, 200])
+    def test_binomial_tail_relative(self, n):
+        # detailed balance in the log domain keeps tails far below 1e-16
+        p = BASE_SOURCE.on_probability
+        pi = aggregate_source(n, BASE_SOURCE).stationary
+        i = np.arange(n + 1)
+        log_ref = np.array([math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                            for k in i]) + i * math.log(p) + (n - i) * math.log1p(-p)
+        assert np.abs(pi / np.exp(log_ref) - 1).max() < 1e-11
+
+    def test_underflow_raises_typed_error(self):
+        # pi_1000 = 6**-1000 is far below the smallest double
+        with pytest.raises(EigenvectorError, match="underflow"):
+            aggregate_source(1000, BASE_SOURCE)
 
     def test_two_state(self):
         pi = stationary_distribution(aggregate_generator(1, BASE_SOURCE))
