@@ -9,7 +9,9 @@ with h strictly positive.  Every source is reversible, so Q is similar to
 the symmetric S = D^1/2 Q D^-1/2, D = diag(pi), and gamma is the positive
 root of the convex top eigenvalue lambda_max(S + theta*diag(u)) (Elwalid &
 Mitra, IEEE/ACM ToN 1993).  Newton's method finds it with one symmetric
-eigensolve per step.  h, equal to D^-1/2 g for the top eigenvector g, is
+eigensolve per step, for many capacities at once: each step is one stacked
+``eigh`` over the capacities still iterating, and each capacity stops at its
+own convergence.  h, equal to D^-1/2 g for the top eigenvector g, is
 solved from (Q + gamma*diag(u)) h = 0 directly, which keeps the entries
 that g, far below its largest entry, loses to rounding.  No step divides by
 a drift, so a state whose rate equals C is solved as it stands, without
@@ -20,6 +22,11 @@ The two-flow bound couples two such solutions through a double infimum over
 the capacity split C1 + C2 = C and a common decay gamma <= min(gamma_1,
 gamma_2); eigenvector entries enter with exponents gamma/gamma_k (the power
 that turns each exponential supermartingale into one with common decay).
+The decays of all usable splits come from one lockstep Newton solve per
+flow, the prefactor K is broadcast over the (split, gamma) table, and the
+bound is the first minimum of that table with splits outer.  A single flow
+is the same computation with a one-state partner (h = [1], pi = [1], drift
+0), whose factor in K is 1.
 """
 
 from __future__ import annotations
@@ -77,26 +84,69 @@ def _symmetrized(q: np.ndarray) -> np.ndarray:
     return s
 
 
-def generalized_decay(src: MarkovFluidSource, allocated_capacity: float) -> GeneralizedDecay:
-    """Decay rate gamma and eigenvector h with Q h = -gamma diag(r - C) h.
+def _decays(src: MarkovFluidSource, caps: np.ndarray) -> tuple:
+    """Decay rates, eigenvectors and drifts at every capacity in ``caps``.
 
-    ``f(theta) = lambda_max(S + theta*diag(u))`` is convex with ``f(0) = 0``
-    and ``f'(0) = mean - C < 0``, and ``f(theta) >= q_jj + theta*u_j``.  So
-    Newton steps ``f/f'``, ``f' = g' diag(u) g`` at the unit top eigenvector
-    g, descend monotonically to gamma from ``min over u_j > 0 of
-    -q_jj/u_j``.  h is pinned to 1 where g peaks; the other equations form a
-    proper principal submatrix of an irreducible Metzler matrix with Perron
-    root 0, which is nonsingular.  h is then scaled to minimum 1.
-
-    Requires stability (mean rate < capacity) and a non-degenerate source.
-    Raises ``EigenvectorError`` when h is not positive or misses the
-    residual tolerance.
+    Runs ``generalized_decay``'s Newton iteration for all capacities in
+    lockstep: each step is one stacked ``eigh``, and a lane stops at its own
+    convergence.  Returns ``(gamma, h, drifts)`` of shapes (m,), (m, k) and
+    (m, k).  The caller has checked that every capacity lies strictly
+    between the mean and the peak rate.
     """
+    q = src.generator
+    k = src.n_states
+    eye = np.eye(k)
+    u = src.rates[None, :] - np.asarray(caps, dtype=float)[:, None]
+    ratios = np.full_like(u, np.inf)
+    np.divide(-np.diag(q), u, out=ratios, where=u > 0)
+    theta = ratios.min(axis=1)
+    s = _symmetrized(q)
+    g = np.empty_like(u)
+    live = np.arange(len(u))
+    for _ in range(_NEWTON_STEPS):
+        t, ul = theta[live], u[live]
+        vals, vecs = np.linalg.eigh(s + (t[:, None] * ul)[:, :, None] * eye)
+        g[live] = top = vecs[:, :, -1]
+        # matmul, not einsum: it sums g' diag(u) g in the same order as a dot
+        step = vals[:, -1] / (top[:, None, :] @ (ul * top)[:, :, None])[:, 0, 0]
+        done = ~(step > _NEWTON_TOL * t)
+        theta[live] = np.where(done, t, t - step)
+        live = live[~done]
+        if not live.size:
+            break
+    else:
+        raise EigenvectorError(
+            f"decay-rate Newton iteration did not converge (theta={theta[live[0]]:.6g})"
+        )
+    a = q + (theta[:, None] * u)[:, :, None] * eye
+    # h = 1 where g peaks; the other equations, without that state, give the rest
+    lanes = np.arange(len(u))[:, None]
+    peak = np.argmax(np.abs(g), axis=1)[:, None]
+    rest = np.arange(k - 1)[None, :]
+    rest = rest + (rest >= peak)
+    h = np.ones_like(u)
+    h[lanes, rest] = np.linalg.solve(-a[lanes[:, :, None], rest[:, :, None], rest[:, None, :]],
+                                     a[lanes, rest, peak][:, :, None])[:, :, 0]
+    low = h.min(axis=1)
+    if not (low > 0).all():
+        raise EigenvectorError(f"eigenvector has a non-positive entry {low[~(low > 0)][0]:.3g}")
+    h /= low[:, None]
+    residual = np.abs(a @ h[:, :, None]).max(axis=(1, 2)) / h.max(axis=1)
+    if not (residual <= _RESIDUAL_TOL).all():
+        worst = residual[~(residual <= _RESIDUAL_TOL)][0]
+        raise EigenvectorError(f"eigenvector residual {worst:.3g} of its largest entry")
+    return theta, h, u
+
+
+def _check_states(src: MarkovFluidSource) -> None:
     if src.n_states < 2:
         raise DegenerateSourceError(
             "constant-rate (single-state) source has no eigenstructure"
         )
-    c = float(allocated_capacity)
+
+
+def _check_capacity(src: MarkovFluidSource, c: float) -> None:
+    _check_states(src)
     if not src.mean_rate < c:
         raise UnstableScenarioError(
             f"mean rate {src.mean_rate:.6g} >= allocated capacity {c:.6g}"
@@ -106,31 +156,28 @@ def generalized_decay(src: MarkovFluidSource, allocated_capacity: float) -> Gene
             f"allocated capacity {c:.6g} at or above the peak rate "
             f"{src.rates.max():.6g}: the queue never builds"
         )
-    q = src.generator
-    u = src.rates - c
-    s, du = _symmetrized(q), np.diag(u)
-    theta = float((-np.diag(q)[u > 0] / u[u > 0]).min())
-    for _ in range(_NEWTON_STEPS):
-        vals, vecs = np.linalg.eigh(s + theta * du)
-        g = vecs[:, -1]
-        step = float(vals[-1] / (g @ (u * g)))
-        if not step > _NEWTON_TOL * theta:
-            break
-        theta -= step
-    else:
-        raise EigenvectorError(f"decay-rate Newton iteration did not converge (theta={theta:.6g})")
-    a = q + theta * du
-    k = int(np.argmax(np.abs(g)))
-    rest = np.arange(len(u)) != k
-    h = np.ones(len(u))
-    h[rest] = np.linalg.solve(-a[np.ix_(rest, rest)], a[rest, k])
-    if not h.min() > 0:
-        raise EigenvectorError(f"eigenvector has a non-positive entry {h.min():.3g}")
-    h /= h.min()
-    residual = float(np.abs(a @ h).max() / h.max())
-    if not residual <= _RESIDUAL_TOL:
-        raise EigenvectorError(f"eigenvector residual {residual:.3g} of its largest entry")
-    return GeneralizedDecay(theta, h, u)
+
+
+def generalized_decay(src: MarkovFluidSource, allocated_capacity: float) -> GeneralizedDecay:
+    """Decay rate gamma and eigenvector h with Q h = -gamma diag(r - C) h.
+
+    ``f(theta) = lambda_max(S + theta*diag(u))`` is convex with ``f(0) = 0``
+    and ``f'(0) = mean - C < 0``, and ``f(theta) >= q_jj + theta*u_j``.  So
+    Newton steps ``f/f'``, ``f' = g' diag(u) g`` at the unit top eigenvector
+    g, descend monotonically to gamma from ``min over u_j > 0 of
+    -q_jj/u_j``.  h is pinned to 1 where g peaks; the other equations form a
+    proper principal submatrix of an irreducible Metzler matrix with Perron
+    root 0, which is nonsingular.  h is then scaled to minimum 1.  This is
+    the one-lane call to ``_decays``.
+
+    Requires stability (mean rate < capacity) and a non-degenerate source.
+    Raises ``EigenvectorError`` when h is not positive or misses the
+    residual tolerance.
+    """
+    c = float(allocated_capacity)
+    _check_capacity(src, c)
+    gamma, h, u = _decays(src, np.array([c]))
+    return GeneralizedDecay(float(gamma[0]), h[0], u[0])
 
 
 def fluid_effective_bandwidth(theta: float, src: MarkovFluidSource) -> float:
@@ -144,17 +191,7 @@ def fluid_effective_bandwidth(theta: float, src: MarkovFluidSource) -> float:
 def single_flow_fluid_bound(src: MarkovFluidSource, capacity: float, sigma: float) -> float:
     """Steady-state bound P(Q > sigma) <= prefactor * exp(-gamma*sigma)."""
     gd = generalized_decay(src, capacity)
-    return _prefactor(gd, src.stationary, gd.gamma) * math.exp(-gd.gamma * sigma)
-
-
-def _prefactor(gd: GeneralizedDecay, pi: np.ndarray, gamma: float) -> float:
-    """Single-source prefactor pi.e / min e at decay ``gamma``, e = h**(gamma/gamma_1).
-
-    The min runs over the drift-nonnegative states, the states reachable when
-    the queue crosses a level.
-    """
-    e = gd.eigenvector ** (gamma / gd.gamma)
-    return float(pi @ e) / float(e[gd.drifts >= 0].min())
+    return _own_prefactor(gd, src.stationary) * math.exp(-gd.gamma * sigma)
 
 
 @dataclass(frozen=True)
@@ -174,14 +211,40 @@ class GeneralBoundResult:
     c1: float
 
 
-def _k_factor(gd1: GeneralizedDecay, gd2: GeneralizedDecay,
-              pi1: np.ndarray, pi2: np.ndarray, gamma: float) -> float:
-    e1 = gd1.eigenvector ** (gamma / gd1.gamma)
-    e2 = gd2.eigenvector ** (gamma / gd2.gamma)
-    num = float(pi1 @ e1) * float(pi2 @ e2)
-    feasible = gd1.drifts[:, None] + gd2.drifts[None, :] >= 0
-    den = float((e1[:, None] * e2[None, :])[feasible].min())
-    return num / den
+def _alone(m: int) -> tuple:
+    """The one-state partner of m splits, ``((gamma, h, drifts), pi)``.
+
+    gamma is inf, h = [1], the drift 0 and pi = [1], so its factor in K is 1
+    and every state of the other flow with drift >= 0 stays feasible.
+    """
+    return (np.full(m, np.inf), np.ones((m, 1)), np.zeros((m, 1))), np.ones(1)
+
+
+def _k_factor(gammas: np.ndarray, d1: tuple, pi1: np.ndarray,
+              d2: tuple, pi2: np.ndarray) -> np.ndarray:
+    """K = pi1.e1 * pi2.e2 / min over feasible (i, j) of e1_i e2_j, per (split, gamma).
+
+    ``d1`` and ``d2`` are ``_decays`` results over the same m splits, and
+    ``gammas`` is (m, G); ``e_k = h_k ** (gamma/gamma_k)``.  A pair of states
+    is feasible when its drifts sum to >= 0: the states the queue can be in
+    as it crosses a level.  ``x ** a`` is increasing in x for a >= 0, so the
+    min over feasible j of e2_j is the power of the min of h2_j, and the
+    (m, k1, k2) mask is needed once per split, not per gamma.
+    """
+    (g1, h1, u1), (g2, h2, u2) = d1, d2
+    feasible = u1[:, :, None] + u2[:, None, :] >= 0
+    low2 = np.where(feasible, h2[:, None, :], np.inf).min(axis=2)
+    a1 = (gammas / g1[:, None])[:, :, None]
+    a2 = (gammas / g2[:, None])[:, :, None]
+    e1 = h1[:, None, :] ** a1
+    pairs = np.where(feasible.any(axis=2)[:, None, :], e1 * low2[:, None, :] ** a2, np.inf)
+    return (e1 @ pi1) * (h2[:, None, :] ** a2 @ pi2) / pairs.min(axis=2)
+
+
+def _own_prefactor(gd: GeneralizedDecay, pi: np.ndarray) -> float:
+    """Single-source prefactor at its own decay: pi.h / min of h over drift >= 0."""
+    lane = (np.array([gd.gamma]), gd.eigenvector[None], gd.drifts[None])
+    return float(_k_factor(np.array([[gd.gamma]]), lane, pi, *_alone(1))[0, 0])
 
 
 def general_sample_path_bound(src1: MarkovFluidSource,
@@ -190,65 +253,67 @@ def general_sample_path_bound(src1: MarkovFluidSource,
                               grid: GridConfig = GridConfig()) -> GeneralBoundResult:
     """Double infimum over capacity splits and the common decay rate.
 
-    ``src2=None`` (or an all-silent source) removes the cross flow: the split
-    degenerates to C1 = C and the bound reduces to the single-flow machinery
-    with the remaining infimum over gamma in [0, gamma_1].
+    The bound ``K(c1, gamma) * exp(-gamma*(c1*u + sigma))`` is evaluated on
+    the whole (split, gamma) table at once, and the first minimum in C
+    order (c1 outer, gamma inner) wins.  ``src2=None`` (or an all-silent
+    source) removes the cross flow: the split degenerates to C1 = C, the
+    partner has one silent state, and the remaining infimum runs over gamma
+    in [0, gamma_1].
     """
-    if u < 0:
-        raise InvalidParamsError(f"u must be >= 0, got {u}")
+    for name, x in (("u", u), ("sigma", sigma)):
+        if not (math.isfinite(x) and x >= 0):
+            raise InvalidParamsError(f"{name} must be finite and >= 0, got {x}")
+    if grid.gamma_values is None and not grid.gamma_points >= 1:
+        raise InvalidParamsError(f"gamma_points must be >= 1, got {grid.gamma_points}")
+    if grid.c1_values is None and not grid.c1_points >= 1:
+        raise InvalidParamsError(f"c1_points must be >= 1, got {grid.c1_points}")
     if src2 is not None and not src2.rates.any():
         src2 = None
 
-    best = GeneralBoundResult(math.inf, math.nan, math.nan)
-
-    def consider(gd1: GeneralizedDecay, gd2: Optional[GeneralizedDecay],
-                 pi1, pi2, c1: float):
-        nonlocal best
-        gmax = gd1.gamma if gd2 is None else min(gd1.gamma, gd2.gamma)
-        if grid.gamma_values is not None:
-            gammas = np.asarray(grid.gamma_values, dtype=float)
-            # keep points equal to gmax up to rounding of the eigen solve
-            gammas = gammas[(gammas >= 0) & (gammas <= gmax * (1 + 1e-9))]
-            gammas = np.minimum(gammas, gmax)
-        else:
-            gammas = np.linspace(0.0, gmax, grid.gamma_points)
-        for g in gammas:
-            if gd2 is None:
-                k = _prefactor(gd1, pi1, g)
-            else:
-                k = _k_factor(gd1, gd2, pi1, pi2, g)
-            val = k * math.exp(-g * (c1 * u + sigma))
-            if val < best.value:
-                best = GeneralBoundResult(val, float(g), c1)
-
     if src2 is None:
-        gd1 = generalized_decay(src1, capacity)
-        consider(gd1, None, src1.stationary, None, capacity)
-        return best
-
-    m1, m2 = src1.mean_rate, src2.mean_rate
-    width = capacity - m1 - m2
-    if width <= 0:
-        raise NoFeasibleSplitError(
-            f"total mean rate {m1 + m2:.6g} >= capacity {capacity:.6g}"
-        )
-    if grid.c1_values is not None:
-        c1_list = np.asarray(grid.c1_values, dtype=float)
+        c1 = np.array([float(capacity)])
+        _check_capacity(src1, c1[0])
+        d1 = _decays(src1, c1)
+        d2, pi2 = _alone(1)
     else:
-        steps = np.arange(1, grid.c1_points + 1) / (grid.c1_points + 1)
-        c1_list = m1 + width * steps
-    usable = 0
-    for c1 in c1_list:
-        try:
-            gd1 = generalized_decay(src1, float(c1))
-            gd2 = generalized_decay(src2, float(capacity - c1))
-        except (TrivialScenarioError, UnstableScenarioError):
-            continue
-        usable += 1
-        consider(gd1, gd2, src1.stationary, src2.stationary, float(c1))
-    if not usable:
-        raise NoFeasibleSplitError("no capacity split admits both eigenproblems")
-    return best
+        m1, m2 = src1.mean_rate, src2.mean_rate
+        width = capacity - m1 - m2
+        if width <= 0:
+            raise NoFeasibleSplitError(
+                f"total mean rate {m1 + m2:.6g} >= capacity {capacity:.6g}"
+            )
+        _check_states(src1)
+        _check_states(src2)
+        if grid.c1_values is not None:
+            c1 = np.asarray(grid.c1_values, dtype=float)
+        else:
+            c1 = m1 + width * (np.arange(1, grid.c1_points + 1) / (grid.c1_points + 1))
+        c2 = capacity - c1
+        # the splits at which both eigenproblems are neither unstable nor trivial
+        usable = ((m1 < c1) & (c1 < src1.rates.max())
+                  & (m2 < c2) & (c2 < src2.rates.max()))
+        if not usable.any():
+            raise NoFeasibleSplitError("no capacity split admits both eigenproblems")
+        c1 = c1[usable]
+        d1, d2 = _decays(src1, c1), _decays(src2, c2[usable])
+        pi2 = src2.stationary
+
+    gmax = np.minimum(d1[0], d2[0])[:, None]
+    if grid.gamma_values is None:
+        gammas = np.linspace(0.0, gmax[:, 0], grid.gamma_points, axis=1)
+        kept = np.ones(gammas.shape, dtype=bool)
+    else:
+        gv = np.asarray(grid.gamma_values, dtype=float)
+        # keep points equal to gmax up to rounding of the eigen solve
+        kept = (gv >= 0) & (gv <= gmax * (1 + 1e-9))
+        if not kept.any():
+            raise InvalidParamsError("no gamma value lies in [0, gamma_max] of any split")
+        gammas = np.where(kept, np.minimum(gv, gmax), 0.0)
+    table = _k_factor(gammas, d1, src1.stationary, d2, pi2) \
+        * np.exp(-gammas * (c1[:, None] * u + sigma))
+    table = np.where(kept, table, np.inf)
+    i, j = np.unravel_index(np.argmin(table), table.shape)
+    return GeneralBoundResult(float(table[i, j]), float(gammas[i, j]), float(c1[i]))
 
 
 def mmoo_consistency_check(scenario: Scenario) -> dict:
@@ -277,7 +342,7 @@ def mmoo_consistency_check(scenario: Scenario) -> dict:
     kn_closed = closed.K ** n
     kn_general = float(src.stationary @ h) * math.exp(theta_hat * cap / params.peak)
 
-    sf = _prefactor(gd, src.stationary, gd.gamma)
+    sf = _own_prefactor(gd, src.stationary)
     crossing = math.ceil(cap / params.peak) - cap / params.peak
     sf_predicted = kn_closed * math.exp(closed.theta * crossing)
 

@@ -258,6 +258,8 @@ class MarkovFluidSource:
             raise InvalidParamsError(
                 f"generator {q.shape} and rates {r.shape} are inconsistent"
             )
+        if not (np.isfinite(q).all() and np.isfinite(r).all()):
+            raise InvalidParamsError("generator entries and rates must be finite")
         scale = max(1.0, float(np.abs(q).max()))
         off = q - np.diag(np.diag(q))
         if off.min() < -1e-12 * scale:

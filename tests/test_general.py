@@ -22,6 +22,8 @@ from sncbounds import (
     mmoo_consistency_check,
     single_flow_fluid_bound,
 )
+from sncbounds.general import _decays
+from general_reference import scalar_bound, scalar_decay
 
 BASE_SOURCE = MmooParams(0.5, 0.1, 1.0)
 
@@ -242,6 +244,108 @@ class TestGeneralSamplePathBound:
         res = general_sample_path_bound(src, src, cap, 0.0, 0.0,
                                         GridConfig(gamma_values=np.array([0.0])))
         assert res.value == pytest.approx(1.0)
+
+
+class TestGeneralBoundValidation:
+    SRC = aggregate_source(3, BASE_SOURCE)
+    CAP = 6 * (2 / 9)
+
+    @pytest.mark.parametrize("u, sigma", [(0.0, -1.0), (0.0, math.nan), (0.0, math.inf),
+                                          (math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0)])
+    def test_bad_u_or_sigma_rejected(self, u, sigma):
+        for src2 in (self.SRC, None):
+            with pytest.raises(InvalidParamsError):
+                general_sample_path_bound(self.SRC, src2, self.CAP, u, sigma)
+
+    def test_zero_gamma_points_rejected(self):
+        for src2 in (self.SRC, None):
+            with pytest.raises(InvalidParamsError, match="gamma_points"):
+                general_sample_path_bound(self.SRC, src2, self.CAP, 0.0, 1.0,
+                                          GridConfig(gamma_points=0))
+
+    def test_gamma_values_outside_every_range_rejected(self):
+        for src2 in (self.SRC, None):
+            with pytest.raises(InvalidParamsError, match="gamma value"):
+                general_sample_path_bound(self.SRC, src2, self.CAP, 0.0, 1.0,
+                                          GridConfig(gamma_values=np.array([-1.0, 50.0])))
+
+    def test_zero_c1_points_rejected(self):
+        with pytest.raises(InvalidParamsError, match="c1_points"):
+            general_sample_path_bound(self.SRC, self.SRC, self.CAP, 0.0, 1.0,
+                                      GridConfig(c1_points=0))
+
+
+class TestScalarOracle:
+    """The (split, gamma) table against the scalar double loop it replaced."""
+
+    @staticmethod
+    def assert_same(src1, src2, cap, u, sigma, **grid):
+        got = general_sample_path_bound(src1, src2, cap, u, sigma, GridConfig(**grid))
+        ref = scalar_bound(src1, src2, cap, u, sigma, **grid)
+        assert got.gamma == ref.gamma
+        assert got.c1 == ref.c1
+        assert got.value == pytest.approx(ref.value, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("rho", [0.5, 0.75, 0.9])
+    @pytest.mark.parametrize("u, sigma", [(0.0, 5.0), (1.0, 2.0), (3.0, 20.0)])
+    def test_default_grid(self, n, rho, u, sigma):
+        src = aggregate_source(n, BASE_SOURCE)
+        self.assert_same(src, src, 2 * src.mean_rate / rho, u, sigma)
+
+    def test_explicit_values(self):
+        src1 = aggregate_source(4, BASE_SOURCE)
+        src2 = aggregate_source(2, BASE_SOURCE)
+        cap = 6 * (2 / 9)
+        # below the mean, the trivial top and NaN are skipped as infeasible
+        c1s = np.array([0.1, 0.7, 0.8, math.nan, 0.9, 1.0, 1.3])
+        gammas = np.array([-0.1, 0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 2.0])
+        for u, sigma in ((0.0, 5.0), (1.0, 2.0)):
+            self.assert_same(src1, src2, cap, u, sigma, c1_values=c1s, gamma_values=gammas)
+            self.assert_same(src1, src2, cap, u, sigma, c1_values=c1s, gamma_points=9)
+            self.assert_same(src1, src2, cap, u, sigma, c1_points=7, gamma_values=gammas)
+
+    def test_zero_drift_pairs(self):
+        # C and the dyadic splits are exact, so pairs with drift sum 0.0 are
+        # feasible, and they are where the min over feasible pairs lies
+        src = aggregate_source(3, BASE_SOURCE)
+        c1s = np.array([0.625, 0.75, 0.875, 1.0, 1.25])
+        self.assert_same(src, src, 2.0, 0.0, 1.0, c1_values=c1s)
+        self.assert_same(src, None, 1.0, 0.0, 1.0)
+
+    def test_random_sources(self):
+        rng = np.random.default_rng(41)
+        for _ in range(5):
+            src1, src2 = random_birth_death(rng), random_birth_death(rng)
+            spare = src1.rates.max() + src2.rates.max() - src1.mean_rate - src2.mean_rate
+            cap = src1.mean_rate + src2.mean_rate + rng.uniform(0.2, 0.8) * spare
+            self.assert_same(src1, src2, cap, 1.0, 3.0, c1_points=16, gamma_points=16)
+
+    @pytest.mark.parametrize("rho", [0.5, 0.75, 0.9])
+    def test_single_flow(self, rho):
+        src = aggregate_source(4, BASE_SOURCE)
+        cap = src.mean_rate / rho
+        silent = MarkovFluidSource(np.array([[-1.0, 1.0], [1.0, -1.0]]),
+                                   np.array([0.0, 0.0]))
+        for src2 in (None, silent):
+            self.assert_same(src, src2, cap, 0.0, 5.0)
+            self.assert_same(src, src2, cap, 3.0, 20.0,
+                             gamma_values=np.array([0.0, 0.1, 0.2, 1.0]))
+
+    def test_lockstep_decays_match_each_lane(self):
+        rng = np.random.default_rng(29)
+        sources = [aggregate_source(n, BASE_SOURCE) for n in (1, 4, 9)]
+        sources += [random_birth_death(rng) for _ in range(10)]
+        for src in sources:
+            lo, hi = src.mean_rate, src.rates.max()
+            caps = lo + np.linspace(0.1, 0.9, 9) * (hi - lo)
+            gammas, hs, drifts = _decays(src, caps)
+            for c, gamma, h, u in zip(caps, gammas, hs, drifts):
+                lane = generalized_decay(src, c)
+                assert gamma == pytest.approx(lane.gamma, rel=1e-12, abs=0)
+                assert gamma == pytest.approx(scalar_decay(src, c).gamma, rel=1e-12, abs=0)
+                assert np.allclose(h, lane.eigenvector, rtol=1e-12, atol=0)
+                assert np.array_equal(u, lane.drifts)
 
 
 class TestMmooConsistency:

@@ -184,6 +184,16 @@ class TestMarkovFluidSource:
         with pytest.raises(InvalidParamsError):
             MarkovFluidSource(np.array([[-1.0, 2.0], [1.0, -1.0]]), np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_generator_rejected(self, bad):
+        with pytest.raises(InvalidParamsError, match="finite"):
+            MarkovFluidSource(np.array([[-1.0, 1.0], [1.0, bad]]), np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, bad):
+        with pytest.raises(InvalidParamsError, match="finite"):
+            MarkovFluidSource(np.array([[-1.0, 1.0], [1.0, -1.0]]), np.array([0.0, bad]))
+
 
 class TestSamplePath:
     def test_zero_horizon_rejected(self):
