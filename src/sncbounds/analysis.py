@@ -156,8 +156,8 @@ class AdmissionQuery:
     def __post_init__(self):
         if not 0 < self.epsilon <= 1:
             raise InvalidParamsError("epsilon must lie in (0, 1]")
-        if self.d < 0 or self.capacity <= 0:
-            raise InvalidParamsError("need d >= 0 and capacity > 0")
+        if not (self.d >= 0 and 0 < self.capacity < math.inf):
+            raise InvalidParamsError("need d >= 0 and a finite capacity > 0")
         if self.method not in ("martingale", "standard"):
             raise InvalidParamsError(f"method must be martingale|standard, got {self.method!r}")
 
@@ -178,8 +178,10 @@ def _violation(q: AdmissionQuery, n: int) -> float:
 def admission_max_flows(q: AdmissionQuery) -> dict:
     """Largest even n with rho < 1 and violation bound <= epsilon.
 
-    Returns n_max = 0 when nothing is admissible; the stability cap (largest
-    even n with n*p*P < C) is always reported.
+    Scans down from the stability cap (largest even n with n*p*P < C) and
+    stops at the first admissible n, so flow counts below the answer are
+    never evaluated.  Returns n_max = 0 when nothing is admissible; the
+    stability cap is always reported.
     """
     mean = q.params.mean_rate
     cap_n = 0
@@ -187,10 +189,7 @@ def admission_max_flows(q: AdmissionQuery) -> dict:
     while n * mean < q.capacity:
         cap_n = n
         n += 2
-    n_max = 0
-    for n in range(2, cap_n + 1, 2):
-        if _violation(q, n) <= q.epsilon:
-            n_max = n
+    n_max = next((n for n in range(cap_n, 0, -2) if _violation(q, n) <= q.epsilon), 0)
     return {
         "n_max": n_max,
         "stability_cap": cap_n,

@@ -8,15 +8,29 @@ allocated capacity C solves the generalized eigenproblem
 with h strictly positive.  Every source is reversible, so Q is similar to
 the symmetric S = D^1/2 Q D^-1/2, D = diag(pi), and gamma is the positive
 root of the convex top eigenvalue lambda_max(S + theta*diag(u)) (Elwalid &
-Mitra, IEEE/ACM ToN 1993).  Newton's method finds it with one symmetric
-eigensolve per step, for many capacities at once: each step is one stacked
-``eigh`` over the capacities still iterating, and each capacity stops at its
-own convergence.  h, equal to D^-1/2 g for the top eigenvector g, is
-solved from (Q + gamma*diag(u)) h = 0 directly, which keeps the entries
-that g, far below its largest entry, loses to rounding.  No step divides by
-a drift, so a state whose rate equals C is solved as it stands, without
-perturbing the capacity.  The effective bandwidth is the top eigenvalue of
-the same symmetric matrix with u replaced by r.
+Mitra, IEEE/ACM ToN 1993).  For 0 < theta, theta < gamma exactly when
+-(Q + theta*diag(u)) is a nonsingular M-matrix.  Two paths solve it, and
+the generator's structure alone picks one:
+
+- A birth-death generator (``q_ij = 0`` whenever ``|i - j| > 1``), which
+  every source built here is, is solved with no matrix at all.  The pivots
+  of -(Q + theta*diag(u)) follow a three-term recursion, O(k) on Python
+  floats.  Bisection on their signs brackets gamma.  Newton's method then
+  runs on the twisted pivot at the eigenvector's peak p (Dhillon & Parlett,
+  Linear Algebra Appl. 2004), which is concave in theta and zero at gamma.
+  h is the product of pivot ratios outward from p.
+- Any other reversible generator runs Newton's method on lambda_max, with
+  one symmetric eigensolve per step, for many capacities at once: each step
+  is one stacked ``eigh`` over the capacities still iterating, and each
+  capacity stops at its own convergence.  h, equal to D^-1/2 g for the top
+  eigenvector g, is solved from (Q + gamma*diag(u)) h = 0 directly, pinned
+  where g peaks.  That keeps the entries that g loses to rounding far below
+  its largest entry.
+
+Both paths check that h is positive and meets the residual tolerance.  No
+step divides by a drift, so a state whose rate equals C is solved as it
+stands, without perturbing the capacity.  The effective bandwidth is the top
+eigenvalue of S + theta*diag(r).
 
 The two-flow bound couples two such solutions through a double infimum over
 the capacity split C1 + C2 = C and a common decay gamma <= min(gamma_1,
@@ -84,22 +98,154 @@ def _symmetrized(q: np.ndarray) -> np.ndarray:
     return s
 
 
+def _excesses(theta: float, a: list, b: list, u: list, stop: int):
+    """Pivot excesses of -(Q + theta*diag(u)) over states 0..stop-1.
+
+    ``a[i] = q_{i,i+1}`` and ``b[i] = q_{i+1,i}``.  The pivot of the
+    unpivoted LU at state i is ``F_i = a_i + e_i``, with the excess ``e_i =
+    z_{i-1} - theta*u_i`` and ``z_i = b_i e_i / F_i``.  This uses the zero
+    row sums of Q in place of its diagonal (as Grassmann, Taksar & Heyman,
+    Oper. Res. 1985, do at theta = 0), so e, which is O(theta), carries no
+    cancellation of the O(q) diagonal.
+    Returns the excesses, the ``z`` that state ``stop`` adds to its own
+    excess, and its derivative in theta; None as soon as a pivot is not
+    positive.  On reversed lists the same sweep runs backwards.
+    """
+    excess = []
+    z = dz = 0.0
+    for _, ai, bi, ui in zip(range(stop), a, b, u):
+        e = z - theta * ui
+        f = ai + e
+        if not f > 0:
+            return None
+        excess.append(e)
+        z = bi * e / f
+        dz = bi * ai * (dz - ui) / (f * f)
+    return excess, z, dz
+
+
+def _below_gamma(theta: float, a: list, b: list, u: list) -> bool:
+    """True when every pivot of -(Q + theta*diag(u)) is positive: theta < gamma."""
+    z = 0.0
+    for ai, bi, ui in zip(a, b, u):
+        e = z - theta * ui
+        f = ai + e
+        if not f > 0:
+            return False
+        z = bi * e / f
+    return True
+
+
+def _birth_death_lane(up: list, down: list, u: list, theta: float) -> tuple:
+    """gamma and h of one birth-death lane by three-term recursions on floats.
+
+    ``up[i] = q_{i,i+1}`` and ``down[i] = q_{i+1,i}``, and ``theta`` lies
+    above gamma.  For theta > 0, theta < gamma exactly when every pivot of
+    -(Q + theta*diag(u)) is positive (a nonsingular M-matrix); bisection on
+    that test gives a bracket of relative width 1e-3.  At its lower end the
+    twisted pivots are smallest at the peak p of the eigenvector (Dhillon &
+    Parlett, Linear Algebra Appl. 2004).  The twisted pivot at p, the Schur
+    complement ``min over x_p = 1 of -x'(S + theta*diag(u))x``, is concave
+    in theta and zero at gamma, so Newton's method on it descends to gamma
+    from the bracket's upper end; a step that leaves the bracket is
+    replaced by bisection.  h is pinned to 1 at p and continued outwards
+    through the forward pivots F below p (``F_i h_i = q_{i,i+1} h_{i+1}``)
+    and the backward pivots B above it (``B_i h_i = q_{i,i-1} h_{i-1}``):
+    products of positive numbers, so the tail keeps its relative accuracy.
+    """
+    k = len(u)
+    fwd = up + [0.0], down + [0.0], u
+    bwd = down[::-1] + [0.0], up[::-1] + [0.0], u[::-1]
+    lo, hi = 0.0, theta
+    while hi - lo > 1e-3 * hi:
+        mid = 0.5 * (lo + hi)
+        if _below_gamma(mid, *fwd):
+            lo = mid
+        else:
+            hi = mid
+    ahead, behind = _excesses(lo, *fwd, k), _excesses(lo, *bwd, k)
+    if ahead is None or behind is None:
+        raise EigenvectorError(f"decay rate {lo:.3g} is below the rounding of the pivots")
+    ef, eb = ahead[0], behind[0][::-1]
+    # twisted pivot at i: the forward excess plus what state i+1 passes back
+    twisted = [e + a * x / (b + x) for e, a, b, x in zip(ef, up, down, eb[1:])] + [ef[-1]]
+    p = twisted.index(min(twisted))
+    theta = hi
+    for _ in range(_NEWTON_STEPS):
+        left, right = _excesses(theta, *fwd, p), _excesses(theta, *bwd, k - 1 - p)
+        if left is None or right is None:  # a pivot off p fails: theta is above gamma
+            hi = theta
+            theta = 0.5 * (lo + hi)
+            continue
+        s = left[1] + right[1] - theta * u[p]
+        ds = left[2] + right[2] - u[p]
+        if s < 0:
+            hi = theta
+        elif s > 0:
+            lo = theta
+        step = s / ds if ds < 0 else math.nan  # a slope >= 0 falls back to bisection
+        # near gamma, rounding in s can outweigh the tolerance; the bracket cannot
+        if abs(step) <= _NEWTON_TOL * theta or hi - lo <= _NEWTON_TOL * theta:
+            break
+        theta -= step
+        if not lo < theta < hi:
+            theta = 0.5 * (lo + hi)
+    else:
+        raise EigenvectorError(
+            f"decay-rate Newton iteration did not converge (theta={theta:.6g})"
+        )
+    h = [1.0] * k
+    for i in range(p - 1, -1, -1):
+        h[i] = up[i] * h[i + 1] / (up[i] + left[0][i])
+    for i in range(p + 1, k):
+        h[i] = down[i - 1] * h[i - 1] / (down[i - 1] + right[0][k - 1 - i])
+    return theta, h
+
+
 def _decays(src: MarkovFluidSource, caps: np.ndarray) -> tuple:
     """Decay rates, eigenvectors and drifts at every capacity in ``caps``.
 
-    Runs ``generalized_decay``'s Newton iteration for all capacities in
-    lockstep: each step is one stacked ``eigh``, and a lane stops at its own
-    convergence.  Returns ``(gamma, h, drifts)`` of shapes (m,), (m, k) and
-    (m, k).  The caller has checked that every capacity lies strictly
-    between the mean and the peak rate.
+    A birth-death generator (``q_ij = 0`` whenever ``|i - j| > 1``) is
+    solved lane by lane by ``_birth_death_lane``.  Any other generator runs
+    ``generalized_decay``'s Newton iteration for all capacities in lockstep:
+    each step is one stacked ``eigh``, and a lane stops at its own
+    convergence.  Both paths share the positivity and residual checks.
+    Returns ``(gamma, h, drifts)`` of shapes (m,), (m, k) and (m, k).  The
+    caller has checked that every capacity lies strictly between the mean
+    and the peak rate.
     """
     q = src.generator
-    k = src.n_states
-    eye = np.eye(k)
     u = src.rates[None, :] - np.asarray(caps, dtype=float)[:, None]
     ratios = np.full_like(u, np.inf)
     np.divide(-np.diag(q), u, out=ratios, where=u > 0)
     theta = ratios.min(axis=1)
+    if np.triu(q, 2).any() or np.tril(q, -2).any():
+        theta, h = _dense_lanes(q, u, theta)
+    else:
+        up, down = np.diag(q, 1).tolist(), np.diag(q, -1).tolist()
+        lanes = [_birth_death_lane(up, down, ul, t) for ul, t in zip(u.tolist(), theta.tolist())]
+        theta = np.array([t for t, _ in lanes])
+        h = np.array([hl for _, hl in lanes])
+    low = h.min(axis=1)
+    if not (low > 0).all():
+        raise EigenvectorError(f"eigenvector has a non-positive entry {low[~(low > 0)][0]:.3g}")
+    h /= low[:, None]
+    residual = np.abs(h @ q.T + theta[:, None] * u * h).max(axis=1) / h.max(axis=1)
+    if not (residual <= _RESIDUAL_TOL).all():
+        worst = residual[~(residual <= _RESIDUAL_TOL)][0]
+        raise EigenvectorError(f"eigenvector residual {worst:.3g} of its largest entry")
+    return theta, h, u
+
+
+def _dense_lanes(q: np.ndarray, u: np.ndarray, theta: np.ndarray) -> tuple:
+    """Lockstep Newton from ``theta`` for any reversible generator: ``(gamma, h)``.
+
+    Each step is one stacked ``eigh`` of S + theta*diag(u) over the lanes
+    still iterating.  h is pinned to 1 where the top eigenvector g peaks and
+    solved from the other equations of (Q + gamma*diag(u)) h = 0.
+    """
+    k = q.shape[0]
+    eye = np.eye(k)
     s = _symmetrized(q)
     g = np.empty_like(u)
     live = np.arange(len(u))
@@ -127,15 +273,7 @@ def _decays(src: MarkovFluidSource, caps: np.ndarray) -> tuple:
     h = np.ones_like(u)
     h[lanes, rest] = np.linalg.solve(-a[lanes[:, :, None], rest[:, :, None], rest[:, None, :]],
                                      a[lanes, rest, peak][:, :, None])[:, :, 0]
-    low = h.min(axis=1)
-    if not (low > 0).all():
-        raise EigenvectorError(f"eigenvector has a non-positive entry {low[~(low > 0)][0]:.3g}")
-    h /= low[:, None]
-    residual = np.abs(a @ h[:, :, None]).max(axis=(1, 2)) / h.max(axis=1)
-    if not (residual <= _RESIDUAL_TOL).all():
-        worst = residual[~(residual <= _RESIDUAL_TOL)][0]
-        raise EigenvectorError(f"eigenvector residual {worst:.3g} of its largest entry")
-    return theta, h, u
+    return theta, h
 
 
 def _check_states(src: MarkovFluidSource) -> None:
@@ -163,12 +301,14 @@ def generalized_decay(src: MarkovFluidSource, allocated_capacity: float) -> Gene
 
     ``f(theta) = lambda_max(S + theta*diag(u))`` is convex with ``f(0) = 0``
     and ``f'(0) = mean - C < 0``, and ``f(theta) >= q_jj + theta*u_j``.  So
-    Newton steps ``f/f'``, ``f' = g' diag(u) g`` at the unit top eigenvector
-    g, descend monotonically to gamma from ``min over u_j > 0 of
-    -q_jj/u_j``.  h is pinned to 1 where g peaks; the other equations form a
-    proper principal submatrix of an irreducible Metzler matrix with Perron
-    root 0, which is nonsingular.  h is then scaled to minimum 1.  This is
-    the one-lane call to ``_decays``.
+    gamma lies in (0, min over u_j > 0 of -q_jj/u_j].  A birth-death source
+    is solved from that bracket by pivot recursions (``_birth_death_lane``).
+    Any other source takes Newton steps ``f/f'``, ``f' = g' diag(u) g`` at the
+    unit top eigenvector g, which descend monotonically to gamma from the
+    bracket's upper end.  Either way h is pinned to 1 where g peaks; the
+    other equations form a proper principal submatrix of an irreducible
+    Metzler matrix with Perron root 0, which is nonsingular.  h is then
+    scaled to minimum 1.  This is the one-lane call to ``_decays``.
 
     Requires stability (mean rate < capacity) and a non-degenerate source.
     Raises ``EigenvectorError`` when h is not positive or misses the

@@ -18,7 +18,7 @@ from sncbounds import (
     scaling_experiment,
     verify,
 )
-from sncbounds.analysis import COMPARE_COLUMNS, rows_to_csv
+from sncbounds.analysis import COMPARE_COLUMNS, _violation, rows_to_csv
 from sncbounds.cli import main
 
 BASE_SOURCE = MmooParams(0.5, 0.1, 1.0)
@@ -148,6 +148,27 @@ class TestAdmission:
         with pytest.raises(InvalidParamsError):
             self.query(10, eps=1.5)
 
+    @pytest.mark.parametrize("capacity, d", [(math.inf, 10.0), (math.nan, 10.0),
+                                             (2.0, math.nan)])
+    def test_non_finite_capacity_or_nan_delay_rejected(self, capacity, d):
+        # construction only: the stability-cap scan never ends at capacity inf
+        with pytest.raises(InvalidParamsError):
+            AdmissionQuery(capacity, d, 1e-3, SchedulerSpec.fifo(), BASE_SOURCE)
+
+    @pytest.mark.parametrize("method", ["martingale", "standard"])
+    @pytest.mark.parametrize("sched", [SchedulerSpec.fifo(), SchedulerSpec.sp(),
+                                       SchedulerSpec.edf(10.0, 1.0), SchedulerSpec.gps(0.5)],
+                             ids=["fifo", "sp", "edf", "gps"])
+    def test_scan_down_matches_exhaustive_scan(self, method, sched):
+        for mult, d, eps in ((3, 10.0, 1e-3), (10, 1.0, 1e-3), (21, 10.0, 1e-6),
+                             (50, 5.0, 1e-3), (50, 0.0, 1e-9)):
+            q = AdmissionQuery(mult * BASE_SOURCE.mean_rate, d, eps, sched,
+                               BASE_SOURCE, method=method)
+            res = admission_max_flows(q)
+            every = [n for n in range(2, res["stability_cap"] + 1, 2)
+                     if _violation(q, n) <= eps]
+            assert res["n_max"] == max(every, default=0)
+
 
 class TestVerifySuites:
     def test_fast_suites_pass(self):
@@ -248,6 +269,14 @@ class TestCli:
     def test_invalid_scenario_exit_code(self, capsys):
         assert main(["bound", "--rho", "1.2", "--d", "1"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--capacity", "nan"],
+                                      ["--capacity", "2", "--delay", "nan"]])
+    def test_admission_nan_input_exit_code(self, capsys, argv):
+        assert main(["admission", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     @pytest.mark.parametrize("missing", ["n2", "rho", "lambda"])
     def test_scenario_file_missing_key_exit_code(self, tmp_path, capsys, missing):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,21 +23,134 @@ from sncbounds import (
     mmoo_consistency_check,
     single_flow_fluid_bound,
 )
+import sncbounds.general as general
 from sncbounds.general import _decays
 from general_reference import scalar_bound, scalar_decay
+from test_traffic import three_state_source
 
 BASE_SOURCE = MmooParams(0.5, 0.1, 1.0)
 
 
-def random_birth_death(rng, n_states=None):
+def random_birth_death(rng, n_states=None, sort=True):
     m = n_states or int(rng.integers(3, 7))
     q = np.zeros((m, m))
     for i in range(m - 1):
         q[i, i + 1] = rng.uniform(0.1, 2.0)
         q[i + 1, i] = rng.uniform(0.1, 2.0)
     np.fill_diagonal(q, -q.sum(axis=1))
-    rates = np.sort(rng.uniform(0.0, 5.0, m))
-    return MarkovFluidSource(q, rates)
+    rates = rng.uniform(0.0, 5.0, m)
+    return MarkovFluidSource(q, np.sort(rates) if sort else rates)
+
+
+def exactly_below_gamma(src, c, theta):
+    """theta < gamma of a birth-death source, decided in rational arithmetic.
+
+    True when every pivot of -(Q + theta*diag(r - c)) is positive, with the
+    diagonal of Q that makes its row sums exactly zero.
+    """
+    q, k = src.generator, src.n_states
+    up = [Fraction(q[i, i + 1]) for i in range(k - 1)] + [Fraction(0)]
+    down = [Fraction(0)] + [Fraction(q[i + 1, i]) for i in range(k - 1)]
+    x = Fraction(0)
+    for i in range(k):
+        f = up[i] + down[i] - Fraction(theta) * (Fraction(src.rates[i]) - Fraction(c)) - x
+        if f <= 0:
+            return False
+        x = up[i] * down[i + 1] / f if i + 1 < k else 0
+    return True
+
+
+def alpha_gamma_error(src, c, gamma):
+    return abs(fluid_effective_bandwidth(gamma, src) - c) / c
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """Count the lanes that take the stacked-eigh path."""
+    calls = []
+
+    def counted(q, u, theta):
+        calls.append(len(u))
+        return dense(q, u, theta)
+
+    dense = general._dense_lanes
+    monkeypatch.setattr(general, "_dense_lanes", counted)
+    return calls
+
+
+class TestBirthDeathPath:
+    """Pivot recursions against the dense scalar solve they replace."""
+
+    def test_random_chains_match_scalar_solve(self, dense_calls):
+        rng = np.random.default_rng(31)
+        for i in range(300):
+            src = random_birth_death(rng, int(rng.integers(3, 9)), sort=i % 2 == 0)
+            lo, hi = src.mean_rate, src.rates.max()
+            c = lo + rng.uniform(0.1, 0.9) * (hi - lo)
+            gd, ref = generalized_decay(src, c), scalar_decay(src, c)
+            assert gd.gamma == pytest.approx(ref.gamma, rel=1e-11, abs=0)
+            assert np.allclose(gd.eigenvector, ref.eigenvector, rtol=1e-10, atol=0)
+            assert np.array_equal(gd.drifts, ref.drifts)
+            assert alpha_gamma_error(src, c, gd.gamma) <= 1e-12
+        assert dense_calls == []
+
+    def test_small_decay_converges_within_rounding(self):
+        # rates over six decades and C at 1e-3 of the way from mean to peak:
+        # near gamma, rounding in the twisted pivot outweighs the Newton
+        # tolerance, and the iteration stops when its bracket closes
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            m = int(rng.integers(2, 12))
+            q = np.zeros((m, m))
+            for i in range(m - 1):
+                q[i, i + 1], q[i + 1, i] = 10.0 ** rng.uniform(-3, 3, 2)
+            np.fill_diagonal(q, -q.sum(axis=1))
+            src = MarkovFluidSource(q, rng.uniform(0.0, 5.0, m))
+            c = src.mean_rate + 1e-3 * (src.rates.max() - src.mean_rate)
+            gamma = generalized_decay(src, c).gamma
+            assert exactly_below_gamma(src, c, gamma * (1 - 1e-10))
+            assert not exactly_below_gamma(src, c, gamma * (1 + 1e-10))
+
+    def test_large_aggregates_keep_closed_form(self, dense_calls):
+        # the dense solve loses these tails: 3e-8 at rho 0.5, n = 200, and a
+        # non-positive entry at n = 400
+        for rho, n in ((0.5, 200), (0.5, 400), (0.99, 200)):
+            src = aggregate_source(n, BASE_SOURCE)
+            gd = generalized_decay(src, src.mean_rate / rho)
+            consts = martingale_constants(Scenario.from_utilization(n // 2, n // 2, rho,
+                                                                    BASE_SOURCE))
+            assert gd.gamma == pytest.approx(consts.gamma, rel=1e-12)
+            expect = np.exp(-consts.theta * np.arange(n + 1))
+            assert np.allclose(gd.eigenvector / gd.eigenvector[-1], expect / expect[-1],
+                               rtol=1e-11, atol=0)
+        assert dense_calls == []
+
+
+class TestDensePath:
+    """A chain with a jump of two states takes the stacked-eigh Newton."""
+
+    CAPS = (1.35, 1.5, 1.7, 1.9)  # mean rate 1.3, peak 2
+
+    def test_decay_matches_scalar_solve(self, dense_calls):
+        src = three_state_source()
+        for c in self.CAPS:
+            gd, ref = generalized_decay(src, c), scalar_decay(src, c)
+            assert gd.gamma == pytest.approx(ref.gamma, rel=1e-12, abs=0)
+            assert np.allclose(gd.eigenvector, ref.eigenvector, rtol=1e-12, atol=0)
+        assert dense_calls == [1] * len(self.CAPS)
+
+    def test_alpha_at_gamma_equals_capacity(self):
+        src = three_state_source()
+        for c in self.CAPS:
+            assert alpha_gamma_error(src, c, generalized_decay(src, c).gamma) <= 1e-12
+
+    def test_bound_matches_scalar_loop(self, dense_calls):
+        src = three_state_source()
+        pair = aggregate_source(2, BASE_SOURCE)
+        for src2, cap in ((src, 3.3), (pair, 2.5), (None, 1.6)):
+            TestScalarOracle.assert_same(src, src2, cap, 1.0, 3.0,
+                                         c1_points=16, gamma_points=16)
+        assert dense_calls
 
 
 class TestGeneralizedDecay:
@@ -282,7 +396,7 @@ class TestScalarOracle:
     def assert_same(src1, src2, cap, u, sigma, **grid):
         got = general_sample_path_bound(src1, src2, cap, u, sigma, GridConfig(**grid))
         ref = scalar_bound(src1, src2, cap, u, sigma, **grid)
-        assert got.gamma == ref.gamma
+        assert got.gamma == pytest.approx(ref.gamma, rel=1e-12, abs=0)
         assert got.c1 == ref.c1
         assert got.value == pytest.approx(ref.value, rel=1e-12, abs=0)
 
@@ -353,7 +467,8 @@ class TestMmooConsistency:
         # at rho 0.5 the capacity 6 equals the rate of state 6: zero drift;
         # at n = 50..200 the eigenvector spans up to 31 decades
         for rho, n1, n2 in ((0.75, 5, 5), (0.9, 10, 10), (0.5, 9, 9),
-                            (0.75, 25, 25), (0.9, 50, 50), (0.75, 100, 100)):
+                            (0.75, 25, 25), (0.9, 50, 50), (0.75, 100, 100),
+                            (0.5, 100, 100), (0.5, 200, 200), (0.99, 100, 100)):
             sc = Scenario.from_utilization(n1, n2, rho, BASE_SOURCE)
             rep = mmoo_consistency_check(sc)
             assert rep["gamma_abs_delta"] <= 1e-8 * rep["gamma_closed"]
