@@ -2,8 +2,9 @@
 
 Computes sharp martingale-based and classical (union/Chernoff) per-flow delay
 bounds under FIFO, SP, EDF, and GPS scheduling, generalizes the decay-rate
-machinery to arbitrary reversible Markov fluids, and validates everything
-against an embedded packet-level scheduler simulator.
+machinery to birth-death Markov fluids (the On-count chain of n On-Off
+sources among them), and validates everything against an embedded
+packet-level scheduler simulator.
 """
 
 from .errors import (
@@ -12,8 +13,6 @@ from .errors import (
     GpsInfeasibleError,
     InvalidParamsError,
     NoFeasibleSplitError,
-    NonReversibleError,
-    ReducibleChainError,
     TrivialScenarioError,
     UnstableScenarioError,
 )
@@ -22,7 +21,6 @@ from .traffic import (
     MmooParams,
     Scenario,
     StatePath,
-    aggregate_generator,
     aggregate_source,
     sample_path,
     stationary_distribution,

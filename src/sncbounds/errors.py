@@ -21,14 +21,6 @@ class GpsInfeasibleError(SncboundsError, ValueError):
     """The GPS-allocated capacity cannot carry the through aggregate."""
 
 
-class ReducibleChainError(SncboundsError, ValueError):
-    """The generator matrix is singular or the chain is not irreducible."""
-
-
-class NonReversibleError(SncboundsError, ValueError):
-    """The modulating chain fails detailed balance; only reversible chains are supported."""
-
-
 class DegenerateSourceError(SncboundsError, ValueError):
     """The source has no usable eigenstructure (e.g. a single-state chain)."""
 

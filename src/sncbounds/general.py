@@ -1,46 +1,34 @@
-"""Decay rates and sample-path bounds for general reversible Markov fluids.
+"""Decay rates and sample-path bounds for birth-death Markov fluids.
 
 The decay rate gamma of a fluid source with generator Q, rates r, and
 allocated capacity C solves the generalized eigenproblem
 
     Q h = -gamma * diag(u) h,     u_j = r_j - C,
 
-with h strictly positive.  Every source is reversible, so Q is similar to
-the symmetric S = D^1/2 Q D^-1/2, D = diag(pi), and gamma is the positive
-root of the convex top eigenvalue lambda_max(S + theta*diag(u)) (Elwalid &
-Mitra, IEEE/ACM ToN 1993).  For 0 < theta, theta < gamma exactly when
--(Q + theta*diag(u)) is a nonsingular M-matrix.  Two paths solve it, and
-the generator's structure alone picks one:
-
-- A birth-death generator (``q_ij = 0`` whenever ``|i - j| > 1``), which
-  every source built here is, is solved with no matrix at all.  The pivots
-  of -(Q + theta*diag(u)) follow a three-term recursion, O(k) on Python
-  floats.  Bisection on their signs brackets gamma.  Newton's method then
-  runs on the twisted pivot at the eigenvector's peak p (Dhillon & Parlett,
-  Linear Algebra Appl. 2004), which is concave in theta and zero at gamma.
-  h is the product of pivot ratios outward from p.
-- Any other reversible generator runs Newton's method on lambda_max, with
-  one symmetric eigensolve per step, for many capacities at once: each step
-  is one stacked ``eigh`` over the capacities still iterating, and each
-  capacity stops at its own convergence.  h, equal to D^-1/2 g for the top
-  eigenvector g, is solved from (Q + gamma*diag(u)) h = 0 directly, pinned
-  where g peaks.  That keeps the entries that g loses to rounding far below
-  its largest entry.
-
-Both paths check that h is positive and meets the residual tolerance.  No
-step divides by a drift, so a state whose rate equals C is solved as it
-stands, without perturbing the capacity.  The effective bandwidth is the top
-eigenvalue of S + theta*diag(r).
+with h strictly positive.  Every source is a birth-death chain, hence
+reversible, so Q is similar to the symmetric S = D^1/2 Q D^-1/2, D =
+diag(pi), and gamma is the positive root of the convex top eigenvalue
+lambda_max(S + theta*diag(u)) (Elwalid & Mitra, IEEE/ACM ToN 1993).  For 0 < theta, theta < gamma exactly when
+-(Q + theta*diag(u)) is a nonsingular M-matrix, that is, when all its
+pivots are positive.  They follow a three-term recursion, O(k) on Python
+floats, with no matrix at all.  Bisection on their signs brackets gamma.
+Newton's method then runs on the twisted pivot at the eigenvector's peak p
+(Dhillon & Parlett, Linear Algebra Appl. 2004), which is concave in theta
+and zero at gamma.  h is the product of pivot ratios outward from p, and is
+checked to be positive and to meet the residual tolerance.  No step divides
+by a drift, so a state whose rate equals C is solved as it stands, without
+perturbing the capacity.  The same pivot test gives the effective bandwidth:
+alpha_theta is the capacity C at which theta is the decay rate.
 
 The two-flow bound couples two such solutions through a double infimum over
 the capacity split C1 + C2 = C and a common decay gamma <= min(gamma_1,
 gamma_2); eigenvector entries enter with exponents gamma/gamma_k (the power
 that turns each exponential supermartingale into one with common decay).
-The decays of all usable splits come from one lockstep Newton solve per
-flow, the prefactor K is broadcast over the (split, gamma) table, and the
-bound is the first minimum of that table with splits outer.  A single flow
-is the same computation with a one-state partner (h = [1], pi = [1], drift
-0), whose factor in K is 1.
+The decays of all usable splits come from one solve per flow and split,
+the prefactor K is broadcast over the (split, gamma) table, and the bound
+is the first minimum of that table with splits outer.  A single flow is the
+same computation with a one-state partner (h = [1], pi = [1], drift 0),
+whose factor in K is 1.
 """
 
 from __future__ import annotations
@@ -85,17 +73,6 @@ class GeneralizedDecay:
     gamma: float
     eigenvector: np.ndarray
     drifts: np.ndarray
-
-
-def _symmetrized(q: np.ndarray) -> np.ndarray:
-    """S = D^1/2 Q D^-1/2, D = diag(pi), of a reversible generator Q.
-
-    Detailed balance makes ``S_ij = sqrt(q_ij * q_ji)`` off the diagonal,
-    so S is symmetric without reference to pi; ``S_ii = q_ii``.
-    """
-    s = np.sqrt(q * q.T)
-    np.fill_diagonal(s, np.diag(q))
-    return s
 
 
 def _excesses(theta: float, a: list, b: list, u: list, stop: int):
@@ -205,75 +182,35 @@ def _birth_death_lane(up: list, down: list, u: list, theta: float) -> tuple:
 def _decays(src: MarkovFluidSource, caps: np.ndarray) -> tuple:
     """Decay rates, eigenvectors and drifts at every capacity in ``caps``.
 
-    A birth-death generator (``q_ij = 0`` whenever ``|i - j| > 1``) is
-    solved lane by lane by ``_birth_death_lane``.  Any other generator runs
-    ``generalized_decay``'s Newton iteration for all capacities in lockstep:
-    each step is one stacked ``eigh``, and a lane stops at its own
-    convergence.  Both paths share the positivity and residual checks.
-    Returns ``(gamma, h, drifts)`` of shapes (m,), (m, k) and (m, k).  The
-    caller has checked that every capacity lies strictly between the mean
-    and the peak rate.
+    Each capacity is one ``_birth_death_lane`` from the upper end of its
+    bracket, ``min over u_j > 0 of (up_j + down_{j-1})/u_j``, followed by
+    the positivity and residual checks.  Returns ``(gamma, h, drifts)`` of
+    shapes (m,), (m, k) and (m, k).  The caller has checked that every
+    capacity lies strictly between the mean and the peak rate.
     """
-    q = src.generator
+    up, down = src.up, src.down
+    exits = np.append(up, 0.0) + np.insert(down, 0, 0.0)  # -q_jj
     u = src.rates[None, :] - np.asarray(caps, dtype=float)[:, None]
     ratios = np.full_like(u, np.inf)
-    np.divide(-np.diag(q), u, out=ratios, where=u > 0)
-    theta = ratios.min(axis=1)
-    if np.triu(q, 2).any() or np.tril(q, -2).any():
-        theta, h = _dense_lanes(q, u, theta)
-    else:
-        up, down = np.diag(q, 1).tolist(), np.diag(q, -1).tolist()
-        lanes = [_birth_death_lane(up, down, ul, t) for ul, t in zip(u.tolist(), theta.tolist())]
-        theta = np.array([t for t, _ in lanes])
-        h = np.array([hl for _, hl in lanes])
+    np.divide(exits, u, out=ratios, where=u > 0)
+    a, b = up.tolist(), down.tolist()
+    lanes = [_birth_death_lane(a, b, ul, t)
+             for ul, t in zip(u.tolist(), ratios.min(axis=1).tolist())]
+    theta = np.array([t for t, _ in lanes])
+    h = np.array([hl for _, hl in lanes])
     low = h.min(axis=1)
     if not (low > 0).all():
         raise EigenvectorError(f"eigenvector has a non-positive entry {low[~(low > 0)][0]:.3g}")
     h /= low[:, None]
-    residual = np.abs(h @ q.T + theta[:, None] * u * h).max(axis=1) / h.max(axis=1)
+    # (Q + theta*diag(u)) h on the three diagonals of Q
+    r = (theta[:, None] * u - exits) * h
+    r[:, 1:] += down * h[:, :-1]
+    r[:, :-1] += up * h[:, 1:]
+    residual = np.abs(r).max(axis=1) / h.max(axis=1)
     if not (residual <= _RESIDUAL_TOL).all():
         worst = residual[~(residual <= _RESIDUAL_TOL)][0]
         raise EigenvectorError(f"eigenvector residual {worst:.3g} of its largest entry")
     return theta, h, u
-
-
-def _dense_lanes(q: np.ndarray, u: np.ndarray, theta: np.ndarray) -> tuple:
-    """Lockstep Newton from ``theta`` for any reversible generator: ``(gamma, h)``.
-
-    Each step is one stacked ``eigh`` of S + theta*diag(u) over the lanes
-    still iterating.  h is pinned to 1 where the top eigenvector g peaks and
-    solved from the other equations of (Q + gamma*diag(u)) h = 0.
-    """
-    k = q.shape[0]
-    eye = np.eye(k)
-    s = _symmetrized(q)
-    g = np.empty_like(u)
-    live = np.arange(len(u))
-    for _ in range(_NEWTON_STEPS):
-        t, ul = theta[live], u[live]
-        vals, vecs = np.linalg.eigh(s + (t[:, None] * ul)[:, :, None] * eye)
-        g[live] = top = vecs[:, :, -1]
-        # matmul, not einsum: it sums g' diag(u) g in the same order as a dot
-        step = vals[:, -1] / (top[:, None, :] @ (ul * top)[:, :, None])[:, 0, 0]
-        done = ~(step > _NEWTON_TOL * t)
-        theta[live] = np.where(done, t, t - step)
-        live = live[~done]
-        if not live.size:
-            break
-    else:
-        raise EigenvectorError(
-            f"decay-rate Newton iteration did not converge (theta={theta[live[0]]:.6g})"
-        )
-    a = q + (theta[:, None] * u)[:, :, None] * eye
-    # h = 1 where g peaks; the other equations, without that state, give the rest
-    lanes = np.arange(len(u))[:, None]
-    peak = np.argmax(np.abs(g), axis=1)[:, None]
-    rest = np.arange(k - 1)[None, :]
-    rest = rest + (rest >= peak)
-    h = np.ones_like(u)
-    h[lanes, rest] = np.linalg.solve(-a[lanes[:, :, None], rest[:, :, None], rest[:, None, :]],
-                                     a[lanes, rest, peak][:, :, None])[:, :, 0]
-    return theta, h
 
 
 def _check_states(src: MarkovFluidSource) -> None:
@@ -299,16 +236,11 @@ def _check_capacity(src: MarkovFluidSource, c: float) -> None:
 def generalized_decay(src: MarkovFluidSource, allocated_capacity: float) -> GeneralizedDecay:
     """Decay rate gamma and eigenvector h with Q h = -gamma diag(r - C) h.
 
-    ``f(theta) = lambda_max(S + theta*diag(u))`` is convex with ``f(0) = 0``
-    and ``f'(0) = mean - C < 0``, and ``f(theta) >= q_jj + theta*u_j``.  So
-    gamma lies in (0, min over u_j > 0 of -q_jj/u_j].  A birth-death source
-    is solved from that bracket by pivot recursions (``_birth_death_lane``).
-    Any other source takes Newton steps ``f/f'``, ``f' = g' diag(u) g`` at the
-    unit top eigenvector g, which descend monotonically to gamma from the
-    bracket's upper end.  Either way h is pinned to 1 where g peaks; the
-    other equations form a proper principal submatrix of an irreducible
-    Metzler matrix with Perron root 0, which is nonsingular.  h is then
-    scaled to minimum 1.  This is the one-lane call to ``_decays``.
+    The top eigenvalue ``f(theta)`` of Q + theta*diag(u) is convex with
+    ``f(0) = 0``, ``f'(0) = mean - C < 0`` and ``f(theta) >= q_jj +
+    theta*u_j``.  So gamma lies in (0, min over u_j > 0 of -q_jj/u_j], and
+    ``_birth_death_lane`` solves it from that bracket by pivot recursions.
+    h is scaled to minimum 1.  This is the one-lane call to ``_decays``.
 
     Requires stability (mean rate < capacity) and a non-degenerate source.
     Raises ``EigenvectorError`` when h is not positive or misses the
@@ -321,11 +253,23 @@ def generalized_decay(src: MarkovFluidSource, allocated_capacity: float) -> Gene
 
 
 def fluid_effective_bandwidth(theta: float, src: MarkovFluidSource) -> float:
-    """alpha_theta = zeta_theta/theta, zeta the largest eigenvalue of Q + theta*diag(r)."""
+    """alpha_theta = zeta_theta/theta, zeta the largest eigenvalue of Q + theta*diag(r).
+
+    alpha_theta is increasing in theta, and it is the capacity C whose decay
+    rate is theta: theta < gamma(C) exactly when C > alpha_theta.  So alpha
+    is found by bisection on the pivot test of ``_below_gamma`` between the
+    mean and the peak rate, down to adjacent doubles.
+    """
     if not theta > 0:
         raise InvalidParamsError(f"theta must be > 0, got {theta}")
-    m = _symmetrized(src.generator) + np.diag(theta * src.rates)
-    return float(np.linalg.eigvalsh(m)[-1]) / theta
+    a, b, r = src.up.tolist() + [0.0], src.down.tolist() + [0.0], src.rates.tolist()
+    lo, hi = src.mean_rate, max(r)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _below_gamma(theta, a, b, [x - mid for x in r]):
+            hi = mid
+        else:
+            lo = mid
+    return mid
 
 
 def single_flow_fluid_bound(src: MarkovFluidSource, capacity: float, sigma: float) -> float:

@@ -222,7 +222,7 @@ def standard_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float) -> 
     GPS:   inf over {theta: phi1 C > n1 r_theta} of
            [phi1 C/(phi1 C - n1 r_theta)] e^{-theta phi1 C d}
     """
-    if d < 0:
+    if not d >= 0:
         raise InvalidParamsError(f"d must be >= 0, got {d}")
     params = scenario.params
     cap = scenario.capacity

@@ -1,4 +1,4 @@
-"""Markov-modulated On-Off sources and general reversible Markov fluids.
+"""Markov-modulated On-Off sources and birth-death Markov fluids.
 
 Rates are in bits per unit time; a packet is one bit unless it is the
 fractional remainder of an On-dwell.  All sampling is driven by numpy
@@ -11,7 +11,7 @@ exponentials, so a path over a longer horizon extends the shorter one.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,8 +19,6 @@ import numpy as np
 from .errors import (
     EigenvectorError,
     InvalidParamsError,
-    NonReversibleError,
-    ReducibleChainError,
     TrivialScenarioError,
     UnstableScenarioError,
 )
@@ -30,7 +28,6 @@ __all__ = [
     "Scenario",
     "MarkovFluidSource",
     "StatePath",
-    "aggregate_generator",
     "aggregate_source",
     "stationary_distribution",
     "sample_path",
@@ -61,9 +58,10 @@ class MmooParams:
     peak: float
 
     def __post_init__(self):
-        if not (self.lam > 0 and self.mu > 0 and self.peak > 0):
+        if not all(0 < x < math.inf for x in (self.lam, self.mu, self.peak)):
             raise InvalidParamsError(
-                f"rates must be positive, got lam={self.lam} mu={self.mu} peak={self.peak}"
+                f"rates must be positive and finite, got lam={self.lam} mu={self.mu} "
+                f"peak={self.peak}"
             )
 
     @property
@@ -76,8 +74,7 @@ class MmooParams:
 
     def as_fluid_source(self) -> "MarkovFluidSource":
         """Two-state fluid view: state 0 silent, state 1 emitting at ``peak``."""
-        q = np.array([[-self.mu, self.mu], [self.lam, -self.lam]])
-        return MarkovFluidSource(q, np.array([0.0, self.peak]))
+        return MarkovFluidSource([self.mu], [self.lam], [0.0, self.peak])
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MmooParams":
@@ -121,8 +118,10 @@ class Scenario:
     def __post_init__(self):
         if self.n1 < 1 or self.n2 < 0:
             raise InvalidParamsError(f"need n1 >= 1 and n2 >= 0, got {self.n1}, {self.n2}")
-        if self.per_flow_capacity <= 0:
-            raise InvalidParamsError("per-flow capacity must be positive")
+        if not 0 < self.per_flow_capacity < math.inf:
+            raise InvalidParamsError(
+                f"per-flow capacity must be positive and finite, got {self.per_flow_capacity}"
+            )
         if self.rho >= 1.0:
             raise UnstableScenarioError(
                 f"utilization rho={self.rho:.6g} >= 1; no steady state"
@@ -168,67 +167,17 @@ class Scenario:
         return cls.from_utilization(*_json_values(d, "n1", "n2", "rho"), params)
 
 
-def aggregate_generator(n: int, params: MmooParams) -> np.ndarray:
-    """Birth-death generator of the On-count chain for n multiplexed sources.
+def stationary_distribution(up, down) -> np.ndarray:
+    """Stationary law of the birth-death chain with off-diagonals ``up``, ``down``.
 
-    State i means i sources are On; up-rate (n-i)*mu, down-rate i*lam.
-    """
-    if n < 1:
-        raise InvalidParamsError(f"need n >= 1, got {n}")
-    i = np.arange(n)
-    q = np.zeros((n + 1, n + 1))
-    q[i, i + 1] = (n - i) * params.mu
-    q[i + 1, i] = (i + 1) * params.lam
-    np.fill_diagonal(q, -q.sum(axis=1))
-    return q
-
-
-def stationary_distribution(q: np.ndarray) -> np.ndarray:
-    """Stationary law of a reversible generator by detailed balance.
-
-    A breadth-first spanning tree of the transitions ``q_ij > 0`` from state
-    0 fixes ``log pi_j - log pi_i = log(q_ij / q_ji)`` along each tree edge
+    Detailed balance fixes ``log pi_{i+1} - log pi_i = log(up_i / down_i)``
     (Kelly, *Reversibility and Stochastic Networks*, 1979), and the law is
     normalized.  The log domain keeps tail probabilities far below the
-    largest.  ``MarkovFluidSource`` checks detailed balance off the tree.
-
-    Raises ``ReducibleChainError`` when some state is unreachable from state
-    0, ``NonReversibleError`` when a tree edge has no reverse transition,
-    and ``EigenvectorError`` when a probability underflows to 0.0.
+    largest.  Raises ``EigenvectorError`` when a probability underflows to
+    0.0.
     """
-    q = np.asarray(q, dtype=float)
-    m = q.shape[0]
-    if q.shape != (m, m):
-        raise InvalidParamsError(f"generator must be square, got {q.shape}")
-    rows, cols = np.nonzero(q > 0)  # a diagonal entry never reaches a new state
-    starts = np.searchsorted(rows, np.arange(m + 1))
-    seen = np.zeros(m, dtype=bool)
-    seen[0] = True
-    order, parents = [0], []
-    for i in order:  # grows as the search reaches new states
-        nbr = cols[starts[i]:starts[i + 1]]
-        new = nbr[~seen[nbr]]
-        seen[new] = True
-        order.extend(new.tolist())
-        parents.extend([i] * new.size)
-    if len(order) < m:
-        raise ReducibleChainError(
-            f"{m - len(order)} of {m} states unreachable from state 0; "
-            "the chain is reducible"
-        )
-    child = np.array(order[1:], dtype=np.intp)
-    parent = np.array(parents, dtype=np.intp)
-    back = q[child, parent]
-    if not (back > 0).all():
-        j = int(np.argmin(back > 0))
-        raise NonReversibleError(
-            f"transition {parent[j]} -> {child[j]} has no reverse; "
-            "only reversible modulating chains are supported"
-        )
-    log_pi = [0.0] * m
-    for j, i, step in zip(order[1:], parents, np.log(q[parent, child] / back).tolist()):
-        log_pi[j] = log_pi[i] + step
-    log_pi = np.array(log_pi)
+    steps = np.log(np.asarray(up, dtype=float) / np.asarray(down, dtype=float))
+    log_pi = np.concatenate(([0.0], np.cumsum(steps)))
     pi = np.exp(log_pi - log_pi.max())
     pi /= pi.sum()
     if not pi.min() > 0:
@@ -241,49 +190,46 @@ def stationary_distribution(q: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MarkovFluidSource:
-    """Reversible Markov fluid: generator ``q``, per-state rates, cached stationary law.
+    """Birth-death Markov fluid: off-diagonals, per-state rates, cached stationary law.
 
-    Non-reversible chains are rejected; the analysis relies on time reversal.
+    ``up[i] = q_{i,i+1}`` and ``down[i] = q_{i+1,i}`` are the generator's
+    only off-diagonal entries; its diagonal is ``-(up_i + down_{i-1})``.
+    Both must be positive, so the chain is irreducible and, like every
+    birth-death chain, reversible.  A single state (empty ``up`` and
+    ``down``) is a constant-rate source.
     """
 
-    generator: np.ndarray
+    up: np.ndarray
+    down: np.ndarray
     rates: np.ndarray
     stationary: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        q = np.array(self.generator, dtype=float)
+        up = np.array(self.up, dtype=float)
+        down = np.array(self.down, dtype=float)
         r = np.array(self.rates, dtype=float)
-        m = q.shape[0]
-        if q.shape != (m, m) or r.shape != (m,):
+        k = r.size
+        if not (k >= 1 and r.shape == (k,) and up.shape == down.shape == (k - 1,)):
             raise InvalidParamsError(
-                f"generator {q.shape} and rates {r.shape} are inconsistent"
+                f"up {up.shape}, down {down.shape} and rates {r.shape} are inconsistent"
             )
-        if not (np.isfinite(q).all() and np.isfinite(r).all()):
-            raise InvalidParamsError("generator entries and rates must be finite")
-        scale = max(1.0, float(np.abs(q).max()))
-        off = q - np.diag(np.diag(q))
-        if off.min() < -1e-12 * scale:
-            raise InvalidParamsError("off-diagonal generator entries must be >= 0")
-        if np.abs(q.sum(axis=1)).max() > 1e-9 * scale:
-            raise InvalidParamsError("generator rows must sum to zero")
+        if not (np.isfinite(up).all() and np.isfinite(down).all() and np.isfinite(r).all()):
+            raise InvalidParamsError("transition rates and arrival rates must be finite")
+        if not ((up > 0).all() and (down > 0).all()):
+            raise InvalidParamsError("up and down transition rates must be > 0")
         if r.min() < 0:
             raise InvalidParamsError("arrival rates must be >= 0")
-        pi = stationary_distribution(q)
-        flux = pi[:, None] * q
-        if np.abs(flux - flux.T).max() > 1e-9 * scale:
-            raise NonReversibleError(
-                "chain violates detailed balance; only reversible modulating "
-                "chains are supported"
-            )
-        for arr in (q, r, pi):
+        pi = stationary_distribution(up, down)
+        for arr in (up, down, r, pi):
             arr.flags.writeable = False
-        object.__setattr__(self, "generator", q)
+        object.__setattr__(self, "up", up)
+        object.__setattr__(self, "down", down)
         object.__setattr__(self, "rates", r)
         object.__setattr__(self, "stationary", pi)
 
     @property
     def n_states(self) -> int:
-        return self.generator.shape[0]
+        return self.rates.size
 
     @property
     def mean_rate(self) -> float:
@@ -291,9 +237,16 @@ class MarkovFluidSource:
 
 
 def aggregate_source(n: int, params: MmooParams) -> MarkovFluidSource:
-    """Fluid view of n multiplexed sources: On-count chain, state i emits i*peak."""
-    q = aggregate_generator(n, params)
-    return MarkovFluidSource(q, params.peak * np.arange(n + 1, dtype=float))
+    """Fluid view of n multiplexed sources: the On-count chain.
+
+    State i means i sources are On and emits i*peak; its up-rate is
+    (n-i)*mu and its down-rate i*lam.
+    """
+    if n < 1:
+        raise InvalidParamsError(f"need n >= 1, got {n}")
+    i = np.arange(n)
+    return MarkovFluidSource((n - i) * params.mu, (i + 1) * params.lam,
+                             params.peak * np.arange(n + 1, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -308,57 +261,38 @@ class StatePath:
         return float(self.durations[self.states == state].sum())
 
 
-_BLOCK = 1024  # dwells drawn per block; even, so a two-state block starts in one state
+_BLOCK = 1024  # dwells drawn per block; even, so every block starts in one state
 
 
 def sample_path(source: MarkovFluidSource, horizon: float, seed) -> StatePath:
-    """Simulate the chain in its steady state over [0, horizon].
+    """Simulate a two-state (On-Off) chain in its steady state over [0, horizon].
 
-    The initial state is drawn from the stationary law; the dwell in state i
-    is exponential with rate -q[i,i] and the next state is chosen in
-    proportion to the off-diagonal row.  Memorylessness makes residual-time
+    The initial state is drawn from the stationary law, and the states
+    alternate.  The dwell in state 0 is exponential with rate ``up[0]``, in
+    state 1 with rate ``down[0]``.  Memorylessness makes residual-time
     handling unnecessary.  The final dwell is truncated at the horizon.
 
     Dwells are drawn in blocks of ``_BLOCK`` as standard exponentials divided
-    by the exit rates of the block's states, then cut at the horizon.  A
-    two-state chain alternates, so its states need no draws; a larger chain
-    walks its jump chain over one block of uniforms, each located in the
-    cumulative jump row of the current state.  The block size does not
-    depend on the horizon, so a longer horizon extends the same path.
+    by the exit rates of the block's states, then cut at the horizon.  The
+    block size does not depend on the horizon, so a longer horizon extends
+    the same path.
     """
     if not horizon > 0:
         raise InvalidParamsError(f"horizon must be > 0, got {horizon}")
+    if source.n_states != 2:
+        raise InvalidParamsError(
+            f"sample_path needs a two-state chain, got {source.n_states} states"
+        )
     rng = spawned_rng(seed)
-    m = source.n_states
-    state = int(rng.choice(m, p=source.stationary))
-    if m == 1:  # absorbing: an irreducible chain has no other
-        return StatePath(np.array([state], dtype=np.int64), np.array([float(horizon)]),
-                         horizon)
-    q = source.generator
-    exit_rates = -np.diag(q)
-    if m == 2:
-        alternating = np.resize(np.array([state, 1 - state], dtype=np.int64), _BLOCK)
-    else:
-        jump = q * (1.0 - np.eye(m))
-        cum_rows = np.cumsum(jump, axis=1)
-        # dividing by the row total makes the last entry exactly 1.0, so a
-        # uniform in [0, 1) always lands on a state with positive rate
-        cum_rows = (cum_rows / cum_rows[:, -1:]).tolist()
-    states, dwells, ends = [], [], []
+    state = int(rng.choice(2, p=source.stationary))
+    exits = (source.up[0], source.down[0])
+    block_rates = np.resize(np.array([exits[state], exits[1 - state]]), _BLOCK)
+    dwells, ends = [], []
     t = 0.0
     while t < horizon:
-        if m == 2:
-            block = alternating
-        else:
-            walk = []
-            for u in rng.random(_BLOCK).tolist():
-                walk.append(state)
-                state = bisect_right(cum_rows[state], u)
-            block = np.array(walk, dtype=np.int64)
-        dwell = rng.standard_exponential(_BLOCK) / exit_rates[block]
+        dwell = rng.standard_exponential(_BLOCK) / block_rates
         end = np.cumsum(dwell)
         end += t
-        states.append(block)
         dwells.append(dwell)
         ends.append(end)
         t = float(end[-1])
@@ -366,7 +300,8 @@ def sample_path(source: MarkovFluidSource, horizon: float, seed) -> StatePath:
     last = int(np.searchsorted(end, horizon, side="left"))  # first dwell reaching it
     durations = np.concatenate(dwells)[:last + 1]
     durations[last] = horizon - (end[last - 1] if last else 0.0)
-    return StatePath(np.concatenate(states)[:last + 1], durations, horizon)
+    states = (np.arange(last + 1, dtype=np.int64) + state) % 2
+    return StatePath(states, durations, horizon)
 
 
 def packet_arrays(path: StatePath, peak: float) -> tuple[np.ndarray, np.ndarray]:

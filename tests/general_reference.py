@@ -5,6 +5,8 @@ before the bound was evaluated as one (split, gamma) table: one scalar
 Newton solve per capacity split and one ``_k_factor`` call per (split,
 gamma) pair.  The tests assert that the table gives the same ``gamma`` and
 ``c1`` and a value equal to rounding.  Do not edit it to follow the library.
+Sources store only their off-diagonals, so ``dense_generator`` builds the
+matrix the algorithm reads.
 """
 
 import math
@@ -40,6 +42,16 @@ class ScalarBound:
     c1: float
 
 
+def dense_generator(src):
+    """Q of a birth-death source, with the diagonal that makes its rows sum to 0."""
+    k = src.n_states
+    q = np.zeros((k, k))
+    q[np.arange(k - 1), np.arange(1, k)] = src.up
+    q[np.arange(1, k), np.arange(k - 1)] = src.down
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return q
+
+
 def _symmetrized(q):
     s = np.sqrt(q * q.T)
     np.fill_diagonal(s, np.diag(q))
@@ -62,7 +74,7 @@ def scalar_decay(src, allocated_capacity):
             f"allocated capacity {c:.6g} at or above the peak rate "
             f"{src.rates.max():.6g}: the queue never builds"
         )
-    q = src.generator
+    q = dense_generator(src)
     u = src.rates - c
     s, du = _symmetrized(q), np.diag(u)
     theta = float((-np.diag(q)[u > 0] / u[u > 0]).min())

@@ -115,13 +115,9 @@ def test_criterion_04_alpha_gamma_lemma():
     worst = 0.0
     for _ in range(50):
         m = int(rng.integers(3, 7))
-        q = np.zeros((m, m))
-        for i in range(m - 1):
-            q[i, i + 1] = rng.uniform(0.1, 2.0)
-            q[i + 1, i] = rng.uniform(0.1, 2.0)
-        np.fill_diagonal(q, -q.sum(axis=1))
+        up, down = rng.uniform(0.1, 2.0, (m - 1, 2)).T
         rates = np.sort(rng.uniform(0.0, 5.0, m))
-        src = MarkovFluidSource(q, rates)
+        src = MarkovFluidSource(up, down, rates)
         lo, hi = src.mean_rate, float(rates.max())
         c = lo + rng.uniform(0.15, 0.85) * (hi - lo)
         gamma = generalized_decay(src, c).gamma

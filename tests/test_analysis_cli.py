@@ -278,6 +278,17 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--mu", "inf", "--d", "5"],
+        ["bound", "--per-flow-capacity", "nan", "--d", "5"],
+        ["scaling", "--n-list", "10,20", "--delay", "nan"],
+    ])
+    def test_non_finite_input_exit_code(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     @pytest.mark.parametrize("missing", ["n2", "rho", "lambda"])
     def test_scenario_file_missing_key_exit_code(self, tmp_path, capsys, missing):
         doc = {"lambda": 0.5, "mu": 0.1, "peak": 1.0, "n1": 5, "n2": 5, "rho": 0.75}

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,23 +24,17 @@ from sncbounds import (
     mmoo_consistency_check,
     single_flow_fluid_bound,
 )
-import sncbounds.general as general
 from sncbounds.general import _decays
-from general_reference import scalar_bound, scalar_decay
-from test_traffic import three_state_source
+from general_reference import dense_generator, scalar_bound, scalar_decay
 
 BASE_SOURCE = MmooParams(0.5, 0.1, 1.0)
 
 
 def random_birth_death(rng, n_states=None, sort=True):
     m = n_states or int(rng.integers(3, 7))
-    q = np.zeros((m, m))
-    for i in range(m - 1):
-        q[i, i + 1] = rng.uniform(0.1, 2.0)
-        q[i + 1, i] = rng.uniform(0.1, 2.0)
-    np.fill_diagonal(q, -q.sum(axis=1))
+    up, down = rng.uniform(0.1, 2.0, (m - 1, 2)).T
     rates = rng.uniform(0.0, 5.0, m)
-    return MarkovFluidSource(q, np.sort(rates) if sort else rates)
+    return MarkovFluidSource(up, down, np.sort(rates) if sort else rates)
 
 
 def exactly_below_gamma(src, c, theta):
@@ -48,9 +43,9 @@ def exactly_below_gamma(src, c, theta):
     True when every pivot of -(Q + theta*diag(r - c)) is positive, with the
     diagonal of Q that makes its row sums exactly zero.
     """
-    q, k = src.generator, src.n_states
-    up = [Fraction(q[i, i + 1]) for i in range(k - 1)] + [Fraction(0)]
-    down = [Fraction(0)] + [Fraction(q[i + 1, i]) for i in range(k - 1)]
+    k = src.n_states
+    up = [Fraction(x) for x in src.up] + [Fraction(0)]
+    down = [Fraction(0)] + [Fraction(x) for x in src.down]
     x = Fraction(0)
     for i in range(k):
         f = up[i] + down[i] - Fraction(theta) * (Fraction(src.rates[i]) - Fraction(c)) - x
@@ -64,24 +59,10 @@ def alpha_gamma_error(src, c, gamma):
     return abs(fluid_effective_bandwidth(gamma, src) - c) / c
 
 
-@pytest.fixture
-def dense_calls(monkeypatch):
-    """Count the lanes that take the stacked-eigh path."""
-    calls = []
-
-    def counted(q, u, theta):
-        calls.append(len(u))
-        return dense(q, u, theta)
-
-    dense = general._dense_lanes
-    monkeypatch.setattr(general, "_dense_lanes", counted)
-    return calls
-
-
 class TestBirthDeathPath:
     """Pivot recursions against the dense scalar solve they replace."""
 
-    def test_random_chains_match_scalar_solve(self, dense_calls):
+    def test_random_chains_match_scalar_solve(self):
         rng = np.random.default_rng(31)
         for i in range(300):
             src = random_birth_death(rng, int(rng.integers(3, 9)), sort=i % 2 == 0)
@@ -92,7 +73,6 @@ class TestBirthDeathPath:
             assert np.allclose(gd.eigenvector, ref.eigenvector, rtol=1e-10, atol=0)
             assert np.array_equal(gd.drifts, ref.drifts)
             assert alpha_gamma_error(src, c, gd.gamma) <= 1e-12
-        assert dense_calls == []
 
     def test_small_decay_converges_within_rounding(self):
         # rates over six decades and C at 1e-3 of the way from mean to peak:
@@ -101,17 +81,14 @@ class TestBirthDeathPath:
         rng = np.random.default_rng(1)
         for _ in range(200):
             m = int(rng.integers(2, 12))
-            q = np.zeros((m, m))
-            for i in range(m - 1):
-                q[i, i + 1], q[i + 1, i] = 10.0 ** rng.uniform(-3, 3, 2)
-            np.fill_diagonal(q, -q.sum(axis=1))
-            src = MarkovFluidSource(q, rng.uniform(0.0, 5.0, m))
+            up, down = (10.0 ** rng.uniform(-3, 3, (m - 1, 2))).T
+            src = MarkovFluidSource(up, down, rng.uniform(0.0, 5.0, m))
             c = src.mean_rate + 1e-3 * (src.rates.max() - src.mean_rate)
             gamma = generalized_decay(src, c).gamma
             assert exactly_below_gamma(src, c, gamma * (1 - 1e-10))
             assert not exactly_below_gamma(src, c, gamma * (1 + 1e-10))
 
-    def test_large_aggregates_keep_closed_form(self, dense_calls):
+    def test_large_aggregates_keep_closed_form(self):
         # the dense solve loses these tails: 3e-8 at rho 0.5, n = 200, and a
         # non-positive entry at n = 400
         for rho, n in ((0.5, 200), (0.5, 400), (0.99, 200)):
@@ -123,34 +100,58 @@ class TestBirthDeathPath:
             expect = np.exp(-consts.theta * np.arange(n + 1))
             assert np.allclose(gd.eigenvector / gd.eigenvector[-1], expect / expect[-1],
                                rtol=1e-11, atol=0)
-        assert dense_calls == []
 
 
-class TestDensePath:
-    """A chain with a jump of two states takes the stacked-eigh Newton."""
+def mp_gamma(src, c):
+    """gamma of a birth-death source by bisection on pivot signs at 60 digits.
 
-    CAPS = (1.35, 1.5, 1.7, 1.9)  # mean rate 1.3, peak 2
+    The up and down rates, the rates and C are taken exactly, and the
+    diagonal of Q is ``-(up_i + down_{i-1})``, so its rows sum to exactly 0.
+    """
+    with mpmath.workdps(60):
+        up = [mpmath.mpf(x) for x in src.up]
+        down = [mpmath.mpf(x) for x in src.down]
+        k = src.n_states
+        exits = [(up[i] if i < k - 1 else 0) + (down[i - 1] if i else 0) for i in range(k)]
+        u = [mpmath.mpf(r) - mpmath.mpf(c) for r in src.rates]
 
-    def test_decay_matches_scalar_solve(self, dense_calls):
-        src = three_state_source()
-        for c in self.CAPS:
-            gd, ref = generalized_decay(src, c), scalar_decay(src, c)
-            assert gd.gamma == pytest.approx(ref.gamma, rel=1e-12, abs=0)
-            assert np.allclose(gd.eigenvector, ref.eigenvector, rtol=1e-12, atol=0)
-        assert dense_calls == [1] * len(self.CAPS)
+        def below(theta):
+            f = None
+            for i in range(k):
+                f = exits[i] - theta * u[i] - (up[i - 1] * down[i - 1] / f if i else 0)
+                if not f > 0:
+                    return False
+            return True
 
-    def test_alpha_at_gamma_equals_capacity(self):
-        src = three_state_source()
-        for c in self.CAPS:
-            assert alpha_gamma_error(src, c, generalized_decay(src, c).gamma) <= 1e-12
+        lo, hi = mpmath.mpf(0), min(e / x for e, x in zip(exits, u) if x > 0)
+        while hi - lo > mpmath.mpf(10) ** -20 * hi:
+            mid = (lo + hi) / 2
+            if below(mid):
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
 
-    def test_bound_matches_scalar_loop(self, dense_calls):
-        src = three_state_source()
-        pair = aggregate_source(2, BASE_SOURCE)
-        for src2, cap in ((src, 3.3), (pair, 2.5), (None, 1.6)):
-            TestScalarOracle.assert_same(src, src2, cap, 1.0, 3.0,
-                                         c1_points=16, gamma_points=16)
-        assert dense_calls
+
+class TestMpmathReference:
+    """The pivot core against a 60-digit reference, rates over four decades."""
+
+    # fraction of the way from the mean to the peak: relative gamma error limit
+    LIMITS = {1e-6: 1e-9, 1e-3: 1e-12, 0.5: 1e-13}
+
+    def test_random_chains(self):
+        rng = np.random.default_rng(5)
+        worst = dict.fromkeys(self.LIMITS, 0.0)
+        for _ in range(100):
+            m = int(rng.integers(3, 7))
+            up, down = 10.0 ** rng.uniform(-2, 2, (2, m - 1))
+            src = MarkovFluidSource(up, down, rng.uniform(0.0, 5.0, m))
+            for frac in self.LIMITS:
+                c = src.mean_rate + frac * (src.rates.max() - src.mean_rate)
+                ref = mp_gamma(src, c)
+                err = float(abs(generalized_decay(src, c).gamma - ref) / ref)
+                worst[frac] = max(worst[frac], err)
+        assert all(worst[frac] <= limit for frac, limit in self.LIMITS.items()), worst
 
 
 class TestGeneralizedDecay:
@@ -175,7 +176,7 @@ class TestGeneralizedDecay:
         assert np.allclose(gd.eigenvector, expect, rtol=1e-10)
 
     def test_single_state_rejected(self):
-        src = MarkovFluidSource(np.zeros((1, 1)), np.array([1.0]))
+        src = MarkovFluidSource([], [], [1.0])
         with pytest.raises(DegenerateSourceError):
             generalized_decay(src, 2.0)
 
@@ -194,7 +195,7 @@ class TestGeneralizedDecay:
             lo, hi = src.mean_rate, src.rates.max()
             c = lo + rng.uniform(0.15, 0.85) * (hi - lo)
             gd = generalized_decay(src, c)
-            res = np.abs(src.generator @ gd.eigenvector
+            res = np.abs(dense_generator(src) @ gd.eigenvector
                          + gd.gamma * gd.drifts * gd.eigenvector).max()
             assert res <= 1e-10 * np.abs(gd.eigenvector).max()
             assert gd.gamma > 0
@@ -238,7 +239,7 @@ class TestFluidEffectiveBandwidth:
             lo, hi = src.mean_rate, src.rates.max()
             c = lo + rng.uniform(0.15, 0.85) * (hi - lo)
             gamma = generalized_decay(src, c).gamma
-            assert abs(fluid_effective_bandwidth(gamma, src) - c) <= 1e-6 * c
+            assert abs(fluid_effective_bandwidth(gamma, src) - c) <= 1e-12 * c
 
     def test_nonpositive_theta_rejected(self):
         with pytest.raises(InvalidParamsError):
@@ -287,8 +288,7 @@ class TestGeneralSamplePathBound:
         assert res.value == pytest.approx(direct, rel=1e-12)
         assert res.c1 == cap
         # silent source behaves as no source
-        silent = MarkovFluidSource(np.array([[-1.0, 1.0], [1.0, -1.0]]),
-                                   np.array([0.0, 0.0]))
+        silent = MarkovFluidSource([1.0], [1.0], [0.0, 0.0])
         res2 = general_sample_path_bound(src, silent, cap, 0.0, sigma,
                                          GridConfig(gamma_values=np.array([gamma1])))
         assert res2.value == res.value
@@ -439,8 +439,7 @@ class TestScalarOracle:
     def test_single_flow(self, rho):
         src = aggregate_source(4, BASE_SOURCE)
         cap = src.mean_rate / rho
-        silent = MarkovFluidSource(np.array([[-1.0, 1.0], [1.0, -1.0]]),
-                                   np.array([0.0, 0.0]))
+        silent = MarkovFluidSource([1.0], [1.0], [0.0, 0.0])
         for src2 in (None, silent):
             self.assert_same(src, src2, cap, 0.0, 5.0)
             self.assert_same(src, src2, cap, 3.0, 20.0,

@@ -9,17 +9,15 @@ from sncbounds import (
     InvalidParamsError,
     MarkovFluidSource,
     MmooParams,
-    NonReversibleError,
-    ReducibleChainError,
     Scenario,
     TrivialScenarioError,
     UnstableScenarioError,
-    aggregate_generator,
     aggregate_source,
     sample_path,
     stationary_distribution,
 )
 from sncbounds.traffic import StatePath, packet_arrays, spawned_rng
+from general_reference import dense_generator
 
 BASE_SOURCE = MmooParams(0.5, 0.1, 1.0)
 
@@ -97,36 +95,40 @@ def lumped_pair_generator(params: MmooParams) -> np.ndarray:
 
 class TestAggregateGenerator:
     def test_single_source_is_two_state(self):
-        q = aggregate_generator(1, BASE_SOURCE)
-        assert np.allclose(q, [[-0.1, 0.1], [0.5, -0.5]])
+        src = aggregate_source(1, BASE_SOURCE)
+        assert src.up.tolist() == [0.1] and src.down.tolist() == [0.5]
+        assert src.rates.tolist() == [0.0, 1.0]
 
     def test_two_source_rates(self):
-        q = aggregate_generator(2, BASE_SOURCE)
-        assert q[0, 1] == pytest.approx(0.2)
-        assert q[1, 2] == pytest.approx(0.1)
-        assert q[1, 0] == pytest.approx(0.5)
-        assert q[2, 1] == pytest.approx(1.0)
+        src = aggregate_source(2, BASE_SOURCE)
+        assert src.up.tolist() == pytest.approx([0.2, 0.1])
+        assert src.down.tolist() == pytest.approx([0.5, 1.0])
 
     def test_two_source_matches_lumped_product_chain(self):
-        q = aggregate_generator(2, MmooParams(0.4, 0.9, 1.5))
+        q = dense_generator(aggregate_source(2, MmooParams(0.4, 0.9, 1.5)))
         oracle = lumped_pair_generator(MmooParams(0.4, 0.9, 1.5))
         assert np.allclose(q, oracle, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 3, 7, 20])
     def test_rows_sum_to_zero(self, n):
-        q = aggregate_generator(n, BASE_SOURCE)
+        # the exit rate of state i is (n-i)*mu + i*lam
+        q = dense_generator(aggregate_source(n, BASE_SOURCE))
         assert np.abs(q.sum(axis=1)).max() < 1e-12
+        i = np.arange(n + 1)
+        assert np.allclose(-np.diag(q), (n - i) * BASE_SOURCE.mu + i * BASE_SOURCE.lam,
+                           rtol=1e-15, atol=0)
 
     def test_n_zero_rejected(self):
         with pytest.raises(InvalidParamsError):
-            aggregate_generator(0, BASE_SOURCE)
+            aggregate_source(0, BASE_SOURCE)
 
 
 class TestStationaryDistribution:
     def test_binomial_up_to_twelve(self):
         p = BASE_SOURCE.on_probability
         for n in range(1, 13):
-            pi = stationary_distribution(aggregate_generator(n, BASE_SOURCE))
+            src = aggregate_source(n, BASE_SOURCE)
+            pi = stationary_distribution(src.up, src.down)
             ref = np.array([math.comb(n, i) * p**i * (1 - p)**(n - i)
                             for i in range(n + 1)])
             assert np.abs(pi - ref).max() < 1e-10
@@ -147,20 +149,20 @@ class TestStationaryDistribution:
             aggregate_source(1000, BASE_SOURCE)
 
     def test_two_state(self):
-        pi = stationary_distribution(aggregate_generator(1, BASE_SOURCE))
+        pi = stationary_distribution([0.1], [0.5])
         assert np.allclose(pi, [5 / 6, 1 / 6], atol=1e-14)
 
     def test_permutation_invariance(self):
-        q = aggregate_generator(2, BASE_SOURCE)
-        perm = [2, 0, 1]
-        qp = q[np.ix_(perm, perm)]
-        pi = stationary_distribution(q)
-        pip = stationary_distribution(qp)
-        assert np.allclose(pip, pi[perm], atol=1e-13)
+        # reversing the state order swaps the roles of up and down
+        src = aggregate_source(2, BASE_SOURCE)
+        pi = stationary_distribution(src.up, src.down)
+        rev = stationary_distribution(src.down[::-1], src.up[::-1])
+        assert np.allclose(rev, pi[::-1], atol=1e-13)
 
     def test_reducible_rejected(self):
-        with pytest.raises(ReducibleChainError):
-            stationary_distribution(np.zeros((2, 2)))
+        # no transition between states 1 and 2 in either direction
+        with pytest.raises(InvalidParamsError, match="> 0"):
+            MarkovFluidSource([1.0, 0.0], [1.0, 0.0], [0.0, 1.0, 2.0])
 
 
 class TestMarkovFluidSource:
@@ -171,28 +173,31 @@ class TestMarkovFluidSource:
             assert src.mean_rate == pytest.approx(n * BASE_SOURCE.mean_rate, rel=1e-12)
 
     def test_non_reversible_rejected(self):
-        q = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]])
-        with pytest.raises(NonReversibleError):
-            MarkovFluidSource(q, np.array([0.0, 1.0, 2.0]))
+        # 1 -> 2 with no way back breaks detailed balance
+        with pytest.raises(InvalidParamsError, match="> 0"):
+            MarkovFluidSource([1.0, 1.0], [1.0, 0.0], [0.0, 1.0, 2.0])
 
     def test_arrays_read_only(self):
         src = aggregate_source(2, BASE_SOURCE)
-        with pytest.raises(ValueError):
-            src.rates[0] = 5.0
+        for arr in (src.up, src.down, src.rates, src.stationary):
+            with pytest.raises(ValueError):
+                arr[0] = 5.0
 
     def test_bad_generator_rejected(self):
-        with pytest.raises(InvalidParamsError):
-            MarkovFluidSource(np.array([[-1.0, 2.0], [1.0, -1.0]]), np.array([0.0, 1.0]))
+        with pytest.raises(InvalidParamsError, match="> 0"):
+            MarkovFluidSource([-1.0], [1.0], [0.0, 1.0])
+        with pytest.raises(InvalidParamsError, match="inconsistent"):
+            MarkovFluidSource([1.0, 1.0], [1.0], [0.0, 1.0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_generator_rejected(self, bad):
         with pytest.raises(InvalidParamsError, match="finite"):
-            MarkovFluidSource(np.array([[-1.0, 1.0], [1.0, bad]]), np.array([0.0, 1.0]))
+            MarkovFluidSource([1.0], [bad], [0.0, 1.0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_rate_rejected(self, bad):
         with pytest.raises(InvalidParamsError, match="finite"):
-            MarkovFluidSource(np.array([[-1.0, 1.0], [1.0, -1.0]]), np.array([0.0, bad]))
+            MarkovFluidSource([1.0], [1.0], [0.0, bad])
 
 
 class TestSamplePath:
@@ -201,10 +206,10 @@ class TestSamplePath:
             sample_path(BASE_SOURCE.as_fluid_source(), 0.0, 1)
 
     def test_single_state_chain(self):
-        src = MarkovFluidSource(np.zeros((1, 1)), np.array([2.0]))
-        path = sample_path(src, 7.5, 1)
-        assert path.states.tolist() == [0]
-        assert path.durations.tolist() == [7.5]
+        # only the two-state On-Off chain is sampled
+        for src in (MarkovFluidSource([], [], [2.0]), aggregate_source(2, BASE_SOURCE)):
+            with pytest.raises(InvalidParamsError, match="two-state"):
+                sample_path(src, 7.5, 1)
 
     def test_invariants(self):
         path = sample_path(BASE_SOURCE.as_fluid_source(), 500.0, 42)
@@ -229,16 +234,7 @@ class TestSamplePath:
         assert np.array_equal(a.durations, b.durations)
 
 
-def three_state_source() -> MarkovFluidSource:
-    """Reversible 3-state chain with every jump allowed: q_ij = s_ij / pi_i."""
-    pi = np.array([0.2, 0.3, 0.5])
-    sym = np.array([[0.0, 0.1, 0.2], [0.1, 0.0, 0.3], [0.2, 0.3, 0.0]])
-    q = sym / pi[:, None]
-    np.fill_diagonal(q, -q.sum(axis=1))
-    return MarkovFluidSource(q, np.array([0.0, 1.0, 2.0]))
-
-
-CHAINS = {"on_off": BASE_SOURCE.as_fluid_source, "three_state": three_state_source}
+CHAINS = {"on_off": BASE_SOURCE.as_fluid_source}
 
 
 class TestBlockSampling:
@@ -259,24 +255,10 @@ class TestBlockSampling:
         src = CHAINS[chain]()
         path = sample_path(src, 2e5, 77)
         states, dwells = path.states[:-1], path.durations[:-1]  # last is truncated
-        for i, rate in enumerate(-np.diag(src.generator)):
+        for i, rate in enumerate((src.up[0], src.down[0])):
             mine = dwells[states == i]
             se = 1.0 / rate / math.sqrt(mine.size)
             assert abs(mine.mean() - 1.0 / rate) < 3 * se, (i, mine.size)
-
-    def test_three_state_occupancy_matches_stationary(self):
-        src = three_state_source()
-        horizon = 2e5
-        path = sample_path(src, horizon, 5)
-        pi = src.stationary
-        # asymptotic variance of the time fraction in i is 2 pi_i D_ii / T,
-        # with deviation matrix D = (Pi - Q)^-1 - Pi
-        big_pi = np.tile(pi, (pi.size, 1))
-        dev = np.linalg.inv(big_pi - src.generator) - big_pi
-        assert (np.diff(path.states) != 0).all()
-        for i in range(pi.size):
-            se = math.sqrt(2 * pi[i] * dev[i, i] / horizon)
-            assert abs(path.time_in_state(i) / horizon - pi[i]) < 3 * se, i
 
     @pytest.mark.parametrize("replication", [0, 1, 2])
     def test_desk_horizon_yields_enough_through_packets(self, replication):
