@@ -156,8 +156,8 @@ class AdmissionQuery:
     def __post_init__(self):
         if not 0 < self.epsilon <= 1:
             raise InvalidParamsError("epsilon must lie in (0, 1]")
-        if not (self.d >= 0 and 0 < self.capacity < math.inf):
-            raise InvalidParamsError("need d >= 0 and a finite capacity > 0")
+        if not (0 <= self.d < math.inf and 0 < self.capacity < math.inf):
+            raise InvalidParamsError("need a finite d >= 0 and a finite capacity > 0")
         if self.method not in ("martingale", "standard"):
             raise InvalidParamsError(f"method must be martingale|standard, got {self.method!r}")
 

@@ -150,8 +150,8 @@ def martingale_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float) -
     GPS:   K^{n1} e^{-gamma phi1 C d} with GPS-reduced constants: the reduced
            system holds only the n1 through flows, on a server of rate phi1 C.
     """
-    if not d >= 0:
-        raise InvalidParamsError(f"d must be >= 0, got {d}")
+    if not 0 <= d < math.inf:
+        raise InvalidParamsError(f"d must be finite and >= 0, got {d}")
     n = scenario.n
     cap = scenario.capacity
 

@@ -18,18 +18,29 @@ served next.  V and the finish trackers reset whenever the system empties.
 At equal timestamps departures are processed before arrivals, and ties are
 broken through-flow first, then by subflow id, then by sequence number.
 
+Both flows arrive sorted, one after the other in a flat index (through
+packets first).  ``_merge`` merges them with one stable sort, which orders
+ties through first, and runs the FIFO work recursion on the merged order.
+
 Service runs busy period by busy period.  A busy period is a stretch in
 which the server never idles; every work-conserving discipline has the same
-ones, and the FIFO work recursion finds them.  Nothing carries over from one
-busy period to the next: the server starts again at the next arrival, and
-the WFQ virtual time and finish trackers reset when the system empties.  So
-each busy period (a "lane") is served on its own, with the arithmetic of the
-scalar head-selection loop ``_serve_loop`` applied operation for operation,
-and the departures equal those of the loop run over the whole sample path,
-bit for bit.  The FIFO recursion rounds differently from that loop, so a
-split stands only if the exact last departure of a lane comes before the
-next lane's first arrival; lanes that touch are merged and served again
-(inside a lane the loop's idle jump and WFQ reset still apply).
+ones, and the FIFO work recursion finds them.  ``_merge`` keeps three small
+tables with one entry per busy-period bound: the bound's merged index, the
+through packets before it and the first arrival at it.  A busy period's
+packets of each flow are a contiguous slice of the flat index, read from
+its two bounds, so service searches no packet array.
+
+Nothing carries over from one busy period to the next: the server starts
+again at the next arrival, and the WFQ virtual time and finish trackers
+reset when the system empties.  So each busy period (a "lane") is served on
+its own, with the arithmetic of the scalar head-selection loop
+``_serve_loop`` applied operation for operation, and the departures equal
+those of the loop run over the whole sample path, bit for bit.  The FIFO
+recursion rounds differently from that loop, so a split stands only if the
+exact last departure of a lane comes before the next lane's first arrival;
+lanes that touch are merged, by dropping the tables' entries at the bounds
+between them, and served again (inside a lane the loop's idle jump and WFQ
+reset still apply).
 
 A lane of one packet departs at arrival + size/C.  The others are served in
 lockstep by ``_lockstep``: step k serves the k-th packet of every lane at
@@ -79,10 +90,11 @@ __all__ = [
 
 
 def check_delay_grid(grid) -> None:
-    """Reject a delay grid that is empty, negative, NaN or not strictly increasing."""
+    """Reject a delay grid that is empty, negative, not finite or not increasing."""
     g = np.asarray(grid, dtype=float)
-    if g.size == 0 or not (g >= 0).all() or not (np.diff(g) > 0).all():
-        raise InvalidParamsError("delay grid must be nonempty, >= 0, strictly increasing")
+    if g.size == 0 or not ((g >= 0) & (g < np.inf)).all() or not (np.diff(g) > 0).all():
+        raise InvalidParamsError(
+            "delay grid must be nonempty, finite, >= 0, strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -237,23 +249,26 @@ def _merge(T, S, nt, cap):
     """Stable merge of the two sorted flows, the FIFO work recursion, busy periods.
 
     ``T``/``S`` hold the arrival times and sizes of the ``nt`` through
-    packets followed by the cross packets (the flat index).  A through
-    packet's merged index is its own index plus the cross packets strictly
-    before it, and a cross packet's its own plus the through packets at or
-    before it: the permutation of a stable sort of ``T``, through first on
-    ties.  FIFO departures follow from depart_k = max(arrive_k,
+    packets followed by the cross packets (the flat index).  ``T`` is two
+    sorted runs, so a stable sort merges them in one pass and orders ties
+    through first.  FIFO departures follow from depart_k = max(arrive_k,
     depart_{k-1}) + size_k/C, rewritten as a running maximum over arrive_j
-    minus cumulative prior service.  Returns (merged index of each through
-    packet, FIFO departures in merged order, ``_busy_periods`` bounds).
+    minus cumulative prior service.  Returns the merged index of each
+    through packet, the FIFO departures in merged order, and the busy
+    periods as three per-bound tables (``_busy_periods`` bounds, through
+    packets before each bound, first merged arrival at it; the last bound
+    is the packet count, with no through packet after it and an arrival at
+    +inf).  A lane [bounds[i], bounds[i+1]) then owns the flat slices
+    [before[i], before[i+1]) and [nt + bounds[i] - before[i], nt +
+    bounds[i+1] - before[i+1]), with no search over the packets.
     """
-    tt, ct = T[:nt], T[nt:]
-    pos_t = np.searchsorted(ct, tt, side="left") + np.arange(nt)
-    pos_c = np.searchsorted(tt, ct, side="right") + np.arange(ct.size)
+    order = np.argsort(T, kind="stable")
     t = np.empty(T.size + 1)  # the last arrival, at +inf, ends the last busy period
-    t[pos_t], t[pos_c], t[-1] = tt, ct, np.inf
-    s = np.empty(S.size)
-    s[pos_t], s[pos_c] = S[:nt], S[nt:]
-    del pos_c
+    np.take(T, order, out=t[:-1])
+    t[-1] = np.inf
+    s = S.take(order)
+    through = order < nt
+    del order
     service = np.cumsum(s) / cap
     fifo = s  # in place: max.accumulate(t - (service - s/C)) + service
     np.divide(s, cap, out=fifo)
@@ -261,7 +276,16 @@ def _merge(T, S, nt, cap):
     np.subtract(t[:-1], fifo, out=fifo)
     np.maximum.accumulate(fifo, out=fifo)
     fifo += service
-    return pos_t, fifo, _busy_periods(t, fifo)
+    del service
+    bounds = _busy_periods(t, fifo)
+    first = t[bounds]
+    del t  # each packet-sized array goes once used up: they set the peak memory
+    pos_t = np.flatnonzero(through)
+    before = np.zeros(bounds.size, dtype=np.intp)
+    # an int32 running count halves the packet-sized array; it reaches nt
+    count = np.int32 if nt < 2**31 else np.intp
+    before[1:] = np.cumsum(through, dtype=count)[bounds[1:] - 1]
+    return pos_t, fifo, (bounds, before, first)
 
 
 def _busy_periods(t, fifo):
@@ -487,29 +511,28 @@ def _lockstep(kind, T, S, cap, lo_t, hi_t, lo_c, hi_c, d1, d2, phi1, dep):
     return free
 
 
-def _serve_lanes(kind, T, S, cap, pos_t, bounds, lanes, d1, d2, phi1, dep):
+def _serve_lanes(kind, T, S, cap, nt, bounds, before, lanes, d1, d2, phi1, dep):
     """Serve the given lanes exactly as the scalar loop would; last departures.
 
-    Lane i is the busy period [bounds[i], bounds[i+1]) of the merged order.
-    A lane of one packet departs at arrival + size/C, the ``_SCALAR_LANES``
-    longest go through ``_serve_loop`` on their own packets, and the rest
-    through ``_lockstep``.
+    Lane i is the busy period [bounds[i], bounds[i+1]) of the merged order,
+    with ``before[i]`` through packets ahead of it (see ``_merge``).  A lane
+    of one packet departs at arrival + size/C, the ``_SCALAR_LANES`` longest
+    go through ``_serve_loop`` on their own packets, and the rest through
+    ``_lockstep``.
     """
-    nt = pos_t.size
     last = np.empty(lanes.size)
-    start = bounds[lanes]
+    start, lo_t = bounds[lanes], before[lanes]
     n = bounds[lanes + 1] - start
     one = np.flatnonzero(n == 1)
-    m = start[one]
-    p = np.searchsorted(pos_t, m)
-    p = np.where(pos_t.take(p, mode="clip") == m, p, nt + m - p)
+    m, lo = start[one], lo_t[one]
+    p = np.where(before[lanes[one] + 1] > lo, lo, nt + m - lo)  # through or cross
     dep[p] = T[p] + S[p] / cap
     last[one] = dep[p]
     many = np.flatnonzero(n > 1)
     many = many[np.argsort(-n[many], kind="stable")]
-    start, end = start[many], start[many] + n[many]
-    del n, one, m, p
-    lo_t, hi_t = np.searchsorted(pos_t, start), np.searchsorted(pos_t, end)
+    start, end, lo_t = start[many], start[many] + n[many], lo_t[many]
+    hi_t = before[lanes[many] + 1]
+    del n, one, m, lo, p
     lo_c, hi_c = nt + start - lo_t, nt + end - hi_t
     for i in range(min(_SCALAR_LANES, many.size)):
         a, z, c, e = lo_t[i], hi_t[i], lo_c[i], hi_c[i]
@@ -525,48 +548,44 @@ def _serve_lanes(kind, T, S, cap, pos_t, bounds, lanes, d1, d2, phi1, dep):
     return last
 
 
-def _serve(kind, T, S, pos_t, bounds, cap, need=None, d1=0.0, d2=0.0, phi1=0.5):
+def _serve(kind, T, S, nt, lanes, cap, need=None, d1=0.0, d2=0.0, phi1=0.5):
     """Departures of a non-preemptive two-flow server, busy period by busy period.
 
     Gives, bit for bit, what the scalar loop gives on the whole run; see the
-    module docstring.  ``T``/``S`` are the flat arrivals, ``pos_t`` the
-    through packets' merged indices and ``bounds`` the busy periods, both
-    from ``_merge``.  ``need`` stops service after the busy period that holds
+    module docstring.  ``T``/``S`` are the flat arrivals of ``nt`` through
+    packets then the cross packets, and ``lanes`` the per-bound tables of
+    ``_merge``.  ``need`` stops service after the busy period that holds
     the ``need``-th through packet (None serves all).  Returns (through
     departs, cross departs); packets of later busy periods are NaN.
     """
-    nt, n_all = pos_t.size, T.size
-    dep = np.full(n_all + 1, np.nan)
+    bounds, before, first = lanes
+    dep = np.full(T.size + 1, np.nan)
     stop = need is not None and need <= nt
-    stop_at = pos_t[need - 1] if stop else n_all - 1
     last = np.full(bounds.size - 1, np.nan)  # last departure; NaN: not served yet
     while True:
-        served = np.searchsorted(bounds, stop_at, side="right")  # lanes [0, served)
+        # lanes [0, served): up to the one whose through packets reach ``need``
+        served = int(np.searchsorted(before, need)) if stop else bounds.size - 1
         todo = np.flatnonzero(np.isnan(last[:served]))
-        last[todo] = _serve_lanes(kind, T, S, cap, pos_t, bounds, todo,
+        last[todo] = _serve_lanes(kind, T, S, cap, nt, bounds, before, todo,
                                   d1, d2, phi1, dep)
         # a split is exact only if the server is idle when the next lane begins
         inner = np.arange(1, min(served + 1, bounds.size - 1))
-        lo_t = np.searchsorted(pos_t, bounds[inner])
-        lo_c = nt + bounds[inner] - lo_t
-        first = np.minimum(np.where(lo_t < nt, T.take(lo_t, mode="clip"), np.inf),
-                           np.where(lo_c < n_all, T.take(lo_c, mode="clip"), np.inf))
-        touch = inner[last[inner - 1] >= first]
+        touch = inner[last[inner - 1] >= first[inner]]
         if not touch.size:
             break
         keep = np.ones(bounds.size, dtype=bool)
         keep[touch] = False
         last = last[keep[:-1]]
         last[~keep[1:][keep[:-1]]] = np.nan  # the merged lanes
-        bounds = bounds[keep]
-    return dep[:nt], dep[nt:n_all]
+        bounds, before, first = bounds[keep], before[keep], first[keep]
+    return dep[:nt], dep[nt:-1]
 
 
 def _serve_flows(kind, tt, ts, ct, cs, cap, need=None, d1=0.0, d2=0.0, phi1=0.5):
     """``_serve`` on per-flow arrival arrays, each sorted by time."""
     T, S = np.concatenate([tt, ct]), np.concatenate([ts, cs])
-    pos_t, _, bounds = _merge(T, S, tt.size, cap)
-    return _serve(kind, T, S, pos_t, bounds, cap, need, d1=d1, d2=d2, phi1=phi1)
+    _, _, lanes = _merge(T, S, tt.size, cap)
+    return _serve(kind, T, S, tt.size, lanes, cap, need, d1=d1, d2=d2, phi1=phi1)
 
 
 def _instability_flag(backlog: np.ndarray) -> bool:
@@ -579,10 +598,12 @@ def _instability_flag(backlog: np.ndarray) -> bool:
 
 
 def _stats_from_delays(delays: np.ndarray, grid, unstable: bool) -> DelayStats:
-    q25, q50, q75, q99 = np.quantile(delays, [0.25, 0.5, 0.75, 0.99])
-    garr = np.asarray(grid, dtype=float)
     sd = np.sort(delays)
+    garr = np.asarray(grid, dtype=float)
     ccdf = 1.0 - np.searchsorted(sd, garr, side="right") / sd.size
+    # np.quantile partitions, which a sorted array passes fast; in place,
+    # since ``sd`` is no longer needed sorted
+    q25, q50, q75, q99 = np.quantile(sd, [0.25, 0.5, 0.75, 0.99], overwrite_input=True)
     return DelayStats(delays.size, float(q25), float(q50), float(q75), float(q99),
                       tuple(garr.tolist()), ccdf, unstable)
 
@@ -599,12 +620,17 @@ def simulate(scenario: Scenario, sched: SchedulerSpec, cfg: SimConfig,
     T, S, nt = _flat_arrivals(scenario, cfg, replication_index)
     cap = scenario.capacity
     need = cfg.warmup_packets + cfg.measured_packets
-    pos_t, fifo, bounds = _merge(T, S, nt, cap)
+    pos_t, fifo, lanes = _merge(T, S, nt, cap)
+    # the packet-sized through positions are freed as soon as they are used;
+    # service reads the lane tables instead
     if sched.kind == "fifo":
         dep_thr = fifo[pos_t]
+        del pos_t
     else:
-        dep_thr, _ = _serve(sched.kind, T, S, pos_t, bounds, cap, need,
+        del pos_t
+        dep_thr, _ = _serve(sched.kind, T, S, nt, lanes, cap, need,
                             d1=sched.d1_star, d2=sched.d2_star, phi1=sched.phi1)
+    del lanes
     delays = dep_thr[cfg.warmup_packets:need] - T[cfg.warmup_packets:need]
     dep_win = dep_thr[cfg.warmup_packets:need]
 

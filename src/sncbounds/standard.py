@@ -222,8 +222,8 @@ def standard_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float) -> 
     GPS:   inf over {theta: phi1 C > n1 r_theta} of
            [phi1 C/(phi1 C - n1 r_theta)] e^{-theta phi1 C d}
     """
-    if not d >= 0:
-        raise InvalidParamsError(f"d must be >= 0, got {d}")
+    if not 0 <= d < math.inf:
+        raise InvalidParamsError(f"d must be finite and >= 0, got {d}")
     params = scenario.params
     cap = scenario.capacity
     n1, n2 = scenario.n1, scenario.n2

@@ -310,6 +310,8 @@ def packet_arrays(path: StatePath, peak: float) -> tuple[np.ndarray, np.ndarray]
     An On-dwell of length tau at rate P emits floor(P*tau) unit packets, the
     k-th timestamped at dwell start + k/P, plus one fractional packet of size
     P*tau - floor(P*tau) at the dwell end.  Total bits equal the fluid volume.
+    Dwells follow each other, so each dwell's packets take consecutive slots
+    and come out in time order without a sort.
     """
     if path.states.size and path.states.max() > 1:
         raise InvalidParamsError("packet_arrays expects a binary On/Off path")
@@ -318,16 +320,20 @@ def packet_arrays(path: StatePath, peak: float) -> tuple[np.ndarray, np.ndarray]
     durs = path.durations[on]
     counts = np.floor(peak * durs).astype(np.int64)
     frac = peak * durs - counts
-    total = int(counts.sum())
-    cum = np.cumsum(counts) - counts  # exclusive prefix sum
-    k = np.arange(total) - np.repeat(cum, counts) + 1
-    unit_t = np.repeat(starts, counts) + k / peak
-    keep = frac > 0
+    ends = starts + durs
     # a fractional packet whose float timestamp collides with the last unit
     # packet would break strict ordering; drop it (volume error ~ ulp)
     last_unit = np.where(counts > 0, starts + counts / peak, -np.inf)
-    keep &= (starts + durs) > last_unit
-    times = np.concatenate([unit_t, (starts + durs)[keep]])
-    sizes = np.concatenate([np.ones(total), frac[keep]])
-    order = np.argsort(times, kind="stable")
-    return times[order], sizes[order]
+    keep = (frac > 0) & (ends > last_unit)
+    slots = counts + keep
+    first = np.cumsum(slots) - slots  # exclusive prefix sum: each dwell's first slot
+    total = int(slots.sum())
+    # slot k-1 of a dwell holds its k-th unit packet; the one after the unit
+    # packets gets k = counts + 1 here and is overwritten by the fraction
+    k = np.arange(total) - np.repeat(first, slots) + 1
+    times = np.repeat(starts, slots) + k / peak
+    sizes = np.ones(total)
+    at = (first + counts)[keep]
+    times[at] = ends[keep]
+    sizes[at] = frac[keep]
+    return times, sizes

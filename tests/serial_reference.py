@@ -1,9 +1,18 @@
-"""The original scalar head-selection service loop, kept as a test oracle.
+"""Earlier forms of the simulator's kernels, kept as test oracles.
 
-A verbatim copy of the simulator's one-packet-per-iteration service loop, as
-it was before busy periods were served in lockstep.  The tests assert that
-the simulator's kernel gives ``array_equal`` departures, NaN pattern and
-served bits.  Do not edit it to follow the kernel.
+- ``_serve_loop``: the one-packet-per-iteration service loop, as it was
+  before busy periods were served in lockstep.  The tests assert that the
+  simulator's kernel gives ``array_equal`` departures, NaN pattern and
+  served bits.
+- ``merge`` and ``lane_tables``: the two-flow merge by binary search (each
+  packet's merged index from a search in the other flow) and the lane
+  slices found by searching the through packets' merged indices, as they
+  were before the merge became one stable sort with per-bound tables.
+- ``packet_arrays``: packetization by a stable sort of the unit packets
+  followed by the fractional ones, as it was before each dwell's packets
+  were written into consecutive slots.
+
+Do not edit them to follow the simulator.
 """
 
 import math
@@ -123,3 +132,72 @@ def _serve_loop(kind, tt, ts, ct, cs, cap, need, d1=0.0, d2=0.0,
         free = dep
 
     return dep_t, dep_c, served_bits_t
+
+
+def merge(T, S, nt, cap, busy_periods):
+    """Search-based stable merge of the two sorted flows and the FIFO recursion.
+
+    ``T``/``S`` hold the ``nt`` through packets then the cross packets.  A
+    through packet's merged index is its own index plus the cross packets
+    strictly before it, and a cross packet's its own plus the through
+    packets at or before it.  Returns (merged index of each through packet,
+    FIFO departures in merged order, ``busy_periods(t, fifo)`` bounds).
+    """
+    tt, ct = T[:nt], T[nt:]
+    pos_t = np.searchsorted(ct, tt, side="left") + np.arange(nt)
+    pos_c = np.searchsorted(tt, ct, side="right") + np.arange(ct.size)
+    t = np.empty(T.size + 1)  # the last arrival, at +inf, ends the last busy period
+    t[pos_t], t[pos_c], t[-1] = tt, ct, np.inf
+    s = np.empty(S.size)
+    s[pos_t], s[pos_c] = S[:nt], S[nt:]
+    del pos_c
+    service = np.cumsum(s) / cap
+    fifo = s  # in place: max.accumulate(t - (service - s/C)) + service
+    np.divide(s, cap, out=fifo)
+    np.subtract(service, fifo, out=fifo)
+    np.subtract(t[:-1], fifo, out=fifo)
+    np.maximum.accumulate(fifo, out=fifo)
+    fifo += service
+    return pos_t, fifo, busy_periods(t, fifo)
+
+
+def lane_tables(T, pos_t, bounds):
+    """Per-bound lane lookups by searching the through packets' merged indices.
+
+    For every merged-index bound: the through packets before it, the flat
+    index of the first cross packet at or after it, and the first arrival
+    at it (+inf past the last packet).
+    """
+    nt, n_all = pos_t.size, T.size
+    lo_t = np.searchsorted(pos_t, bounds)
+    lo_c = nt + bounds - lo_t
+    first = np.minimum(np.where(lo_t < nt, T.take(lo_t, mode="clip"), np.inf),
+                       np.where(lo_c < n_all, T.take(lo_c, mode="clip"), np.inf))
+    return lo_t, lo_c, first
+
+
+def packet_arrays(path, peak):
+    """Packetized arrivals of a binary On/Off path as (times, sizes) arrays.
+
+    An On-dwell of length tau at rate P emits floor(P*tau) unit packets, the
+    k-th timestamped at dwell start + k/P, plus one fractional packet of size
+    P*tau - floor(P*tau) at the dwell end.  Total bits equal the fluid volume.
+    """
+    on = path.states == 1
+    starts = np.concatenate(([0.0], np.cumsum(path.durations)[:-1]))[on]
+    durs = path.durations[on]
+    counts = np.floor(peak * durs).astype(np.int64)
+    frac = peak * durs - counts
+    total = int(counts.sum())
+    cum = np.cumsum(counts) - counts  # exclusive prefix sum
+    k = np.arange(total) - np.repeat(cum, counts) + 1
+    unit_t = np.repeat(starts, counts) + k / peak
+    keep = frac > 0
+    # a fractional packet whose float timestamp collides with the last unit
+    # packet would break strict ordering; drop it (volume error ~ ulp)
+    last_unit = np.where(counts > 0, starts + counts / peak, -np.inf)
+    keep &= (starts + durs) > last_unit
+    times = np.concatenate([unit_t, (starts + durs)[keep]])
+    sizes = np.concatenate([np.ones(total), frac[keep]])
+    order = np.argsort(times, kind="stable")
+    return times[order], sizes[order]

@@ -155,6 +155,11 @@ class TestAdmission:
         with pytest.raises(InvalidParamsError):
             AdmissionQuery(capacity, d, 1e-3, SchedulerSpec.fifo(), BASE_SOURCE)
 
+    def test_infinite_delay_rejected(self):
+        # the bound at d = inf is 0, which would admit up to the stability cap
+        with pytest.raises(InvalidParamsError, match="finite d"):
+            AdmissionQuery(8.33, math.inf, 1e-3, SchedulerSpec.fifo(), BASE_SOURCE)
+
     @pytest.mark.parametrize("method", ["martingale", "standard"])
     @pytest.mark.parametrize("sched", [SchedulerSpec.fifo(), SchedulerSpec.sp(),
                                        SchedulerSpec.edf(10.0, 1.0), SchedulerSpec.gps(0.5)],
@@ -282,12 +287,19 @@ class TestCli:
         ["bound", "--mu", "inf", "--d", "5"],
         ["bound", "--per-flow-capacity", "nan", "--d", "5"],
         ["scaling", "--n-list", "10,20", "--delay", "nan"],
+        ["bound", "--d", "inf"],
+        ["bound", "--d", "1,inf"],
+        ["scaling", "--n-list", "10,20", "--delay", "inf"],
+        ["admission", "--capacity", "8.33", "--delay", "inf"],
+        ["simulate", "--d", "1,inf", "--packets", "100", "--warmup", "0", "--reps", "1"],
+        ["compare", "--d", "1,inf", "--packets", "100", "--warmup", "0", "--reps", "1"],
     ])
     def test_non_finite_input_exit_code(self, capsys, argv):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("missing", ["n2", "rho", "lambda"])
     def test_scenario_file_missing_key_exit_code(self, tmp_path, capsys, missing):

@@ -220,6 +220,11 @@ class TestDelayBounds:
         with pytest.raises(InvalidParamsError):
             martingale_delay_bound(scenario(), SchedulerSpec.fifo(), -0.1)
 
+    @pytest.mark.parametrize("d", [math.inf, math.nan])
+    def test_non_finite_d_rejected(self, d):
+        with pytest.raises(InvalidParamsError, match="finite"):
+            martingale_delay_bound(scenario(), SchedulerSpec.fifo(), d)
+
 
 class TestGps:
     def test_gps_closed_form(self):

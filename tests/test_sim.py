@@ -64,6 +64,8 @@ class TestSimConfig:
             SimConfig(delay_grid=(2.0, 1.0))
         with pytest.raises(InvalidParamsError):
             SimConfig(delay_grid=(-1.0, 1.0))
+        with pytest.raises(InvalidParamsError):
+            SimConfig(delay_grid=(1.0, math.inf))
 
     def test_defaults_match_protocol(self):
         cfg = SimConfig()

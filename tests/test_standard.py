@@ -285,6 +285,11 @@ class TestStandardDelayBounds:
         with pytest.raises(InvalidParamsError):
             standard_delay_bound(scenario(), SchedulerSpec.fifo(), -1.0)
 
+    @pytest.mark.parametrize("d", [math.inf, math.nan])
+    def test_non_finite_d_rejected(self, d):
+        with pytest.raises(InvalidParamsError, match="finite"):
+            standard_delay_bound(scenario(), SchedulerSpec.fifo(), d)
+
     def test_minimum_on_interval_edge_flagged(self):
         # pinned in tests/golden/bound-sp-capacity.csv: the SP objective still
         # falls as theta -> 0, so theta* sits on the inset left end

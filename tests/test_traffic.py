@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sncbounds import (
     EigenvectorError,
@@ -18,6 +20,7 @@ from sncbounds import (
 )
 from sncbounds.traffic import StatePath, packet_arrays, spawned_rng
 from general_reference import dense_generator
+import serial_reference
 
 BASE_SOURCE = MmooParams(0.5, 0.1, 1.0)
 
@@ -302,6 +305,40 @@ class TestPacketize:
         path = StatePath(np.array([2]), np.array([1.0]), 1.0)
         with pytest.raises(InvalidParamsError, match="packet_arrays"):
             packet_arrays(path, 1.0)
+
+    @pytest.mark.parametrize("on, peak", [(2.5e-16, 1e16), (29 / 0.37, 0.37)])
+    def test_colliding_fraction_dropped_as_by_sort(self, on, peak):
+        # at P = 1e16, k/P is below an ulp of the dwell start 50, so every
+        # packet of the dwell has the time 50; at P = 0.37, P*(29/P) rounds
+        # above 29, and the fraction's time equals the last unit packet's
+        path = StatePath(np.array([0, 1, 0]), np.array([50.0, on, 5.0]), 55.0 + on)
+        times, sizes = packet_arrays(path, peak)
+        want = serial_reference.packet_arrays(path, peak)
+        assert np.array_equal(times, want[0]) and np.array_equal(sizes, want[1])
+        assert sizes.sum() < peak * on and (sizes == 1.0).all()
+
+    @pytest.mark.parametrize("peak", [1.0, 0.37, 3.3, 1e16])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_same_as_sorted_concatenation(self, peak, data):
+        """Equal, bit for bit, to sorting the unit then the fractional packets.
+
+        On-dwells hold up to 60 packets at every peak, as whole or real
+        multiples of 1/P.  Off-dwells are long against an ulp of the times,
+        as in sampled paths, so no dwell's packets reach the next dwell's.
+        """
+        first_on = data.draw(st.booleans())
+        n = data.draw(st.integers(0, 30))
+        on = st.one_of(st.integers(0, 60).map(float), st.floats(0.0, 60.0))
+        off = st.floats(0.5, 100.0)
+        states = (np.arange(n) + first_on) % 2
+        durations = np.array([data.draw(on) / peak if z else data.draw(off)
+                              for z in states])
+        path = StatePath(states, durations, float(durations.sum()))
+        times, sizes = packet_arrays(path, peak)
+        want_times, want_sizes = serial_reference.packet_arrays(path, peak)
+        assert np.array_equal(times, want_times)
+        assert np.array_equal(sizes, want_sizes)
 
 
 class TestRngContract:
