@@ -42,12 +42,10 @@ from .standard import (
 from .general import (
     GeneralBoundResult,
     GeneralizedDecay,
-    GridConfig,
     fluid_effective_bandwidth,
     general_sample_path_bound,
     generalized_decay,
     mmoo_consistency_check,
-    single_flow_fluid_bound,
 )
 from .sim import (
     BoxStats,

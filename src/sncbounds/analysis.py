@@ -175,6 +175,20 @@ def _violation(q: AdmissionQuery, n: int) -> float:
     return min(1.0, palm_prefactor(sc) * raw)
 
 
+def _stability_cap(capacity: float, mean: float) -> int:
+    """Largest even n >= 0 with ``n*mean < capacity`` in floats.
+
+    Starts at 2*floor(C/(2*mean)) and moves by 2 until the test holds for n
+    and fails for n + 2: the n at which counting up from 2 would stop.
+    """
+    n = 2 * math.floor(capacity / (2 * mean))
+    while n > 0 and not n * mean < capacity:
+        n -= 2
+    while (n + 2) * mean < capacity:
+        n += 2
+    return n
+
+
 def admission_max_flows(q: AdmissionQuery) -> dict:
     """Largest even n with rho < 1 and violation bound <= epsilon.
 
@@ -184,11 +198,7 @@ def admission_max_flows(q: AdmissionQuery) -> dict:
     stability cap is always reported.
     """
     mean = q.params.mean_rate
-    cap_n = 0
-    n = 2
-    while n * mean < q.capacity:
-        cap_n = n
-        n += 2
+    cap_n = _stability_cap(q.capacity, mean)
     n_max = next((n for n in range(cap_n, 0, -2) if _violation(q, n) <= q.epsilon), 0)
     return {
         "n_max": n_max,

@@ -26,16 +26,13 @@ gamma_2); eigenvector entries enter with exponents gamma/gamma_k (the power
 that turns each exponential supermartingale into one with common decay).
 The decays of all usable splits come from one solve per flow and split,
 the prefactor K is broadcast over the (split, gamma) table, and the bound
-is the first minimum of that table with splits outer.  A single flow is the
-same computation with a one-state partner (h = [1], pi = [1], drift 0),
-whose factor in K is 1.
+is the first minimum of that table with splits outer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -52,11 +49,9 @@ from .traffic import MarkovFluidSource, Scenario, aggregate_source
 
 __all__ = [
     "GeneralizedDecay",
-    "GridConfig",
     "GeneralBoundResult",
     "generalized_decay",
     "fluid_effective_bandwidth",
-    "single_flow_fluid_bound",
     "general_sample_path_bound",
     "mmoo_consistency_check",
 ]
@@ -64,6 +59,8 @@ __all__ = [
 _RESIDUAL_TOL = 1e-10
 _NEWTON_TOL = 1e-14  # relative Newton step at which gamma has converged
 _NEWTON_STEPS = 100
+_SPLITS = 64  # capacity splits of the two-flow bound's table
+_GAMMAS = 64  # common decay rates per split, from 0 to the smaller decay
 
 
 @dataclass(frozen=True)
@@ -272,36 +269,11 @@ def fluid_effective_bandwidth(theta: float, src: MarkovFluidSource) -> float:
     return mid
 
 
-def single_flow_fluid_bound(src: MarkovFluidSource, capacity: float, sigma: float) -> float:
-    """Steady-state bound P(Q > sigma) <= prefactor * exp(-gamma*sigma)."""
-    gd = generalized_decay(src, capacity)
-    return _own_prefactor(gd, src.stationary) * math.exp(-gd.gamma * sigma)
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    """Resolution of the double infimum; explicit values override the counts."""
-
-    c1_points: int = 64
-    gamma_points: int = 64
-    c1_values: Optional[np.ndarray] = None
-    gamma_values: Optional[np.ndarray] = None
-
-
 @dataclass(frozen=True)
 class GeneralBoundResult:
     value: float
     gamma: float
     c1: float
-
-
-def _alone(m: int) -> tuple:
-    """The one-state partner of m splits, ``((gamma, h, drifts), pi)``.
-
-    gamma is inf, h = [1], the drift 0 and pi = [1], so its factor in K is 1
-    and every state of the other flow with drift >= 0 stays feasible.
-    """
-    return (np.full(m, np.inf), np.ones((m, 1)), np.zeros((m, 1))), np.ones(1)
 
 
 def _k_factor(gammas: np.ndarray, d1: tuple, pi1: np.ndarray,
@@ -325,77 +297,38 @@ def _k_factor(gammas: np.ndarray, d1: tuple, pi1: np.ndarray,
     return (e1 @ pi1) * (h2[:, None, :] ** a2 @ pi2) / pairs.min(axis=2)
 
 
-def _own_prefactor(gd: GeneralizedDecay, pi: np.ndarray) -> float:
-    """Single-source prefactor at its own decay: pi.h / min of h over drift >= 0."""
-    lane = (np.array([gd.gamma]), gd.eigenvector[None], gd.drifts[None])
-    return float(_k_factor(np.array([[gd.gamma]]), lane, pi, *_alone(1))[0, 0])
-
-
-def general_sample_path_bound(src1: MarkovFluidSource,
-                              src2: Optional[MarkovFluidSource],
-                              capacity: float, u: float, sigma: float,
-                              grid: GridConfig = GridConfig()) -> GeneralBoundResult:
+def general_sample_path_bound(src1: MarkovFluidSource, src2: MarkovFluidSource,
+                              capacity: float, u: float, sigma: float) -> GeneralBoundResult:
     """Double infimum over capacity splits and the common decay rate.
 
     The bound ``K(c1, gamma) * exp(-gamma*(c1*u + sigma))`` is evaluated on
-    the whole (split, gamma) table at once, and the first minimum in C
-    order (c1 outer, gamma inner) wins.  ``src2=None`` (or an all-silent
-    source) removes the cross flow: the split degenerates to C1 = C, the
-    partner has one silent state, and the remaining infimum runs over gamma
-    in [0, gamma_1].
+    the whole table of ``_SPLITS`` splits, evenly inside (m1, C - m2), by
+    ``_GAMMAS`` decay rates from 0 to each split's ``min(gamma_1, gamma_2)``,
+    and the first minimum in C order (c1 outer, gamma inner) wins.
     """
     for name, x in (("u", u), ("sigma", sigma)):
         if not (math.isfinite(x) and x >= 0):
             raise InvalidParamsError(f"{name} must be finite and >= 0, got {x}")
-    if grid.gamma_values is None and not grid.gamma_points >= 1:
-        raise InvalidParamsError(f"gamma_points must be >= 1, got {grid.gamma_points}")
-    if grid.c1_values is None and not grid.c1_points >= 1:
-        raise InvalidParamsError(f"c1_points must be >= 1, got {grid.c1_points}")
-    if src2 is not None and not src2.rates.any():
-        src2 = None
-
-    if src2 is None:
-        c1 = np.array([float(capacity)])
-        _check_capacity(src1, c1[0])
-        d1 = _decays(src1, c1)
-        d2, pi2 = _alone(1)
-    else:
-        m1, m2 = src1.mean_rate, src2.mean_rate
-        width = capacity - m1 - m2
-        if width <= 0:
-            raise NoFeasibleSplitError(
-                f"total mean rate {m1 + m2:.6g} >= capacity {capacity:.6g}"
-            )
-        _check_states(src1)
-        _check_states(src2)
-        if grid.c1_values is not None:
-            c1 = np.asarray(grid.c1_values, dtype=float)
-        else:
-            c1 = m1 + width * (np.arange(1, grid.c1_points + 1) / (grid.c1_points + 1))
-        c2 = capacity - c1
-        # the splits at which both eigenproblems are neither unstable nor trivial
-        usable = ((m1 < c1) & (c1 < src1.rates.max())
-                  & (m2 < c2) & (c2 < src2.rates.max()))
-        if not usable.any():
-            raise NoFeasibleSplitError("no capacity split admits both eigenproblems")
-        c1 = c1[usable]
-        d1, d2 = _decays(src1, c1), _decays(src2, c2[usable])
-        pi2 = src2.stationary
-
-    gmax = np.minimum(d1[0], d2[0])[:, None]
-    if grid.gamma_values is None:
-        gammas = np.linspace(0.0, gmax[:, 0], grid.gamma_points, axis=1)
-        kept = np.ones(gammas.shape, dtype=bool)
-    else:
-        gv = np.asarray(grid.gamma_values, dtype=float)
-        # keep points equal to gmax up to rounding of the eigen solve
-        kept = (gv >= 0) & (gv <= gmax * (1 + 1e-9))
-        if not kept.any():
-            raise InvalidParamsError("no gamma value lies in [0, gamma_max] of any split")
-        gammas = np.where(kept, np.minimum(gv, gmax), 0.0)
-    table = _k_factor(gammas, d1, src1.stationary, d2, pi2) \
+    m1, m2 = src1.mean_rate, src2.mean_rate
+    width = capacity - m1 - m2
+    if width <= 0:
+        raise NoFeasibleSplitError(
+            f"total mean rate {m1 + m2:.6g} >= capacity {capacity:.6g}"
+        )
+    _check_states(src1)
+    _check_states(src2)
+    c1 = m1 + width * (np.arange(1, _SPLITS + 1) / (_SPLITS + 1))
+    c2 = capacity - c1
+    # the splits at which both eigenproblems are neither unstable nor trivial
+    usable = ((m1 < c1) & (c1 < src1.rates.max())
+              & (m2 < c2) & (c2 < src2.rates.max()))
+    if not usable.any():
+        raise NoFeasibleSplitError("no capacity split admits both eigenproblems")
+    c1 = c1[usable]
+    d1, d2 = _decays(src1, c1), _decays(src2, c2[usable])
+    gammas = np.linspace(0.0, np.minimum(d1[0], d2[0]), _GAMMAS, axis=1)
+    table = _k_factor(gammas, d1, src1.stationary, d2, src2.stationary) \
         * np.exp(-gammas * (c1[:, None] * u + sigma))
-    table = np.where(kept, table, np.inf)
     i, j = np.unravel_index(np.argmin(table), table.shape)
     return GeneralBoundResult(float(table[i, j]), float(gammas[i, j]), float(c1[i]))
 
@@ -407,9 +340,9 @@ def mmoo_consistency_check(scenario: Scenario) -> dict:
     that (a) the generalized eigenvalue reproduces the closed-form gamma and
     (b) the eigenvector has the exponential profile h_j = exp(-theta*j) whose
     stationary sum, evaluated at the fractional drift-zero crossing C/P,
-    reproduces the closed-form prefactor K^n.  Also reports the directly
-    computed single-flow bound prefactor, which sharpens K^n by the
-    integer-crossing factor exp(theta*(ceil(C/P) - C/P)).
+    reproduces the closed-form prefactor K^n.  Also reports the single-flow
+    prefactor pi.h / min of h over the states with drift >= 0, which
+    sharpens K^n by the integer-crossing factor exp(theta*(ceil(C/P) - C/P)).
     """
     params = scenario.params
     n = scenario.n
@@ -426,7 +359,7 @@ def mmoo_consistency_check(scenario: Scenario) -> dict:
     kn_closed = closed.K ** n
     kn_general = float(src.stationary @ h) * math.exp(theta_hat * cap / params.peak)
 
-    sf = _own_prefactor(gd, src.stationary)
+    sf = float(h @ src.stationary / h[gd.drifts >= 0].min())
     crossing = math.ceil(cap / params.peak) - cap / params.peak
     sf_predicted = kn_closed * math.exp(closed.theta * crossing)
 

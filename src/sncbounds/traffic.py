@@ -40,13 +40,7 @@ def spawned_rng(master_seed, *key: int) -> np.random.Generator:
     """Generator for stream ``key`` of ``master_seed`` (splittable contract)."""
     if isinstance(master_seed, np.random.Generator):
         return master_seed
-    if isinstance(master_seed, np.random.SeedSequence):
-        ss = master_seed
-    else:
-        ss = np.random.SeedSequence(master_seed)
-    if key:
-        ss = np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + tuple(key))
-    return np.random.default_rng(ss)
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
 
 
 @dataclass(frozen=True)
@@ -103,19 +97,21 @@ def _json_values(d: dict, *keys) -> list:
 class Scenario:
     """Through/cross flow counts and per-flow capacity sharing one server.
 
-    The server rate is ``C = (n1+n2)*c``.  Stability (``rho < 1``) is always
-    required.  ``peak <= c`` means the aggregate can never backlog the server
-    (zero delay); such scenarios are rejected unless ``allow_trivial`` is set,
-    which the simulator uses for its no-queueing edge cases.
+    The server rate is ``C = (n1+n2)*c``.  The flow counts are integers
+    (``int`` or a NumPy integer, not ``bool``).  Stability (``rho < 1``) is
+    required, and ``peak <= c``, where the aggregate can never backlog the
+    server (zero delay), is rejected.
     """
 
     n1: int
     n2: int
     per_flow_capacity: float
     params: MmooParams
-    allow_trivial: bool = field(default=False, compare=False)
 
     def __post_init__(self):
+        for name, count in (("n1", self.n1), ("n2", self.n2)):
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+                raise InvalidParamsError(f"{name} must be an integer, got {count!r}")
         if self.n1 < 1 or self.n2 < 0:
             raise InvalidParamsError(f"need n1 >= 1 and n2 >= 0, got {self.n1}, {self.n2}")
         if not 0 < self.per_flow_capacity < math.inf:
@@ -126,18 +122,17 @@ class Scenario:
             raise UnstableScenarioError(
                 f"utilization rho={self.rho:.6g} >= 1; no steady state"
             )
-        if self.params.peak <= self.per_flow_capacity and not self.allow_trivial:
+        if self.params.peak <= self.per_flow_capacity:
             raise TrivialScenarioError(
                 f"peak {self.params.peak} <= per-flow capacity "
                 f"{self.per_flow_capacity}: delay is identically zero"
             )
 
     @classmethod
-    def from_utilization(cls, n1: int, n2: int, rho: float, params: MmooParams,
-                         allow_trivial: bool = False) -> "Scenario":
+    def from_utilization(cls, n1: int, n2: int, rho: float, params: MmooParams) -> "Scenario":
         if not 0 < rho < 1:
             raise UnstableScenarioError(f"rho must lie in (0,1), got {rho}")
-        return cls(n1, n2, params.mean_rate / rho, params, allow_trivial)
+        return cls(n1, n2, params.mean_rate / rho, params)
 
     @property
     def n(self) -> int:

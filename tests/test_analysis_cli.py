@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from sncbounds import (
@@ -18,7 +19,7 @@ from sncbounds import (
     scaling_experiment,
     verify,
 )
-from sncbounds.analysis import COMPARE_COLUMNS, _violation, rows_to_csv
+from sncbounds.analysis import COMPARE_COLUMNS, _stability_cap, _violation, rows_to_csv
 from sncbounds.cli import main
 
 BASE_SOURCE = MmooParams(0.5, 0.1, 1.0)
@@ -34,9 +35,10 @@ class TestPalmPrefactor:
         assert palm_prefactor(scenario()) == pytest.approx(1.67190, abs=1e-5)
 
     def test_always_on_sources_no_correction(self):
-        # p -> 1 forces c > peak (zero-delay regime), so allow_trivial
-        nearly_on = Scenario.from_utilization(2, 2, 0.9, MmooParams(1e-6, 10.0, 1.0),
-                                              allow_trivial=True)
+        # p -> 1; rho in (p, 1) keeps c = p*P/rho below the peak
+        params = MmooParams(1e-6, 10.0, 1.0)
+        rho = 0.5 * (params.on_probability + 1.0)
+        nearly_on = Scenario.from_utilization(2, 2, rho, params)
         assert palm_prefactor(nearly_on) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -151,7 +153,7 @@ class TestAdmission:
     @pytest.mark.parametrize("capacity, d", [(math.inf, 10.0), (math.nan, 10.0),
                                              (2.0, math.nan)])
     def test_non_finite_capacity_or_nan_delay_rejected(self, capacity, d):
-        # construction only: the stability-cap scan never ends at capacity inf
+        # construction only: capacity inf has no finite stability cap
         with pytest.raises(InvalidParamsError):
             AdmissionQuery(capacity, d, 1e-3, SchedulerSpec.fifo(), BASE_SOURCE)
 
@@ -159,6 +161,25 @@ class TestAdmission:
         # the bound at d = inf is 0, which would admit up to the stability cap
         with pytest.raises(InvalidParamsError, match="finite d"):
             AdmissionQuery(8.33, math.inf, 1e-3, SchedulerSpec.fifo(), BASE_SOURCE)
+
+    @pytest.mark.parametrize("params", [BASE_SOURCE, MmooParams(0.3, 0.7, 3.0),
+                                        MmooParams(1.0, 1.0, 0.2)])
+    def test_closed_form_cap_matches_counting(self, params):
+        mean = params.mean_rate
+        rng = np.random.default_rng(3)
+        caps = [k * mean for k in range(1, 301)]  # exact multiples sit on the boundary
+        caps += [math.nextafter(c, x) for c in caps[:100] for x in (0.0, math.inf)]
+        caps += rng.uniform(0.01, 300 * mean, 200).tolist()
+        for cap in caps:
+            counted, n = 0, 2
+            while n * mean < cap:
+                counted, n = n, n + 2
+            assert _stability_cap(cap, mean) == counted, cap
+
+    def test_large_capacity_cap(self):
+        # counting up to the cap took about 3e9 iterations here
+        q = AdmissionQuery(1e9, 5.0, 1e-3, SchedulerSpec.fifo(), BASE_SOURCE)
+        assert admission_max_flows(q)["stability_cap"] == 5999999998
 
     @pytest.mark.parametrize("method", ["martingale", "standard"])
     @pytest.mark.parametrize("sched", [SchedulerSpec.fifo(), SchedulerSpec.sp(),
@@ -327,6 +348,24 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and named in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", [
+        ["bound", "--d", "5"], ["scaling", "--n-list", "10,20"],
+        ["simulate", "--d", "5", "--packets", "100", "--warmup", "0", "--reps", "1"],
+        ["compare", "--d", "5", "--packets", "100", "--warmup", "0", "--reps", "1"],
+    ], ids=["bound", "scaling", "simulate", "compare"])
+    @pytest.mark.parametrize("counts", [{"n1": 5.5}, {"n1": 5.0}, {"n2": 2.5}],
+                             ids=["n1=5.5", "n1=5.0", "n2=2.5"])
+    def test_scenario_file_non_integer_count_exit_code(self, tmp_path, capsys,
+                                                       command, counts):
+        doc = {"lambda": 0.5, "mu": 0.1, "peak": 1.0, "n1": 5, "n2": 5, "rho": 0.75}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**doc, **counts}))
+        assert main([*command, "--scenario", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "must be an integer" in captured.err
+        assert captured.err.count("\n") == 1
 
     def test_missing_scenario_file_exit_code(self, tmp_path, capsys):
         path = tmp_path / "absent.json"

@@ -7,7 +7,6 @@ import pytest
 
 from sncbounds import (
     DegenerateSourceError,
-    GridConfig,
     InvalidParamsError,
     MarkovFluidSource,
     MmooParams,
@@ -22,9 +21,10 @@ from sncbounds import (
     generalized_decay,
     martingale_constants,
     mmoo_consistency_check,
-    single_flow_fluid_bound,
 )
-from sncbounds.general import _decays
+from sncbounds.general import _SPLITS, _decays, _k_factor
+from general_reference import _k_factor as scalar_k_factor
+from general_reference import _prefactor as scalar_prefactor
 from general_reference import dense_generator, scalar_bound, scalar_decay
 
 BASE_SOURCE = MmooParams(0.5, 0.1, 1.0)
@@ -247,58 +247,46 @@ class TestFluidEffectiveBandwidth:
 
 
 class TestSingleFlowBound:
+    """The single-flow prefactor pi.h / min of h over drift >= 0, the bound at sigma = 0."""
+
+    @staticmethod
+    def prefactor(n):
+        n1 = max(n // 2, 1)
+        sc = Scenario.from_utilization(n1, n - n1, 0.75, BASE_SOURCE)
+        return sc, mmoo_consistency_check(sc)["single_flow_prefactor"]
+
     def test_constrained_prefactor_vs_closed_form(self):
         # the state-constrained minimum sharpens K^n by the integer-crossing
         # factor exp(theta*(ceil(C/P) - C/P)); equal when C/P is integral
         for n in range(1, 9):
-            sc = Scenario.from_utilization(max(n // 2, 1), n - max(n // 2, 1),
-                                           0.75, BASE_SOURCE)
+            sc, got = self.prefactor(n)
             consts = martingale_constants(sc)
             cap = sc.capacity
-            src = aggregate_source(n, BASE_SOURCE)
-            got = single_flow_fluid_bound(src, cap, 0.0)
             crossing = math.ceil(cap / 1.0) - cap / 1.0
             expect = consts.K**n * math.exp(consts.theta * crossing)
             assert got == pytest.approx(expect, rel=1e-9)
             assert got <= consts.K**n * (1 + 1e-12)
 
     def test_sigma_zero_at_most_one(self):
-        for n in (1, 4, 8):
-            src = aggregate_source(n, BASE_SOURCE)
-            assert single_flow_fluid_bound(src, n * (2 / 9), 0.0) <= 1.0
-
-    def test_exponential_decay_in_sigma(self):
-        src = aggregate_source(3, BASE_SOURCE)
-        cap = 3 * (2 / 9)
-        gamma = generalized_decay(src, cap).gamma
-        v0 = single_flow_fluid_bound(src, cap, 1.0)
-        v1 = single_flow_fluid_bound(src, cap, 6.0)
-        assert v1 / v0 == pytest.approx(math.exp(-5 * gamma), rel=1e-12)
+        for n in range(1, 9):
+            assert self.prefactor(n)[1] <= 1.0
 
 
 class TestGeneralSamplePathBound:
-    def test_null_cross_flow_reduces_to_single_flow(self):
-        src = aggregate_source(5, BASE_SOURCE)
-        cap = 5 * (2 / 9)
-        gamma1 = generalized_decay(src, cap).gamma
-        sigma = 3.0
-        res = general_sample_path_bound(src, None, cap, 0.0, sigma,
-                                        GridConfig(gamma_values=np.array([gamma1])))
-        direct = single_flow_fluid_bound(src, cap, sigma)
-        assert res.value == pytest.approx(direct, rel=1e-12)
-        assert res.c1 == cap
-        # silent source behaves as no source
-        silent = MarkovFluidSource([1.0], [1.0], [0.0, 0.0])
-        res2 = general_sample_path_bound(src, silent, cap, 0.0, sigma,
-                                         GridConfig(gamma_values=np.array([gamma1])))
-        assert res2.value == res.value
-
     def test_full_infimum_never_exceeds_endpoint(self):
-        src = aggregate_source(5, BASE_SOURCE)
-        cap = 5 * (2 / 9)
-        direct = single_flow_fluid_bound(src, cap, 3.0)
-        res = general_sample_path_bound(src, None, cap, 0.0, 3.0)
-        assert res.value <= direct * (1 + 1e-12)
+        # gamma = min(gamma_1, gamma_2) closes every split's row of the table
+        src1, src2 = aggregate_source(5, BASE_SOURCE), aggregate_source(3, BASE_SOURCE)
+        cap = 8 * (2 / 9)
+        sigma = 3.0
+        res = general_sample_path_bound(src1, src2, cap, 0.0, sigma)
+        m1, m2 = src1.mean_rate, src2.mean_rate
+        splits = m1 + (cap - m1 - m2) * (np.arange(1, _SPLITS + 1) / (_SPLITS + 1))
+        for c1 in splits[::8]:
+            gd1, gd2 = scalar_decay(src1, c1), scalar_decay(src2, cap - c1)
+            g = min(gd1.gamma, gd2.gamma)
+            end = scalar_k_factor(gd1, gd2, src1.stationary, src2.stationary, g) \
+                * math.exp(-g * sigma)
+            assert res.value <= end * (1 + 1e-9)
 
     def test_homogeneous_pair_vs_closed_form(self):
         # at the symmetric split and gamma = gamma_closed the bound equals
@@ -307,17 +295,20 @@ class TestGeneralSamplePathBound:
         sc = Scenario.from_utilization(5, 5, 0.75, BASE_SOURCE)
         consts = martingale_constants(sc)
         src = aggregate_source(5, BASE_SOURCE)
-        cap = sc.capacity
+        cap, c1 = sc.capacity, sc.through_capacity
         sigma = 5 * cap
-        grid = GridConfig(c1_values=np.array([sc.through_capacity]),
-                          gamma_values=np.array([consts.gamma]))
-        res = general_sample_path_bound(src, src, cap, 0.0, sigma, grid)
+        d1, d2 = _decays(src, np.array([c1])), _decays(src, np.array([cap - c1]))
+        k = _k_factor(np.array([[consts.gamma]]), d1, src.stationary, d2, src.stationary)
+        ref = scalar_k_factor(scalar_decay(src, c1), scalar_decay(src, cap - c1),
+                              src.stationary, src.stationary, consts.gamma)
+        assert k[0, 0] == pytest.approx(ref, rel=1e-12)
+        value = k[0, 0] * math.exp(-consts.gamma * sigma)
         crossing = math.ceil(cap / 1.0) - cap / 1.0
         expect = consts.K**10 * math.exp(consts.theta * crossing) \
             * math.exp(-consts.gamma * sigma)
-        assert res.value == pytest.approx(expect, rel=1e-9)
+        assert value == pytest.approx(expect, rel=1e-9)
         closed = consts.K**10 * math.exp(-consts.gamma * sigma)
-        assert res.value <= closed
+        assert value <= closed
         full = general_sample_path_bound(src, src, cap, 0.0, sigma)
         assert full.value <= closed
 
@@ -327,24 +318,20 @@ class TestGeneralSamplePathBound:
         src1 = aggregate_source(4, BASE_SOURCE)
         src2 = aggregate_source(2, BASE_SOURCE)
         cap = 6 * (2 / 9)
-        res = general_sample_path_bound(src1, src2, cap, 0.0, 500.0,
-                                        GridConfig(c1_points=16, gamma_points=33))
+        res = general_sample_path_bound(src1, src2, cap, 0.0, 500.0)
         gd1 = generalized_decay(src1, res.c1)
         gd2 = generalized_decay(src2, cap - res.c1)
         assert res.gamma == pytest.approx(min(gd1.gamma, gd2.gamma), rel=1e-12)
 
-    def test_grid_refinement_never_increases(self):
+    def test_grid_refinement_never_increases(self, monkeypatch):
+        # 7 splits at k/8 and 17 decay rates are among 15 at k/16 and 33
         src = aggregate_source(3, BASE_SOURCE)
         cap = 6 * (2 / 9)
-        m = src.mean_rate
-        lo, hi = m * 1.2, cap - m * 1.2
-        coarse_c1 = np.linspace(lo, hi, 9)
-        fine_c1 = np.linspace(lo, hi, 17)  # superset of the coarse grid
         vals = []
-        for c1s, gp in ((coarse_c1, 17), (fine_c1, 33)):
-            res = general_sample_path_bound(src, src, cap, 1.0, 2.0,
-                                            GridConfig(c1_values=c1s, gamma_points=gp))
-            vals.append(res.value)
+        for splits, gammas in ((7, 17), (15, 33)):
+            monkeypatch.setattr("sncbounds.general._SPLITS", splits)
+            monkeypatch.setattr("sncbounds.general._GAMMAS", gammas)
+            vals.append(general_sample_path_bound(src, src, cap, 1.0, 2.0).value)
         assert vals[1] <= vals[0] * (1 + 1e-14)
 
     def test_infeasible_split_rejected(self):
@@ -353,11 +340,15 @@ class TestGeneralSamplePathBound:
             general_sample_path_bound(src, src, 2 * src.mean_rate * 0.9, 0.0, 1.0)
 
     def test_gamma_zero_gives_trivial_one(self):
+        # at gamma = 0 every power of h is 1, so K = 1 at every split, and
+        # with u = sigma = 0 the infimum is at most that column's value
         src = aggregate_source(3, BASE_SOURCE)
         cap = 6 * (2 / 9)
-        res = general_sample_path_bound(src, src, cap, 0.0, 0.0,
-                                        GridConfig(gamma_values=np.array([0.0])))
-        assert res.value == pytest.approx(1.0)
+        c1 = np.linspace(0.6, 0.8, 5)
+        d1, d2 = _decays(src, c1), _decays(src, cap - c1)
+        k = _k_factor(np.zeros((5, 1)), d1, src.stationary, d2, src.stationary)
+        assert k == pytest.approx(np.ones((5, 1)), rel=1e-15)
+        assert general_sample_path_bound(src, src, cap, 0.0, 0.0).value <= 1.0 + 1e-15
 
 
 class TestGeneralBoundValidation:
@@ -367,38 +358,32 @@ class TestGeneralBoundValidation:
     @pytest.mark.parametrize("u, sigma", [(0.0, -1.0), (0.0, math.nan), (0.0, math.inf),
                                           (math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0)])
     def test_bad_u_or_sigma_rejected(self, u, sigma):
-        for src2 in (self.SRC, None):
-            with pytest.raises(InvalidParamsError):
-                general_sample_path_bound(self.SRC, src2, self.CAP, u, sigma)
-
-    def test_zero_gamma_points_rejected(self):
-        for src2 in (self.SRC, None):
-            with pytest.raises(InvalidParamsError, match="gamma_points"):
-                general_sample_path_bound(self.SRC, src2, self.CAP, 0.0, 1.0,
-                                          GridConfig(gamma_points=0))
-
-    def test_gamma_values_outside_every_range_rejected(self):
-        for src2 in (self.SRC, None):
-            with pytest.raises(InvalidParamsError, match="gamma value"):
-                general_sample_path_bound(self.SRC, src2, self.CAP, 0.0, 1.0,
-                                          GridConfig(gamma_values=np.array([-1.0, 50.0])))
-
-    def test_zero_c1_points_rejected(self):
-        with pytest.raises(InvalidParamsError, match="c1_points"):
-            general_sample_path_bound(self.SRC, self.SRC, self.CAP, 0.0, 1.0,
-                                      GridConfig(c1_points=0))
+        with pytest.raises(InvalidParamsError):
+            general_sample_path_bound(self.SRC, self.SRC, self.CAP, u, sigma)
 
 
 class TestScalarOracle:
     """The (split, gamma) table against the scalar double loop it replaced."""
 
     @staticmethod
-    def assert_same(src1, src2, cap, u, sigma, **grid):
-        got = general_sample_path_bound(src1, src2, cap, u, sigma, GridConfig(**grid))
-        ref = scalar_bound(src1, src2, cap, u, sigma, **grid)
+    def assert_same(src1, src2, cap, u, sigma):
+        got = general_sample_path_bound(src1, src2, cap, u, sigma)
+        ref = scalar_bound(src1, src2, cap, u, sigma)
         assert got.gamma == pytest.approx(ref.gamma, rel=1e-12, abs=0)
         assert got.c1 == ref.c1
         assert got.value == pytest.approx(ref.value, rel=1e-12, abs=0)
+
+    @staticmethod
+    def assert_same_k(src1, src2, cap, c1s):
+        """K at explicit splits and at fractions of each split's common decay."""
+        d1, d2 = _decays(src1, c1s), _decays(src2, cap - c1s)
+        gammas = np.minimum(d1[0], d2[0])[:, None] * np.linspace(0.0, 1.0, 9)
+        got = _k_factor(gammas, d1, src1.stationary, d2, src2.stationary)
+        for c1, row, k_row in zip(c1s, gammas, got):
+            gd1, gd2 = scalar_decay(src1, c1), scalar_decay(src2, cap - c1)
+            ref = [scalar_k_factor(gd1, gd2, src1.stationary, src2.stationary, g)
+                   for g in row]
+            assert k_row == pytest.approx(ref, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     @pytest.mark.parametrize("rho", [0.5, 0.75, 0.9])
@@ -410,22 +395,19 @@ class TestScalarOracle:
     def test_explicit_values(self):
         src1 = aggregate_source(4, BASE_SOURCE)
         src2 = aggregate_source(2, BASE_SOURCE)
-        cap = 6 * (2 / 9)
-        # below the mean, the trivial top and NaN are skipped as infeasible
-        c1s = np.array([0.1, 0.7, 0.8, math.nan, 0.9, 1.0, 1.3])
-        gammas = np.array([-0.1, 0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 2.0])
-        for u, sigma in ((0.0, 5.0), (1.0, 2.0)):
-            self.assert_same(src1, src2, cap, u, sigma, c1_values=c1s, gamma_values=gammas)
-            self.assert_same(src1, src2, cap, u, sigma, c1_values=c1s, gamma_points=9)
-            self.assert_same(src1, src2, cap, u, sigma, c1_points=7, gamma_values=gammas)
+        self.assert_same_k(src1, src2, 6 * (2 / 9), np.array([0.7, 0.8, 0.9, 0.95]))
 
     def test_zero_drift_pairs(self):
         # C and the dyadic splits are exact, so pairs with drift sum 0.0 are
         # feasible, and they are where the min over feasible pairs lies
         src = aggregate_source(3, BASE_SOURCE)
-        c1s = np.array([0.625, 0.75, 0.875, 1.0, 1.25])
-        self.assert_same(src, src, 2.0, 0.0, 1.0, c1_values=c1s)
-        self.assert_same(src, None, 1.0, 0.0, 1.0)
+        self.assert_same_k(src, src, 2.0, np.array([0.625, 0.75, 0.875, 1.0, 1.25]))
+        # one flow: C = 1.0 is the rate of state 1
+        sc = Scenario.from_utilization(1, 2, 0.5, BASE_SOURCE)
+        assert sc.capacity == 1.0
+        gd = scalar_decay(src, 1.0)
+        assert mmoo_consistency_check(sc)["single_flow_prefactor"] == pytest.approx(
+            scalar_prefactor(gd, src.stationary, gd.gamma), rel=1e-12, abs=0)
 
     def test_random_sources(self):
         rng = np.random.default_rng(41)
@@ -433,17 +415,16 @@ class TestScalarOracle:
             src1, src2 = random_birth_death(rng), random_birth_death(rng)
             spare = src1.rates.max() + src2.rates.max() - src1.mean_rate - src2.mean_rate
             cap = src1.mean_rate + src2.mean_rate + rng.uniform(0.2, 0.8) * spare
-            self.assert_same(src1, src2, cap, 1.0, 3.0, c1_points=16, gamma_points=16)
+            self.assert_same(src1, src2, cap, 1.0, 3.0)
 
     @pytest.mark.parametrize("rho", [0.5, 0.75, 0.9])
     def test_single_flow(self, rho):
+        # the consistency check's single-flow prefactor at the flow's own decay
+        sc = Scenario.from_utilization(2, 2, rho, BASE_SOURCE)
         src = aggregate_source(4, BASE_SOURCE)
-        cap = src.mean_rate / rho
-        silent = MarkovFluidSource([1.0], [1.0], [0.0, 0.0])
-        for src2 in (None, silent):
-            self.assert_same(src, src2, cap, 0.0, 5.0)
-            self.assert_same(src, src2, cap, 3.0, 20.0,
-                             gamma_values=np.array([0.0, 0.1, 0.2, 1.0]))
+        gd = scalar_decay(src, sc.capacity)
+        assert mmoo_consistency_check(sc)["single_flow_prefactor"] == pytest.approx(
+            scalar_prefactor(gd, src.stationary, gd.gamma), rel=1e-12, abs=0)
 
     def test_lockstep_decays_match_each_lane(self):
         rng = np.random.default_rng(29)

@@ -77,9 +77,10 @@ class TestConstants:
     def test_unstable_and_trivial_guards(self):
         with pytest.raises(UnstableScenarioError):
             Scenario.from_utilization(2, 2, 1.0, BASE_SOURCE)
-        sc = Scenario(1, 0, 1.5, BASE_SOURCE, allow_trivial=True)
+        # the GPS-reduced share phi1*C/n1 = 0.5*10*0.3 = 1.5 is above the peak
+        sc = Scenario(1, 9, 0.3, BASE_SOURCE)
         with pytest.raises(TrivialScenarioError):
-            martingale_constants(sc)
+            gps_constants(sc, 0.5)
 
 
 class TestSamplePathBound:

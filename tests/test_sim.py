@@ -29,8 +29,8 @@ BASE_SOURCE = MmooParams(0.5, 0.1, 1.0)
 GRID = tuple(float(x) for x in range(1, 11))
 
 
-def scenario(rho=0.75, n1=5, n2=5, **kw):
-    return Scenario.from_utilization(n1, n2, rho, BASE_SOURCE, **kw)
+def scenario(rho=0.75, n1=5, n2=5):
+    return Scenario.from_utilization(n1, n2, rho, BASE_SOURCE)
 
 
 def event_log(sc, sched, cfg, replication_index=0):
@@ -111,15 +111,16 @@ class TestSimulateBasics:
         # peak below capacity: unit packets never wait (delay exactly size/C);
         # a fractional dwell-end packet can arrive frac/P after its
         # predecessor, briefly waiting, but no delay ever exceeds one
-        # full-packet service time 1/C
-        sc = Scenario(1, 0, 1.5, BASE_SOURCE, allow_trivial=True)
-        ev = event_log(sc, SchedulerSpec.fifo(),
-                       small_cfg(measured_packets=2000, warmup_packets=0), 0)
-        thr = ev["through"]
-        cap = ev["capacity"]
-        delays = thr["depart"] - thr["arrival"]
+        # full-packet service time 1/C.  Scenario rejects c >= peak, so the
+        # arrivals of one source are served at C = 1.5 directly
+        sc = Scenario(1, 0, 0.9, BASE_SOURCE)
+        (tt, ts), (ct, cs) = _flow_arrivals(
+            sc, small_cfg(measured_packets=2000, warmup_packets=0), 0)
+        cap = 1.5
+        dep, _ = _serve_flows("fifo", tt, ts, ct, cs, cap)
+        delays = dep - tt
         assert delays.max() <= 1.0 / cap + 1e-12
-        unit = thr["size"] == 1.0
+        unit = ts == 1.0
         assert np.allclose(delays[unit], 1.0 / cap, rtol=1e-12, atol=1e-12)
 
     def test_fifo_departures_in_arrival_order(self):

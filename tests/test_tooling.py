@@ -43,3 +43,54 @@ def test_detector_sees_every_form():
                  "import numpy.linalg"):
         assert linalg_uses(ast.parse(code)), code
     assert not linalg_uses(ast.parse("import numpy as np\nnp.cumsum(x)"))
+
+
+# only the benchmark calls the two-flow bound, until ROADMAP direction 5
+# gives it a caller in the package or deletes it
+API_EXEMPT = {"general_sample_path_bound"}
+
+
+def exported(tree: ast.AST) -> list:
+    """The names in a module's ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def referenced(tree: ast.AST) -> set:
+    """Names read or reached as attributes; a def or class line and a string are not."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def unused_exports(trees: dict) -> dict:
+    """Per module, the ``__all__`` names that no module of the package reads."""
+    used = set().union(*map(referenced, trees.values()))
+    found = {name: [e for e in exported(tree) if e not in used | API_EXEMPT]
+             for name, tree in trees.items()}
+    return {name: names for name, names in found.items() if names}
+
+
+def test_public_api_is_used_by_the_package():
+    # a public name that only tests reach is a mode nothing runs;
+    # __init__.py only re-exports, so its imports are not uses
+    trees = {f.name: ast.parse(f.read_text(), str(f))
+             for f in sorted(PACKAGE.glob("*.py")) if f.name != "__init__.py"}
+    assert trees
+    assert unused_exports(trees) == {}
+
+
+def test_unused_export_detector():
+    lib = ast.parse('__all__ = ["used", "alone", "general_sample_path_bound"]\n'
+                    'def used(): pass\ndef alone(): return "used"\n'
+                    'def general_sample_path_bound(): pass\n')
+    caller = ast.parse("from .lib import used\nx = used()\n")
+    assert unused_exports({"lib.py": lib, "caller.py": caller}) == {"lib.py": ["alone"]}
+    assert unused_exports({"lib.py": lib}) == {"lib.py": ["used", "alone"]}

@@ -60,15 +60,26 @@ class TestScenario:
         with pytest.raises(UnstableScenarioError):
             Scenario(2, 2, 0.1, BASE_SOURCE)
 
-    def test_trivial_rejected_unless_allowed(self):
-        with pytest.raises(TrivialScenarioError):
-            Scenario(1, 0, 2.0, BASE_SOURCE)
-        sc = Scenario(1, 0, 2.0, BASE_SOURCE, allow_trivial=True)
-        assert sc.rho < 1
+    def test_trivial_rejected(self):
+        # peak <= c: the aggregate never backlogs the server
+        for c in (1.0, 2.0):
+            with pytest.raises(TrivialScenarioError):
+                Scenario(1, 0, c, BASE_SOURCE)
 
     def test_bad_counts(self):
         with pytest.raises(InvalidParamsError):
             Scenario(0, 2, 0.5, BASE_SOURCE)
+
+    @pytest.mark.parametrize("n1, n2", [(5.5, 5), (5.0, 5), (5, 2.5), (True, 5), (5, False),
+                                        ("5", 5), (None, 5)],
+                             ids=["5.5", "5.0", "n2-2.5", "True", "n2-False", "str", "None"])
+    def test_non_integer_counts_rejected(self, n1, n2):
+        with pytest.raises(InvalidParamsError, match="must be an integer"):
+            Scenario(n1, n2, 0.25, BASE_SOURCE)
+
+    def test_numpy_integer_counts_accepted(self):
+        sc = Scenario(np.int64(5), np.int32(3), 0.25, BASE_SOURCE)
+        assert sc == Scenario(5, 3, 0.25, BASE_SOURCE)
 
     def test_json_round_trip(self):
         doc = json.loads('{"lambda": 0.5, "mu": 0.1, "peak": 1.0, "n1": 5, "n2": 3, '
