@@ -23,8 +23,6 @@ import argparse
 import json
 import time
 
-import numpy as np
-
 import sncbounds.sim as sim
 from sncbounds import MmooParams, Scenario, SchedulerSpec, SimConfig
 
@@ -46,11 +44,11 @@ def best_ms(fn, repeats):
     return round(min(times) * 1e3, 2)
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--repeats", type=int, default=7)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     sc = Scenario.from_utilization(5, 5, 0.75, MmooParams(0.5, 0.1, 1.0))
     cfg = SimConfig.desk_scale(replications=1, master_seed=args.seed)
@@ -68,11 +66,6 @@ def main():
     dep_win = service(SCHEDULERS["sp"])[warm:need]
     delays = dep_win - T[warm:need]
 
-    def backlog():
-        idx = (np.searchsorted(T[:nt], dep_win, side="right")
-               + np.searchsorted(T[nt:], dep_win, side="right"))
-        return cap * np.maximum(fifo[idx - 1] - dep_win, 0.0)
-
     r = args.repeats
     out = {
         "arrivals": best_ms(lambda: sim._flat_arrivals(sc, cfg, 0), r),
@@ -80,7 +73,7 @@ def main():
     }
     for name, spec in SCHEDULERS.items():
         out[f"service.{name}"] = best_ms(lambda: service(spec), r)
-    out["backlog"] = best_ms(backlog, r)
+    out["backlog"] = best_ms(lambda: sim._backlog(T, nt, fifo, dep_win, cap), r)
     out["statistics"] = best_ms(
         lambda: sim._stats_from_delays(delays, cfg.delay_grid, False), r)
     for name, spec in SCHEDULERS.items():

@@ -36,7 +36,6 @@ from .martingale import (
 from .standard import (
     StandardBoundResult,
     effective_bandwidth_rate,
-    solve_eb_equation,
     standard_delay_bound,
 )
 from .general import (

@@ -138,6 +138,9 @@ def scaling_experiment(scenario: Scenario, n_list, d: float,
             "alpha_closed": -math.log(consts.K)}
 
 
+_MAX_FLOWS = 2**53  # every integer up to it is a float, so steps of 2 stay exact
+
+
 @dataclass(frozen=True)
 class AdmissionQuery:
     """Largest admissible flow count under a delay/violation target.
@@ -158,6 +161,11 @@ class AdmissionQuery:
             raise InvalidParamsError("epsilon must lie in (0, 1]")
         if not (0 <= self.d < math.inf and 0 < self.capacity < math.inf):
             raise InvalidParamsError("need a finite d >= 0 and a finite capacity > 0")
+        if self.capacity / self.params.mean_rate > _MAX_FLOWS:
+            raise InvalidParamsError(
+                f"capacity {self.capacity:.6g} admits more than 2**53 flows "
+                f"of mean rate {self.params.mean_rate:.6g}"
+            )
         if self.method not in ("martingale", "standard"):
             raise InvalidParamsError(f"method must be martingale|standard, got {self.method!r}")
 
@@ -176,15 +184,17 @@ def _violation(q: AdmissionQuery, n: int) -> float:
 
 
 def _stability_cap(capacity: float, mean: float) -> int:
-    """Largest even n >= 0 with ``n*mean < capacity`` in floats.
+    """Largest even n >= 0 at which ``Scenario(n//2, n//2, C/n)`` is stable.
 
-    Starts at 2*floor(C/(2*mean)) and moves by 2 until the test holds for n
-    and fails for n + 2: the n at which counting up from 2 would stop.
+    Applies Scenario's own test, rho = mean/(C/n) < 1, which can only
+    switch once as n grows: both divisions round monotonically.  Starts at
+    2*floor(C/(2*mean)) and moves by 2 until the test holds for n and fails
+    for n + 2.
     """
     n = 2 * math.floor(capacity / (2 * mean))
-    while n > 0 and not n * mean < capacity:
+    while n > 0 and not mean / (capacity / n) < 1.0:
         n -= 2
-    while (n + 2) * mean < capacity:
+    while mean / (capacity / (n + 2)) < 1.0:
         n += 2
     return n
 
@@ -192,7 +202,7 @@ def _stability_cap(capacity: float, mean: float) -> int:
 def admission_max_flows(q: AdmissionQuery) -> dict:
     """Largest even n with rho < 1 and violation bound <= epsilon.
 
-    Scans down from the stability cap (largest even n with n*p*P < C) and
+    Scans down from the stability cap (largest even n with rho < 1) and
     stops at the first admissible n, so flow counts below the answer are
     never evaluated.  Returns n_max = 0 when nothing is admissible; the
     stability cap is always reported.
@@ -214,7 +224,7 @@ def admission_max_flows(q: AdmissionQuery) -> dict:
 
 
 def _suite_theta_star() -> tuple[bool, str]:
-    from .standard import solve_eb_equation
+    from .standard import effective_bandwidth_rate
 
     rng = np.random.default_rng(2024)
     worst = 0.0
@@ -228,9 +238,9 @@ def _suite_theta_star() -> tuple[bool, str]:
         if rho <= p:
             continue
         c = params.mean_rate / rho
-        gamma = (lam + mu) * (1 - rho) / (peak - c)
-        worst = max(worst, abs(solve_eb_equation(params, c) - gamma))
-    return worst <= 1e-8, f"max |theta*-gamma| = {worst:.3g}"
+        gamma = martingale_constants(Scenario(1, 0, c, params)).gamma
+        worst = max(worst, abs(effective_bandwidth_rate(gamma, params) - c) / c)
+    return worst <= 1e-12, f"max |r_gamma - c|/c = {worst:.3g}"
 
 
 def _suite_mmoo_consistency() -> tuple[bool, str]:

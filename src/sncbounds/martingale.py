@@ -139,6 +139,22 @@ def gps_constants(scenario: Scenario, phi1: float) -> MartingaleConstants:
                       params.peak, c_gps)
 
 
+def _edf_rescaled(scenario: Scenario) -> tuple[float, MartingaleConstants] | None:
+    """Rescaled per-flow capacity c' = (n/n1) c and its constants (EDF, d1* < d2*).
+
+    The second term of the EDF bound lets the n1 through flows alone fill
+    the whole server, at utilization rho' = (n1/n) rho.  None when P <= c':
+    the through aggregate alone cannot backlog the full server.
+    """
+    params = scenario.params
+    c_resc = scenario.n / scenario.n1 * scenario.per_flow_capacity
+    if params.peak <= c_resc:
+        return None
+    rho_resc = scenario.n1 / scenario.n * scenario.rho
+    return c_resc, _constants(params.on_probability, rho_resc, params.lam, params.mu,
+                              params.peak, c_resc)
+
+
 def martingale_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float) -> DelayBound:
     """Delay-violation bound P(W1 > d) <= value for the through aggregate.
 
@@ -180,15 +196,11 @@ def martingale_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float) -
         return DelayBound(prefactor * math.exp(-decay * d), decay, prefactor)
     term1_pref = kn * math.exp(consts.gamma * scenario.cross_capacity * y)
     term1 = term1_pref * math.exp(-decay * d)
-    c_resc = scenario.n / scenario.n1 * scenario.per_flow_capacity
-    if scenario.params.peak <= c_resc:
-        # the through aggregate alone cannot backlog the full server
+    rescaled = _edf_rescaled(scenario)
+    if rescaled is None:
         term2_pref, decay2, term2 = 0.0, math.inf, 0.0
     else:
-        rho_resc = scenario.n1 / scenario.n * scenario.rho
-        resc = _constants(scenario.params.on_probability, rho_resc,
-                          scenario.params.lam, scenario.params.mu,
-                          scenario.params.peak, c_resc)
+        _, resc = rescaled
         term2_pref = resc.K ** n
         decay2 = resc.gamma * cap
         term2 = term2_pref * math.exp(-decay2 * d)

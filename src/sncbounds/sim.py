@@ -51,7 +51,8 @@ the rest, longest first, through lockstep calls of at most
 ``_LOCKSTEP_LANES`` lanes (the reasons for each constant are next to it).
 ``simulate`` stops after the warm-up plus measured through packets: busy
 periods after the one that holds the last of them are not served, and their
-packets stay NaN.  FIFO itself takes its departures from the recursion.
+packets stay NaN.  FIFO itself takes its departures from the recursion,
+so the kernels serve only SP, EDF and WFQ.
 
 The kernels return departures only.  The backlog that ``DelayStats.unstable``
 samples needs no service order: every discipline here is work-conserving, so
@@ -299,12 +300,14 @@ def _busy_periods(t, fifo):
 
 
 def _serve_loop(kind, tt, ts, ct, cs, cap, d1=0.0, d2=0.0, phi1=0.5):
-    """Two-queue head-selection service loop for all disciplines.
+    """Two-queue head-selection service loop for SP, EDF and WFQ (``kind`` gps).
 
-    Within each flow, EDF deadlines and WFQ finish tags are increasing, so
-    the discipline's next packet is always one of the two queue heads.
-    Serves everything and returns (through departs, cross departs), aligned
-    with the input arrival order.
+    FIFO's selection is EDF with equal deadlines; ``simulate`` takes FIFO
+    departures from the work recursion instead.  Within each flow, EDF
+    deadlines and WFQ finish tags are increasing, so the discipline's next
+    packet is always one of the two queue heads.  Serves everything and
+    returns (through departs, cross departs), aligned with the input
+    arrival order.
     """
     nt, nc = tt.size, ct.size
     dep_t = np.empty(nt)
@@ -371,9 +374,7 @@ def _serve_loop(kind, tt, ts, ct, cs, cap, d1=0.0, d2=0.0, phi1=0.5):
         t_ok = t_head <= free
         c_ok = c_head <= free
 
-        if kind == "fifo":
-            take_t = t_ok and (not c_ok or t_head <= c_head)
-        elif kind == "sp":
+        if kind == "sp":
             take_t = not c_ok
         elif kind == "edf":
             if t_ok and c_ok:
@@ -408,14 +409,14 @@ def _lockstep(kind, T, S, cap, lo_t, hi_t, lo_c, hi_c, d1, d2, phi1, dep):
     ``T``/``S`` hold the arrival times and sizes of all through packets then
     all cross packets (the flat index); lane i owns [lo_t, hi_t) and
     [lo_c, hi_c) of it.  Each step applies the scalar loop's arithmetic to
-    every lane: the idle jump, then under SP/EDF/FIFO one head selection.  Under WFQ a step handles the next
-    arrival or departure at or before the free instant, and selects a head
-    when no arrival at or before that instant is left, so a lane of n
-    packets takes about 2n steps.  A finished lane has NaN heads, serves
-    nothing and keeps its state, so the steps cover the lanes up to the last
-    unfinished one.  Writes departures into ``dep`` at flat indices (the
-    last slot takes the writes of lanes that serve nothing in a step) and
-    returns each lane's last departure.
+    every lane: the idle jump, then under SP/EDF one head selection.  Under
+    WFQ a step handles the next arrival or departure at or before the free
+    instant, and selects a head when no arrival at or before that instant
+    is left, so a lane of n packets takes about 2n steps.  A finished lane
+    has NaN heads, serves nothing and keeps its state, so the steps cover
+    the lanes up to the last unfinished one.  Writes departures into
+    ``dep`` at flat indices (the last slot takes the writes of lanes that
+    serve nothing in a step) and returns each lane's last departure.
     """
     wfq = kind == "gps"
     it, ic = lo_t.copy(), lo_c.copy()
@@ -442,9 +443,7 @@ def _lockstep(kind, T, S, cap, lo_t, hi_t, lo_c, hi_c, d1, d2, phi1, dep):
         np.fmax(free_, np.fmin(th, ch), out=free_)  # idle jump
         t_ok = th <= free_
         c_ok = ch <= free_
-        if kind == "fifo":
-            take = t_ok & (~c_ok | (th <= ch))
-        elif kind == "sp":
+        if kind == "sp":
             take = t_ok & ~c_ok
         elif kind == "edf":
             dl_t, dl_c = th + d1, ch + d2
@@ -608,6 +607,19 @@ def _stats_from_delays(delays: np.ndarray, grid, unstable: bool) -> DelayStats:
                       tuple(garr.tolist()), ccdf, unstable)
 
 
+def _backlog(T, nt, fifo, dep, cap):
+    """Backlog (bits in system) sampled at each departure instant in ``dep``.
+
+    It is the FIFO unfinished work, which every discipline here shares
+    (module docstring): C times the wait left to the FIFO departure
+    ``fifo`` (merged order) of the last arrival.  Arrivals are counted per
+    flow of the flat index, the same count as in merged order.
+    """
+    idx = (np.searchsorted(T[:nt], dep, side="right")
+           + np.searchsorted(T[nt:], dep, side="right"))
+    return cap * np.maximum(fifo[idx - 1] - dep, 0.0)
+
+
 def _flat_arrivals(scenario: Scenario, cfg: SimConfig, replication_index: int):
     """Arrival times and sizes of all through packets then all cross packets."""
     (tt, ts), (ct, cs) = _flow_arrivals(scenario, cfg, replication_index)
@@ -632,15 +644,7 @@ def simulate(scenario: Scenario, sched: SchedulerSpec, cfg: SimConfig,
                             d1=sched.d1_star, d2=sched.d2_star, phi1=sched.phi1)
     del lanes
     delays = dep_thr[cfg.warmup_packets:need] - T[cfg.warmup_packets:need]
-    dep_win = dep_thr[cfg.warmup_packets:need]
-
-    # backlog (bits in system) sampled at each measured through departure:
-    # the FIFO unfinished work, which every discipline here shares (module
-    # docstring); arrivals are counted per flow, the same as in merged order
-    idx = (np.searchsorted(T[:nt], dep_win, side="right")
-           + np.searchsorted(T[nt:], dep_win, side="right"))
-    backlog = cap * np.maximum(fifo[idx - 1] - dep_win, 0.0)
-
+    backlog = _backlog(T, nt, fifo, dep_thr[cfg.warmup_packets:need], cap)
     return _stats_from_delays(delays, cfg.delay_grid, _instability_flag(backlog))
 
 

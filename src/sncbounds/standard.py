@@ -14,7 +14,10 @@ in theta).  The discretized union/Chernoff sample-path argument then gives
 
 with L = c*e/(c - r_theta).  The feasible set is the open interval
 (0, gamma): the effective-bandwidth equation r_theta = c has the martingale
-decay rate gamma as its unique root.
+decay rate gamma as its unique root.  So no root is searched for: every
+interval end is the closed-form gamma of its reduced system, read from
+``martingale`` (the scenario's per-flow capacity, the GPS-reduced system,
+or EDF's rescaled capacity).
 """
 
 from __future__ import annotations
@@ -25,14 +28,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GpsInfeasibleError, InvalidParamsError, TrivialScenarioError
-from .martingale import SchedulerSpec, martingale_constants
+from .errors import InvalidParamsError
+from .martingale import SchedulerSpec, _edf_rescaled, gps_constants, martingale_constants
 from .traffic import MmooParams, Scenario
 
 __all__ = [
     "StandardBoundResult",
     "effective_bandwidth_rate",
-    "solve_eb_equation",
     "standard_delay_bound",
 ]
 
@@ -83,34 +85,6 @@ def _r_theta(theta: float, params: MmooParams) -> float:
     b = lam + mu - theta * peak
     sq = math.sqrt(b * b + 4.0 * mu * theta * peak)
     return 2.0 * mu * peak / (sq + b) if b > 0 else (sq - b) / (2.0 * theta)
-
-
-def solve_eb_equation(params: MmooParams, c: float) -> float:
-    """Unique root of r_theta = c by bisection, to |r - c| <= 1e-12*c.
-
-    r_theta increases from the mean rate to the peak, so a root exists iff
-    p*P < c < P.
-    """
-    if not params.mean_rate < c < params.peak:
-        raise InvalidParamsError(
-            f"capacity {c} outside (mean rate {params.mean_rate:.6g}, "
-            f"peak {params.peak})"
-        )
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if _r_theta(hi, params) > c:
-            break
-        hi *= 2.0
-    for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        r = _r_theta(mid, params)
-        if abs(r - c) <= 1e-12 * c or (hi - lo) < 1e-16 * hi:
-            return mid
-        if r < c:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def _golden_min(f: Callable[[float], float], lo: float, hi: float,
@@ -220,7 +194,9 @@ def standard_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float) -> 
                       rescaled capacity c' = (n/n1) c in both its feasibility
                       set and its prefactor L' = c' e/(c' - r_theta).
     GPS:   inf over {theta: phi1 C > n1 r_theta} of
-           [phi1 C/(phi1 C - n1 r_theta)] e^{-theta phi1 C d}
+           [phi1 C/(phi1 C - n1 r_theta)] e^{-theta phi1 C d}; that set is
+           (0, gamma) of the GPS-reduced system, and ``gps_constants``
+           raises for an infeasible or trivial weight
     """
     if not 0 <= d < math.inf:
         raise InvalidParamsError(f"d must be finite and >= 0, got {d}")
@@ -229,19 +205,10 @@ def standard_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float) -> 
     n1, n2 = scenario.n1, scenario.n2
 
     if sched.kind == "gps":
-        c_gps = sched.phi1 * cap / n1
-        if c_gps <= params.mean_rate:
-            raise GpsInfeasibleError(
-                f"phi1*C = {sched.phi1 * cap:.6g} <= n1*p*P = "
-                f"{n1 * params.mean_rate:.6g}: no feasible theta"
-            )
-        if c_gps >= params.peak:
-            raise TrivialScenarioError(
-                "GPS-allocated per-flow capacity at or above the peak rate"
-            )
         phi_c = sched.phi1 * cap
-        return _optimized_bound(params, solve_eb_equation(params, c_gps), phi_c, n1,
-                                lambda th, r: -th * phi_c * d, euler=False)
+        gamma = gps_constants(scenario, sched.phi1).gamma
+        return _optimized_bound(params, gamma, phi_c, n1, lambda th, r: -th * phi_c * d,
+                                euler=False)
 
     if sched.kind == "fifo":
         return _scenario_bound(scenario, lambda th, r: -th * cap * d)
@@ -258,13 +225,12 @@ def standard_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float) -> 
     first = _scenario_bound(
         scenario, lambda th, r: th * (cap - n1 * r) * y - th * cap * d
     )
-    c_resc = scenario.n / n1 * scenario.per_flow_capacity
-    if params.peak <= c_resc:
-        # through flows alone can never backlog the full server
+    rescaled = _edf_rescaled(scenario)
+    if rescaled is None:
         second = StandardBoundResult(0.0, math.inf, math.inf)
     else:
-        second = _optimized_bound(params, solve_eb_equation(params, c_resc), c_resc, 1,
-                                  lambda th, r: -th * cap * d)
+        c_resc, resc = rescaled
+        second = _optimized_bound(params, resc.gamma, c_resc, 1, lambda th, r: -th * cap * d)
     return StandardBoundResult(
         first.value + second.value, first.theta_star, first.L,
         terms=((first.value, first.theta_star, first.L),

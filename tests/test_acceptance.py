@@ -28,10 +28,10 @@ from sncbounds import (
     mmoo_consistency_check,
     replicate,
     scaling_experiment,
-    solve_eb_equation,
     standard_delay_bound,
 )
 from sncbounds.analysis import bound_rows
+from eb_reference import solve_eb_equation
 
 BASE_SOURCE = MmooParams(0.5, 0.1, 1.0)
 MASTER_SEED = 20240810

@@ -171,8 +171,9 @@ class TestAdmission:
         caps += [math.nextafter(c, x) for c in caps[:100] for x in (0.0, math.inf)]
         caps += rng.uniform(0.01, 300 * mean, 200).tolist()
         for cap in caps:
+            # counting up with Scenario's own test, rho = mean/(C/n) < 1
             counted, n = 0, 2
-            while n * mean < cap:
+            while mean / (cap / n) < 1.0:
                 counted, n = n, n + 2
             assert _stability_cap(cap, mean) == counted, cap
 
@@ -180,6 +181,28 @@ class TestAdmission:
         # counting up to the cap took about 3e9 iterations here
         q = AdmissionQuery(1e9, 5.0, 1e-3, SchedulerSpec.fifo(), BASE_SOURCE)
         assert admission_max_flows(q)["stability_cap"] == 5999999998
+
+    def test_float_neighbours_of_multiples_stay_stable(self):
+        # one ulp above 74 means, n = 74 passes n*mean < C, but Scenario
+        # rounds rho = mean/(C/74) to 1 and raises UnstableScenarioError
+        mean = BASE_SOURCE.mean_rate
+        for k in range(1, 400):
+            below = above = k * mean
+            caps = [below]
+            for _ in range(4):
+                below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+                caps += [below, above]
+            for cap in caps:
+                q = AdmissionQuery(cap, 5.0, 1.0, SchedulerSpec.fifo(), BASE_SOURCE)
+                res = admission_max_flows(q)
+                assert res["n_max"] == res["stability_cap"], cap
+
+    @pytest.mark.parametrize("capacity", [1e20, 1e30, 1e300])
+    def test_capacity_beyond_exact_flow_counts_rejected(self, capacity):
+        # above 2**53 flows a step of 2 no longer changes n's float, so a
+        # search for the cap would not end
+        with pytest.raises(InvalidParamsError, match="2\\*\\*53"):
+            AdmissionQuery(capacity, 5.0, 1e-3, SchedulerSpec.fifo(), BASE_SOURCE)
 
     @pytest.mark.parametrize("method", ["martingale", "standard"])
     @pytest.mark.parametrize("sched", [SchedulerSpec.fifo(), SchedulerSpec.sp(),
@@ -291,6 +314,22 @@ class TestCli:
                      "--d", "5"]) == 0
         capsys.readouterr()
         assert main(["bound", "--scheduler", "gps", "--phi1", "0.5", "--d", "5"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["--capacity", "12.333333333333336", "--epsilon", "1"],  # one ulp above 74 means
+        ["--capacity", "1e9", "--delay", "5"],
+    ])
+    def test_admission_edge_capacities_answer(self, capsys, argv):
+        assert main(["admission", *argv, "--method", "martingale"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("capacity", ["1e20", "1e30", "1e300"])
+    def test_admission_huge_capacity_exit_code(self, capsys, capacity):
+        assert main(["admission", "--capacity", capacity]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
     def test_invalid_scenario_exit_code(self, capsys):
         assert main(["bound", "--rho", "1.2", "--d", "1"]) == 2

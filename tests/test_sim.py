@@ -34,7 +34,12 @@ def scenario(rho=0.75, n1=5, n2=5):
 
 
 def event_log(sc, sched, cfg, replication_index=0):
-    """Arrival, size and departure of every packet of both flows, all served."""
+    """Arrival, size and departure of every packet of both flows, all served.
+
+    The service kernels serve FIFO as EDF(0, 0), its selection rule bit for bit.
+    """
+    if sched.kind == "fifo":
+        sched = SchedulerSpec.edf(0.0, 0.0)
     (tt, ts), (ct, cs) = _flow_arrivals(sc, cfg, replication_index)
     dep_t, dep_c = _serve_flows(sched.kind, tt, ts, ct, cs, sc.capacity,
                                 d1=sched.d1_star, d2=sched.d2_star, phi1=sched.phi1)
@@ -112,12 +117,13 @@ class TestSimulateBasics:
         # a fractional dwell-end packet can arrive frac/P after its
         # predecessor, briefly waiting, but no delay ever exceeds one
         # full-packet service time 1/C.  Scenario rejects c >= peak, so the
-        # arrivals of one source are served at C = 1.5 directly
+        # arrivals of one source are served at C = 1.5 directly, in FIFO
+        # order as EDF(0, 0)
         sc = Scenario(1, 0, 0.9, BASE_SOURCE)
         (tt, ts), (ct, cs) = _flow_arrivals(
             sc, small_cfg(measured_packets=2000, warmup_packets=0), 0)
         cap = 1.5
-        dep, _ = _serve_flows("fifo", tt, ts, ct, cs, cap)
+        dep, _ = _serve_flows("edf", tt, ts, ct, cs, cap, d1=0.0, d2=0.0)
         delays = dep - tt
         assert delays.max() <= 1.0 / cap + 1e-12
         unit = ts == 1.0

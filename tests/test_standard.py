@@ -11,11 +11,14 @@ from sncbounds import (
     SchedulerSpec,
     TrivialScenarioError,
     effective_bandwidth_rate,
+    gps_constants,
     martingale_constants,
     martingale_delay_bound,
-    solve_eb_equation,
+    standard,
     standard_delay_bound,
 )
+from sncbounds.martingale import _edf_rescaled
+from eb_reference import solve_eb_equation
 
 BASE_SOURCE = MmooParams(0.5, 0.1, 1.0)
 
@@ -94,6 +97,55 @@ class TestSolveEbEquation:
             solve_eb_equation(BASE_SOURCE, 0.1)  # below mean rate
         with pytest.raises(InvalidParamsError):
             solve_eb_equation(BASE_SOURCE, 1.5)  # above peak
+
+
+class TestIntervalEnds:
+    """Both bound families read one decay rate per reduced system: the
+    standard optimizer's interval ends at the martingale constants' gamma,
+    bit for bit, not at a root searched for again."""
+
+    @pytest.fixture
+    def theta_max(self, monkeypatch):
+        """``theta_max`` of every optimizer call, in call order."""
+        ends = []
+        minimize = standard._minimize_theta
+
+        def spy(*args):
+            ends.append(args[-1])
+            return minimize(*args)
+
+        monkeypatch.setattr(standard, "_minimize_theta", spy)
+        return ends
+
+    @pytest.mark.parametrize("phi1", [0.3, 0.5, 0.7])
+    def test_gps_ends_at_reduced_gamma(self, theta_max, phi1):
+        checked = 0
+        for rho in (0.3, 0.45, 0.6, 0.75):
+            for n1, n2 in ((5, 5), (2, 8), (8, 2), (1, 1)):
+                sc = scenario(rho, n1, n2)
+                try:
+                    gamma = gps_constants(sc, phi1).gamma
+                except (GpsInfeasibleError, TrivialScenarioError):
+                    continue
+                theta_max.clear()
+                standard_delay_bound(sc, SchedulerSpec.gps(phi1), 5.0)
+                assert theta_max == [gamma]
+                checked += 1
+        assert checked >= 4
+
+    def test_edf_second_term_ends_at_rescaled_gamma(self, theta_max):
+        checked = 0
+        for rho in (0.5, 0.75, 0.9, 0.99):
+            for n1, n2 in ((5, 5), (2, 8), (8, 2), (1, 3), (50, 50)):
+                sc = scenario(rho, n1, n2)
+                rescaled = _edf_rescaled(sc)
+                if rescaled is None:
+                    continue
+                theta_max.clear()
+                standard_delay_bound(sc, SchedulerSpec.edf(1.0, 10.0), 5.0)
+                assert theta_max == [martingale_constants(sc).gamma, rescaled[1].gamma]
+                checked += 1
+        assert checked >= 10
 
 
 class TestSamplePathBound:
@@ -220,7 +272,7 @@ class TestStandardDelayBounds:
         v2, th2, L2 = res.terms[1]
         assert res.value == pytest.approx(v1 + v2, rel=1e-14)
         gamma = martingale_constants(sc).gamma
-        gamma_resc = solve_eb_equation(BASE_SOURCE, 4 / 9)
+        gamma_resc = _edf_rescaled(sc)[1].gamma
         assert 0 < th1 < gamma
         assert 0 < th2 < gamma_resc
 
@@ -234,8 +286,9 @@ class TestStandardDelayBounds:
             r = effective_bandwidth_rate(ths, sc.params)
             return c * math.e / (c - r) * np.exp(ths * (cap - n1 * r) * y - ths * cap * d)
 
-        c2 = 4 / 9
-        gamma2 = solve_eb_equation(BASE_SOURCE, c2)
+        c2, resc = _edf_rescaled(sc)
+        assert c2 == pytest.approx(4 / 9, rel=1e-15)
+        gamma2 = resc.gamma
 
         def obj2(ths):
             r = effective_bandwidth_rate(ths, sc.params)
@@ -262,7 +315,7 @@ class TestStandardDelayBounds:
     def test_gps_against_grid_oracle(self):
         sc = scenario()
         phi_c = 0.5 * sc.capacity
-        gamma_gps = solve_eb_equation(BASE_SOURCE, phi_c / 5)
+        gamma_gps = gps_constants(sc, 0.5).gamma
 
         def obj(ths):
             r = effective_bandwidth_rate(ths, sc.params)

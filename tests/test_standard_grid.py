@@ -2,11 +2,11 @@
 
 ``tests/golden/standard-grid.json`` pins, as ``float.hex`` strings, every
 field of ``standard_delay_bound`` on a grid of schedulers, flow counts,
-utilizations and delays, and ``solve_eb_equation`` at the random parameters
-of the ``theta-star-equals-gamma`` verify suite.  An input the library
-rejects is pinned by the name of the error it raises.  The grid holds
-n1 = n2 = n/2 and the paper's source.  After an intended change of value,
-re-pin with ``python tests/test_standard_grid.py``.
+utilizations and delays.  An input the library rejects is pinned by the
+name of the error it raises.  Every interval end of the optimizer is a
+closed-form martingale gamma, so no root finder has bits of its own to
+pin.  The grid holds n1 = n2 = n/2 and the paper's source.  After an
+intended change of value, re-pin with ``python tests/test_standard_grid.py``.
 
 The optimizer's pre-scan runs on NumPy arrays and its golden-section steps
 on Python floats; the two evaluators of the objective must agree bit for
@@ -24,7 +24,6 @@ from sncbounds import (
     MmooParams,
     Scenario,
     SchedulerSpec,
-    solve_eb_equation,
     standard,
     standard_delay_bound,
 )
@@ -65,33 +64,10 @@ def bound_record(sched: str, n: int, rho: float, d: float) -> dict:
     return rec
 
 
-def eb_parameters():
-    """(params, c) as drawn by the ``theta-star-equals-gamma`` verify suite."""
-    rng = np.random.default_rng(2024)
-    out = []
-    for _ in range(100):
-        lam = rng.uniform(0.05, 3.0)
-        mu = rng.uniform(0.05, 3.0)
-        peak = rng.uniform(0.5, 4.0)
-        params = MmooParams(lam, mu, peak)
-        p = params.on_probability
-        rho = rng.uniform(p + 1e-3, 1 - 1e-3)
-        if rho <= p:
-            continue
-        out.append((params, params.mean_rate / rho))
-    return out
-
-
-def eb_record(params: MmooParams, c: float) -> dict:
-    return {"lambda": _hex(params.lam), "mu": _hex(params.mu), "peak": _hex(params.peak),
-            "c": _hex(c), "root": _hex(solve_eb_equation(params, c))}
-
-
 def compute() -> dict:
     return {
         "standard_delay_bound": [bound_record(s, n, rho, d) for s in SCHEDULERS
                                  for n in FLOWS for rho in RHOS for d in DELAYS],
-        "solve_eb_equation": [eb_record(p, c) for p, c in eb_parameters()],
     }
 
 
@@ -115,11 +91,6 @@ def test_standard_delay_bound_bits(golden, sched):
     assert len(expected) == len(FLOWS) * len(RHOS) * len(DELAYS)
     got = [bound_record(sched, r["n"], r["rho"], r["d"]) for r in expected]
     assert [(g, e) for g, e in zip(got, expected) if g != e] == []
-
-
-def test_solve_eb_equation_bits(golden):
-    got = [eb_record(p, c) for p, c in eb_parameters()]
-    assert got == golden["solve_eb_equation"]
 
 
 def test_result_fields_are_python_scalars():

@@ -1,9 +1,13 @@
-"""Source-level rules of the package, checked on its syntax trees."""
+"""Source-level rules of the package, checked on its syntax trees, and the
+scripts that reach into its private functions."""
 
 import ast
+import importlib.util
+import json
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sncbounds"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "sncbounds"
 
 
 def linalg_uses(tree: ast.AST) -> list:
@@ -94,3 +98,17 @@ def test_unused_export_detector():
     caller = ast.parse("from .lib import used\nx = used()\n")
     assert unused_exports({"lib.py": lib, "caller.py": caller}) == {"lib.py": ["alone"]}
     assert unused_exports({"lib.py": lib}) == {"lib.py": ["used", "alone"]}
+
+
+def test_stage_times_script_runs(capsys):
+    # the script times private sim functions; a rename must fail here
+    spec = importlib.util.spec_from_file_location("stage_times",
+                                                  ROOT / "scripts" / "stage_times.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.main(["--repeats", "1"])
+    out = json.loads(capsys.readouterr().out)
+    names = list(script.SCHEDULERS)
+    assert list(out) == (["arrivals", "merge"] + [f"service.{n}" for n in names]
+                         + ["backlog", "statistics"] + [f"simulate.{n}" for n in names])
+    assert all(isinstance(ms, float) and ms >= 0 for ms in out.values())
