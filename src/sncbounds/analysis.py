@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InvalidParamsError
 from .martingale import (
     SchedulerSpec,
-    gps_constants,
+    _bound_terms,
     martingale_constants,
     martingale_delay_bound,
 )
@@ -130,12 +130,10 @@ def scaling_experiment(scenario: Scenario, n_list, d: float,
                      "ratio": std / mart})
     log_ratio = np.log([r["ratio"] for r in rows])
     alpha_fit = float(np.polyfit(n_list, log_ratio, 1)[0]) if len(n_list) > 1 else math.nan
-    if sched.kind == "gps":
-        consts = gps_constants(scenario, sched.phi1)
-    else:
-        consts = martingale_constants(scenario)
-    return {"rows": rows, "alpha_fit": alpha_fit,
-            "alpha_closed": -math.log(consts.K)}
+    # K of the rows' first-term reduced system; every row splits n evenly, so
+    # the GPS-reduced one (phi1*C shared by n/2 flows) is the same for each n
+    k = _bound_terms(sc, sched, d)[0].consts.K
+    return {"rows": rows, "alpha_fit": alpha_fit, "alpha_closed": -math.log(k)}
 
 
 _MAX_FLOWS = 2**53  # every integer up to it is a float, so steps of 2 stay exact

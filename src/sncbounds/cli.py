@@ -241,9 +241,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (SncboundsError, ValueError, ArithmeticError, OSError) as exc:
-        # ArithmeticError: overflow or a zero division in the linear-domain
-        # bounds at large flow counts; OSError: an unreadable --scenario file
-        # or an unwritable --out path
+        # ArithmeticError: a zero division in scaling's ratio once K**n
+        # underflows at large flow counts; OSError: an unreadable --scenario
+        # file or an unwritable --out path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

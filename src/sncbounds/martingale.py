@@ -1,21 +1,28 @@
 """Sharp per-flow delay bounds from the exponential-martingale sample-path bound.
 
-All bounds share the constants
+Every reduced system has the constants
 
     K     = rho*((rho-p)/(1-p))**(p/rho - 1)
     gamma = (lam+mu)*(1-rho)/(P-c)
     theta = log((mu/lam)*(P-c)/c)        (< 0 under stability)
 
-and have the form  K**n * exp(-gamma*(C1*u + sigma))  with (u, sigma) tuned
-per scheduler.  Values are returned raw (they may exceed 1); clamping for
-display happens in the reporting layer only, so algebraic identities between
-bounds survive for testing.
+where c is the system's per-flow capacity and rho = p*P/c its utilization.
+
+One term table serves both bound families.  ``_bound_terms`` gives each
+scheduler's terms: a reduced system, its prefactor powers and a service
+exponent(theta, r) in the twist theta and the effective bandwidth r.  The
+martingale bound evaluates each exponent at theta = gamma, where r_gamma = c,
+and sums K**flows * exp(exponent) over the terms; ``standard`` takes the
+infimum over theta in (0, gamma) instead.  Values are returned raw (they may
+exceed 1); clamping for display happens in the reporting layer only, so
+algebraic identities between bounds survive for testing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .errors import (
     GpsInfeasibleError,
@@ -89,18 +96,9 @@ class SchedulerSpec:
 
 @dataclass(frozen=True)
 class DelayBound:
-    """One bound evaluation.
-
-    ``value`` is authoritative.  For single-term bounds
-    ``value == prefactor * exp(-decay_rate * d)`` exactly; the two-term EDF
-    bound exposes its terms in ``terms`` as (prefactor, decay_rate) pairs and
-    reports the asymptotically dominant term's prefactor/decay.
-    """
+    """One bound evaluation: the raw value, which may exceed 1."""
 
     value: float
-    decay_rate: float
-    prefactor: float
-    terms: tuple = ()
 
 
 def _constants(p: float, rho: float, lam: float, mu: float, peak: float,
@@ -139,70 +137,82 @@ def gps_constants(scenario: Scenario, phi1: float) -> MartingaleConstants:
                       params.peak, c_gps)
 
 
-def _edf_rescaled(scenario: Scenario) -> tuple[float, MartingaleConstants] | None:
-    """Rescaled per-flow capacity c' = (n/n1) c and its constants (EDF, d1* < d2*).
+class _Term(NamedTuple):
+    """One term of a bound: a reduced system and its service exponent.
 
-    The second term of the EDF bound lets the n1 through flows alone fill
-    the whole server, at utilization rho' = (n1/n) rho.  None when P <= c':
-    the through aggregate alone cannot backlog the full server.
+    ``consts`` and ``c`` are the reduced system's constants and per-flow
+    capacity, so r_gamma = c at theta = consts.gamma.  The martingale term is
+    K**flows * exp(exponent(gamma, c)); the standard term is the infimum over
+    theta in (0, gamma) of L * exp(exponent(theta, r_theta)), with
+    L = cm*e/(cm - k*r_theta), or cm/(cm - k*r_theta) without ``euler``.
     """
+
+    consts: MartingaleConstants
+    c: float
+    flows: int
+    cm: float
+    k: int
+    euler: bool
+    exponent: Callable[[float, float], float]
+
+
+def _bound_terms(scenario: Scenario, sched: SchedulerSpec, d: float) -> tuple:
+    """The terms of the bound P(W1 > d) <= value under ``sched``.
+
+    Exponents, with y = d1* - d2* for EDF:
+
+    FIFO:  -theta C d
+    SP:    -theta (C - n2 r) d                  (cross flow has strict priority)
+    EDF, y >= 0 (ties included):  theta n2 r min(y, d) - theta C d
+    EDF, y <  0:  theta (C - n1 r) y - theta C d, plus -theta C d on the
+           rescaled per-flow capacity c' = (n/n1) c at utilization (n1/n) rho,
+           where the n1 through flows alone fill the whole server.  That
+           second term is None when P <= c': the through aggregate alone
+           cannot backlog the server.
+    GPS:   -theta phi1 C d on the GPS-reduced system, which holds only the n1
+           through flows on a server of rate phi1 C: prefactor powers K^n1
+           and L = phi1 C/(phi1 C - n1 r_theta).
+    """
+    if not 0 <= d < math.inf:
+        raise InvalidParamsError(f"d must be finite and >= 0, got {d}")
+    cap = scenario.capacity
+    n1, n2 = scenario.n1, scenario.n2
+
+    if sched.kind == "gps":
+        phi_c = sched.phi1 * cap
+        return (_Term(gps_constants(scenario, sched.phi1), phi_c / n1, n1, phi_c, n1, False,
+                      lambda th, r: -th * phi_c * d),)
+
+    c = scenario.per_flow_capacity
+    system = (martingale_constants(scenario), c, scenario.n, c, 1, True)
+    if sched.kind == "fifo":
+        return (_Term(*system, lambda th, r: -th * cap * d),)
+    if sched.kind == "sp":
+        return (_Term(*system, lambda th, r: -th * (cap - n2 * r) * d),)
+
+    y = sched.d1_star - sched.d2_star
+    if y >= 0:
+        return (_Term(*system, lambda th, r: th * n2 * r * min(y, d) - th * cap * d),)
+    first = _Term(*system, lambda th, r: th * (cap - n1 * r) * y - th * cap * d)
     params = scenario.params
-    c_resc = scenario.n / scenario.n1 * scenario.per_flow_capacity
+    c_resc = scenario.n / n1 * c
     if params.peak <= c_resc:
-        return None
-    rho_resc = scenario.n1 / scenario.n * scenario.rho
-    return c_resc, _constants(params.on_probability, rho_resc, params.lam, params.mu,
-                              params.peak, c_resc)
+        return first, None
+    resc = _constants(params.on_probability, n1 / scenario.n * scenario.rho, params.lam,
+                      params.mu, params.peak, c_resc)
+    return first, _Term(resc, c_resc, scenario.n, c_resc, 1, True,
+                        lambda th, r: -th * cap * d)
 
 
 def martingale_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float) -> DelayBound:
     """Delay-violation bound P(W1 > d) <= value for the through aggregate.
 
-    FIFO:  K^n e^{-gamma C d}
-    SP:    K^n e^{-gamma C1 d}            (cross flow has strict priority)
-    EDF:   d1* >= d2* (ties included):  K^n e^{gamma C2 min(d1*-d2*, d)} e^{-gamma C d};
-           d1* <  d2*:  adds K'^n e^{-gamma' C d} with constants from the
-           rescaled per-flow capacity c' = (n/n1) c.
-    GPS:   K^{n1} e^{-gamma phi1 C d} with GPS-reduced constants: the reduced
-           system holds only the n1 through flows, on a server of rate phi1 C.
+    The sum of K**flows * exp(exponent(gamma, c)) over the scheduler's terms
+    (``_bound_terms``); FIFO's, for one, is K^n e^{-gamma C d}.  Each
+    exponent is one sum inside ``exp``, so no factor overflows on its own.
     """
-    if not 0 <= d < math.inf:
-        raise InvalidParamsError(f"d must be finite and >= 0, got {d}")
-    n = scenario.n
-    cap = scenario.capacity
-
-    if sched.kind == "gps":
-        consts = gps_constants(scenario, sched.phi1)
-        prefactor = consts.K ** scenario.n1
-        decay = consts.gamma * sched.phi1 * cap
-        return DelayBound(prefactor * math.exp(-decay * d), decay, prefactor)
-
-    consts = martingale_constants(scenario)
-    kn = consts.K ** n
-
-    if sched.kind == "fifo":
-        decay = consts.gamma * cap
-        return DelayBound(kn * math.exp(-decay * d), decay, kn)
-
-    if sched.kind == "sp":
-        decay = consts.gamma * scenario.through_capacity
-        return DelayBound(kn * math.exp(-decay * d), decay, kn)
-
-    # EDF
-    y = sched.d1_star - sched.d2_star
-    decay = consts.gamma * cap
-    if y >= 0:
-        prefactor = kn * math.exp(consts.gamma * scenario.cross_capacity * min(y, d))
-        return DelayBound(prefactor * math.exp(-decay * d), decay, prefactor)
-    term1_pref = kn * math.exp(consts.gamma * scenario.cross_capacity * y)
-    term1 = term1_pref * math.exp(-decay * d)
-    rescaled = _edf_rescaled(scenario)
-    if rescaled is None:
-        term2_pref, decay2, term2 = 0.0, math.inf, 0.0
-    else:
-        _, resc = rescaled
-        term2_pref = resc.K ** n
-        decay2 = resc.gamma * cap
-        term2 = term2_pref * math.exp(-decay2 * d)
-    return DelayBound(term1 + term2, decay, term1_pref,
-                      terms=((term1_pref, decay), (term2_pref, decay2)))
+    value = 0.0
+    for t in _bound_terms(scenario, sched, d):
+        if t is not None:
+            value += t.consts.K ** t.flows * math.exp(t.exponent(t.consts.gamma, t.c))
+    return DelayBound(value)

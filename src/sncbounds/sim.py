@@ -174,7 +174,10 @@ def _arrival_horizon(scenario: Scenario, need: int) -> tuple[float, float]:
     params = scenario.params
     lam, mu, peak = params.lam, params.mu, params.peak
     cycle_mean = 1.0 / lam + 1.0 / mu
-    whole = 1.0 / math.expm1(lam / peak)  # mean whole packets per On-dwell
+    try:
+        whole = 1.0 / math.expm1(lam / peak)  # mean whole packets per On-dwell
+    except OverflowError:  # lam/P above ~709.8: fewer than 1e-307 whole packets
+        whole = 0.0
     # per cycle, K packets in C time: Var(K) is geometric (floor and fraction
     # of an exponential are independent), so Cov(K, C) = Var(K)/P
     var_k = whole * (whole + 1.0)
@@ -694,8 +697,8 @@ def martingale_mc_estimate(scenario: Scenario, t: float, samples: int, seed,
     at Z(0)=i should have expectation exactly 1 at every t.  The chain is
     simulated by uniformization (exact), vectorized across samples.
     """
-    if t < 0:
-        raise InvalidParamsError(f"t must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise InvalidParamsError(f"t must be finite and >= 0, got {t}")
     if t == 0:
         return {"mean": 1.0, "stderr": 0.0}
     if samples < 1000:

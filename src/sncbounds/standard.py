@@ -14,10 +14,14 @@ in theta).  The discretized union/Chernoff sample-path argument then gives
 
 with L = c*e/(c - r_theta).  The feasible set is the open interval
 (0, gamma): the effective-bandwidth equation r_theta = c has the martingale
-decay rate gamma as its unique root.  So no root is searched for: every
-interval end is the closed-form gamma of its reduced system, read from
-``martingale`` (the scenario's per-flow capacity, the GPS-reduced system,
-or EDF's rescaled capacity).
+decay rate gamma as its unique root.  So no root is searched for.
+
+One term table, two evaluators: ``martingale._bound_terms`` gives each
+scheduler's terms, each with its reduced system (the scenario's per-flow
+capacity, the GPS-reduced system or EDF's rescaled capacity), its
+prefactor L and its exponent(theta, r_theta).  The martingale bound
+evaluates the exponent at theta = gamma; this module takes the infimum
+over (0, gamma) of the reduced system.
 """
 
 from __future__ import annotations
@@ -28,8 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidParamsError
-from .martingale import SchedulerSpec, _edf_rescaled, gps_constants, martingale_constants
+from .martingale import SchedulerSpec, _bound_terms
 from .traffic import MmooParams, Scenario
 
 __all__ = [
@@ -59,6 +62,9 @@ class StandardBoundResult:
     L: float
     terms: tuple = ()
     at_edge: bool = False
+
+
+_NO_TERM = StandardBoundResult(0.0, math.inf, math.inf)  # an absent EDF term
 
 
 def effective_bandwidth_rate(theta, params: MmooParams):
@@ -166,7 +172,7 @@ def _minimize_theta(params: MmooParams, const: float, cm: float, k: float, expon
 
 
 def _optimized_bound(params: MmooParams, theta_max: float, cm: float, k: float,
-                     exponent, euler: bool = True) -> StandardBoundResult:
+                     exponent, euler: bool) -> StandardBoundResult:
     """inf over theta in (0, theta_max) of L * exp(exponent(theta, r_theta)).
 
     L = cm*e/(cm - k*r_theta), or cm/(cm - k*r_theta) without ``euler``.
@@ -178,59 +184,21 @@ def _optimized_bound(params: MmooParams, theta_max: float, cm: float, k: float,
                                at_edge=at_edge)
 
 
-def _scenario_bound(scenario: Scenario, exponent) -> StandardBoundResult:
-    """The bound with L = c*e/(c - r_theta) over the interval (0, gamma)."""
-    return _optimized_bound(scenario.params, martingale_constants(scenario).gamma,
-                            scenario.per_flow_capacity, 1, exponent)
-
-
 def standard_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float) -> StandardBoundResult:
     """Classical delay bound P(W1 > d) <= value for each scheduler.
 
-    FIFO:  inf L e^{-theta C d}
-    SP:    inf L e^{-theta (C - n2 r_theta) d}
-    EDF, d1* >= d2*:  inf L e^{theta n2 r_theta min(d1*-d2*, d)} e^{-theta C d}
-    EDF, d1* <  d2*:  two independently optimized terms; the second uses the
-                      rescaled capacity c' = (n/n1) c in both its feasibility
-                      set and its prefactor L' = c' e/(c' - r_theta).
-    GPS:   inf over {theta: phi1 C > n1 r_theta} of
-           [phi1 C/(phi1 C - n1 r_theta)] e^{-theta phi1 C d}; that set is
-           (0, gamma) of the GPS-reduced system, and ``gps_constants``
-           raises for an infeasible or trivial weight
+    Each of the scheduler's terms (``martingale._bound_terms``) is optimized
+    on its own over (0, gamma) of its reduced system; FIFO's, for one, is
+    inf L e^{-theta C d}.  An absent second EDF term (P <= c') is
+    (0.0, inf, inf).
     """
-    if not 0 <= d < math.inf:
-        raise InvalidParamsError(f"d must be finite and >= 0, got {d}")
     params = scenario.params
-    cap = scenario.capacity
-    n1, n2 = scenario.n1, scenario.n2
-
-    if sched.kind == "gps":
-        phi_c = sched.phi1 * cap
-        gamma = gps_constants(scenario, sched.phi1).gamma
-        return _optimized_bound(params, gamma, phi_c, n1, lambda th, r: -th * phi_c * d,
-                                euler=False)
-
-    if sched.kind == "fifo":
-        return _scenario_bound(scenario, lambda th, r: -th * cap * d)
-
-    if sched.kind == "sp":
-        return _scenario_bound(scenario, lambda th, r: -th * (cap - n2 * r) * d)
-
-    y = sched.d1_star - sched.d2_star
-    if y >= 0:
-        return _scenario_bound(
-            scenario, lambda th, r: th * n2 * r * min(y, d) - th * cap * d
-        )
-
-    first = _scenario_bound(
-        scenario, lambda th, r: th * (cap - n1 * r) * y - th * cap * d
-    )
-    rescaled = _edf_rescaled(scenario)
-    if rescaled is None:
-        second = StandardBoundResult(0.0, math.inf, math.inf)
-    else:
-        c_resc, resc = rescaled
-        second = _optimized_bound(params, resc.gamma, c_resc, 1, lambda th, r: -th * cap * d)
+    results = [_NO_TERM if t is None else
+               _optimized_bound(params, t.consts.gamma, t.cm, t.k, t.exponent, t.euler)
+               for t in _bound_terms(scenario, sched, d)]
+    if len(results) == 1:
+        return results[0]
+    first, second = results
     return StandardBoundResult(
         first.value + second.value, first.theta_star, first.L,
         terms=((first.value, first.theta_star, first.L),

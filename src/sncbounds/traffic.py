@@ -272,8 +272,8 @@ def sample_path(source: MarkovFluidSource, horizon: float, seed) -> StatePath:
     block size does not depend on the horizon, so a longer horizon extends
     the same path.
     """
-    if not horizon > 0:
-        raise InvalidParamsError(f"horizon must be > 0, got {horizon}")
+    if not 0 < horizon < math.inf:
+        raise InvalidParamsError(f"horizon must be finite and > 0, got {horizon}")
     if source.n_states != 2:
         raise InvalidParamsError(
             f"sample_path needs a two-state chain, got {source.n_states} states"

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -14,6 +16,7 @@ from sncbounds import (
     SimConfig,
     admission_max_flows,
     compare_experiment,
+    gps_constants,
     martingale_constants,
     palm_prefactor,
     scaling_experiment,
@@ -92,6 +95,17 @@ class TestScalingExperiment:
         res = scaling_experiment(scenario(), [10, 20, 50], 5.0, SchedulerSpec.fifo())
         k = martingale_constants(scenario()).K
         assert res["alpha_closed"] == pytest.approx(-math.log(k), rel=1e-12)
+
+    def test_gps_alpha_of_the_even_split(self):
+        # the rows split every n evenly, so the input scenario's own split
+        # must not move the GPS-reduced K
+        res = {split: scaling_experiment(scenario(0.6, *split), [10, 20, 50, 100], 5.0,
+                                         SchedulerSpec.gps(0.5))
+               for split in ((5, 5), (3, 7), (2, 8))}
+        k = gps_constants(scenario(0.6, 5, 5), 0.5).K
+        for r in res.values():
+            assert r["alpha_closed"] == pytest.approx(-math.log(k), rel=1e-12)
+            assert r["alpha_fit"] > r["alpha_closed"]
 
     def test_fit_approaches_closed_form_from_above(self):
         res = scaling_experiment(scenario(), [100, 200, 400, 800], 5.0,
@@ -423,15 +437,32 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         # K**n underflows to 0.0 at n = 10^4: ZeroDivisionError in the ratio
         ["scaling", "--n-list", "10,10000"],
-        # exp overflows in the EDF(10,1) bound at n = 10^4: OverflowError
-        ["bound", "--n1", "5000", "--n2", "5000", "--scheduler", "edf",
-         "--d1", "10", "--d2", "1", "--d", "5"],
     ])
     def test_arithmetic_failure_exit_code(self, capsys, argv):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    def test_edf_bound_at_ten_thousand_flows(self, capsys):
+        # the EDF(10,1) gap factor exp(gamma C2 min(y, d)) alone overflows at
+        # n = 10^4; the bound sums the exponents before exp
+        assert main(["bound", "--n1", "5000", "--n2", "5000", "--scheduler", "edf",
+                     "--d1", "10", "--d2", "1", "--d", "5"]) == 0
+        row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        value = float(row["martingale_raw"])
+        assert math.isfinite(value) and value >= 0.0
+
+    @pytest.mark.parametrize("cmd", ["simulate", "compare"])
+    def test_packets_rarer_than_exp_range(self, capsys, cmd):
+        # lambda/P = 800: 1/expm1(lambda/P) overflows, the whole-packet
+        # count per On-dwell is below 1e-307
+        assert main([cmd, "--lambda", "800", "--mu", "1", "--peak", "1", "--rho", "0.75",
+                     "--n1", "2", "--n2", "2", "--packets", "1000", "--warmup", "100",
+                     "--reps", "1", "--d", "1"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        ccdf = float(rows[0]["median" if cmd == "simulate" else "sim_median"])
+        assert [row["d"] for row in rows] == ["1"] and 0.0 <= ccdf <= 1.0
 
     @pytest.mark.parametrize("grid", ["1:10:0", "5,1", "nan"])
     def test_bad_bound_grid_exit_code(self, capsys, grid):

@@ -15,6 +15,8 @@ from sncbounds import (
     martingale_constants,
     martingale_delay_bound,
 )
+from sncbounds.martingale import _bound_terms
+from sncbounds.standard import effective_bandwidth_rate
 
 BASE_SOURCE = MmooParams(0.5, 0.1, 1.0)
 
@@ -174,14 +176,13 @@ class TestDelayBounds:
         assert gp == pytest.approx(0.675, rel=1e-12)
         term2 = kp**10 * math.exp(-gp * cap * 5.0)
         assert got.value == pytest.approx(term1 + term2, rel=1e-12)
-        assert len(got.terms) == 2
 
     def test_edf_case2_trivial_second_term(self):
         # n1=1 of 10 flows: c' = 10c exceeds the peak, so the through flow
         # alone can never backlog the server
         sc = Scenario.from_utilization(1, 9, 0.75, BASE_SOURCE)
         got = martingale_delay_bound(sc, SchedulerSpec.edf(0.0, 5.0), 2.0)
-        assert got.terms[1][0] == 0.0
+        assert _bound_terms(sc, SchedulerSpec.edf(0.0, 5.0), 2.0)[1] is None
         k, g, _ = constants_oracle(BASE_SOURCE, 2 / 9)
         expect = k**10 * math.exp(g * sc.cross_capacity * -5.0) * math.exp(-g * sc.capacity * 2.0)
         assert got.value == pytest.approx(expect, rel=1e-12)
@@ -198,18 +199,21 @@ class TestDelayBounds:
     def test_d_zero_prefactor_at_most_one(self):
         sc = scenario()
         for sched in (SchedulerSpec.fifo(), SchedulerSpec.sp(), SchedulerSpec.gps(0.5)):
-            got = martingale_delay_bound(sc, sched, 0.0)
-            assert got.value == pytest.approx(got.prefactor, rel=1e-14)
-            assert got.value <= 1.0
+            assert martingale_delay_bound(sc, sched, 0.0).value <= 1.0
 
     def test_single_term_value_identity(self):
+        # past EDF's deadline gap every single-term bound decays log-linearly
         sc = scenario()
-        for sched in (SchedulerSpec.fifo(), SchedulerSpec.sp(),
-                      SchedulerSpec.edf(7.0, 2.0), SchedulerSpec.gps(0.4)):
-            for d in (0.0, 2.0, 9.0):
-                got = martingale_delay_bound(sc, sched, d)
-                assert got.value == pytest.approx(
-                    got.prefactor * math.exp(-got.decay_rate * d), rel=1e-12)
+        g, cap = martingale_constants(sc).gamma, sc.capacity
+        cases = ((SchedulerSpec.fifo(), 0.0, g * cap),
+                 (SchedulerSpec.sp(), 0.0, g * sc.through_capacity),
+                 (SchedulerSpec.edf(7.0, 2.0), 5.0, g * cap),
+                 (SchedulerSpec.gps(0.4), 0.0, gps_constants(sc, 0.4).gamma * 0.4 * cap))
+        for sched, d0, rate in cases:
+            v0 = martingale_delay_bound(sc, sched, d0).value
+            for d in (d0 + 2.0, d0 + 9.0):
+                assert martingale_delay_bound(sc, sched, d).value == pytest.approx(
+                    v0 * math.exp(-rate * (d - d0)), rel=1e-12)
 
     def test_raw_values_not_clamped(self):
         # two-term EDF at d=0 sums two near-1 prefactors
@@ -254,8 +258,10 @@ class TestGps:
 
 
 def decay_rate(sc: Scenario, sched: SchedulerSpec) -> float:
-    """Asymptotic decay rate in d, as ``DelayBound.decay_rate`` reports it."""
-    return martingale_delay_bound(sc, sched, 1.0).decay_rate
+    """Decay rate in d, measured as log(v(d)/v(d+1)) at d = 40, far beyond
+    EDF's gap, where a second EDF term has decayed below rounding."""
+    v = martingale_delay_bound(sc, sched, 40.0).value
+    return math.log(v / martingale_delay_bound(sc, sched, 41.0).value)
 
 
 class TestDecayRates:
@@ -266,10 +272,51 @@ class TestDecayRates:
         assert decay_rate(sc, SchedulerSpec.sp()) == pytest.approx(3 / 14, rel=1e-12)
         for deadlines in ((10.0, 1.0), (1.0, 10.0), (2.0, 2.0)):
             assert decay_rate(sc, SchedulerSpec.edf(*deadlines)) == \
-                pytest.approx(g * sc.capacity, rel=1e-14)
+                pytest.approx(g * sc.capacity, rel=1e-12)
 
     def test_gps_rate(self):
         sc = scenario()
         consts = gps_constants(sc, 0.45)
         assert decay_rate(sc, SchedulerSpec.gps(0.45)) == pytest.approx(
-            consts.gamma * 0.45 * sc.capacity, rel=1e-14)
+            consts.gamma * 0.45 * sc.capacity, rel=1e-12)
+
+
+TABLE_SCHEDULERS = (SchedulerSpec.fifo(), SchedulerSpec.sp(), SchedulerSpec.edf(10.0, 1.0),
+                    SchedulerSpec.edf(1.0, 10.0), SchedulerSpec.edf(0.0, 5.0),
+                    SchedulerSpec.gps(0.3), SchedulerSpec.gps(0.5), SchedulerSpec.gps(0.7))
+
+
+class TestTermTable:
+    """Both bound families read one term table; the martingale bound is each
+    term's exponent at theta = gamma, where r_gamma = c."""
+
+    @pytest.mark.parametrize("sched", TABLE_SCHEDULERS, ids=repr)
+    def test_exponent_at_effective_bandwidth_of_gamma(self, sched):
+        checked = 0
+        for rho, n1, n2 in ((0.6, 5, 5), (0.75, 2, 8), (0.9, 8, 2), (0.75, 1, 9)):
+            sc = scenario(rho, n1, n2)
+            for d in (0.0, 0.7, 3.0, 12.0):
+                try:
+                    terms = _bound_terms(sc, sched, d)
+                except (GpsInfeasibleError, TrivialScenarioError):
+                    continue
+                total = 0.0
+                for t in terms:
+                    if t is None:
+                        continue
+                    r = effective_bandwidth_rate(t.consts.gamma, sc.params)
+                    assert r == pytest.approx(t.c, rel=1e-12)
+                    total += t.consts.K ** t.flows * math.exp(t.exponent(t.consts.gamma, r))
+                assert martingale_delay_bound(sc, sched, d).value == pytest.approx(
+                    total, rel=1e-12)
+                checked += 1
+        assert checked >= 8
+
+    def test_edf_10_1_at_ten_thousand_flows(self):
+        # the gap factor exp(gamma C2 min(y, d)) alone overflows here;
+        # the summed exponent does not
+        sc = Scenario.from_utilization(5000, 5000, 0.75, BASE_SOURCE)
+        vals = {d: martingale_delay_bound(sc, SchedulerSpec.edf(10.0, 1.0), d).value
+                for d in (1.0, 2.0, 5.0, 10.0)}
+        assert all(isinstance(v, float) and v >= 0.0 for v in vals.values())
+        assert vals[2.0] > 0.0

@@ -356,6 +356,11 @@ class TestMartingaleMc:
         with pytest.raises(InvalidParamsError):
             martingale_mc_estimate(scenario(), 1.0, 10, seed=1)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(InvalidParamsError, match="finite"):
+            martingale_mc_estimate(scenario(), t, 5000, seed=1)
+
     def test_mean_one_within_three_sigma(self):
         for t in (1.0, 5.0):
             est = martingale_mc_estimate(scenario(), t, 20_000, seed=(42, int(t)))

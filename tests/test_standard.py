@@ -17,7 +17,7 @@ from sncbounds import (
     standard,
     standard_delay_bound,
 )
-from sncbounds.martingale import _edf_rescaled
+from sncbounds.martingale import _bound_terms
 from eb_reference import solve_eb_equation
 
 BASE_SOURCE = MmooParams(0.5, 0.1, 1.0)
@@ -138,12 +138,12 @@ class TestIntervalEnds:
         for rho in (0.5, 0.75, 0.9, 0.99):
             for n1, n2 in ((5, 5), (2, 8), (8, 2), (1, 3), (50, 50)):
                 sc = scenario(rho, n1, n2)
-                rescaled = _edf_rescaled(sc)
+                rescaled = _bound_terms(sc, SchedulerSpec.edf(1.0, 10.0), 5.0)[1]
                 if rescaled is None:
                     continue
                 theta_max.clear()
                 standard_delay_bound(sc, SchedulerSpec.edf(1.0, 10.0), 5.0)
-                assert theta_max == [martingale_constants(sc).gamma, rescaled[1].gamma]
+                assert theta_max == [martingale_constants(sc).gamma, rescaled.consts.gamma]
                 checked += 1
         assert checked >= 10
 
@@ -272,7 +272,7 @@ class TestStandardDelayBounds:
         v2, th2, L2 = res.terms[1]
         assert res.value == pytest.approx(v1 + v2, rel=1e-14)
         gamma = martingale_constants(sc).gamma
-        gamma_resc = _edf_rescaled(sc)[1].gamma
+        gamma_resc = _bound_terms(sc, SchedulerSpec.edf(1.0, 10.0), 5.0)[1].consts.gamma
         assert 0 < th1 < gamma
         assert 0 < th2 < gamma_resc
 
@@ -286,9 +286,10 @@ class TestStandardDelayBounds:
             r = effective_bandwidth_rate(ths, sc.params)
             return c * math.e / (c - r) * np.exp(ths * (cap - n1 * r) * y - ths * cap * d)
 
-        c2, resc = _edf_rescaled(sc)
+        resc = _bound_terms(sc, SchedulerSpec.edf(1.0, 10.0), d)[1]
+        c2 = resc.c
         assert c2 == pytest.approx(4 / 9, rel=1e-15)
-        gamma2 = resc.gamma
+        gamma2 = resc.consts.gamma
 
         def obj2(ths):
             r = effective_bandwidth_rate(ths, sc.params)

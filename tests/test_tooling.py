@@ -100,6 +100,38 @@ def test_unused_export_detector():
     assert unused_exports({"lib.py": lib}) == {"lib.py": ["used", "alone"]}
 
 
+def kind_comparisons(tree: ast.AST) -> list:
+    """Lines that compare a ``.kind`` attribute or match on one: a scheduler branch."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        elif isinstance(node, ast.Match):
+            operands = [node.subject]
+        else:
+            continue
+        if any(isinstance(x, ast.Attribute) and x.attr == "kind" for x in operands):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_bound_layer_branches_on_scheduler_once():
+    # each scheduler's terms are defined once, in martingale._bound_terms;
+    # the standard bound and the experiments only evaluate them
+    found = {name: kind_comparisons(ast.parse((PACKAGE / name).read_text(), name))
+             for name in ("standard.py", "analysis.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_kind_comparison_detector():
+    for code in ('if sched.kind == "gps": pass', 'x = "sp" != spec.kind',
+                 'x = q.scheduler.kind in ("fifo", "sp")',
+                 'match sched.kind:\n    case "edf": pass'):
+        assert kind_comparisons(ast.parse(code)), code
+    assert not kind_comparisons(ast.parse('row = {"scheduler": sched.kind}\n'
+                                          'if kind == "gps": pass'))
+
+
 def test_stage_times_script_runs(capsys):
     # the script times private sim functions; a rename must fail here
     spec = importlib.util.spec_from_file_location("stage_times",

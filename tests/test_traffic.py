@@ -219,6 +219,11 @@ class TestSamplePath:
         with pytest.raises(InvalidParamsError):
             sample_path(BASE_SOURCE.as_fluid_source(), 0.0, 1)
 
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf])
+    def test_non_finite_horizon_rejected(self, horizon):
+        with pytest.raises(InvalidParamsError, match="finite"):
+            sample_path(BASE_SOURCE.as_fluid_source(), horizon, 1)
+
     def test_single_state_chain(self):
         # only the two-state On-Off chain is sampled
         for src in (MarkovFluidSource([], [], [2.0]), aggregate_source(2, BASE_SOURCE)):
