@@ -51,7 +51,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     sc = Scenario.from_utilization(5, 5, 0.75, MmooParams(0.5, 0.1, 1.0))
-    cfg = SimConfig.desk_scale(replications=1, master_seed=args.seed)
+    cfg = SimConfig(measured_packets=100_000, warmup_packets=10_000, replications=1,
+                    master_seed=args.seed)
     cap, warm = sc.capacity, cfg.warmup_packets
     need = warm + cfg.measured_packets
     T, S, nt = sim._flat_arrivals(sc, cfg, 0)

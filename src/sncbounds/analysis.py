@@ -35,15 +35,7 @@ __all__ = [
     "admission_max_flows",
     "verify",
     "VERIFY_SUITES",
-    "BOUND_COLUMNS",
-    "COMPARE_COLUMNS",
-    "rows_to_csv",
 ]
-
-BOUND_COLUMNS = ("scheduler", "n1", "n2", "rho", "d",
-                 "martingale_raw", "martingale_disp",
-                 "standard_raw", "standard_disp", "theta_star")
-COMPARE_COLUMNS = BOUND_COLUMNS + ("sim_median", "sim_q25", "sim_q75", "sim_n")
 
 
 @dataclass(frozen=True)
@@ -65,21 +57,8 @@ def palm_prefactor(scenario: Scenario) -> float:
     return 1.0 / (1.0 - (1.0 - p) ** scenario.n1)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
-
-
-def rows_to_csv(rows: list[dict], columns) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
-
-
 def bound_rows(scenario: Scenario, sched: SchedulerSpec, grid) -> list[dict]:
-    """Palm-corrected martingale and standard bounds, one BOUND_COLUMNS row per d."""
+    """Palm-corrected martingale and standard bounds, one row per d."""
     check_delay_grid(grid)
     palm = palm_prefactor(scenario)
     rows = []
@@ -98,7 +77,7 @@ def bound_rows(scenario: Scenario, sched: SchedulerSpec, grid) -> list[dict]:
 
 
 def compare_experiment(spec: ExperimentSpec, n_jobs: Optional[int] = None) -> list[dict]:
-    """Bound rows next to simulated CCDF box stats, one COMPARE_COLUMNS row per d."""
+    """Bound rows next to simulated CCDF box stats, one row per d."""
     box = replicate(spec.scenario, spec.scheduler, spec.sim, n_jobs=n_jobs)
     rows = bound_rows(spec.scenario, spec.scheduler, box.delay_grid)
     for j, row in enumerate(rows):

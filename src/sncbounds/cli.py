@@ -2,8 +2,10 @@
 
 Scenario parameters come either from flags (--lambda --mu --peak --n1 --n2
 and one of --rho / --per-flow-capacity) or from a JSON scenario file.  Delay
-grids accept a single value, a comma list, or start:stop:count.  Output is
-CSV (default) or JSON, to --out or stdout; CSV is byte-stable for a fixed
+grids accept a single value, a comma list, or start:stop:count.  Only this
+module knows an output format: each table subcommand turns its arguments into
+rows and a JSON document, and ``_emit`` writes the rows as CSV (default) or the
+document as JSON, to --out or stdout.  CSV is byte-stable for a fixed
 configuration and master seed.  Column layouts are documented in docs/formats.md.
 A failed run prints ``error: ...`` on stderr and exits with code 2.
 """
@@ -12,31 +14,24 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from .analysis import (
-    BOUND_COLUMNS,
-    COMPARE_COLUMNS,
     AdmissionQuery,
     ExperimentSpec,
     admission_max_flows,
     bound_rows,
     compare_experiment,
-    rows_to_csv,
     scaling_experiment,
     verify,
 )
 from .errors import SncboundsError
 from .martingale import SchedulerSpec
-from .sim import SimConfig, box_stats_csv, box_stats_json, replicate
+from .sim import SimConfig, replicate
 from .traffic import MmooParams, Scenario
-
-SCALING_COLUMNS = ("n", "martingale", "standard", "ratio",
-                   "alpha_fit", "alpha_closed")
-ADMISSION_COLUMNS = ("capacity", "d", "epsilon", "method", "scheduler",
-                     "n_max", "stability_cap", "utilization", "limited_by")
 
 
 def _parse_grid(text: str) -> tuple:
@@ -100,6 +95,19 @@ def _add_output_args(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+# the CSV columns of each table subcommand, as docs/formats.md lists them
+_BOUND = ("scheduler", "n1", "n2", "rho", "d", "martingale_raw", "martingale_disp",
+          "standard_raw", "standard_disp", "theta_star")
+COLUMNS = {
+    "bound": _BOUND,
+    "compare": _BOUND + ("sim_median", "sim_q25", "sim_q75", "sim_n"),
+    "simulate": ("d", "median", "q25", "q75", "min", "max", "outlier_count"),
+    "scaling": ("n", "martingale", "standard", "ratio", "alpha_fit", "alpha_closed"),
+    "admission": ("capacity", "d", "epsilon", "method", "scheduler",
+                  "n_max", "stability_cap", "utilization", "limited_by"),
+}
+
+
 # ---------------------------------------------------------------------------
 # arguments to inputs, rows to output
 
@@ -129,13 +137,29 @@ def _sim_config_from_args(args) -> SimConfig:
                      master_seed=args.seed)
 
 
-def _json(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+def _strict(doc):
+    """``doc`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(doc, float):
+        return doc if math.isfinite(doc) else None
+    if isinstance(doc, dict):
+        return {k: _strict(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_strict(v) for v in doc]
+    return doc
 
 
-def _emit(args, csv_text: str, json_text: str) -> int:
-    """Write the text of the chosen --format to --out or stdout."""
-    text = json_text if args.format == "json" else csv_text
+def _emit(args) -> int:
+    """Write the rows as CSV or the document as JSON, to --out or stdout."""
+    rows, doc = args.table(args)
+    if args.format == "json":
+        text = json.dumps(_strict(doc), indent=2) + "\n"
+    else:
+        columns = COLUMNS[args.command]
+        lines = [",".join(columns)] + [
+            ",".join(f"{v:.12g}" if isinstance(v, float) else str(v)
+                     for v in (row[c] for c in columns))
+            for row in rows]
+        text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -144,35 +168,44 @@ def _emit(args, csv_text: str, json_text: str) -> int:
     return 0
 
 
-def _cmd_bound(args) -> int:
+def _bound(args):
     rows = bound_rows(_scenario_from_args(args), _scheduler_from_args(args),
                       _parse_grid(args.d))
-    return _emit(args, rows_to_csv(rows, BOUND_COLUMNS), _json(rows))
+    return rows, rows
 
 
-def _cmd_simulate(args) -> int:
+def _simulate(args):
     box = replicate(_scenario_from_args(args), _scheduler_from_args(args),
                     _sim_config_from_args(args), n_jobs=args.jobs)
-    return _emit(args, box_stats_csv(box), box_stats_json(box) + "\n")
+    rows = [{"d": d, "median": float(box.median[j]), "q25": float(box.q25[j]),
+             "q75": float(box.q75[j]), "min": float(box.minimum[j]),
+             "max": float(box.maximum[j]), "outlier_count": len(box.outliers[j])}
+            for j, d in enumerate(box.delay_grid)]
+    doc = {"delay_grid": list(box.delay_grid), "median": box.median.tolist(),
+           "q25": box.q25.tolist(), "q75": box.q75.tolist(),
+           "min": box.minimum.tolist(), "max": box.maximum.tolist(),
+           "outliers": [list(o) for o in box.outliers],
+           "replications": box.replications, "unstable_reps": box.unstable_reps}
+    return rows, doc
 
 
-def _cmd_compare(args) -> int:
+def _compare(args):
     spec = ExperimentSpec(_scenario_from_args(args), _scheduler_from_args(args),
                           _sim_config_from_args(args))
     rows = compare_experiment(spec, n_jobs=args.jobs)
-    return _emit(args, rows_to_csv(rows, COMPARE_COLUMNS), _json(rows))
+    return rows, rows
 
 
-def _cmd_scaling(args) -> int:
+def _scaling(args):
     result = scaling_experiment(_scenario_from_args(args),
                                 [int(x) for x in args.n_list.split(",")],
                                 args.delay, _scheduler_from_args(args))
     rows = [dict(r, alpha_fit=result["alpha_fit"], alpha_closed=result["alpha_closed"])
             for r in result["rows"]]
-    return _emit(args, rows_to_csv(rows, SCALING_COLUMNS), _json(result))
+    return rows, result
 
 
-def _cmd_admission(args) -> int:
+def _admission(args):
     sched = _scheduler_from_args(args)
     params = MmooParams(args.lam, args.mu, args.peak)
     rows = []
@@ -184,7 +217,7 @@ def _cmd_admission(args) -> int:
             res = admission_max_flows(q)
             rows.append({"capacity": cap, "d": args.delay, "epsilon": args.epsilon,
                          "method": method, "scheduler": sched.kind, **res})
-    return _emit(args, rows_to_csv(rows, ADMISSION_COLUMNS), _json(rows))
+    return rows, rows
 
 
 def _cmd_verify(args) -> int:
@@ -202,35 +235,36 @@ def build_parser() -> argparse.ArgumentParser:
                     "under FIFO/SP/EDF/GPS, with a packet-level validation simulator.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, *groups):
+    def add(name, table, help_text, *groups):
         p = sub.add_parser(name, help=help_text)
         for add_group in groups:
             add_group(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=_emit, table=table)
         return p
 
-    add("bound", _cmd_bound, "evaluate Palm-corrected delay bounds on a grid",
+    add("bound", _bound, "evaluate Palm-corrected delay bounds on a grid",
         _add_scenario_args, _add_scheduler_args, _add_grid_arg, _add_output_args)
-    add("simulate", _cmd_simulate, "run the packet-level simulator",
+    add("simulate", _simulate, "run the packet-level simulator",
         _add_scenario_args, _add_scheduler_args, _add_grid_arg, _add_sim_args,
         _add_output_args)
-    add("compare", _cmd_compare, "bounds vs simulation, one CSV row per grid point",
+    add("compare", _compare, "bounds vs simulation, one CSV row per grid point",
         _add_scenario_args, _add_scheduler_args, _add_grid_arg, _add_sim_args,
         _add_output_args)
 
-    p = add("scaling", _cmd_scaling, "bounds as the flow count grows, rho and c fixed",
+    p = add("scaling", _scaling, "bounds as the flow count grows, rho and c fixed",
             _add_scenario_args, _add_scheduler_args, _add_delay_arg, _add_output_args)
     p.add_argument("--n-list", default="10,20,50,100,200,500,1000",
                    help="comma list of even flow counts")
 
-    p = add("admission", _cmd_admission, "largest admissible flow count per capacity",
+    p = add("admission", _admission, "largest admissible flow count per capacity",
             _add_source_args, _add_scheduler_args, _add_delay_arg, _add_output_args)
     p.add_argument("--capacity", required=True, help="comma list of capacities C")
     p.add_argument("--epsilon", type=float, default=1e-3, help="violation target")
     p.add_argument("--method", choices=("martingale", "standard", "both"),
                    default="both")
 
-    p = add("verify", _cmd_verify, "run a named property suite")
+    p = add("verify", None, "run a named property suite")
+    p.set_defaults(func=_cmd_verify)
     p.add_argument("suite", help="suite name or 'all'")
 
     return parser

@@ -66,7 +66,6 @@ reproducible and independent.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -86,7 +85,6 @@ __all__ = [
     "simulate",
     "replicate",
     "martingale_mc_estimate",
-    "box_stats_csv",
 ]
 
 
@@ -114,13 +112,6 @@ class SimConfig:
         if self.replications < 1:
             raise InvalidParamsError("need at least one replication")
         check_delay_grid(self.delay_grid)
-
-    @classmethod
-    def desk_scale(cls, **kw) -> "SimConfig":
-        """Small configuration for interactive runs and the acceptance suite."""
-        base = dict(measured_packets=100_000, warmup_packets=10_000, replications=10)
-        base.update(kw)
-        return cls(**base)
 
 
 @dataclass(frozen=True)
@@ -735,31 +726,3 @@ def martingale_mc_estimate(scenario: Scenario, t: float, samples: int, seed,
         consts.gamma * (params.peak * integral - cap1 * t))
     return {"mean": float(m.mean()),
             "stderr": float(m.std(ddof=1) / math.sqrt(samples))}
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def box_stats_csv(box: BoxStats) -> str:
-    lines = ["d,median,q25,q75,min,max,outlier_count"]
-    for j, d in enumerate(box.delay_grid):
-        lines.append(
-            f"{d:.12g},{box.median[j]:.12g},{box.q25[j]:.12g},{box.q75[j]:.12g},"
-            f"{box.minimum[j]:.12g},{box.maximum[j]:.12g},{len(box.outliers[j])}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def box_stats_json(box: BoxStats) -> str:
-    return json.dumps({
-        "delay_grid": list(box.delay_grid),
-        "median": box.median.tolist(),
-        "q25": box.q25.tolist(),
-        "q75": box.q75.tolist(),
-        "min": box.minimum.tolist(),
-        "max": box.maximum.tolist(),
-        "outliers": [list(o) for o in box.outliers],
-        "replications": box.replications,
-        "unstable_reps": box.unstable_reps,
-    })

@@ -147,10 +147,6 @@ class Scenario:
         return self.n1 * self.per_flow_capacity
 
     @property
-    def cross_capacity(self) -> float:
-        return self.n2 * self.per_flow_capacity
-
-    @property
     def rho(self) -> float:
         return self.params.mean_rate / self.per_flow_capacity
 
@@ -251,9 +247,6 @@ class StatePath:
     states: np.ndarray
     durations: np.ndarray
     horizon: float
-
-    def time_in_state(self, state: int) -> float:
-        return float(self.durations[self.states == state].sum())
 
 
 _BLOCK = 1024  # dwells drawn per block; even, so every block starts in one state

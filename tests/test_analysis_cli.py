@@ -22,8 +22,8 @@ from sncbounds import (
     scaling_experiment,
     verify,
 )
-from sncbounds.analysis import COMPARE_COLUMNS, _stability_cap, _violation, rows_to_csv
-from sncbounds.cli import main
+from sncbounds.analysis import _stability_cap, _violation
+from sncbounds.cli import COLUMNS, main
 
 BASE_SOURCE = MmooParams(0.5, 0.1, 1.0)
 
@@ -54,16 +54,14 @@ class TestCompareExperiment:
         rows = compare_experiment(spec)
         assert len(rows) == 3
         for row in rows:
-            assert set(row) == set(COMPARE_COLUMNS)
+            assert set(row) == set(COLUMNS["compare"])
             assert row["martingale_disp"] == min(1.0, row["martingale_raw"])
             assert row["standard_disp"] == min(1.0, row["standard_raw"])
             assert row["standard_raw"] > row["martingale_raw"]
 
     def test_deterministic(self):
         spec = ExperimentSpec(scenario(), SchedulerSpec.fifo(), self.CFG)
-        a = rows_to_csv(compare_experiment(spec), COMPARE_COLUMNS)
-        b = rows_to_csv(compare_experiment(spec), COMPARE_COLUMNS)
-        assert a == b
+        assert compare_experiment(spec) == compare_experiment(spec)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidParamsError):
@@ -277,7 +275,7 @@ class TestCli:
         main(args)
         second = capsys.readouterr().out
         assert first == second
-        assert first.splitlines()[0] == ",".join(COMPARE_COLUMNS)
+        assert first.splitlines()[0] == ",".join(COLUMNS["compare"])
 
     def test_simulate_csv(self, capsys):
         rc = main(["simulate", "--rho", "0.75", "--n1", "2", "--n2", "2",
@@ -302,6 +300,20 @@ class TestCli:
         rc = main(["bound", "--d", "1,2", "--out", str(path)])
         assert rc == 0
         assert path.read_text().startswith("scheduler,")
+
+    def test_json_writes_non_finite_as_null(self, capsys):
+        # one flow count leaves no slope to fit: alpha_fit is nan
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        argv = ["scaling", "--n-list", "10"]
+        assert main(argv + ["--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["alpha_fit"] is None
+        assert doc["alpha_closed"] > 0 and doc["rows"][0]["n"] == 10
+        assert main(argv) == 0
+        row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert row["alpha_fit"] == "nan"
 
     def test_admission_csv(self, capsys):
         rc = main(["admission", "--capacity", "3.3333333", "--delay", "10",

@@ -168,7 +168,7 @@ class TestDelayBounds:
         sc = scenario()
         got = martingale_delay_bound(sc, SchedulerSpec.edf(1.0, 10.0), 5.0)
         k, g, _ = constants_oracle(BASE_SOURCE, 2 / 9)
-        cap, c2 = sc.capacity, sc.cross_capacity
+        cap, c2 = sc.capacity, sc.n2 * sc.per_flow_capacity
         term1 = k**10 * math.exp(g * c2 * (-9.0)) * math.exp(-g * cap * 5.0)
         # rescaled constants: c' = 2c, rho' = rho/2
         kp, gp, _ = constants_oracle(BASE_SOURCE, 4 / 9)
@@ -184,7 +184,8 @@ class TestDelayBounds:
         got = martingale_delay_bound(sc, SchedulerSpec.edf(0.0, 5.0), 2.0)
         assert _bound_terms(sc, SchedulerSpec.edf(0.0, 5.0), 2.0)[1] is None
         k, g, _ = constants_oracle(BASE_SOURCE, 2 / 9)
-        expect = k**10 * math.exp(g * sc.cross_capacity * -5.0) * math.exp(-g * sc.capacity * 2.0)
+        c2 = sc.n2 * sc.per_flow_capacity
+        expect = k**10 * math.exp(g * c2 * -5.0) * math.exp(-g * sc.capacity * 2.0)
         assert got.value == pytest.approx(expect, rel=1e-12)
 
     def test_monotone_decreasing_in_d(self):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,14 +16,13 @@ from sncbounds import (
     replicate,
     simulate,
 )
+from sncbounds.cli import main
 from sncbounds.sim import (
     _flat_arrivals,
     _flow_arrivals,
     _instability_flag,
     _merge,
     _serve_flows,
-    box_stats_csv,
-    box_stats_json,
 )
 
 BASE_SOURCE = MmooParams(0.5, 0.1, 1.0)
@@ -77,11 +77,6 @@ class TestSimConfig:
         assert cfg.measured_packets == 10_000_000
         assert cfg.warmup_packets == 1_000_000
         assert cfg.replications == 100
-
-    def test_desk_scale(self):
-        cfg = SimConfig.desk_scale(master_seed=5)
-        assert cfg.measured_packets == 100_000
-        assert cfg.replications == 10
 
 
 class TestSimulateBasics:
@@ -322,29 +317,33 @@ class TestReplicate:
         assert started == [workers]
         assert box.replications == reps
 
-    def test_unstable_replications_counted(self, monkeypatch):
-        import json
-
+    def test_unstable_replications_counted(self, monkeypatch, capsys):
         import sncbounds.sim as sim
 
         cfg = small_cfg(measured_packets=2000, warmup_packets=100, replications=3)
         box = replicate(scenario(), SchedulerSpec.sp(), cfg)
         assert box.unstable_reps == 0
-        flags = iter([False, True, True])
+        flags = iter([False, True, True] * 3)
         monkeypatch.setattr(sim, "_instability_flag", lambda backlog: next(flags))
         box = replicate(scenario(), SchedulerSpec.sp(), cfg)
         assert box.unstable_reps == 2
-        doc = json.loads(box_stats_json(box))
+        argv = ["simulate", "--rho", "0.75", "--scheduler", "sp", "--d", "1,2",
+                "--packets", "2000", "--warmup", "100", "--reps", "3", "--jobs", "1"]
+        assert main(argv + ["--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
         assert list(doc)[-1] == "unstable_reps" and doc["unstable_reps"] == 2
-        assert "unstable" not in box_stats_csv(box)
+        assert main(argv) == 0
+        assert "unstable" not in capsys.readouterr().out
 
-    def test_serialization(self):
-        cfg = small_cfg(replications=2)
-        box = replicate(scenario(), SchedulerSpec.fifo(), cfg)
-        csv = box_stats_csv(box)
+    def test_serialization(self, capsys):
+        argv = ["simulate", "--rho", "0.75", "--d", "1:10:10", "--packets", "6000",
+                "--warmup", "500", "--reps", "2", "--seed", "1234"]
+        assert main(argv) == 0
+        csv = capsys.readouterr().out
         assert csv.splitlines()[0] == "d,median,q25,q75,min,max,outlier_count"
         assert len(csv.splitlines()) == len(GRID) + 1
-        assert box_stats_json(box)
+        assert main(argv + ["--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)
 
 
 class TestMartingaleMc:

@@ -74,11 +74,23 @@ def referenced(tree: ast.AST) -> set:
     return names
 
 
+def public_members(tree: ast.AST, classes) -> list:
+    """``Class.member`` for each public method or property of the named classes."""
+    return [f"{node.name}.{item.name}" for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name in classes
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+
+
 def unused_exports(trees: dict) -> dict:
-    """Per module, the ``__all__`` names that no module of the package reads."""
-    used = set().union(*map(referenced, trees.values()))
-    found = {name: [e for e in exported(tree) if e not in used | API_EXEMPT]
-             for name, tree in trees.items()}
+    """Per module, the ``__all__`` names, and the public members of the
+    exported classes, that no module of the package reads."""
+    used = set().union(*map(referenced, trees.values())) | API_EXEMPT
+    found = {}
+    for name, tree in trees.items():
+        public = exported(tree)
+        public += public_members(tree, set(public))
+        found[name] = [e for e in public if e.rpartition(".")[2] not in used]
     return {name: names for name, names in found.items() if names}
 
 
@@ -92,12 +104,67 @@ def test_public_api_is_used_by_the_package():
 
 
 def test_unused_export_detector():
-    lib = ast.parse('__all__ = ["used", "alone", "general_sample_path_bound"]\n'
+    lib = ast.parse('__all__ = ["used", "alone", "general_sample_path_bound", "Box"]\n'
                     'def used(): pass\ndef alone(): return "used"\n'
-                    'def general_sample_path_bound(): pass\n')
-    caller = ast.parse("from .lib import used\nx = used()\n")
-    assert unused_exports({"lib.py": lib, "caller.py": caller}) == {"lib.py": ["alone"]}
-    assert unused_exports({"lib.py": lib}) == {"lib.py": ["used", "alone"]}
+                    'def general_sample_path_bound(): pass\n'
+                    'class Box:\n'
+                    '    def _private(self): pass\n'
+                    '    def opened(self): pass\n'
+                    '    @property\n'
+                    '    def idle(self): return self.opened()\n'
+                    'class Hidden:\n'
+                    '    def spare(self): pass\n')
+    caller = ast.parse("from .lib import Box, used\nx = used(Box)\n")
+    assert unused_exports({"lib.py": lib, "caller.py": caller}) == {
+        "lib.py": ["alone", "Box.idle"]}
+    assert unused_exports({"lib.py": lib}) == {"lib.py": ["used", "alone", "Box", "Box.idle"]}
+
+
+def format_imports(tree: ast.AST) -> list:
+    """Lines that import ``json`` or ``csv``, or a name from either."""
+    formats = {"json", "csv"}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(a.name.split(".")[0] in formats for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.level == 0 and (node.module or "").split(".")[0] in formats
+        else:
+            hit = False
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_cli_knows_an_output_format():
+    # the library returns rows, BoxStats and result dicts; cli.py writes them
+    found = {f.name: format_imports(ast.parse(f.read_text(), str(f)))
+             for f in sorted(PACKAGE.glob("*.py")) if f.name != "cli.py"}
+    assert found
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_format_import_detector():
+    for code in ("import json", "import csv as c", "from json import dumps",
+                 "import os, json.decoder", "def f():\n    import json"):
+        assert format_imports(ast.parse(code)), code
+    assert not format_imports(ast.parse("from .traffic import _json_values\n"
+                                        "import jsonschema\nx = json"))
+
+
+def test_formats_doc_lists_the_cli_columns():
+    # each header line under "CSV outputs" follows the `subcommand` it documents
+    from sncbounds.cli import COLUMNS
+
+    text = (ROOT / "docs" / "formats.md").read_text()
+    section = text.split("## CSV outputs")[1].split("\n## ")[0]
+    headers, command = {}, None
+    for line in section.splitlines():
+        if line.startswith("`"):
+            command = line.split("`")[1]
+        elif line.startswith("    "):
+            headers[command] = line.strip()
+    assert headers == {name: ",".join(cols) for name, cols in COLUMNS.items()}
 
 
 def kind_comparisons(tree: ast.AST) -> list:

@@ -243,7 +243,7 @@ class TestSamplePath:
         lam, mu = BASE_SOURCE.lam, BASE_SOURCE.mu
         # asymptotic variance of the On-time fraction of a 2-state chain
         se = math.sqrt(2 * p * (1 - p) / ((lam + mu) * horizon))
-        frac = path.time_in_state(1) / horizon
+        frac = path.durations[path.states == 1].sum() / horizon
         assert abs(frac - p) < 3 * se
 
     def test_deterministic_given_seed(self):
@@ -284,7 +284,8 @@ class TestBlockSampling:
         from sncbounds.sim import SimConfig, _flow_arrivals
 
         sc = Scenario.from_utilization(5, 5, 0.75, BASE_SOURCE)
-        cfg = SimConfig.desk_scale(replications=1, master_seed=20240810)
+        cfg = SimConfig(measured_packets=100_000, warmup_packets=10_000, replications=1,
+                        master_seed=20240810)
         need = cfg.warmup_packets + cfg.measured_packets
         (through, _), _ = _flow_arrivals(sc, cfg, replication)
         assert need <= through.size <= 1.10 * need
@@ -312,7 +313,7 @@ class TestPacketize:
         src = MmooParams(0.7, 0.3, 1.7)
         path = sample_path(src.as_fluid_source(), 2000.0, 11)
         times, sizes = packet_arrays(path, src.peak)
-        on_time = path.time_in_state(1)
+        on_time = path.durations[path.states == 1].sum()
         assert sizes.sum() == pytest.approx(src.peak * on_time, rel=1e-12)
         assert (np.diff(times) > 0).all()
         assert sizes.min() > 0 and sizes.max() <= 1.0
