@@ -14,7 +14,11 @@ times, and the minimum is printed in milliseconds as one JSON object:
 - ``service.<scheduler>``: departures of the through packets (FIFO reads
   them from the recursion; the others are served busy period by busy
   period);
-- ``backlog``: the backlog sample behind the ``unstable`` flag;
+- ``service.<scheduler>.loop`` and ``.lockstep``: for SP, EDF and GPS, the
+  part of that service spent in the scalar loop (the longest busy periods)
+  and in lockstep calls, and ``.steps`` the lockstep steps taken (a count);
+- ``backlog``: the backlog sample behind the ``unstable`` flag, taken at the
+  departures the flag reads, as ``simulate`` takes it;
 - ``statistics``: delay quantiles and the CCDF on the delay grid;
 - ``simulate.<scheduler>``: the whole call.
 """
@@ -44,6 +48,34 @@ def best_ms(fn, repeats):
     return round(min(times) * 1e3, 2)
 
 
+def service_split(serve, repeats):
+    """Minimum ms in the scalar loop and in lockstep over the repeats, and the steps."""
+    loop, lockstep = sim._serve_loop, sim._lockstep
+    spent = {}
+
+    def timed(name, fn):
+        def call(*args, **kwargs):
+            t0 = time.perf_counter()
+            out = fn(*args, **kwargs)
+            spent[name] += time.perf_counter() - t0
+            if fn is lockstep:
+                spent["steps"] += out[1]
+            return out
+        return call
+
+    best = {"loop": float("inf"), "lockstep": float("inf")}
+    sim._serve_loop, sim._lockstep = timed("loop", loop), timed("lockstep", lockstep)
+    try:
+        for _ in range(repeats):
+            spent.update(loop=0.0, lockstep=0.0, steps=0)
+            serve()
+            for name in best:
+                best[name] = min(best[name], spent[name])
+    finally:
+        sim._serve_loop, sim._lockstep = loop, lockstep
+    return {name: round(t * 1e3, 2) for name, t in best.items()} | {"steps": spent["steps"]}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=3)
@@ -66,6 +98,7 @@ def main(argv=None):
 
     dep_win = service(SCHEDULERS["sp"])[warm:need]
     delays = dep_win - T[warm:need]
+    flagged = sim._flag_window(cfg.measured_packets)
 
     r = args.repeats
     out = {
@@ -74,7 +107,11 @@ def main(argv=None):
     }
     for name, spec in SCHEDULERS.items():
         out[f"service.{name}"] = best_ms(lambda: service(spec), r)
-    out["backlog"] = best_ms(lambda: sim._backlog(T, nt, fifo, dep_win, cap), r)
+        if spec.kind != "fifo":
+            for part, value in service_split(lambda: service(spec), r).items():
+                out[f"service.{name}.{part}"] = value
+    out["backlog"] = best_ms(
+        lambda: sim._instability_flag(sim._backlog(T, nt, fifo, dep_win[flagged], cap)), r)
     out["statistics"] = best_ms(
         lambda: sim._stats_from_delays(delays, cfg.delay_grid, False), r)
     for name, spec in SCHEDULERS.items():

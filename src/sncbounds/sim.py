@@ -43,9 +43,12 @@ between them, and served again (inside a lane the loop's idle jump and WFQ
 reset still apply).
 
 A lane of one packet departs at arrival + size/C.  The others are served in
-lockstep by ``_lockstep``: step k serves the k-th packet of every lane at
-once (under WFQ a step handles one arrival or departure of each lane, and
-serves a packet once every arrival up to the free instant has its tag).
+lockstep by ``_lockstep``, all lanes a step at a time.  Under SP and EDF
+step k serves the k-th packet of every lane.  Under WFQ a step of a lane
+takes, in order, at most one arrival (the next event up to the free
+instant, before the pending departure), then the pending departure if it
+is now the next event, then a selection once no event up to the free
+instant is left; a lane of n packets takes about 1.3n steps at desk scale.
 The ``_SCALAR_LANES`` longest lanes go through ``_serve_loop`` instead, and
 the rest, longest first, through lockstep calls of at most
 ``_LOCKSTEP_LANES`` lanes (the reasons for each constant are next to it).
@@ -58,6 +61,8 @@ The kernels return departures only.  The backlog that ``DelayStats.unstable``
 samples needs no service order: every discipline here is work-conserving, so
 all leave the same unfinished work at every instant, and the FIFO recursion
 gives it (C times the wait left to the FIFO departure of the last arrival).
+``simulate`` takes it only at the measured departures the flag reads
+(``_flag_window``).
 
 Warm-up is counted in through-flow packets.  All randomness derives from
 (master_seed, replication, subflow) spawn keys, so replications are
@@ -231,12 +236,19 @@ def _flow_arrivals(scenario: Scenario, cfg: SimConfig, replication_index: int):
 # only a few steps each.
 _LOCKSTEP_LANES = 1 << 12
 # Longest lanes of a run served by the scalar loop instead.  A lockstep
-# step costs 30 (SP/EDF) to 100 (WFQ) NumPy calls whatever its width, so the
+# step costs 30 (SP/EDF) to 120 (WFQ) NumPy calls whatever its width, so the
 # step count is set by the longest lane served in lockstep: handing the few
-# longest to the scalar loop, at 1 to 6 us per packet, cuts the steps to the
-# length of the next one.  Of 32, 64, 96 and 128, 32 served a desk run (4.4e4
-# busy periods, the longest about 400 packets) fastest and tied at the
-# 2.2e3-packet size of the benchmark's warm-up.
+# longest to the scalar loop, at 0.2 (SP/EDF) to 0.6 (WFQ) us per packet,
+# cuts the steps to the length of the next one.  Service ms of a desk run
+# (4.4e4 busy periods, the longest about 400 packets; mean over seeds 3, 5
+# and 7 of the minimum of 7 runs) with 16/32/48/64/96/128 scalar lanes:
+#   SP        15.5/15.3/15.1/15.8/17.2/16.6
+#   EDF(10,1) 18.2/17.7/17.4/17.9/17.9/18.8
+#   WFQ(0.5)  75.7/73.2/75.4/73.0/75.3/73.7
+# 32 is within the spread of the best for each discipline, so one count
+# serves all three.  At the 2.2e3-packet size of the benchmark's warm-up,
+# 32 and 64 tie for SP/EDF (1.1-1.3 ms) and WFQ takes 4.5 ms at 32 against
+# 3.4 at 64.
 _SCALAR_LANES = 32
 
 
@@ -300,101 +312,99 @@ def _serve_loop(kind, tt, ts, ct, cs, cap, d1=0.0, d2=0.0, phi1=0.5):
     departures from the work recursion instead.  Within each flow, EDF
     deadlines and WFQ finish tags are increasing, so the discipline's next
     packet is always one of the two queue heads.  Serves everything and
-    returns (through departs, cross departs), aligned with the input
-    arrival order.
+    returns the through and the cross departures as lists, aligned with the
+    input arrival order, and the last departure.
+
+    It runs on Python floats, which perform the same IEEE operations as
+    NumPy's float64 and cost far less one at a time; each flow's arrivals end
+    with a +inf sentinel, so an exhausted flow's next arrival is +inf.  Each
+    iteration serves one packet.  Under WFQ it first takes the events up to
+    the free instant in time order (departures first on ties, then through
+    before cross), each advancing V.  An arrival into an empty system finds
+    V and the finish trackers already reset by the departure that emptied
+    it, or at their initial zeros.
     """
     nt, nc = tt.size, ct.size
-    dep_t = np.empty(nt)
-    dep_c = np.empty(nc)
+    inf = math.inf
+    tt, ts, ct, cs = tt.tolist(), ts.tolist(), ct.tolist(), cs.tolist()
+    tt.append(inf)
+    ct.append(inf)
+    dep_t, dep_c = [0.0] * nt, [0.0] * nc
+    sp, edf, wfq = kind == "sp", kind == "edf", kind == "gps"
     phi2 = 1.0 - phi1
-    wfq = kind == "gps"
+    phi12 = phi1 + phi2  # weight sum of a busy system; adding an idle flow's 0.0 is exact
     if wfq:
-        tags_t = np.empty(nt)
-        tags_c = np.empty(nc)
+        tags_t, tags_c = [0.0] * nt, [0.0] * nc
 
     it = ic = 0            # next head per flow
-    tag_it = tag_ic = 0    # next packet to tag (wfq)
-    q1 = q2 = 0            # packets in system per flow (wfq)
+    th, ch = tt[0], ct[0]  # ... and its arrival
+    gt = gc = 0            # next packet to tag per flow (wfq)
+    ta, ca = th, ch        # ... and its arrival
+    q1 = q2 = 0            # packets in system per flow
     v = vt = 0.0           # virtual time and its last update instant
     f1 = f2 = 0.0          # per-flow last finish tags
-    pend_flow, pend_time = -1, math.inf
+    pend, pend_c = inf, False  # departure not yet processed, and whether cross
     free = 0.0
-    inf = math.inf
 
-    def wfq_advance(to):
-        nonlocal v, vt, q1, q2, f1, f2, tag_it, tag_ic, pend_flow, pend_time
-        while True:
-            ta = tt[tag_it] if tag_it < nt else inf
-            ca = ct[tag_ic] if tag_ic < nc else inf
-            nxt = min(ta, ca, pend_time)
-            if nxt > to:
-                break
-            denom = (phi1 if q1 > 0 else 0.0) + (phi2 if q2 > 0 else 0.0)
-            if denom > 0.0:
-                v += (nxt - vt) * cap / denom
-            vt = nxt
-            if pend_time <= ta and pend_time <= ca:  # departures first on ties
-                if pend_flow == 0:
-                    q1 -= 1
-                else:
-                    q2 -= 1
-                pend_flow, pend_time = -1, inf
-                if q1 == 0 and q2 == 0:
-                    v = f1 = f2 = 0.0
-            elif ta <= ca:  # through before cross on ties
-                if q1 + q2 == 0:
-                    v = f1 = f2 = 0.0
-                    vt = ta
-                q1 += 1
-                f1 = max(f1, v) + ts[tag_it] / phi1
-                tags_t[tag_it] = f1
-                tag_it += 1
-            else:
-                if q1 + q2 == 0:
-                    v = f1 = f2 = 0.0
-                    vt = ca
-                q2 += 1
-                f2 = max(f2, v) + cs[tag_ic] / phi2
-                tags_c[tag_ic] = f2
-                tag_ic += 1
-
-    while it < nt or ic < nc:
-        t_head = tt[it] if it < nt else inf
-        c_head = ct[ic] if ic < nc else inf
-        if t_head > free and c_head > free:
-            free = min(t_head, c_head)  # idle period; jump to next arrival
+    for _ in range(nt + nc):
+        if th > free and ch > free:
+            free = th if th <= ch else ch  # idle period; jump to next arrival
         if wfq:
-            wfq_advance(free)
-        t_ok = t_head <= free
-        c_ok = c_head <= free
+            while True:
+                a = ta if ta <= ca else ca
+                if pend <= a and pend <= free:  # departures first on ties
+                    v += (pend - vt) * cap / ((phi12 if q2 else phi1) if q1 else phi2)
+                    vt = pend
+                    if pend_c:
+                        q2 -= 1
+                    else:
+                        q1 -= 1
+                    pend = inf
+                    if not (q1 or q2):
+                        v = f1 = f2 = 0.0
+                elif a <= free:
+                    if q1 or q2:
+                        v += (a - vt) * cap / ((phi12 if q2 else phi1) if q1 else phi2)
+                    vt = a
+                    if ta <= ca:  # through before cross on ties
+                        q1 += 1
+                        f1 = (v if v > f1 else f1) + ts[gt] / phi1
+                        tags_t[gt] = f1
+                        gt += 1
+                        ta = tt[gt]
+                    else:
+                        q2 += 1
+                        f2 = (v if v > f2 else f2) + cs[gc] / phi2
+                        tags_c[gc] = f2
+                        gc += 1
+                        ca = ct[gc]
+                else:
+                    break
 
-        if kind == "sp":
-            take_t = not c_ok
-        elif kind == "edf":
-            if t_ok and c_ok:
-                dl_t, dl_c = t_head + d1, c_head + d2
-                take_t = dl_t < dl_c or (dl_t == dl_c and t_head <= c_head)
-            else:
-                take_t = t_ok
-        else:  # wfq
-            if t_ok and c_ok:
+        if sp:
+            take_t = ch > free
+        elif th <= free and ch <= free:
+            if edf:
+                dl_t, dl_c = th + d1, ch + d2
+                take_t = dl_t < dl_c or (dl_t == dl_c and th <= ch)
+            else:  # wfq
                 take_t = tags_t[it] <= tags_c[ic]
-            else:
-                take_t = t_ok
+        else:
+            take_t = th <= free
 
         if take_t:
-            dep = free + ts[it] / cap
-            dep_t[it] = dep
+            free += ts[it] / cap
+            dep_t[it] = free
             it += 1
+            th = tt[it]
         else:
-            dep = free + cs[ic] / cap
-            dep_c[ic] = dep
+            free += cs[ic] / cap
+            dep_c[ic] = free
             ic += 1
-        if wfq:
-            pend_flow, pend_time = (0 if take_t else 1), dep
-        free = dep
+            ch = ct[ic]
+        pend, pend_c = free, not take_t
 
-    return dep_t, dep_c
+    return dep_t, dep_c, free
 
 
 def _lockstep(kind, T, S, cap, lo_t, hi_t, lo_c, hi_c, d1, d2, phi1, dep):
@@ -404,13 +414,19 @@ def _lockstep(kind, T, S, cap, lo_t, hi_t, lo_c, hi_c, d1, d2, phi1, dep):
     all cross packets (the flat index); lane i owns [lo_t, hi_t) and
     [lo_c, hi_c) of it.  Each step applies the scalar loop's arithmetic to
     every lane: the idle jump, then under SP/EDF one head selection.  Under
-    WFQ a step handles the next arrival or departure at or before the free
-    instant, and selects a head when no arrival at or before that instant
-    is left, so a lane of n packets takes about 2n steps.  A finished lane
-    has NaN heads, serves nothing and keeps its state, so the steps cover
-    the lanes up to the last unfinished one.  Writes departures into
-    ``dep`` at flat indices (the last slot takes the writes of lanes that
-    serve nothing in a step) and returns each lane's last departure.
+    WFQ a step does three things in order: at most one arrival, if it is the
+    next event up to the free instant (before the pending departure, which
+    goes first on ties; through first among arrivals), which advances V and
+    gets its finish tag; then the pending departure, if it is now the next
+    event up to that instant; then a head selection, once no event up to
+    that instant is left.  So a lane of n packets takes n steps, plus one
+    for each arrival after which another is still due by the free instant:
+    about 1.3n at desk scale (2.6e5 lane steps for 2.0e5 packets).  A
+    finished lane has NaN heads, serves nothing and keeps its state, so the
+    steps cover the lanes up to the last unfinished one.  Writes departures
+    into ``dep`` at flat indices (the last slot takes the writes of lanes
+    that serve nothing in a step) and returns each lane's last departure
+    and the number of steps.
     """
     wfq = kind == "gps"
     it, ic = lo_t.copy(), lo_c.copy()
@@ -423,57 +439,37 @@ def _lockstep(kind, T, S, cap, lo_t, hi_t, lo_c, hi_c, d1, d2, phi1, dep):
         tags = dep
         phi2 = 1.0 - phi1
         gt, gc = lo_t.copy(), lo_c.copy()        # next packet to tag per flow
+        ta = np.where(gt < hi_t, T.take(gt, mode="clip"), inf)  # ... its arrival
+        ca = np.where(gc < hi_c, T.take(gc, mode="clip"), inf)
         q1 = np.zeros(it.size, dtype=np.intp)    # packets in system per flow
         q2 = np.zeros(it.size, dtype=np.intp)
         v, vt, f1, f2 = (np.zeros(it.size) for _ in range(4))
         pend = np.full(it.size, inf)             # departure not yet processed
         pend_c = np.zeros(it.size, dtype=bool)   # ... and whether it is cross
 
-    w = it.size
+    w, steps = it.size, 0
     while w:
+        steps += 1
         it_, ic_, hi_t_, hi_c_, free_ = it[:w], ic[:w], hi_t[:w], hi_c[:w], free[:w]
         th = np.where(it_ < hi_t_, T.take(it_, mode="clip"), nan)
         ch = np.where(ic_ < hi_c_, T.take(ic_, mode="clip"), nan)
         np.fmax(free_, np.fmin(th, ch), out=free_)  # idle jump
         t_ok = th <= free_
         c_ok = ch <= free_
-        if kind == "sp":
-            take = t_ok & ~c_ok
-        elif kind == "edf":
-            dl_t, dl_c = th + d1, ch + d2
-            take = np.where(t_ok & c_ok, (dl_t < dl_c) | ((dl_t == dl_c) & (th <= ch)), t_ok)
-        else:
-            take = np.where(t_ok & c_ok, tags.take(it_) <= tags.take(ic_), t_ok)
-        take_c = c_ok & ~take  # neither takes: the lane is finished
-        idx = np.where(take, it_, np.where(take_c, ic_, nothing))
-        d = free_ + S.take(idx, mode="clip") / cap
-        serve = take | take_c
 
         if wfq:
-            # an event: advance V, then a departure (first on ties) or an
-            # arrival (through first on ties) that gets its finish tag
-            gt_, gc_, q1_, q2_ = gt[:w], gc[:w], q1[:w], q2[:w]
+            gt_, gc_, ta_, ca_, q1_, q2_ = gt[:w], gc[:w], ta[:w], ca[:w], q1[:w], q2[:w]
             v_, vt_, f1_, f2_, pend_, pend_c_ = (v[:w], vt[:w], f1[:w], f2[:w],
                                                  pend[:w], pend_c[:w])
-            ta = np.where(gt_ < hi_t_, T.take(gt_, mode="clip"), inf)
-            ca = np.where(gc_ < hi_c_, T.take(gc_, mode="clip"), inf)
-            arrive = np.minimum(ta, ca)
-            nxt = np.minimum(arrive, pend_)
-            event = nxt <= free_
+            # an arrival before the pending departure and up to the free
+            # instant (through first on ties) advances V and gets its tag
+            arrive = np.minimum(ta_, ca_)
+            come = (arrive < pend_) & (arrive <= free_)
+            come_t = come & (ta_ <= ca_)
+            come_c = come ^ come_t
             denom = np.where(q1_ > 0, phi1, 0.0) + np.where(q2_ > 0, phi2, 0.0)
-            np.copyto(v_, v_ + (nxt - vt_) * cap / denom, where=event & (denom > 0.0))
-            np.copyto(vt_, nxt, where=event)
-            gone = event & (pend_ <= arrive)
-            q1_ -= gone & ~pend_c_
-            q2_ -= gone & pend_c_
-            np.copyto(pend_, inf, where=gone)
-            come = event & ~gone
-            come_t = come & (ta <= ca)
-            come_c = come & ~come_t
-            reset = event & (q1_ + q2_ == 0)  # the system is empty
-            np.copyto(v_, 0.0, where=reset)
-            np.copyto(f1_, 0.0, where=reset)
-            np.copyto(f2_, 0.0, where=reset)
+            np.copyto(v_, v_ + (arrive - vt_) * cap / denom, where=come & (denom > 0.0))
+            np.copyto(vt_, arrive, where=come)
             q1_ += come_t
             q2_ += come_c
             g = np.where(come_t, gt_, gc_)
@@ -484,15 +480,48 @@ def _lockstep(kind, T, S, cap, lo_t, hi_t, lo_c, hi_c, d1, d2, phi1, dep):
             tags[np.where(come, g, nothing)] = tag
             gt_ += come_t
             gc_ += come_c
-            # select only once every arrival up to the free instant is tagged
-            serve &= ~come & (arrive > free_)
+            g += 1
+            a = np.where(g < np.where(come_t, hi_t_, hi_c_), T.take(g, mode="clip"), inf)
+            np.copyto(ta_, a, where=come_t)
+            np.copyto(ca_, a, where=come_c)
+            # then the pending departure, if it is now the next event (first
+            # on ties); V and the finish trackers reset when the system empties
+            np.minimum(ta_, ca_, out=arrive)
+            gone = (pend_ <= arrive) & (pend_ <= free_)
+            denom = np.where(q1_ > 0, phi1, 0.0) + np.where(q2_ > 0, phi2, 0.0)
+            np.copyto(v_, v_ + (pend_ - vt_) * cap / denom, where=gone)
+            np.copyto(vt_, pend_, where=gone)
+            q1_ -= gone & ~pend_c_
+            q2_ -= gone & pend_c_
+            np.copyto(pend_, inf, where=gone)
+            reset = gone & (q1_ + q2_ == 0)
+            np.copyto(v_, 0.0, where=reset)
+            np.copyto(f1_, 0.0, where=reset)
+            np.copyto(f2_, 0.0, where=reset)
+
+        if kind == "sp":
+            take = t_ok & ~c_ok
+        elif kind == "edf":
+            dl_t, dl_c = th + d1, ch + d2
+            take = np.where(t_ok & c_ok, (dl_t < dl_c) | ((dl_t == dl_c) & (th <= ch)), t_ok)
+        else:
+            take = np.where(t_ok & c_ok, tags.take(it_) <= tags.take(ic_), t_ok)
+        take_c = c_ok & ~take  # neither takes: the lane is finished
+        serve = take | take_c
+        if wfq:
+            # then a selection, once no event up to the free instant is left
+            serve &= arrive > free_
+            take &= serve
+            take_c &= serve
+        idx = np.where(take, it_, np.where(take_c, ic_, nothing))
+        d = free_ + S.take(idx, mode="clip") / cap
+        if wfq:
             np.copyto(pend_, d, where=serve)
             np.copyto(pend_c_, take_c, where=serve)
-            idx = np.where(serve, idx, nothing)
 
         dep[idx] = d
-        it_ += serve & take
-        ic_ += serve & take_c
+        it_ += take
+        ic_ += take_c
         np.copyto(free_, d, where=serve)
         # NumPy keeps freed buffers under 1 KiB for reuse, one cache per
         # byte size, so narrowing lane by lane would leave a buffer of every
@@ -501,7 +530,7 @@ def _lockstep(kind, T, S, cap, lo_t, hi_t, lo_c, hi_c, d1, d2, phi1, dep):
         k = int(left[::-1].argmax())
         live = w - k if left[w - 1 - k] else 0
         w = live if live >= 1024 else min(-(-live // 128) * 128, w)
-    return free
+    return free, steps
 
 
 def _serve_lanes(kind, T, S, cap, nt, bounds, before, lanes, d1, d2, phi1, dep):
@@ -529,15 +558,13 @@ def _serve_lanes(kind, T, S, cap, nt, bounds, before, lanes, d1, d2, phi1, dep):
     lo_c, hi_c = nt + start - lo_t, nt + end - hi_t
     for i in range(min(_SCALAR_LANES, many.size)):
         a, z, c, e = lo_t[i], hi_t[i], lo_c[i], hi_c[i]
-        dt, dc = _serve_loop(kind, T[a:z], S[a:z], T[c:e], S[c:e], cap,
-                             d1=d1, d2=d2, phi1=phi1)
-        dep[a:z], dep[c:e] = dt, dc
-        last[many[i]] = max(dt.max(initial=-np.inf), dc.max(initial=-np.inf))
+        dep[a:z], dep[c:e], last[many[i]] = _serve_loop(
+            kind, T[a:z], S[a:z], T[c:e], S[c:e], cap, d1=d1, d2=d2, phi1=phi1)
     for g in range(_SCALAR_LANES, many.size, _LOCKSTEP_LANES):
         group = slice(g, g + _LOCKSTEP_LANES)
         with np.errstate(divide="ignore", invalid="ignore"):
-            last[many[group]] = _lockstep(kind, T, S, cap, lo_t[group], hi_t[group],
-                                          lo_c[group], hi_c[group], d1, d2, phi1, dep)
+            last[many[group]], _ = _lockstep(kind, T, S, cap, lo_t[group], hi_t[group],
+                                             lo_c[group], hi_c[group], d1, d2, phi1, dep)
     return last
 
 
@@ -581,13 +608,25 @@ def _serve_flows(kind, tt, ts, ct, cs, cap, need=None, d1=0.0, d2=0.0, phi1=0.5)
     return _serve(kind, T, S, tt.size, lanes, cap, need, d1=d1, d2=d2, phi1=phi1)
 
 
-def _instability_flag(backlog: np.ndarray) -> bool:
-    """End-of-run backlog more than 10x the middle third's maximum."""
-    n = backlog.size
+def _flag_window(n: int) -> np.ndarray:
+    """Which of n measured departures ``_instability_flag`` reads the backlog at.
+
+    The middle third [n//3, 2*(n//3)), then the last; none below 9.
+    """
     if n < 9:
+        return np.empty(0, dtype=np.intp)
+    return np.append(np.arange(n // 3, 2 * (n // 3)), n - 1)
+
+
+def _instability_flag(backlog: np.ndarray) -> bool:
+    """End-of-run backlog more than 10x the middle third's maximum.
+
+    ``backlog`` is sampled at the ``_flag_window`` departures: the middle
+    third, then the last.
+    """
+    if backlog.size == 0:
         return False
-    mid = backlog[n // 3: 2 * (n // 3)]
-    return bool(backlog[-1] > 10.0 * max(float(mid.max()), 1.0))
+    return bool(backlog[-1] > 10.0 * max(float(backlog[:-1].max()), 1.0))
 
 
 def _stats_from_delays(delays: np.ndarray, grid, unstable: bool) -> DelayStats:
@@ -638,7 +677,8 @@ def simulate(scenario: Scenario, sched: SchedulerSpec, cfg: SimConfig,
                             d1=sched.d1_star, d2=sched.d2_star, phi1=sched.phi1)
     del lanes
     delays = dep_thr[cfg.warmup_packets:need] - T[cfg.warmup_packets:need]
-    backlog = _backlog(T, nt, fifo, dep_thr[cfg.warmup_packets:need], cap)
+    at = dep_thr[cfg.warmup_packets + _flag_window(cfg.measured_packets)]
+    backlog = _backlog(T, nt, fifo, at, cap)
     return _stats_from_delays(delays, cfg.delay_grid, _instability_flag(backlog))
 
 

@@ -177,3 +177,46 @@ def test_edf_deadline_ties(d1, d2):
     tt, ts, ct, cs = _arrays([0.0, 1.0, 1.0 + d2, 12.0], [10.0, 1.0, 1.0, 1.0],
                              [1.0, 1.0 + d1, 12.0], [1.0, 1.0, 0.5])
     assert_same_as_reference(("edf", d1, d2, 0.5), tt, ts, ct, cs, 1.0, None)
+
+
+@pytest.mark.usefixtures("path")
+def test_wfq_equal_tags_serve_the_through_packet_first():
+    # C = 1, phi1 = 0.5: V runs at rate 2 behind the first through packet,
+    # so at t = 0.5 the through and cross arrivals both get finish tag 3.0
+    tt, ts, ct, cs = _arrays([0.0, 0.5], [1.0, 0.5], [0.5], [1.0])
+    assert_same_as_reference(("gps", 0.0, 0.0, 0.5), tt, ts, ct, cs, 1.0, None)
+    dep_t, dep_c = sim._serve_flows("gps", tt, ts, ct, cs, 1.0, phi1=0.5)
+    assert dep_t.tolist() == [1.0, 1.5] and dep_c.tolist() == [2.5]
+
+
+@pytest.mark.usefixtures("path")
+@pytest.mark.parametrize("phi1", [0.1, 0.5, 0.9])
+def test_wfq_arrivals_inside_and_at_a_departure(phi1):
+    # C = 1: while the first packet is served on [0, 1], one packet of each
+    # flow arrives strictly inside and a cross packet exactly at 1.0; the
+    # through packet at 1.2 arrives inside the next service, so one lockstep
+    # step tags it, processes that departure and selects the next packet
+    tt, ts, ct, cs = _arrays([0.0, 0.5, 1.2], [1.0, 1.0, 0.5],
+                             [0.25, 1.0], [0.5, 0.5])
+    assert_same_as_reference(("gps", 0.0, 0.0, phi1), tt, ts, ct, cs, 1.0, None)
+    assert_same_as_reference(("gps", 0.0, 0.0, phi1), tt, ts, ct, cs, 1.0, 2)
+
+
+@pytest.mark.usefixtures("path")
+def test_wfq_departure_before_arrivals_when_the_system_drains():
+    # C = 1, phi1 = 0.5: the system drains at 2.5, when one packet of each
+    # flow arrives.  Departure first resets V (2.5) and the finish trackers
+    # (through 3.0, cross 1.0), so both arrivals get tag 1.0 and the through
+    # packet goes first; arrivals first would tag them 4.0 and 3.5
+    tt, ts, ct, cs = _arrays([0.75, 1.0, 2.5], [1.0, 0.5, 0.5], [1.0, 2.5], [0.25, 0.5])
+    assert_same_as_reference(("gps", 0.0, 0.0, 0.5), tt, ts, ct, cs, 1.0, None)
+    dep_t, dep_c = sim._serve_flows("gps", tt, ts, ct, cs, 1.0, phi1=0.5)
+    assert dep_t.tolist() == [1.75, 2.5, 3.0] and dep_c.tolist() == [2.0, 3.5]
+
+
+@pytest.mark.usefixtures("path")
+@pytest.mark.parametrize("phi1", [0.1, 0.9])
+def test_wfq_uneven_weights(arrivals, phi1):
+    tt, ts, ct, cs, cap, need = arrivals("small", 1)
+    assert_same_as_reference(("gps", 0.0, 0.0, phi1), tt, ts, ct, cs, cap, need)
+    assert_same_as_reference(("gps", 0.0, 0.0, phi1), tt, ts, ct, cs, cap, None)

@@ -19,6 +19,7 @@ from sncbounds import (
 from sncbounds.cli import main
 from sncbounds.sim import (
     _flat_arrivals,
+    _flag_window,
     _flow_arrivals,
     _instability_flag,
     _merge,
@@ -227,15 +228,40 @@ class TestConservationAndAudit:
 
 
 class TestInstabilityFlag:
+    @staticmethod
+    def flag(series):
+        """The rule on a whole backlog series, sampled as ``simulate`` samples it."""
+        return _instability_flag(series[_flag_window(series.size)])
+
     def test_flat_series_not_flagged(self):
-        assert not _instability_flag(np.abs(np.sin(np.arange(1000.0))) * 5)
+        assert not self.flag(np.abs(np.sin(np.arange(1000.0))) * 5)
 
     def test_runaway_tail_flagged(self):
         series = np.concatenate([np.full(900, 4.0), np.linspace(4.0, 80.0, 100)])
-        assert _instability_flag(series)
+        assert self.flag(series)
 
     def test_short_series_not_flagged(self):
-        assert not _instability_flag(np.array([1.0, 2.0]))
+        assert not self.flag(np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("n", [0, 1, 8, 9, 10, 11, 12, 1000, 1001])
+    def test_window_flags_as_the_whole_series_did(self, n):
+        # the rule as it read a backlog sampled at every measured departure
+        def whole(backlog):
+            m = backlog.size
+            if m < 9:
+                return False
+            mid = backlog[m // 3: 2 * (m // 3)]
+            return bool(backlog[-1] > 10.0 * max(float(mid.max()), 1.0))
+
+        rng = np.random.default_rng(n)
+        seen = set()
+        for _ in range(50):
+            series = rng.exponential(3.0, n)
+            series[-1:] *= 10.0 ** rng.uniform(0.0, 3.0)
+            flagged = self.flag(series)
+            assert flagged == whole(series)
+            seen.add(flagged)
+        assert seen == ({False, True} if n >= 9 else {False})
 
     def test_normal_run_unflagged(self):
         st = simulate(scenario(), SchedulerSpec.fifo(), small_cfg(), 0)

@@ -208,6 +208,13 @@ def test_stage_times_script_runs(capsys):
     script.main(["--repeats", "1"])
     out = json.loads(capsys.readouterr().out)
     names = list(script.SCHEDULERS)
-    assert list(out) == (["arrivals", "merge"] + [f"service.{n}" for n in names]
+    service = []
+    for n in names:
+        service.append(f"service.{n}")
+        if script.SCHEDULERS[n].kind != "fifo":
+            service += [f"service.{n}.{part}" for part in ("loop", "lockstep", "steps")]
+    assert list(out) == (["arrivals", "merge"] + service
                          + ["backlog", "statistics"] + [f"simulate.{n}" for n in names])
+    steps = {name: out.pop(name) for name in list(out) if name.endswith(".steps")}
+    assert all(isinstance(n, int) and n > 0 for n in steps.values())
     assert all(isinstance(ms, float) and ms >= 0 for ms in out.values())
