@@ -56,8 +56,9 @@ class SchedulerSpec:
     """Scheduling discipline of the shared server.
 
     EDF carries the relative deadlines of the through (d1_star) and cross
-    (d2_star) classes; GPS carries the through-class weight phi1, with
-    phi2 = 1 - phi1.  SP always gives the cross flow strict priority.
+    (d2_star) classes; GPS carries the through-class weight phi1, and the
+    cross class has weight 1 - phi1.  SP always gives the cross flow strict
+    priority.
     """
 
     kind: str
@@ -68,14 +69,12 @@ class SchedulerSpec:
     def __post_init__(self):
         if self.kind not in ("fifo", "sp", "edf", "gps"):
             raise InvalidParamsError(f"unknown scheduler kind {self.kind!r}")
-        if self.kind == "edf" and (self.d1_star < 0 or self.d2_star < 0):
-            raise InvalidParamsError("EDF deadlines must be >= 0")
+        if self.kind == "edf" and not (0 <= self.d1_star < math.inf
+                                       and 0 <= self.d2_star < math.inf):
+            raise InvalidParamsError(
+                f"EDF deadlines must be finite and >= 0, got {self.d1_star}, {self.d2_star}")
         if self.kind == "gps" and not 0 < self.phi1 < 1:
             raise InvalidParamsError("GPS weight phi1 must lie in (0,1)")
-
-    @property
-    def phi2(self) -> float:
-        return 1.0 - self.phi1
 
     @classmethod
     def fifo(cls) -> "SchedulerSpec":
@@ -140,15 +139,14 @@ def gps_constants(scenario: Scenario, phi1: float) -> MartingaleConstants:
 class _Term(NamedTuple):
     """One term of a bound: a reduced system and its service exponent.
 
-    ``consts`` and ``c`` are the reduced system's constants and per-flow
-    capacity, so r_gamma = c at theta = consts.gamma.  The martingale term is
-    K**flows * exp(exponent(gamma, c)); the standard term is the infimum over
-    theta in (0, gamma) of L * exp(exponent(theta, r_theta)), with
+    ``consts`` are the reduced system's constants and cm/k is its per-flow
+    capacity c, so r_gamma = c at theta = consts.gamma.  The martingale term
+    is K**flows * exp(exponent(gamma, c)); the standard term is the infimum
+    over theta in (0, gamma) of L * exp(exponent(theta, r_theta)), with
     L = cm*e/(cm - k*r_theta), or cm/(cm - k*r_theta) without ``euler``.
     """
 
     consts: MartingaleConstants
-    c: float
     flows: int
     cm: float
     k: int
@@ -167,8 +165,8 @@ def _bound_terms(scenario: Scenario, sched: SchedulerSpec, d: float) -> tuple:
     EDF, y <  0:  theta (C - n1 r) y - theta C d, plus -theta C d on the
            rescaled per-flow capacity c' = (n/n1) c at utilization (n1/n) rho,
            where the n1 through flows alone fill the whole server.  That
-           second term is None when P <= c': the through aggregate alone
-           cannot backlog the server.
+           second term is left out when P <= c': the through aggregate
+           alone cannot backlog the server.
     GPS:   -theta phi1 C d on the GPS-reduced system, which holds only the n1
            through flows on a server of rate phi1 C: prefactor powers K^n1
            and L = phi1 C/(phi1 C - n1 r_theta).
@@ -180,11 +178,11 @@ def _bound_terms(scenario: Scenario, sched: SchedulerSpec, d: float) -> tuple:
 
     if sched.kind == "gps":
         phi_c = sched.phi1 * cap
-        return (_Term(gps_constants(scenario, sched.phi1), phi_c / n1, n1, phi_c, n1, False,
+        return (_Term(gps_constants(scenario, sched.phi1), n1, phi_c, n1, False,
                       lambda th, r: -th * phi_c * d),)
 
     c = scenario.per_flow_capacity
-    system = (martingale_constants(scenario), c, scenario.n, c, 1, True)
+    system = (martingale_constants(scenario), scenario.n, c, 1, True)
     if sched.kind == "fifo":
         return (_Term(*system, lambda th, r: -th * cap * d),)
     if sched.kind == "sp":
@@ -197,10 +195,10 @@ def _bound_terms(scenario: Scenario, sched: SchedulerSpec, d: float) -> tuple:
     params = scenario.params
     c_resc = scenario.n / n1 * c
     if params.peak <= c_resc:
-        return first, None
+        return (first,)
     resc = _constants(params.on_probability, n1 / scenario.n * scenario.rho, params.lam,
                       params.mu, params.peak, c_resc)
-    return first, _Term(resc, c_resc, scenario.n, c_resc, 1, True,
+    return first, _Term(resc, scenario.n, c_resc, 1, True,
                         lambda th, r: -th * cap * d)
 
 
@@ -208,11 +206,10 @@ def martingale_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float) -
     """Delay-violation bound P(W1 > d) <= value for the through aggregate.
 
     The sum of K**flows * exp(exponent(gamma, c)) over the scheduler's terms
-    (``_bound_terms``); FIFO's, for one, is K^n e^{-gamma C d}.  Each
-    exponent is one sum inside ``exp``, so no factor overflows on its own.
+    (``_bound_terms``), with c = cm/k; FIFO's, for one, is K^n e^{-gamma C d}.
+    Each exponent is one sum inside ``exp``, so no factor overflows on its own.
     """
     value = 0.0
     for t in _bound_terms(scenario, sched, d):
-        if t is not None:
-            value += t.consts.K ** t.flows * math.exp(t.exponent(t.consts.gamma, t.c))
+        value += t.consts.K ** t.flows * math.exp(t.exponent(t.consts.gamma, t.cm / t.k))
     return DelayBound(value)

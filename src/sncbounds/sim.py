@@ -601,13 +601,6 @@ def _serve(kind, T, S, nt, lanes, cap, need=None, d1=0.0, d2=0.0, phi1=0.5):
     return dep[:nt], dep[nt:-1]
 
 
-def _serve_flows(kind, tt, ts, ct, cs, cap, need=None, d1=0.0, d2=0.0, phi1=0.5):
-    """``_serve`` on per-flow arrival arrays, each sorted by time."""
-    T, S = np.concatenate([tt, ct]), np.concatenate([ts, cs])
-    _, _, lanes = _merge(T, S, tt.size, cap)
-    return _serve(kind, T, S, tt.size, lanes, cap, need, d1=d1, d2=d2, phi1=phi1)
-
-
 def _flag_window(n: int) -> np.ndarray:
     """Which of n measured departures ``_instability_flag`` reads the backlog at.
 

@@ -21,7 +21,9 @@ scheduler's terms, each with its reduced system (the scenario's per-flow
 capacity, the GPS-reduced system or EDF's rescaled capacity), its
 prefactor L and its exponent(theta, r_theta).  The martingale bound
 evaluates the exponent at theta = gamma; this module takes the infimum
-over (0, gamma) of the reduced system.
+over (0, gamma) of the reduced system, term by term, and sums the minima.
+A result carries that sum, the first term's minimizer and whether any
+minimum lies at an end of its interval.
 """
 
 from __future__ import annotations
@@ -47,11 +49,10 @@ _EDGE = 1e-9  # relative inset of the optimization interval
 
 @dataclass(frozen=True)
 class StandardBoundResult:
-    """Optimized bound value with the achieving exponent and prefactor.
+    """Optimized bound value and the first term's minimizing exponent.
 
-    The two-term EDF bound optimizes each term separately; ``terms`` holds
-    (value, theta_star, L) per term and the top-level fields describe the
-    first term.  ``at_edge`` is true when the minimum of any term lies at an
+    A two-term EDF bound minimizes each term on its own and sums the
+    minima.  ``at_edge`` is true when the minimum of any term lies at an
     end of its optimization interval, within the ``_EDGE`` inset (and the
     golden-section tolerance): the objective still fell toward the end, so
     the bound may be loose or vacuous.
@@ -59,12 +60,7 @@ class StandardBoundResult:
 
     value: float
     theta_star: float
-    L: float
-    terms: tuple = ()
-    at_edge: bool = False
-
-
-_NO_TERM = StandardBoundResult(0.0, math.inf, math.inf)  # an absent EDF term
+    at_edge: bool
 
 
 def effective_bandwidth_rate(theta, params: MmooParams):
@@ -171,37 +167,20 @@ def _minimize_theta(params: MmooParams, const: float, cm: float, k: float, expon
     return th, fv, min(th, theta_max - th) <= 2.0 * _EDGE * theta_max
 
 
-def _optimized_bound(params: MmooParams, theta_max: float, cm: float, k: float,
-                     exponent, euler: bool) -> StandardBoundResult:
-    """inf over theta in (0, theta_max) of L * exp(exponent(theta, r_theta)).
-
-    L = cm*e/(cm - k*r_theta), or cm/(cm - k*r_theta) without ``euler``.
-    """
-    const = 1.0 + math.log(cm) if euler else math.log(cm)
-    th, fv, at_edge = _minimize_theta(params, const, cm, k, exponent, theta_max)
-    numer = cm * math.e if euler else cm
-    return StandardBoundResult(math.exp(fv), th, numer / (cm - k * _r_theta(th, params)),
-                               at_edge=at_edge)
-
-
 def standard_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float) -> StandardBoundResult:
     """Classical delay bound P(W1 > d) <= value for each scheduler.
 
-    Each of the scheduler's terms (``martingale._bound_terms``) is optimized
-    on its own over (0, gamma) of its reduced system; FIFO's, for one, is
-    inf L e^{-theta C d}.  An absent second EDF term (P <= c') is
-    (0.0, inf, inf).
+    The sum over the scheduler's terms (``martingale._bound_terms``) of the
+    infimum over (0, gamma) of L * exp(exponent(theta, r_theta)) on the
+    term's reduced system, with L = cm*e/(cm - k*r_theta), or
+    cm/(cm - k*r_theta) without ``euler``; FIFO's, for one, is
+    inf L e^{-theta C d}.  ``theta_star`` is the first term's minimizer.
     """
-    params = scenario.params
-    results = [_NO_TERM if t is None else
-               _optimized_bound(params, t.consts.gamma, t.cm, t.k, t.exponent, t.euler)
-               for t in _bound_terms(scenario, sched, d)]
-    if len(results) == 1:
-        return results[0]
-    first, second = results
-    return StandardBoundResult(
-        first.value + second.value, first.theta_star, first.L,
-        terms=((first.value, first.theta_star, first.L),
-               (second.value, second.theta_star, second.L)),
-        at_edge=first.at_edge or second.at_edge,
-    )
+    minima = [_minimize_theta(scenario.params,
+                              1.0 + math.log(t.cm) if t.euler else math.log(t.cm),
+                              t.cm, t.k, t.exponent, t.consts.gamma)
+              for t in _bound_terms(scenario, sched, d)]
+    value = 0.0
+    for _, fv, _ in minima:
+        value += math.exp(fv)
+    return StandardBoundResult(value, minima[0][0], any(edge for _, _, edge in minima))

@@ -246,7 +246,6 @@ class StatePath:
 
     states: np.ndarray
     durations: np.ndarray
-    horizon: float
 
 
 _BLOCK = 1024  # dwells drawn per block; even, so every block starts in one state
@@ -289,7 +288,7 @@ def sample_path(source: MarkovFluidSource, horizon: float, seed) -> StatePath:
     durations = np.concatenate(dwells)[:last + 1]
     durations[last] = horizon - (end[last - 1] if last else 0.0)
     states = (np.arange(last + 1, dtype=np.int64) + state) % 2
-    return StatePath(states, durations, horizon)
+    return StatePath(states, durations)
 
 
 def packet_arrays(path: StatePath, peak: float) -> tuple[np.ndarray, np.ndarray]:

@@ -1,0 +1,16 @@
+"""The simulator's service step on per-flow arrival arrays.
+
+``sim.simulate`` serves one flat array of both flows' packets.  The service
+tests build the two flows by hand, so they merge them here first.
+"""
+
+import numpy as np
+
+from sncbounds.sim import _merge, _serve
+
+
+def serve_flows(kind, tt, ts, ct, cs, cap, need=None, d1=0.0, d2=0.0, phi1=0.5):
+    """``sim._serve`` on per-flow arrival arrays, each sorted by time."""
+    T, S = np.concatenate([tt, ct]), np.concatenate([ts, cs])
+    _, _, lanes = _merge(T, S, tt.size, cap)
+    return _serve(kind, T, S, tt.size, lanes, cap, need, d1=d1, d2=d2, phi1=phi1)

@@ -379,6 +379,12 @@ class TestCli:
         ["admission", "--capacity", "8.33", "--delay", "inf"],
         ["simulate", "--d", "1,inf", "--packets", "100", "--warmup", "0", "--reps", "1"],
         ["compare", "--d", "1,inf", "--packets", "100", "--warmup", "0", "--reps", "1"],
+        ["bound", "--scheduler", "edf", "--d1", "nan", "--d2", "1", "--d", "5"],
+        ["bound", "--scheduler", "edf", "--d1", "inf", "--d2", "inf", "--d", "5"],
+        ["simulate", "--scheduler", "edf", "--d1", "nan", "--d2", "1", "--packets", "100",
+         "--warmup", "0", "--reps", "1"],
+        ["simulate", "--scheduler", "edf", "--d1", "inf", "--d2", "inf", "--packets", "100",
+         "--warmup", "0", "--reps", "1"],
     ])
     def test_non_finite_input_exit_code(self, capsys, argv):
         assert main(argv) == 2

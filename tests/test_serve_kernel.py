@@ -18,6 +18,7 @@ import pytest
 import sncbounds.sim as sim
 from sncbounds import MmooParams, Scenario, SimConfig
 from serial_reference import _serve_loop as reference
+from serve_flows import serve_flows
 
 SOURCE = MmooParams(0.5, 0.1, 1.0)
 DISCIPLINES = {
@@ -42,7 +43,7 @@ def assert_same_as_reference(name, tt, ts, ct, cs, cap, need):
     want = reference(REFERENCE_KIND.get(name, kind), tt, ts, ct, cs, cap,
                      tt.size if drain else need,
                      d1=d1, d2=d2, phi1=phi1, drain=drain)
-    got = sim._serve_flows(kind, tt, ts, ct, cs, cap, need, d1=d1, d2=d2, phi1=phi1)
+    got = serve_flows(kind, tt, ts, ct, cs, cap, need, d1=d1, d2=d2, phi1=phi1)
     for dep, loop_dep in zip(got, want[:2]):
         served = ~np.isnan(loop_dep)
         assert np.array_equal(dep[served], loop_dep[served])
@@ -185,7 +186,7 @@ def test_wfq_equal_tags_serve_the_through_packet_first():
     # so at t = 0.5 the through and cross arrivals both get finish tag 3.0
     tt, ts, ct, cs = _arrays([0.0, 0.5], [1.0, 0.5], [0.5], [1.0])
     assert_same_as_reference(("gps", 0.0, 0.0, 0.5), tt, ts, ct, cs, 1.0, None)
-    dep_t, dep_c = sim._serve_flows("gps", tt, ts, ct, cs, 1.0, phi1=0.5)
+    dep_t, dep_c = serve_flows("gps", tt, ts, ct, cs, 1.0, phi1=0.5)
     assert dep_t.tolist() == [1.0, 1.5] and dep_c.tolist() == [2.5]
 
 
@@ -210,7 +211,7 @@ def test_wfq_departure_before_arrivals_when_the_system_drains():
     # packet goes first; arrivals first would tag them 4.0 and 3.5
     tt, ts, ct, cs = _arrays([0.75, 1.0, 2.5], [1.0, 0.5, 0.5], [1.0, 2.5], [0.25, 0.5])
     assert_same_as_reference(("gps", 0.0, 0.0, 0.5), tt, ts, ct, cs, 1.0, None)
-    dep_t, dep_c = sim._serve_flows("gps", tt, ts, ct, cs, 1.0, phi1=0.5)
+    dep_t, dep_c = serve_flows("gps", tt, ts, ct, cs, 1.0, phi1=0.5)
     assert dep_t.tolist() == [1.75, 2.5, 3.0] and dep_c.tolist() == [2.0, 3.5]
 
 

@@ -23,8 +23,8 @@ from sncbounds.sim import (
     _flow_arrivals,
     _instability_flag,
     _merge,
-    _serve_flows,
 )
+from serve_flows import serve_flows
 
 BASE_SOURCE = MmooParams(0.5, 0.1, 1.0)
 GRID = tuple(float(x) for x in range(1, 11))
@@ -42,8 +42,8 @@ def event_log(sc, sched, cfg, replication_index=0):
     if sched.kind == "fifo":
         sched = SchedulerSpec.edf(0.0, 0.0)
     (tt, ts), (ct, cs) = _flow_arrivals(sc, cfg, replication_index)
-    dep_t, dep_c = _serve_flows(sched.kind, tt, ts, ct, cs, sc.capacity,
-                                d1=sched.d1_star, d2=sched.d2_star, phi1=sched.phi1)
+    dep_t, dep_c = serve_flows(sched.kind, tt, ts, ct, cs, sc.capacity,
+                               d1=sched.d1_star, d2=sched.d2_star, phi1=sched.phi1)
     return {
         "through": {"arrival": tt, "size": ts, "depart": dep_t},
         "cross": {"arrival": ct, "size": cs, "depart": dep_c},
@@ -119,7 +119,7 @@ class TestSimulateBasics:
         (tt, ts), (ct, cs) = _flow_arrivals(
             sc, small_cfg(measured_packets=2000, warmup_packets=0), 0)
         cap = 1.5
-        dep, _ = _serve_flows("edf", tt, ts, ct, cs, cap, d1=0.0, d2=0.0)
+        dep, _ = serve_flows("edf", tt, ts, ct, cs, cap, d1=0.0, d2=0.0)
         delays = dep - tt
         assert delays.max() <= 1.0 / cap + 1e-12
         unit = ts == 1.0

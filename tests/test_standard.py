@@ -43,6 +43,20 @@ def fifo_objective(sc):
     return obj
 
 
+@pytest.fixture
+def optimizer_calls(monkeypatch):
+    """(arguments, (theta*, log minimum, at edge)) of every optimizer call, in call order."""
+    calls = []
+    minimize = standard._minimize_theta
+
+    def spy(*args):
+        calls.append((args, minimize(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(standard, "_minimize_theta", spy)
+    return calls
+
+
 class TestEffectiveBandwidth:
     def test_small_theta_limit_is_mean_rate(self):
         r = effective_bandwidth_rate(1e-12, BASE_SOURCE)
@@ -104,21 +118,8 @@ class TestIntervalEnds:
     standard optimizer's interval ends at the martingale constants' gamma,
     bit for bit, not at a root searched for again."""
 
-    @pytest.fixture
-    def theta_max(self, monkeypatch):
-        """``theta_max`` of every optimizer call, in call order."""
-        ends = []
-        minimize = standard._minimize_theta
-
-        def spy(*args):
-            ends.append(args[-1])
-            return minimize(*args)
-
-        monkeypatch.setattr(standard, "_minimize_theta", spy)
-        return ends
-
     @pytest.mark.parametrize("phi1", [0.3, 0.5, 0.7])
-    def test_gps_ends_at_reduced_gamma(self, theta_max, phi1):
+    def test_gps_ends_at_reduced_gamma(self, optimizer_calls, phi1):
         checked = 0
         for rho in (0.3, 0.45, 0.6, 0.75):
             for n1, n2 in ((5, 5), (2, 8), (8, 2), (1, 1)):
@@ -127,23 +128,24 @@ class TestIntervalEnds:
                     gamma = gps_constants(sc, phi1).gamma
                 except (GpsInfeasibleError, TrivialScenarioError):
                     continue
-                theta_max.clear()
+                optimizer_calls.clear()
                 standard_delay_bound(sc, SchedulerSpec.gps(phi1), 5.0)
-                assert theta_max == [gamma]
+                assert [args[-1] for args, _ in optimizer_calls] == [gamma]
                 checked += 1
         assert checked >= 4
 
-    def test_edf_second_term_ends_at_rescaled_gamma(self, theta_max):
+    def test_edf_second_term_ends_at_rescaled_gamma(self, optimizer_calls):
         checked = 0
         for rho in (0.5, 0.75, 0.9, 0.99):
             for n1, n2 in ((5, 5), (2, 8), (8, 2), (1, 3), (50, 50)):
                 sc = scenario(rho, n1, n2)
-                rescaled = _bound_terms(sc, SchedulerSpec.edf(1.0, 10.0), 5.0)[1]
-                if rescaled is None:
+                terms = _bound_terms(sc, SchedulerSpec.edf(1.0, 10.0), 5.0)
+                if len(terms) == 1:
                     continue
-                theta_max.clear()
+                optimizer_calls.clear()
                 standard_delay_bound(sc, SchedulerSpec.edf(1.0, 10.0), 5.0)
-                assert theta_max == [martingale_constants(sc).gamma, rescaled.consts.gamma]
+                assert [args[-1] for args, _ in optimizer_calls] == [
+                    martingale_constants(sc).gamma, terms[1].consts.gamma]
                 checked += 1
         assert checked >= 10
 
@@ -190,7 +192,8 @@ class TestSamplePathBound:
         gamma = martingale_constants(sc).gamma
         res = standard_delay_bound(sc, SchedulerSpec.edf(3.0, 1.0), 2.0 + 10.0 / sc.capacity)
         assert 0 < res.theta_star < gamma
-        assert res.L > 1.0
+        c = sc.per_flow_capacity
+        assert c * math.e / (c - effective_bandwidth_rate(res.theta_star, sc.params)) > 1.0
 
 
 class TestStandardDelayBounds:
@@ -264,13 +267,13 @@ class TestStandardDelayBounds:
         assert fitted_slope(500.0, 700.0) == pytest.approx(gamma_c, rel=0.01)
         assert fitted_slope(50.0, 200.0) == pytest.approx(gamma_c, rel=0.03)
 
-    def test_edf_case2_two_terms(self):
+    def test_edf_case2_two_terms(self, optimizer_calls):
         sc = scenario()
         res = standard_delay_bound(sc, SchedulerSpec.edf(1.0, 10.0), 5.0)
-        assert len(res.terms) == 2
-        v1, th1, L1 = res.terms[0]
-        v2, th2, L2 = res.terms[1]
-        assert res.value == pytest.approx(v1 + v2, rel=1e-14)
+        assert len(optimizer_calls) == 2
+        ((_, (th1, fv1, _)), (_, (th2, fv2, _))) = optimizer_calls
+        assert res.value == math.exp(fv1) + math.exp(fv2)
+        assert res.theta_star == th1
         gamma = martingale_constants(sc).gamma
         gamma_resc = _bound_terms(sc, SchedulerSpec.edf(1.0, 10.0), 5.0)[1].consts.gamma
         assert 0 < th1 < gamma
@@ -287,7 +290,7 @@ class TestStandardDelayBounds:
             return c * math.e / (c - r) * np.exp(ths * (cap - n1 * r) * y - ths * cap * d)
 
         resc = _bound_terms(sc, SchedulerSpec.edf(1.0, 10.0), d)[1]
-        c2 = resc.c
+        c2 = resc.cm / resc.k
         assert c2 == pytest.approx(4 / 9, rel=1e-15)
         gamma2 = resc.consts.gamma
 
@@ -300,10 +303,15 @@ class TestStandardDelayBounds:
         res = standard_delay_bound(sc, SchedulerSpec.edf(1.0, 10.0), d)
         assert res.value == pytest.approx(o1 + o2, rel=1e-3)
 
-    def test_edf_case2_trivial_second_term(self):
+    def test_edf_case2_trivial_second_term(self, optimizer_calls):
+        # n1=1 of 10 flows: c' = 10c exceeds the peak, so the rescaled term
+        # is left out and the bound is the first term alone
         sc = Scenario.from_utilization(1, 9, 0.75, BASE_SOURCE)
+        assert len(_bound_terms(sc, SchedulerSpec.edf(0.0, 5.0), 2.0)) == 1
         res = standard_delay_bound(sc, SchedulerSpec.edf(0.0, 5.0), 2.0)
-        assert res.terms[1][0] == 0.0
+        assert len(optimizer_calls) == 1
+        _, (th, fv, _) = optimizer_calls[0]
+        assert (res.value, res.theta_star) == (math.exp(fv), th)
 
     def test_gps_value_and_prefactor_form(self):
         sc = scenario()

@@ -1,7 +1,8 @@
-"""Bit-exact regression oracle for the standard-bound optimizer.
+"""Bit-exact regression oracle for the two bound families.
 
 ``tests/golden/standard-grid.json`` pins, as ``float.hex`` strings, every
-field of ``standard_delay_bound`` on a grid of schedulers, flow counts,
+field of ``standard_delay_bound`` and the value of
+``martingale_delay_bound`` on a grid of schedulers, flow counts,
 utilizations and delays.  An input the library rejects is pinned by the
 name of the error it raises.  Every interval end of the optimizer is a
 closed-form martingale gamma, so no root finder has bits of its own to
@@ -24,6 +25,7 @@ from sncbounds import (
     MmooParams,
     Scenario,
     SchedulerSpec,
+    martingale_delay_bound,
     standard,
     standard_delay_bound,
 )
@@ -58,17 +60,28 @@ def bound_record(sched: str, n: int, rho: float, d: float) -> dict:
     except (SncboundsError, ArithmeticError) as exc:
         rec["error"] = type(exc).__name__
         return rec
-    rec.update(value=_hex(res.value), theta_star=_hex(res.theta_star), L=_hex(res.L),
-               terms=[[_hex(x) for x in term] for term in res.terms],
+    rec.update(value=_hex(res.value), theta_star=_hex(res.theta_star),
                at_edge=bool(res.at_edge))
     return rec
 
 
+def martingale_record(sched: str, n: int, rho: float, d: float) -> dict:
+    rec = {"sched": sched, "n": n, "rho": rho, "d": d}
+    sc = Scenario.from_utilization(n // 2, n // 2, rho, SOURCE)
+    try:
+        rec["value"] = _hex(martingale_delay_bound(sc, SCHEDULERS[sched], d).value)
+    except (SncboundsError, ArithmeticError) as exc:
+        rec["error"] = type(exc).__name__
+    return rec
+
+
+RECORDS = {"standard_delay_bound": bound_record, "martingale_delay_bound": martingale_record}
+
+
 def compute() -> dict:
-    return {
-        "standard_delay_bound": [bound_record(s, n, rho, d) for s in SCHEDULERS
-                                 for n in FLOWS for rho in RHOS for d in DELAYS],
-    }
+    return {key: [record(s, n, rho, d) for s in SCHEDULERS
+                  for n in FLOWS for rho in RHOS for d in DELAYS]
+            for key, record in RECORDS.items()}
 
 
 def render(data: dict) -> str:
@@ -85,12 +98,22 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
+def moved(golden, key, sched) -> list:
+    """(computed, pinned) for each record of ``sched`` that differs."""
+    expected = [r for r in golden[key] if r["sched"] == sched]
+    assert len(expected) == len(FLOWS) * len(RHOS) * len(DELAYS)
+    got = [RECORDS[key](sched, r["n"], r["rho"], r["d"]) for r in expected]
+    return [(g, e) for g, e in zip(got, expected) if g != e]
+
+
 @pytest.mark.parametrize("sched", sorted(SCHEDULERS))
 def test_standard_delay_bound_bits(golden, sched):
-    expected = [r for r in golden["standard_delay_bound"] if r["sched"] == sched]
-    assert len(expected) == len(FLOWS) * len(RHOS) * len(DELAYS)
-    got = [bound_record(sched, r["n"], r["rho"], r["d"]) for r in expected]
-    assert [(g, e) for g, e in zip(got, expected) if g != e] == []
+    assert moved(golden, "standard_delay_bound", sched) == []
+
+
+@pytest.mark.parametrize("sched", sorted(SCHEDULERS))
+def test_martingale_delay_bound_bits(golden, sched):
+    assert moved(golden, "martingale_delay_bound", sched) == []
 
 
 def test_result_fields_are_python_scalars():
@@ -103,13 +126,7 @@ def test_result_fields_are_python_scalars():
                 continue
             assert type(res.value) is float
             assert type(res.theta_star) is float
-            assert type(res.L) is float
             assert type(res.at_edge) is bool
-            for term in res.terms:
-                assert [type(x) for x in term] == [float, float, float]
-    edf = standard_delay_bound(Scenario.from_utilization(5, 5, 0.75, SOURCE),
-                               SCHEDULERS["edf-1-10"], 5.0)
-    assert len(edf.terms) == 2
 
 
 @pytest.mark.parametrize("sched", sorted(SCHEDULERS))

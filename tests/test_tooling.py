@@ -63,15 +63,16 @@ def exported(tree: ast.AST) -> list:
     return []
 
 
-def referenced(tree: ast.AST) -> set:
-    """Names read or reached as attributes; a def or class line and a string are not."""
-    names = set()
+def referenced(tree: ast.AST) -> tuple[set, set]:
+    """Names read, and names reached as attributes; a def or class line and a
+    string are neither."""
+    names, attrs = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return names
+            attrs.add(node.attr)
+    return names, attrs
 
 
 def public_members(tree: ast.AST, classes) -> list:
@@ -84,13 +85,18 @@ def public_members(tree: ast.AST, classes) -> list:
 
 def unused_exports(trees: dict) -> dict:
     """Per module, the ``__all__`` names, and the public members of the
-    exported classes, that no module of the package reads."""
-    used = set().union(*map(referenced, trees.values())) | API_EXEMPT
+    exported classes, that no module of the package reads.  A member is read
+    only as an attribute (``x.member``): a local variable of the same name
+    is not a read."""
+    reads = [referenced(tree) for tree in trees.values()]
+    attrs = set().union(*(a for _, a in reads))
+    used = set().union(*(n for n, _ in reads)) | attrs | API_EXEMPT
     found = {}
     for name, tree in trees.items():
         public = exported(tree)
-        public += public_members(tree, set(public))
-        found[name] = [e for e in public if e.rpartition(".")[2] not in used]
+        found[name] = [e for e in public if e not in used]
+        found[name] += [m for m in public_members(tree, set(public))
+                        if m.rpartition(".")[2] not in attrs]
     return {name: names for name, names in found.items() if names}
 
 
@@ -104,20 +110,24 @@ def test_public_api_is_used_by_the_package():
 
 
 def test_unused_export_detector():
+    # a local variable named like a member (``width``) does not read it
     lib = ast.parse('__all__ = ["used", "alone", "general_sample_path_bound", "Box"]\n'
-                    'def used(): pass\ndef alone(): return "used"\n'
+                    'def used(width): return width\ndef alone(): return "used"\n'
                     'def general_sample_path_bound(): pass\n'
                     'class Box:\n'
                     '    def _private(self): pass\n'
                     '    def opened(self): pass\n'
                     '    @property\n'
                     '    def idle(self): return self.opened()\n'
+                    '    @property\n'
+                    '    def width(self): return 1.0\n'
                     'class Hidden:\n'
                     '    def spare(self): pass\n')
     caller = ast.parse("from .lib import Box, used\nx = used(Box)\n")
     assert unused_exports({"lib.py": lib, "caller.py": caller}) == {
-        "lib.py": ["alone", "Box.idle"]}
-    assert unused_exports({"lib.py": lib}) == {"lib.py": ["used", "alone", "Box", "Box.idle"]}
+        "lib.py": ["alone", "Box.idle", "Box.width"]}
+    assert unused_exports({"lib.py": lib}) == {
+        "lib.py": ["used", "alone", "Box", "Box.idle", "Box.width"]}
 
 
 def format_imports(tree: ast.AST) -> list:

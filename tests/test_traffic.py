@@ -234,7 +234,7 @@ class TestSamplePath:
         path = sample_path(BASE_SOURCE.as_fluid_source(), 500.0, 42)
         assert (path.durations > 0).all()
         assert (np.diff(path.states) != 0).all()
-        assert path.durations.sum() == pytest.approx(path.horizon, rel=1e-12)
+        assert path.durations.sum() == pytest.approx(500.0, rel=1e-12)
 
     def test_long_run_on_fraction(self):
         horizon = 1e6
@@ -293,18 +293,18 @@ class TestBlockSampling:
 
 class TestPacketize:
     def test_half_packet_dwell(self):
-        path = StatePath(np.array([1]), np.array([3.5]), 3.5)
+        path = StatePath(np.array([1]), np.array([3.5]))
         times, sizes = packet_arrays(path, 1.0)
         assert times.tolist() == [1.0, 2.0, 3.0, 3.5]
         assert sizes.tolist() == [1.0, 1.0, 1.0, 0.5]
 
     def test_off_dwell_emits_nothing(self):
-        path = StatePath(np.array([0]), np.array([4.0]), 4.0)
+        path = StatePath(np.array([0]), np.array([4.0]))
         times, sizes = packet_arrays(path, 1.0)
         assert times.size == sizes.size == 0
 
     def test_integer_dwell_no_fraction(self):
-        path = StatePath(np.array([1]), np.array([2.0]), 2.0)
+        path = StatePath(np.array([1]), np.array([2.0]))
         times, sizes = packet_arrays(path, 1.0)
         assert times.tolist() == [1.0, 2.0]
         assert sizes.tolist() == [1.0, 1.0]
@@ -319,7 +319,7 @@ class TestPacketize:
         assert sizes.min() > 0 and sizes.max() <= 1.0
 
     def test_non_binary_path_rejected(self):
-        path = StatePath(np.array([2]), np.array([1.0]), 1.0)
+        path = StatePath(np.array([2]), np.array([1.0]))
         with pytest.raises(InvalidParamsError, match="packet_arrays"):
             packet_arrays(path, 1.0)
 
@@ -328,7 +328,7 @@ class TestPacketize:
         # at P = 1e16, k/P is below an ulp of the dwell start 50, so every
         # packet of the dwell has the time 50; at P = 0.37, P*(29/P) rounds
         # above 29, and the fraction's time equals the last unit packet's
-        path = StatePath(np.array([0, 1, 0]), np.array([50.0, on, 5.0]), 55.0 + on)
+        path = StatePath(np.array([0, 1, 0]), np.array([50.0, on, 5.0]))
         times, sizes = packet_arrays(path, peak)
         want = serial_reference.packet_arrays(path, peak)
         assert np.array_equal(times, want[0]) and np.array_equal(sizes, want[1])
@@ -351,7 +351,7 @@ class TestPacketize:
         states = (np.arange(n) + first_on) % 2
         durations = np.array([data.draw(on) / peak if z else data.draw(off)
                               for z in states])
-        path = StatePath(states, durations, float(durations.sum()))
+        path = StatePath(states, durations)
         times, sizes = packet_arrays(path, peak)
         want_times, want_sizes = serial_reference.packet_arrays(path, peak)
         assert np.array_equal(times, want_times)
