@@ -21,14 +21,23 @@ times, and the minimum is printed in milliseconds as one JSON object:
   departures the flag reads, as ``simulate`` takes it;
 - ``statistics``: delay quantiles and the CCDF on the delay grid;
 - ``simulate.<scheduler>``: the whole call.
+
+The bound layer follows, in microseconds: ``bounds.<scheduler>`` is the
+median, over n1 = n2 = n/2 with n = 10, 10^3, 10^5 and d = 1, 2, 5, 10 at
+rho 0.75, of the minimum time of one ``standard_delay_bound`` call over
+``20 * --repeats`` sweeps of that grid, and ``bounds.<scheduler>.golden``
+the same of the time spent inside its golden-section refinements
+(``standard._golden_min``).
 """
 
 import argparse
 import json
 import time
+from statistics import median
 
 import sncbounds.sim as sim
-from sncbounds import MmooParams, Scenario, SchedulerSpec, SimConfig
+import sncbounds.standard as standard
+from sncbounds import MmooParams, Scenario, SchedulerSpec, SimConfig, standard_delay_bound
 
 SCHEDULERS = {
     "fifo": SchedulerSpec.fifo(),
@@ -76,6 +85,55 @@ def service_split(serve, repeats):
     return {name: round(t * 1e3, 2) for name, t in best.items()} | {"steps": spent["steps"]}
 
 
+BOUND_FLOWS = (10, 1_000, 100_000)
+BOUND_DELAYS = (1.0, 2.0, 5.0, 10.0)
+# a bound call lasts about 1e-4 s, a desk stage 1e-2 s or more: sweep the
+# bound grid this many times per repeat, so its minima span comparable time
+BOUND_SWEEPS_PER_REPEAT = 20
+
+
+def bound_us(source, repeats):
+    """Per scheduler, the median over the bound grid of the minimum us per
+    call, whole and inside golden-section.
+
+    Each sweep times every scheduler at every point, so no minimum is taken
+    from one burst of a shared machine.  The whole call is timed without
+    the timer around ``_golden_min``, whose own overhead it would include.
+    """
+    golden = standard._golden_min
+    inside = 0.0
+
+    def timed(*args, **kwargs):
+        nonlocal inside
+        t0 = time.perf_counter()
+        out = golden(*args, **kwargs)
+        inside += time.perf_counter() - t0
+        return out
+
+    points = [(spec, Scenario.from_utilization(n // 2, n // 2, 0.75, source), d)
+              for spec in SCHEDULERS.values() for n in BOUND_FLOWS for d in BOUND_DELAYS]
+    whole = [float("inf")] * len(points)
+    in_golden = [float("inf")] * len(points)
+    for _ in range(repeats * BOUND_SWEEPS_PER_REPEAT):
+        for i, (spec, sc, d) in enumerate(points):
+            t0 = time.perf_counter()
+            standard_delay_bound(sc, spec, d)
+            whole[i] = min(whole[i], time.perf_counter() - t0)
+            standard._golden_min, inside = timed, 0.0
+            try:
+                standard_delay_bound(sc, spec, d)
+            finally:
+                standard._golden_min = golden
+            in_golden[i] = min(in_golden[i], inside)
+    per = len(BOUND_FLOWS) * len(BOUND_DELAYS)
+    out = {}
+    for j, name in enumerate(SCHEDULERS):
+        cut = slice(j * per, (j + 1) * per)
+        out[f"bounds.{name}"] = round(median(whole[cut]) * 1e6, 1)
+        out[f"bounds.{name}.golden"] = round(median(in_golden[cut]) * 1e6, 1)
+    return out
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=3)
@@ -116,6 +174,7 @@ def main(argv=None):
         lambda: sim._stats_from_delays(delays, cfg.delay_grid, False), r)
     for name, spec in SCHEDULERS.items():
         out[f"simulate.{name}"] = best_ms(lambda: sim.simulate(sc, spec, cfg, 0), r)
+    out |= bound_us(sc.params, r)
     print(json.dumps(out))
 
 

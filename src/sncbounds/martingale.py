@@ -190,7 +190,8 @@ def _bound_terms(scenario: Scenario, sched: SchedulerSpec, d: float) -> tuple:
 
     y = sched.d1_star - sched.d2_star
     if y >= 0:
-        return (_Term(*system, lambda th, r: th * n2 * r * min(y, d) - th * cap * d),)
+        w = min(y, d)
+        return (_Term(*system, lambda th, r: th * n2 * r * w - th * cap * d),)
     first = _Term(*system, lambda th, r: th * (cap - n1 * r) * y - th * cap * d)
     params = scenario.params
     c_resc = scenario.n / n1 * c

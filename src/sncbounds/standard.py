@@ -24,6 +24,13 @@ evaluates the exponent at theta = gamma; this module takes the infimum
 over (0, gamma) of the reduced system, term by term, and sums the minima.
 A result carries that sum, the first term's minimizer and whether any
 minimum lies at an end of its interval.
+
+Each infimum is a 256-point log-spaced pre-scan on NumPy arrays and about
+55 golden-section steps on Python floats around its minimum.  The library
+builds the pre-scan grid itself (``_prescan_grid``, byte for byte the
+``np.geomspace`` of the same ends), and r_theta has one array definition,
+shared with ``effective_bandwidth_rate``, and one float definition, inline
+in the golden-section evaluator; the two give the same bits.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ __all__ = [
 
 _PRESCAN_POINTS = 256
 _EDGE = 1e-9  # relative inset of the optimization interval
+_IDX = np.arange(float(_PRESCAN_POINTS))
 
 
 @dataclass(frozen=True)
@@ -63,30 +71,58 @@ class StandardBoundResult:
     at_edge: bool
 
 
+def _rate_constants(params: MmooParams) -> tuple[float, float, float, float]:
+    """lam + mu, 4*mu, 2*mu*P and P: the constants of r_theta."""
+    lam, mu, peak = params.lam, params.mu, params.peak
+    return lam + mu, 4.0 * mu, 2.0 * mu * peak, peak
+
+
+def _rate_on_array(theta: np.ndarray, lam_mu: float, mu4: float, two_mu_peak: float,
+                   peak: float) -> np.ndarray:
+    """r_theta on an array of at least one dimension, with b = lam + mu - theta*P.
+
+    Uses the rationalized form 2*mu*P/(sqrt(Delta)+b) where b > 0 to avoid
+    cancellation at small theta.  Both branches are computed, so the
+    caller silences the division warnings of the branch it discards.
+    """
+    b = lam_mu - theta * peak
+    sq = np.sqrt(b * b + mu4 * theta * peak)
+    r = (sq - b) / (2.0 * theta)
+    np.copyto(r, two_mu_peak / (sq + b), where=b > 0)
+    return r
+
+
 def effective_bandwidth_rate(theta, params: MmooParams):
     """Dominant rate r_theta; accepts scalars or numpy arrays.
 
-    Uses the rationalized form 2*mu*P/(sqrt(Delta)+b) when b > 0 to avoid
-    cancellation at small theta.
+    At theta = 0 the rationalized branch gives the mean rate p*P; the 0/0
+    of the discarded branch raises no warning.
     """
     theta = np.asarray(theta, dtype=float)
-    lam, mu, peak = params.lam, params.mu, params.peak
-    b = lam + mu - theta * peak
-    sq = np.sqrt(b * b + 4.0 * mu * theta * peak)
-    r = np.where(b > 0, 2.0 * mu * peak / (sq + b), (sq - b) / (2.0 * theta))
-    return r if r.ndim else float(r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = _rate_on_array(theta.reshape(-1), *_rate_constants(params))
+    return r.reshape(theta.shape) if theta.ndim else float(r[0])
 
 
-def _r_theta(theta: float, params: MmooParams) -> float:
-    """``effective_bandwidth_rate`` for one float: the same IEEE operations.
+def _prescan_grid(theta_max: float) -> np.ndarray:
+    """256 log-spaced points from ``_EDGE*theta_max`` to ``theta_max*(1-_EDGE)``.
 
-    Add, multiply, divide and square root are correctly rounded in both
-    ``math`` and NumPy, so the two agree bit for bit.
+    The ufunc calls of ``np.geomspace`` over these ends, in its order, so
+    the points equal it byte for byte without its per-call overhead:
+    ``log10`` of both ends, equal steps of their difference over 255 from
+    the first, ``10**`` of each, and both ends set exactly (which makes
+    ``geomspace``'s own setting of the last exponent moot).  A zero end is
+    rejected as ``np.geomspace`` rejects it.
     """
-    lam, mu, peak = params.lam, params.mu, params.peak
-    b = lam + mu - theta * peak
-    sq = math.sqrt(b * b + 4.0 * mu * theta * peak)
-    return 2.0 * mu * peak / (sq + b) if b > 0 else (sq - b) / (2.0 * theta)
+    lo, hi = _EDGE * theta_max, theta_max * (1.0 - _EDGE)
+    if lo == 0.0:
+        raise ValueError("Geometric sequence cannot include zero")
+    ls, le = np.log10(lo), np.log10(hi)
+    grid = _IDX * ((le - ls) / (_PRESCAN_POINTS - 1))
+    grid += ls
+    grid = np.power(10.0, grid)
+    grid[0], grid[-1] = lo, hi
+    return grid
 
 
 def _golden_min(f: Callable[[float], float], lo: float, hi: float,
@@ -113,23 +149,31 @@ def _log_objective(params: MmooParams, const: float, cm: float, k: float, expone
 
     Both give +inf where the margin ``cm - k*r_theta`` is not positive or
     is NaN (on arrays, through the log of a margin at or below zero) and
-    where the value is NaN.  Both take the logarithm with ``np.log``:
-    ``math.log`` differs from it in the last bit on some inputs.
+    where the value is NaN.  The float one computes r_theta inline with the
+    IEEE operations of ``_rate_on_array`` in the same order; add, multiply,
+    divide and square root are correctly rounded in both ``math`` and
+    NumPy, so the two agree bit for bit.  Both take the logarithm with
+    ``np.log``: ``math.log`` differs from it in the last bit on some inputs.
     """
+    lam_mu, mu4, two_mu_peak, peak = rates = _rate_constants(params)
+    log, sqrt, inf, to_float = np.log, math.sqrt, math.inf, float
 
     def on_array(th: np.ndarray) -> np.ndarray:
-        r = effective_bandwidth_rate(th, params)
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = const - np.log(cm - k * r) + exponent(th, r)
-        return np.where(np.isnan(vals), np.inf, vals)
+            r = _rate_on_array(th, *rates)
+            vals = const - log(cm - k * r) + exponent(th, r)
+        vals[np.isnan(vals)] = inf
+        return vals
 
     def on_float(th: float) -> float:
-        r = _r_theta(th, params)
+        b = lam_mu - th * peak
+        sq = sqrt(b * b + mu4 * th * peak)
+        r = two_mu_peak / (sq + b) if b > 0 else (sq - b) / (2.0 * th)
         margin = cm - k * r
         if not margin > 0:
-            return math.inf
-        val = const - float(np.log(margin)) + exponent(th, r)
-        return math.inf if math.isnan(val) else val
+            return inf
+        val = const - to_float(log(margin)) + exponent(th, r)
+        return val if val == val else inf  # NaN is +inf
 
     return on_array, on_float
 
@@ -141,30 +185,40 @@ def _minimize_theta(params: MmooParams, const: float, cm: float, k: float, expon
     Returns the minimizer, the minimum and whether the minimizer lies at an
     end of the inset interval.
 
-    A 256-point log-spaced pre-scan brackets the minimum; golden-section
-    refines it.  The pre-scan minimum is the fallback if the objective is
-    not unimodal, so the result never exceeds the scanned values.  Float
-    dust can push the feasibility margin to or below zero at the right
-    endpoint when the utilization is extreme; such points are treated as
-    infeasible (+inf).
+    A 256-point log-spaced pre-scan (``_prescan_grid``) brackets the
+    minimum; golden-section refines it.  The pre-scan minimum is the
+    fallback if the objective is not unimodal, so the result never exceeds
+    the scanned values.  Float dust can push the feasibility margin to or
+    below zero at the right endpoint when the utilization is extreme; such
+    points are treated as infeasible (+inf).
 
-    The pre-scan evaluates all 256 points at once on NumPy arrays; the
-    golden-section steps evaluate one point at a time on Python floats,
-    where NumPy's per-call overhead would dominate.  The two evaluators run
-    the same IEEE operations in the same order, and both take the logarithm
-    with ``np.log``, so they agree bit for bit and the result does not
-    depend on which of them produced a value.
+    The pre-scan evaluates all 256 points at once on NumPy arrays, in one
+    ``errstate`` block; the golden-section steps evaluate one point at a
+    time on Python floats, where NumPy's per-call overhead would dominate.
+    The two evaluators of ``_log_objective`` agree bit for bit, so the
+    result does not depend on which of them produced a value.
     """
     on_array, on_float = _log_objective(params, const, cm, k, exponent)
-    grid = np.geomspace(_EDGE * theta_max, theta_max * (1.0 - _EDGE), _PRESCAN_POINTS)
+    grid = _prescan_grid(theta_max)
     vals = on_array(grid)
-    i = int(np.argmin(vals))
+    i = int(vals.argmin())
     lo = float(grid[max(i - 1, 0)])
-    hi = float(grid[min(i + 1, len(grid) - 1)])
+    hi = float(grid[min(i + 1, _PRESCAN_POINTS - 1)])
     th, fv = _golden_min(on_float, lo, hi, tol=1e-12 * theta_max)
     if vals[i] < fv:
         th, fv = float(grid[i]), float(vals[i])
     return th, fv, min(th, theta_max - th) <= 2.0 * _EDGE * theta_max
+
+
+def _term_minimum(params: MmooParams, term) -> tuple[float, float, bool]:
+    """``_minimize_theta`` of one term of ``martingale._bound_terms``.
+
+    The objective is the log of L = cm*e/(cm - k*r_theta), or
+    cm/(cm - k*r_theta) without ``euler``, plus the term's exponent, over
+    (0, gamma) of its reduced system.
+    """
+    const = 1.0 + math.log(term.cm) if term.euler else math.log(term.cm)
+    return _minimize_theta(params, const, term.cm, term.k, term.exponent, term.consts.gamma)
 
 
 def standard_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float) -> StandardBoundResult:
@@ -176,10 +230,7 @@ def standard_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float) -> 
     cm/(cm - k*r_theta) without ``euler``; FIFO's, for one, is
     inf L e^{-theta C d}.  ``theta_star`` is the first term's minimizer.
     """
-    minima = [_minimize_theta(scenario.params,
-                              1.0 + math.log(t.cm) if t.euler else math.log(t.cm),
-                              t.cm, t.k, t.exponent, t.consts.gamma)
-              for t in _bound_terms(scenario, sched, d)]
+    minima = [_term_minimum(scenario.params, t) for t in _bound_terms(scenario, sched, d)]
     value = 0.0
     for _, fv, _ in minima:
         value += math.exp(fv)

@@ -7,7 +7,7 @@ gamma.  Do not edit it to follow the library.
 """
 
 from sncbounds.errors import InvalidParamsError
-from sncbounds.standard import _r_theta
+from sncbounds.standard import effective_bandwidth_rate
 from sncbounds.traffic import MmooParams
 
 
@@ -24,12 +24,12 @@ def solve_eb_equation(params: MmooParams, c: float) -> float:
         )
     lo, hi = 0.0, 1.0
     for _ in range(200):
-        if _r_theta(hi, params) > c:
+        if effective_bandwidth_rate(hi, params) > c:
             break
         hi *= 2.0
     for _ in range(400):
         mid = 0.5 * (lo + hi)
-        r = _r_theta(mid, params)
+        r = effective_bandwidth_rate(mid, params)
         if abs(r - c) <= 1e-12 * c or (hi - lo) < 1e-16 * hi:
             return mid
         if r < c:

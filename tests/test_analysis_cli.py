@@ -20,6 +20,7 @@ from sncbounds import (
     martingale_constants,
     palm_prefactor,
     scaling_experiment,
+    standard,
     verify,
 )
 from sncbounds.analysis import _stability_cap, _violation
@@ -237,6 +238,20 @@ class TestVerifySuites:
             results = verify(name)
             assert len(results) == 1
             assert results[0][1], results[0][2]
+
+    def test_optimizer_suite_checks_every_scheduler(self, monkeypatch):
+        [(_, passed, detail)] = verify("optimizer-grid")
+        assert passed, detail
+        # a minimum 1e-6 too high on GPS terms alone (k = n1 != 1) must fail it
+        minimize = standard._minimize_theta
+
+        def off_on_gps(params, const, cm, k, exponent, theta_max):
+            th, fv, edge = minimize(params, const, cm, k, exponent, theta_max)
+            return th, fv + (1e-6 if k != 1 else 0.0), edge
+
+        monkeypatch.setattr(standard, "_minimize_theta", off_on_gps)
+        [(_, passed, detail)] = verify("optimizer-grid")
+        assert not passed, detail
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(InvalidParamsError):

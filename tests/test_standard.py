@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from sncbounds import (
 )
 from sncbounds.martingale import _bound_terms
 from eb_reference import solve_eb_equation
+import standard_reference
 
 BASE_SOURCE = MmooParams(0.5, 0.1, 1.0)
 
@@ -61,6 +63,20 @@ class TestEffectiveBandwidth:
     def test_small_theta_limit_is_mean_rate(self):
         r = effective_bandwidth_rate(1e-12, BASE_SOURCE)
         assert r == pytest.approx(BASE_SOURCE.mean_rate, rel=1e-9)
+
+    def test_theta_zero_raises_no_warning(self):
+        """The 0/0 of the discarded branch at theta = 0 stays silent; no bit moves."""
+        thetas = np.concatenate([[0.0, 0.1], np.geomspace(1e-12, 1e6, 200)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            at_zero = effective_bandwidth_rate(0.0, BASE_SOURCE)
+            pair = effective_bandwidth_rate([0.0, 0.1], BASE_SOURCE)
+            swept = effective_bandwidth_rate(thetas, BASE_SOURCE)
+        assert at_zero == pytest.approx(BASE_SOURCE.mean_rate, rel=1e-15)
+        assert pair.tolist() == [at_zero, effective_bandwidth_rate(0.1, BASE_SOURCE)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = standard_reference.effective_bandwidth_rate(thetas, BASE_SOURCE)
+        assert swept.tobytes() == expected.tobytes()
 
     def test_large_theta_limit_is_peak(self):
         assert effective_bandwidth_rate(1e5, BASE_SOURCE) == pytest.approx(

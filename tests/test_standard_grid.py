@@ -11,11 +11,15 @@ intended change of value, re-pin with ``python tests/test_standard_grid.py``.
 
 The optimizer's pre-scan runs on NumPy arrays and its golden-section steps
 on Python floats; the two evaluators of the objective must agree bit for
-bit, which is checked here directly.
+bit, which is checked here directly.  Off the paper's source and n1 = n2,
+the optimizer is held bit for bit to the one it replaced
+(``tests/standard_reference.py``) on seeded random draws, and its pre-scan
+grid byte for byte to ``np.geomspace``.
 """
 
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +34,8 @@ from sncbounds import (
     standard_delay_bound,
 )
 from sncbounds.errors import SncboundsError
+
+import standard_reference
 
 GOLDEN = Path(__file__).parent / "golden" / "standard-grid.json"
 SOURCE = MmooParams(0.5, 0.1, 1.0)
@@ -154,12 +160,81 @@ def test_float_and_array_evaluators_agree(monkeypatch, sched):
     assert calls
     for params, const, cm, k, exponent, theta_max in calls:
         on_array, on_float = standard._log_objective(params, const, cm, k, exponent)
-        prescan = np.geomspace(standard._EDGE * theta_max,
-                               theta_max * (1.0 - standard._EDGE), standard._PRESCAN_POINTS)
-        thetas = np.concatenate([prescan, np.linspace(0.0, theta_max, 1026)[1:-1]])
+        thetas = np.concatenate([standard._prescan_grid(theta_max),
+                                 np.linspace(0.0, theta_max, 1026)[1:-1]])
         from_array = on_array(thetas)
         from_float = np.array([on_float(float(th)) for th in thetas])
         assert from_array.tobytes() == from_float.tobytes()
+
+
+def test_prescan_grid_is_geomspace():
+    """Byte for byte, on log-uniform interval ends over 18 decades."""
+    rng = np.random.default_rng(19)
+    for theta_max in 10.0 ** rng.uniform(-12.0, 6.0, 10_000):
+        theta_max = float(theta_max)
+        expected = np.geomspace(standard._EDGE * theta_max, theta_max * (1.0 - standard._EDGE),
+                                standard._PRESCAN_POINTS)
+        assert standard._prescan_grid(theta_max).tobytes() == expected.tobytes(), theta_max
+    # an interval end that rounds to zero is rejected by both
+    for build in (standard._prescan_grid,
+                  lambda t: np.geomspace(standard._EDGE * t, t * (1.0 - standard._EDGE),
+                                         standard._PRESCAN_POINTS)):
+        with pytest.raises(ValueError):
+            build(1e-320)
+
+
+ORACLE_SCHEDULERS = [SCHEDULERS[name] for name in ("fifo", "sp", "edf-10-1", "edf-1-10",
+                                                  "edf-0-5", "gps-0.3", "gps-0.5")]
+ORACLE_SCHEDULERS.append(SchedulerSpec.gps(0.7))
+ORACLE_DELAYS = (0.0, 0.5, 1.0, 5.0, 40.0, 200.0)
+
+
+def _oracle_draws(count: int, seed: int):
+    """Seeded (scenario, scheduler, d) draws off the pinned grid.
+
+    Sources have peaks other than 1, flow counts are uneven up to 10^4 and
+    rho runs from 0.05 to 0.999, half of the draws within 0.05 of 1.
+    """
+    rng = np.random.default_rng(seed)
+    draws = []
+    while len(draws) < count:
+        params = MmooParams(rng.uniform(0.05, 3.0), rng.uniform(0.05, 3.0),
+                            rng.uniform(0.3, 4.0))
+        n1 = int(10 ** rng.uniform(0.0, 4.0))
+        n2 = int(10 ** rng.uniform(0.0, 4.0)) - 1
+        rho = (rng.uniform(0.05, 0.999) if rng.random() < 0.5
+               else 1.0 - 10 ** rng.uniform(-3.0, math.log10(0.05)))
+        try:
+            sc = Scenario.from_utilization(n1, n2, rho, params)
+        except SncboundsError:
+            continue
+        draws.append((sc, ORACLE_SCHEDULERS[int(rng.integers(len(ORACLE_SCHEDULERS)))],
+                      ORACLE_DELAYS[int(rng.integers(len(ORACLE_DELAYS)))]))
+    return draws
+
+
+def _outcome(bound, sc, sched, d):
+    """Every field as ``float.hex``, or the type of the raised error."""
+    try:
+        res = bound(sc, sched, d)
+    except (SncboundsError, ArithmeticError, ValueError) as exc:
+        return type(exc)
+    return _hex(res.value), _hex(res.theta_star), res.at_edge
+
+
+def test_optimizer_matches_reference_oracle():
+    draws = _oracle_draws(2400, seed=1919)
+    outcomes = [(_outcome(standard_delay_bound, *draw),
+                 _outcome(standard_reference.standard_delay_bound, *draw)) for draw in draws]
+    moved = [(draw, got, ref) for draw, (got, ref) in zip(draws, outcomes) if got != ref]
+    assert moved == []
+    # the draws reach finite bounds of every scheduler, minima at an interval
+    # end, and rejected inputs
+    finite = [draw[1] for draw, (got, _) in zip(draws, outcomes)
+              if isinstance(got, tuple) and math.isfinite(float.fromhex(got[0]))]
+    assert {id(s) for s in finite} == {id(s) for s in ORACLE_SCHEDULERS}
+    assert any(isinstance(got, tuple) and got[2] for got, _ in outcomes)
+    assert any(not isinstance(got, tuple) for got, _ in outcomes)
 
 
 if __name__ == "__main__":

@@ -223,8 +223,12 @@ def test_stage_times_script_runs(capsys):
         service.append(f"service.{n}")
         if script.SCHEDULERS[n].kind != "fifo":
             service += [f"service.{n}.{part}" for part in ("loop", "lockstep", "steps")]
+    bounds = [key for n in names for key in (f"bounds.{n}", f"bounds.{n}.golden")]
     assert list(out) == (["arrivals", "merge"] + service
-                         + ["backlog", "statistics"] + [f"simulate.{n}" for n in names])
+                         + ["backlog", "statistics"] + [f"simulate.{n}" for n in names]
+                         + bounds)
+    # golden-section is part of every bound call
+    assert all(0 < out[f"bounds.{n}.golden"] < out[f"bounds.{n}"] for n in names)
     steps = {name: out.pop(name) for name in list(out) if name.endswith(".steps")}
     assert all(isinstance(n, int) and n > 0 for n in steps.values())
     assert all(isinstance(ms, float) and ms >= 0 for ms in out.values())
