@@ -151,8 +151,7 @@ def main(argv=None):
     def service(spec):
         if spec.kind == "fifo":
             return fifo[pos_t]
-        return sim._serve(spec.kind, T, S, nt, lanes, cap, need,
-                          d1=spec.d1_star, d2=spec.d2_star, phi1=spec.phi1)[0]
+        return sim._serve(spec, T, S, nt, lanes, cap, need)[0]
 
     dep_win = service(SCHEDULERS["sp"])[warm:need]
     delays = dep_win - T[warm:need]

@@ -321,7 +321,7 @@ def _suite_optimizer() -> tuple[bool, str]:
     minimum over the grid's, minus 1.
     """
     from .errors import GpsInfeasibleError
-    from .standard import _term_minimum, effective_bandwidth_rate
+    from .standard import _minimize_theta, effective_bandwidth_rate
 
     params = MmooParams(0.5, 0.1, 1.0)
     scheds = (SchedulerSpec.fifo(), SchedulerSpec.sp(), SchedulerSpec.edf(10.0, 1.0),
@@ -337,7 +337,7 @@ def _suite_optimizer() -> tuple[bool, str]:
                 except GpsInfeasibleError:
                     continue
                 for t in terms:
-                    _, log_min, _ = _term_minimum(params, t)
+                    _, log_min, _ = _minimize_theta(params, t)
                     gamma = t.consts.gamma
                     th = np.geomspace(1e-9 * gamma, gamma * (1 - 1e-9), 10_000)
                     r = effective_bandwidth_rate(th, params)

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DegenerateSourceError,
     EigenvectorError,
     InvalidParamsError,
     NoFeasibleSplitError,
@@ -210,26 +209,6 @@ def _decays(src: MarkovFluidSource, caps: np.ndarray) -> tuple:
     return theta, h, u
 
 
-def _check_states(src: MarkovFluidSource) -> None:
-    if src.n_states < 2:
-        raise DegenerateSourceError(
-            "constant-rate (single-state) source has no eigenstructure"
-        )
-
-
-def _check_capacity(src: MarkovFluidSource, c: float) -> None:
-    _check_states(src)
-    if not src.mean_rate < c:
-        raise UnstableScenarioError(
-            f"mean rate {src.mean_rate:.6g} >= allocated capacity {c:.6g}"
-        )
-    if c >= src.rates.max():
-        raise TrivialScenarioError(
-            f"allocated capacity {c:.6g} at or above the peak rate "
-            f"{src.rates.max():.6g}: the queue never builds"
-        )
-
-
 def generalized_decay(src: MarkovFluidSource, allocated_capacity: float) -> GeneralizedDecay:
     """Decay rate gamma and eigenvector h with Q h = -gamma diag(r - C) h.
 
@@ -239,12 +218,20 @@ def generalized_decay(src: MarkovFluidSource, allocated_capacity: float) -> Gene
     ``_birth_death_lane`` solves it from that bracket by pivot recursions.
     h is scaled to minimum 1.  This is the one-lane call to ``_decays``.
 
-    Requires stability (mean rate < capacity) and a non-degenerate source.
-    Raises ``EigenvectorError`` when h is not positive or misses the
+    Requires stability (mean rate < capacity) and a capacity below the peak
+    rate.  Raises ``EigenvectorError`` when h is not positive or misses the
     residual tolerance.
     """
     c = float(allocated_capacity)
-    _check_capacity(src, c)
+    if not src.mean_rate < c:
+        raise UnstableScenarioError(
+            f"mean rate {src.mean_rate:.6g} >= allocated capacity {c:.6g}"
+        )
+    if c >= src.rates.max():
+        raise TrivialScenarioError(
+            f"allocated capacity {c:.6g} at or above the peak rate "
+            f"{src.rates.max():.6g}: the queue never builds"
+        )
     gamma, h, u = _decays(src, np.array([c]))
     return GeneralizedDecay(float(gamma[0]), h[0], u[0])
 
@@ -315,8 +302,6 @@ def general_sample_path_bound(src1: MarkovFluidSource, src2: MarkovFluidSource,
         raise NoFeasibleSplitError(
             f"total mean rate {m1 + m2:.6g} >= capacity {capacity:.6g}"
         )
-    _check_states(src1)
-    _check_states(src2)
     c1 = m1 + width * (np.arange(1, _SPLITS + 1) / (_SPLITS + 1))
     c2 = capacity - c1
     # the splits at which both eigenproblems are neither unstable nor trivial

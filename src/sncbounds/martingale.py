@@ -7,6 +7,8 @@ Every reduced system has the constants
     theta = log((mu/lam)*(P-c)/c)        (< 0 under stability)
 
 where c is the system's per-flow capacity and rho = p*P/c its utilization.
+``_constants`` takes the source and the system's (rho, c); EDF's rescaled
+system passes its rho as (n1/n)*rho, as the bound has always computed it.
 
 One term table serves both bound families.  ``_bound_terms`` gives each
 scheduler's terms: a reduced system, its prefactor powers and a service
@@ -30,7 +32,7 @@ from .errors import (
     TrivialScenarioError,
     UnstableScenarioError,
 )
-from .traffic import Scenario
+from .traffic import MmooParams, Scenario
 
 __all__ = [
     "MartingaleConstants",
@@ -100,8 +102,9 @@ class DelayBound:
     value: float
 
 
-def _constants(p: float, rho: float, lam: float, mu: float, peak: float,
-               c: float) -> MartingaleConstants:
+def _constants(params: MmooParams, rho: float, c: float) -> MartingaleConstants:
+    """K, gamma, theta of a reduced system: per-flow capacity c at utilization rho."""
+    lam, mu, peak, p = params.lam, params.mu, params.peak, params.on_probability
     if rho >= 1.0:
         raise UnstableScenarioError(f"rho={rho:.6g} >= 1")
     if peak <= c:
@@ -114,9 +117,7 @@ def _constants(p: float, rho: float, lam: float, mu: float, peak: float,
 
 def martingale_constants(scenario: Scenario) -> MartingaleConstants:
     """K, gamma, theta for the scenario's per-flow capacity."""
-    p = scenario.params.on_probability
-    return _constants(p, scenario.rho, scenario.params.lam, scenario.params.mu,
-                      scenario.params.peak, scenario.per_flow_capacity)
+    return _constants(scenario.params, scenario.rho, scenario.per_flow_capacity)
 
 
 def gps_constants(scenario: Scenario, phi1: float) -> MartingaleConstants:
@@ -132,8 +133,7 @@ def gps_constants(scenario: Scenario, phi1: float) -> MartingaleConstants:
         raise GpsInfeasibleError(
             f"GPS utilization n1*p*P/(phi1*C) = {rho_gps:.6g} >= 1"
         )
-    return _constants(params.on_probability, rho_gps, params.lam, params.mu,
-                      params.peak, c_gps)
+    return _constants(params, rho_gps, c_gps)
 
 
 class _Term(NamedTuple):
@@ -197,8 +197,7 @@ def _bound_terms(scenario: Scenario, sched: SchedulerSpec, d: float) -> tuple:
     c_resc = scenario.n / n1 * c
     if params.peak <= c_resc:
         return (first,)
-    resc = _constants(params.on_probability, n1 / scenario.n * scenario.rho, params.lam,
-                      params.mu, params.peak, c_resc)
+    resc = _constants(params, n1 / scenario.n * scenario.rho, c_resc)
     return first, _Term(resc, scenario.n, c_resc, 1, True,
                         lambda th, r: -th * cap * d)
 

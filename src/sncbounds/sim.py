@@ -52,6 +52,8 @@ instant is left; a lane of n packets takes about 1.3n steps at desk scale.
 The ``_SCALAR_LANES`` longest lanes go through ``_serve_loop`` instead, and
 the rest, longest first, through lockstep calls of at most
 ``_LOCKSTEP_LANES`` lanes (the reasons for each constant are next to it).
+Every service function takes the ``SchedulerSpec`` and reads its kind,
+deadlines and weight itself.
 ``simulate`` stops after the warm-up plus measured through packets: busy
 periods after the one that holds the last of them are not served, and their
 packets stay NaN.  FIFO itself takes its departures from the recursion,
@@ -199,16 +201,15 @@ def _flow_arrivals(scenario: Scenario, cfg: SimConfig, replication_index: int):
     """
     need = cfg.warmup_packets + cfg.measured_packets
     horizon, tail = _arrival_horizon(scenario, need)
-    peak = scenario.params.peak
-    source = scenario.params.as_fluid_source()
+    params = scenario.params
     for _ in range(12):
         flows = []
         for flow_id, count in ((0, scenario.n1), (1, scenario.n2)):
             times, sizes = [], []
             for j in range(count):
                 rng = spawned_rng(cfg.master_seed, replication_index, flow_id, j)
-                path = sample_path(source, horizon, rng)
-                t, s = packet_arrays(path, peak)
+                path = sample_path(params, horizon, rng)
+                t, s = packet_arrays(path, params.peak)
                 times.append(t)
                 sizes.append(s)
             if times:
@@ -305,8 +306,8 @@ def _busy_periods(t, fifo):
     return np.concatenate([[0], np.flatnonzero(t[1:] > fifo) + 1])
 
 
-def _serve_loop(kind, tt, ts, ct, cs, cap, d1=0.0, d2=0.0, phi1=0.5):
-    """Two-queue head-selection service loop for SP, EDF and WFQ (``kind`` gps).
+def _serve_loop(sched, tt, ts, ct, cs, cap):
+    """Two-queue head-selection service loop for SP, EDF and WFQ (GPS's ``sched``).
 
     FIFO's selection is EDF with equal deadlines; ``simulate`` takes FIFO
     departures from the work recursion instead.  Within each flow, EDF
@@ -330,7 +331,8 @@ def _serve_loop(kind, tt, ts, ct, cs, cap, d1=0.0, d2=0.0, phi1=0.5):
     tt.append(inf)
     ct.append(inf)
     dep_t, dep_c = [0.0] * nt, [0.0] * nc
-    sp, edf, wfq = kind == "sp", kind == "edf", kind == "gps"
+    sp, edf, wfq = sched.kind == "sp", sched.kind == "edf", sched.kind == "gps"
+    d1, d2, phi1 = sched.d1_star, sched.d2_star, sched.phi1
     phi2 = 1.0 - phi1
     phi12 = phi1 + phi2  # weight sum of a busy system; adding an idle flow's 0.0 is exact
     if wfq:
@@ -407,8 +409,8 @@ def _serve_loop(kind, tt, ts, ct, cs, cap, d1=0.0, d2=0.0, phi1=0.5):
     return dep_t, dep_c, free
 
 
-def _lockstep(kind, T, S, cap, lo_t, hi_t, lo_c, hi_c, d1, d2, phi1, dep):
-    """Serve lanes sorted longest first, all of them a step at a time.
+def _lockstep(sched, T, S, cap, lo_t, hi_t, lo_c, hi_c, dep):
+    """Serve lanes sorted longest first, all of them a step at a time, under ``sched``.
 
     ``T``/``S`` hold the arrival times and sizes of all through packets then
     all cross packets (the flat index); lane i owns [lo_t, hi_t) and
@@ -428,6 +430,7 @@ def _lockstep(kind, T, S, cap, lo_t, hi_t, lo_c, hi_c, d1, d2, phi1, dep):
     that serve nothing in a step) and returns each lane's last departure
     and the number of steps.
     """
+    kind, d1, d2, phi1 = sched.kind, sched.d1_star, sched.d2_star, sched.phi1
     wfq = kind == "gps"
     it, ic = lo_t.copy(), lo_c.copy()
     free = np.full(it.size, -np.inf)
@@ -533,7 +536,7 @@ def _lockstep(kind, T, S, cap, lo_t, hi_t, lo_c, hi_c, d1, d2, phi1, dep):
     return free, steps
 
 
-def _serve_lanes(kind, T, S, cap, nt, bounds, before, lanes, d1, d2, phi1, dep):
+def _serve_lanes(sched, T, S, cap, nt, bounds, before, lanes, dep):
     """Serve the given lanes exactly as the scalar loop would; last departures.
 
     Lane i is the busy period [bounds[i], bounds[i+1]) of the merged order,
@@ -558,21 +561,21 @@ def _serve_lanes(kind, T, S, cap, nt, bounds, before, lanes, d1, d2, phi1, dep):
     lo_c, hi_c = nt + start - lo_t, nt + end - hi_t
     for i in range(min(_SCALAR_LANES, many.size)):
         a, z, c, e = lo_t[i], hi_t[i], lo_c[i], hi_c[i]
-        dep[a:z], dep[c:e], last[many[i]] = _serve_loop(
-            kind, T[a:z], S[a:z], T[c:e], S[c:e], cap, d1=d1, d2=d2, phi1=phi1)
+        dep[a:z], dep[c:e], last[many[i]] = _serve_loop(sched, T[a:z], S[a:z],
+                                                        T[c:e], S[c:e], cap)
     for g in range(_SCALAR_LANES, many.size, _LOCKSTEP_LANES):
         group = slice(g, g + _LOCKSTEP_LANES)
         with np.errstate(divide="ignore", invalid="ignore"):
-            last[many[group]], _ = _lockstep(kind, T, S, cap, lo_t[group], hi_t[group],
-                                             lo_c[group], hi_c[group], d1, d2, phi1, dep)
+            last[many[group]], _ = _lockstep(sched, T, S, cap, lo_t[group], hi_t[group],
+                                             lo_c[group], hi_c[group], dep)
     return last
 
 
-def _serve(kind, T, S, nt, lanes, cap, need=None, d1=0.0, d2=0.0, phi1=0.5):
+def _serve(sched, T, S, nt, lanes, cap, need=None):
     """Departures of a non-preemptive two-flow server, busy period by busy period.
 
-    Gives, bit for bit, what the scalar loop gives on the whole run; see the
-    module docstring.  ``T``/``S`` are the flat arrivals of ``nt`` through
+    Gives, bit for bit, what the scalar loop gives on the whole run under
+    ``sched`` (SP, EDF or GPS); see the module docstring.  ``T``/``S`` are the flat arrivals of ``nt`` through
     packets then the cross packets, and ``lanes`` the per-bound tables of
     ``_merge``.  ``need`` stops service after the busy period that holds
     the ``need``-th through packet (None serves all).  Returns (through
@@ -586,8 +589,7 @@ def _serve(kind, T, S, nt, lanes, cap, need=None, d1=0.0, d2=0.0, phi1=0.5):
         # lanes [0, served): up to the one whose through packets reach ``need``
         served = int(np.searchsorted(before, need)) if stop else bounds.size - 1
         todo = np.flatnonzero(np.isnan(last[:served]))
-        last[todo] = _serve_lanes(kind, T, S, cap, nt, bounds, before, todo,
-                                  d1, d2, phi1, dep)
+        last[todo] = _serve_lanes(sched, T, S, cap, nt, bounds, before, todo, dep)
         # a split is exact only if the server is idle when the next lane begins
         inner = np.arange(1, min(served + 1, bounds.size - 1))
         touch = inner[last[inner - 1] >= first[inner]]
@@ -666,8 +668,7 @@ def simulate(scenario: Scenario, sched: SchedulerSpec, cfg: SimConfig,
         del pos_t
     else:
         del pos_t
-        dep_thr, _ = _serve(sched.kind, T, S, nt, lanes, cap, need,
-                            d1=sched.d1_star, d2=sched.d2_star, phi1=sched.phi1)
+        dep_thr, _ = _serve(sched, T, S, nt, lanes, cap, need)
     del lanes
     delays = dep_thr[cfg.warmup_packets:need] - T[cfg.warmup_packets:need]
     at = dep_thr[cfg.warmup_packets + _flag_window(cfg.measured_packets)]
@@ -713,12 +714,11 @@ def replicate(scenario: Scenario, sched: SchedulerSpec, cfg: SimConfig,
 # Monte-Carlo martingale constancy
 
 
-def martingale_mc_estimate(scenario: Scenario, t: float, samples: int, seed,
-                           initial_state: int = 0) -> dict:
+def martingale_mc_estimate(scenario: Scenario, t: float, samples: int, seed) -> dict:
     """Sample mean and stderr of M(t) for the through aggregate's chain.
 
-    M(t) = exp(-theta*(Z(t)-i)) * exp(gamma*integral(P*Z(s)-C1 ds)) started
-    at Z(0)=i should have expectation exactly 1 at every t.  The chain is
+    M(t) = exp(-theta*Z(t)) * exp(gamma*integral(P*Z(s)-C1 ds)) started
+    at Z(0)=0 should have expectation exactly 1 at every t.  The chain is
     simulated by uniformization (exact), vectorized across samples.
     """
     if not 0 <= t < math.inf:
@@ -731,12 +731,10 @@ def martingale_mc_estimate(scenario: Scenario, t: float, samples: int, seed,
     n = scenario.n1
     cap1 = scenario.through_capacity
     consts = martingale_constants(scenario)
-    if not 0 <= initial_state <= n:
-        raise InvalidParamsError(f"initial state must be in [0, {n}]")
 
     rng = spawned_rng(seed)
     lam_max = n * max(params.lam, params.mu)
-    z = np.full(samples, initial_state, dtype=np.int64)
+    z = np.zeros(samples, dtype=np.int64)
     clock = np.zeros(samples)
     integral = np.zeros(samples)
     alive = np.ones(samples, dtype=bool)
@@ -755,7 +753,7 @@ def martingale_mc_estimate(scenario: Scenario, t: float, samples: int, seed,
             p_down = z[live] * params.lam / lam_max
             z[live] = np.where(u < p_up, z[live] + 1,
                                np.where(u < p_up + p_down, z[live] - 1, z[live]))
-    m = np.exp(-consts.theta * (z - initial_state)) * np.exp(
+    m = np.exp(-consts.theta * z) * np.exp(
         consts.gamma * (params.peak * integral - cap1 * t))
     return {"mean": float(m.mean()),
             "stderr": float(m.std(ddof=1) / math.sqrt(samples))}

@@ -21,7 +21,8 @@ scheduler's terms, each with its reduced system (the scenario's per-flow
 capacity, the GPS-reduced system or EDF's rescaled capacity), its
 prefactor L and its exponent(theta, r_theta).  The martingale bound
 evaluates the exponent at theta = gamma; this module takes the infimum
-over (0, gamma) of the reduced system, term by term, and sums the minima.
+over (0, gamma) of the reduced system, term by term (``_minimize_theta``
+takes one term), and sums the minima.
 A result carries that sum, the first term's minimizer and whether any
 minimum lies at an end of its interval.
 
@@ -144,18 +145,22 @@ def _golden_min(f: Callable[[float], float], lo: float, hi: float,
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-def _log_objective(params: MmooParams, const: float, cm: float, k: float, exponent):
-    """Array and float evaluators of ``const - log(cm - k*r_theta) + exponent(theta, r_theta)``.
+def _log_objective(params: MmooParams, term):
+    """Array and float evaluators of one term's log L + exponent(theta, r_theta).
 
-    Both give +inf where the margin ``cm - k*r_theta`` is not positive or
-    is NaN (on arrays, through the log of a margin at or below zero) and
-    where the value is NaN.  The float one computes r_theta inline with the
+    The value is ``const - log(cm - k*r_theta) + exponent(theta, r_theta)``,
+    with ``const`` = log(cm) + 1, or log(cm) without ``euler``.  Both give
+    +inf where the margin ``cm - k*r_theta`` is not positive or is NaN (on
+    arrays, through the log of a margin at or below zero) and where the
+    value is NaN.  The float one computes r_theta inline with the
     IEEE operations of ``_rate_on_array`` in the same order; add, multiply,
     divide and square root are correctly rounded in both ``math`` and
     NumPy, so the two agree bit for bit.  Both take the logarithm with
     ``np.log``: ``math.log`` differs from it in the last bit on some inputs.
     """
     lam_mu, mu4, two_mu_peak, peak = rates = _rate_constants(params)
+    cm, k, exponent = term.cm, term.k, term.exponent
+    const = 1.0 + math.log(cm) if term.euler else math.log(cm)
     log, sqrt, inf, to_float = np.log, math.sqrt, math.inf, float
 
     def on_array(th: np.ndarray) -> np.ndarray:
@@ -178,12 +183,14 @@ def _log_objective(params: MmooParams, const: float, cm: float, k: float, expone
     return on_array, on_float
 
 
-def _minimize_theta(params: MmooParams, const: float, cm: float, k: float, exponent,
-                    theta_max: float) -> tuple[float, float, bool]:
-    """Minimize ``const - log(cm - k*r_theta) + exponent(theta, r_theta)`` over (0, theta_max).
+def _minimize_theta(params: MmooParams, term) -> tuple[float, float, bool]:
+    """Minimize one term of ``martingale._bound_terms`` over (0, gamma).
 
-    Returns the minimizer, the minimum and whether the minimizer lies at an
-    end of the inset interval.
+    The objective (``_log_objective``) is the log of L = cm*e/(cm -
+    k*r_theta), or cm/(cm - k*r_theta) without ``euler``, plus the term's
+    exponent, and gamma (``theta_max``) is the decay rate of the term's
+    reduced system.  Returns the minimizer, the minimum and whether the
+    minimizer lies at an end of the inset interval.
 
     A 256-point log-spaced pre-scan (``_prescan_grid``) brackets the
     minimum; golden-section refines it.  The pre-scan minimum is the
@@ -198,7 +205,8 @@ def _minimize_theta(params: MmooParams, const: float, cm: float, k: float, expon
     The two evaluators of ``_log_objective`` agree bit for bit, so the
     result does not depend on which of them produced a value.
     """
-    on_array, on_float = _log_objective(params, const, cm, k, exponent)
+    theta_max = term.consts.gamma
+    on_array, on_float = _log_objective(params, term)
     grid = _prescan_grid(theta_max)
     vals = on_array(grid)
     i = int(vals.argmin())
@@ -210,17 +218,6 @@ def _minimize_theta(params: MmooParams, const: float, cm: float, k: float, expon
     return th, fv, min(th, theta_max - th) <= 2.0 * _EDGE * theta_max
 
 
-def _term_minimum(params: MmooParams, term) -> tuple[float, float, bool]:
-    """``_minimize_theta`` of one term of ``martingale._bound_terms``.
-
-    The objective is the log of L = cm*e/(cm - k*r_theta), or
-    cm/(cm - k*r_theta) without ``euler``, plus the term's exponent, over
-    (0, gamma) of its reduced system.
-    """
-    const = 1.0 + math.log(term.cm) if term.euler else math.log(term.cm)
-    return _minimize_theta(params, const, term.cm, term.k, term.exponent, term.consts.gamma)
-
-
 def standard_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float) -> StandardBoundResult:
     """Classical delay bound P(W1 > d) <= value for each scheduler.
 
@@ -230,7 +227,7 @@ def standard_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float) -> 
     cm/(cm - k*r_theta) without ``euler``; FIFO's, for one, is
     inf L e^{-theta C d}.  ``theta_star`` is the first term's minimizer.
     """
-    minima = [_term_minimum(scenario.params, t) for t in _bound_terms(scenario, sched, d)]
+    minima = [_minimize_theta(scenario.params, t) for t in _bound_terms(scenario, sched, d)]
     value = 0.0
     for _, fv, _ in minima:
         value += math.exp(fv)

@@ -5,8 +5,11 @@ fractional remainder of an On-dwell.  All sampling is driven by numpy
 Generators derived from ``numpy.random.SeedSequence(master, spawn_key=key)``,
 so replication ``k`` of any experiment is a pure function of
 ``(master_seed, k)`` and independent replications can run in parallel.
-Sample paths draw their dwells in fixed-size blocks of vectorized
-exponentials, so a path over a longer horizon extends the shorter one.
+Sample paths are those of one On-Off source (``MmooParams``); they draw
+their dwells in fixed-size blocks of vectorized exponentials, so a path over
+a longer horizon extends the shorter one.  A birth-death fluid
+(``MarkovFluidSource``) has at least two states; the On-count chain of n
+On-Off sources is one (``aggregate_source``).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DegenerateSourceError,
     EigenvectorError,
     InvalidParamsError,
     TrivialScenarioError,
@@ -65,10 +69,6 @@ class MmooParams:
     @property
     def mean_rate(self) -> float:
         return self.on_probability * self.peak
-
-    def as_fluid_source(self) -> "MarkovFluidSource":
-        """Two-state fluid view: state 0 silent, state 1 emitting at ``peak``."""
-        return MarkovFluidSource([self.mu], [self.lam], [0.0, self.peak])
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MmooParams":
@@ -187,7 +187,8 @@ class MarkovFluidSource:
     only off-diagonal entries; its diagonal is ``-(up_i + down_{i-1})``.
     Both must be positive, so the chain is irreducible and, like every
     birth-death chain, reversible.  A single state (empty ``up`` and
-    ``down``) is a constant-rate source.
+    ``down``), a constant-rate source, has no eigenstructure and raises
+    ``DegenerateSourceError``.
     """
 
     up: np.ndarray
@@ -200,7 +201,7 @@ class MarkovFluidSource:
         down = np.array(self.down, dtype=float)
         r = np.array(self.rates, dtype=float)
         k = r.size
-        if not (k >= 1 and r.shape == (k,) and up.shape == down.shape == (k - 1,)):
+        if not (r.shape == (k,) and up.shape == down.shape == (k - 1,)):
             raise InvalidParamsError(
                 f"up {up.shape}, down {down.shape} and rates {r.shape} are inconsistent"
             )
@@ -210,12 +211,17 @@ class MarkovFluidSource:
             raise InvalidParamsError("up and down transition rates must be > 0")
         if r.min() < 0:
             raise InvalidParamsError("arrival rates must be >= 0")
-        pi = stationary_distribution(up, down)
-        for arr in (up, down, r, pi):
+        for arr in (up, down, r):
             arr.flags.writeable = False
         object.__setattr__(self, "up", up)
         object.__setattr__(self, "down", down)
         object.__setattr__(self, "rates", r)
+        if self.n_states < 2:
+            raise DegenerateSourceError(
+                "constant-rate (single-state) source has no eigenstructure"
+            )
+        pi = stationary_distribution(up, down)
+        pi.flags.writeable = False
         object.__setattr__(self, "stationary", pi)
 
     @property
@@ -251,13 +257,14 @@ class StatePath:
 _BLOCK = 1024  # dwells drawn per block; even, so every block starts in one state
 
 
-def sample_path(source: MarkovFluidSource, horizon: float, seed) -> StatePath:
-    """Simulate a two-state (On-Off) chain in its steady state over [0, horizon].
+def sample_path(params: MmooParams, horizon: float, seed) -> StatePath:
+    """Simulate one On-Off source in its steady state over [0, horizon].
 
-    The initial state is drawn from the stationary law, and the states
-    alternate.  The dwell in state 0 is exponential with rate ``up[0]``, in
-    state 1 with rate ``down[0]``.  Memorylessness makes residual-time
-    handling unnecessary.  The final dwell is truncated at the horizon.
+    The initial state (0 Off, 1 On) is drawn from the stationary law
+    ``stationary_distribution([mu], [lam])``, and the states alternate.  The
+    dwell in state 0 is exponential with rate ``mu``, in state 1 with rate
+    ``lam``.  Memorylessness makes residual-time handling unnecessary.  The
+    final dwell is truncated at the horizon.
 
     Dwells are drawn in blocks of ``_BLOCK`` as standard exponentials divided
     by the exit rates of the block's states, then cut at the horizon.  The
@@ -266,13 +273,9 @@ def sample_path(source: MarkovFluidSource, horizon: float, seed) -> StatePath:
     """
     if not 0 < horizon < math.inf:
         raise InvalidParamsError(f"horizon must be finite and > 0, got {horizon}")
-    if source.n_states != 2:
-        raise InvalidParamsError(
-            f"sample_path needs a two-state chain, got {source.n_states} states"
-        )
     rng = spawned_rng(seed)
-    state = int(rng.choice(2, p=source.stationary))
-    exits = (source.up[0], source.down[0])
+    state = int(rng.choice(2, p=stationary_distribution([params.mu], [params.lam])))
+    exits = (params.mu, params.lam)
     block_rates = np.resize(np.array([exits[state], exits[1 - state]]), _BLOCK)
     dwells, ends = [], []
     t = 0.0

@@ -9,8 +9,8 @@ import numpy as np
 from sncbounds.sim import _merge, _serve
 
 
-def serve_flows(kind, tt, ts, ct, cs, cap, need=None, d1=0.0, d2=0.0, phi1=0.5):
-    """``sim._serve`` on per-flow arrival arrays, each sorted by time."""
+def serve_flows(sched, tt, ts, ct, cs, cap, need=None):
+    """``sim._serve`` under ``sched`` on per-flow arrival arrays, each sorted by time."""
     T, S = np.concatenate([tt, ct]), np.concatenate([ts, cs])
     _, _, lanes = _merge(T, S, tt.size, cap)
-    return _serve(kind, T, S, tt.size, lanes, cap, need, d1=d1, d2=d2, phi1=phi1)
+    return _serve(sched, T, S, tt.size, lanes, cap, need)

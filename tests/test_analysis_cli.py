@@ -245,9 +245,9 @@ class TestVerifySuites:
         # a minimum 1e-6 too high on GPS terms alone (k = n1 != 1) must fail it
         minimize = standard._minimize_theta
 
-        def off_on_gps(params, const, cm, k, exponent, theta_max):
-            th, fv, edge = minimize(params, const, cm, k, exponent, theta_max)
-            return th, fv + (1e-6 if k != 1 else 0.0), edge
+        def off_on_gps(params, term):
+            th, fv, edge = minimize(params, term)
+            return th, fv + (1e-6 if term.k != 1 else 0.0), edge
 
         monkeypatch.setattr(standard, "_minimize_theta", off_on_gps)
         [(_, passed, detail)] = verify("optimizer-grid")

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from sncbounds import (
-    DegenerateSourceError,
     InvalidParamsError,
     MarkovFluidSource,
     MmooParams,
@@ -157,7 +156,7 @@ class TestMpmathReference:
 class TestGeneralizedDecay:
     def test_mmoo_closed_form_both_utilizations(self):
         for rho, c in ((0.75, 2 / 9), (0.9, 5 / 27)):
-            src = BASE_SOURCE.as_fluid_source()
+            src = aggregate_source(1, BASE_SOURCE)
             gd = generalized_decay(src, c)
             gamma = martingale_constants(
                 Scenario.from_utilization(1, 0, rho, BASE_SOURCE)).gamma
@@ -175,18 +174,13 @@ class TestGeneralizedDecay:
         expect = np.exp(-theta * np.arange(5))
         assert np.allclose(gd.eigenvector, expect, rtol=1e-10)
 
-    def test_single_state_rejected(self):
-        src = MarkovFluidSource([], [], [1.0])
-        with pytest.raises(DegenerateSourceError):
-            generalized_decay(src, 2.0)
-
     def test_unstable_rejected(self):
         with pytest.raises(UnstableScenarioError):
-            generalized_decay(BASE_SOURCE.as_fluid_source(), 0.1)
+            generalized_decay(aggregate_source(1, BASE_SOURCE), 0.1)
 
     def test_capacity_above_peak_rejected(self):
         with pytest.raises(TrivialScenarioError):
-            generalized_decay(BASE_SOURCE.as_fluid_source(), 1.5)
+            generalized_decay(aggregate_source(1, BASE_SOURCE), 1.5)
 
     def test_residual_invariant_random_sources(self):
         rng = np.random.default_rng(23)
@@ -222,7 +216,7 @@ class TestGeneralizedDecay:
 
 class TestFluidEffectiveBandwidth:
     def test_matches_two_state_closed_form(self):
-        src = BASE_SOURCE.as_fluid_source()
+        src = aggregate_source(1, BASE_SOURCE)
         for th in (0.01, 0.1, 0.5, 2.0):
             closed = effective_bandwidth_rate(th, BASE_SOURCE)
             assert fluid_effective_bandwidth(th, src) == pytest.approx(closed, rel=1e-10)
@@ -243,7 +237,7 @@ class TestFluidEffectiveBandwidth:
 
     def test_nonpositive_theta_rejected(self):
         with pytest.raises(InvalidParamsError):
-            fluid_effective_bandwidth(-0.5, BASE_SOURCE.as_fluid_source())
+            fluid_effective_bandwidth(-0.5, aggregate_source(1, BASE_SOURCE))
 
 
 class TestSingleFlowBound:

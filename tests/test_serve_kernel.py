@@ -16,18 +16,18 @@ import numpy as np
 import pytest
 
 import sncbounds.sim as sim
-from sncbounds import MmooParams, Scenario, SimConfig
+from sncbounds import MmooParams, Scenario, SchedulerSpec, SimConfig
 from serial_reference import _serve_loop as reference
 from serve_flows import serve_flows
 
 SOURCE = MmooParams(0.5, 0.1, 1.0)
 DISCIPLINES = {
-    "fifo": ("edf", 0.0, 0.0, 0.5),
-    "sp": ("sp", 0.0, 0.0, 0.5),
-    "edf_10_1": ("edf", 10.0, 1.0, 0.5),
-    "edf_1_10": ("edf", 1.0, 10.0, 0.5),
-    "gps_0.3": ("gps", 0.0, 0.0, 0.3),
-    "gps_0.5": ("gps", 0.0, 0.0, 0.5),
+    "fifo": SchedulerSpec.edf(0.0, 0.0),
+    "sp": SchedulerSpec.sp(),
+    "edf_10_1": SchedulerSpec.edf(10.0, 1.0),
+    "edf_1_10": SchedulerSpec.edf(1.0, 10.0),
+    "gps_0.3": SchedulerSpec.gps(0.3),
+    "gps_0.5": SchedulerSpec.gps(0.5),
 }
 REFERENCE_KIND = {"fifo": "fifo"}  # the loop's rule where it differs from the kernel's
 SIZES = {"small": (200, 2000), "desk": (10_000, 100_000)}
@@ -36,14 +36,14 @@ SIZES = {"small": (200, 2000), "desk": (10_000, 100_000)}
 def assert_same_as_reference(name, tt, ts, ct, cs, cap, need):
     """Kernel output equals the loop's; ``need`` None serves everything.
 
-    ``name`` is a key of ``DISCIPLINES`` or a (kind, d1, d2, phi1) tuple.
+    ``name`` is a key of ``DISCIPLINES`` or a ``SchedulerSpec``.
     """
-    kind, d1, d2, phi1 = DISCIPLINES.get(name, name)
+    sched = DISCIPLINES.get(name, name)
     drain = need is None
-    want = reference(REFERENCE_KIND.get(name, kind), tt, ts, ct, cs, cap,
-                     tt.size if drain else need,
-                     d1=d1, d2=d2, phi1=phi1, drain=drain)
-    got = serve_flows(kind, tt, ts, ct, cs, cap, need, d1=d1, d2=d2, phi1=phi1)
+    want = reference(REFERENCE_KIND.get(name, sched.kind), tt, ts, ct, cs, cap,
+                     tt.size if drain else need, d1=sched.d1_star, d2=sched.d2_star,
+                     phi1=sched.phi1, drain=drain)
+    got = serve_flows(sched, tt, ts, ct, cs, cap, need)
     for dep, loop_dep in zip(got, want[:2]):
         served = ~np.isnan(loop_dep)
         assert np.array_equal(dep[served], loop_dep[served])
@@ -81,9 +81,10 @@ def test_generated_traffic(arrivals, size, seed, name, drain):
 def test_backlog_from_fifo_workload(arrivals, size, seed, name):
     """``simulate``'s backlog is the arrived minus the served bits of the loop."""
     tt, ts, ct, cs, cap, need = arrivals(size, seed)
-    kind, d1, d2, phi1 = DISCIPLINES[name]
-    dep, _, served_bits = reference(REFERENCE_KIND.get(name, kind), tt, ts, ct, cs, cap,
-                                    need, d1=d1, d2=d2, phi1=phi1)
+    sched = DISCIPLINES[name]
+    dep, _, served_bits = reference(REFERENCE_KIND.get(name, sched.kind), tt, ts, ct, cs,
+                                    cap, need, d1=sched.d1_star, d2=sched.d2_star,
+                                    phi1=sched.phi1)
     dep, served_bits = dep[:need], served_bits[:need]
     T, S = np.concatenate([tt, ct]), np.concatenate([ts, cs])
     _, fifo, _ = sim._merge(T, S, tt.size, cap)
@@ -177,7 +178,7 @@ def test_edf_deadline_ties(d1, d2):
     # equal deadlines, with equal and with different arrival times
     tt, ts, ct, cs = _arrays([0.0, 1.0, 1.0 + d2, 12.0], [10.0, 1.0, 1.0, 1.0],
                              [1.0, 1.0 + d1, 12.0], [1.0, 1.0, 0.5])
-    assert_same_as_reference(("edf", d1, d2, 0.5), tt, ts, ct, cs, 1.0, None)
+    assert_same_as_reference(SchedulerSpec.edf(d1, d2), tt, ts, ct, cs, 1.0, None)
 
 
 @pytest.mark.usefixtures("path")
@@ -185,8 +186,8 @@ def test_wfq_equal_tags_serve_the_through_packet_first():
     # C = 1, phi1 = 0.5: V runs at rate 2 behind the first through packet,
     # so at t = 0.5 the through and cross arrivals both get finish tag 3.0
     tt, ts, ct, cs = _arrays([0.0, 0.5], [1.0, 0.5], [0.5], [1.0])
-    assert_same_as_reference(("gps", 0.0, 0.0, 0.5), tt, ts, ct, cs, 1.0, None)
-    dep_t, dep_c = serve_flows("gps", tt, ts, ct, cs, 1.0, phi1=0.5)
+    assert_same_as_reference(SchedulerSpec.gps(0.5), tt, ts, ct, cs, 1.0, None)
+    dep_t, dep_c = serve_flows(SchedulerSpec.gps(0.5), tt, ts, ct, cs, 1.0)
     assert dep_t.tolist() == [1.0, 1.5] and dep_c.tolist() == [2.5]
 
 
@@ -199,8 +200,8 @@ def test_wfq_arrivals_inside_and_at_a_departure(phi1):
     # step tags it, processes that departure and selects the next packet
     tt, ts, ct, cs = _arrays([0.0, 0.5, 1.2], [1.0, 1.0, 0.5],
                              [0.25, 1.0], [0.5, 0.5])
-    assert_same_as_reference(("gps", 0.0, 0.0, phi1), tt, ts, ct, cs, 1.0, None)
-    assert_same_as_reference(("gps", 0.0, 0.0, phi1), tt, ts, ct, cs, 1.0, 2)
+    assert_same_as_reference(SchedulerSpec.gps(phi1), tt, ts, ct, cs, 1.0, None)
+    assert_same_as_reference(SchedulerSpec.gps(phi1), tt, ts, ct, cs, 1.0, 2)
 
 
 @pytest.mark.usefixtures("path")
@@ -210,8 +211,8 @@ def test_wfq_departure_before_arrivals_when_the_system_drains():
     # (through 3.0, cross 1.0), so both arrivals get tag 1.0 and the through
     # packet goes first; arrivals first would tag them 4.0 and 3.5
     tt, ts, ct, cs = _arrays([0.75, 1.0, 2.5], [1.0, 0.5, 0.5], [1.0, 2.5], [0.25, 0.5])
-    assert_same_as_reference(("gps", 0.0, 0.0, 0.5), tt, ts, ct, cs, 1.0, None)
-    dep_t, dep_c = serve_flows("gps", tt, ts, ct, cs, 1.0, phi1=0.5)
+    assert_same_as_reference(SchedulerSpec.gps(0.5), tt, ts, ct, cs, 1.0, None)
+    dep_t, dep_c = serve_flows(SchedulerSpec.gps(0.5), tt, ts, ct, cs, 1.0)
     assert dep_t.tolist() == [1.75, 2.5, 3.0] and dep_c.tolist() == [2.0, 3.5]
 
 
@@ -219,5 +220,5 @@ def test_wfq_departure_before_arrivals_when_the_system_drains():
 @pytest.mark.parametrize("phi1", [0.1, 0.9])
 def test_wfq_uneven_weights(arrivals, phi1):
     tt, ts, ct, cs, cap, need = arrivals("small", 1)
-    assert_same_as_reference(("gps", 0.0, 0.0, phi1), tt, ts, ct, cs, cap, need)
-    assert_same_as_reference(("gps", 0.0, 0.0, phi1), tt, ts, ct, cs, cap, None)
+    assert_same_as_reference(SchedulerSpec.gps(phi1), tt, ts, ct, cs, cap, need)
+    assert_same_as_reference(SchedulerSpec.gps(phi1), tt, ts, ct, cs, cap, None)

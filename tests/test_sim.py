@@ -42,8 +42,7 @@ def event_log(sc, sched, cfg, replication_index=0):
     if sched.kind == "fifo":
         sched = SchedulerSpec.edf(0.0, 0.0)
     (tt, ts), (ct, cs) = _flow_arrivals(sc, cfg, replication_index)
-    dep_t, dep_c = serve_flows(sched.kind, tt, ts, ct, cs, sc.capacity,
-                               d1=sched.d1_star, d2=sched.d2_star, phi1=sched.phi1)
+    dep_t, dep_c = serve_flows(sched, tt, ts, ct, cs, sc.capacity)
     return {
         "through": {"arrival": tt, "size": ts, "depart": dep_t},
         "cross": {"arrival": ct, "size": cs, "depart": dep_c},
@@ -119,7 +118,7 @@ class TestSimulateBasics:
         (tt, ts), (ct, cs) = _flow_arrivals(
             sc, small_cfg(measured_packets=2000, warmup_packets=0), 0)
         cap = 1.5
-        dep, _ = serve_flows("edf", tt, ts, ct, cs, cap, d1=0.0, d2=0.0)
+        dep, _ = serve_flows(SchedulerSpec.edf(0.0, 0.0), tt, ts, ct, cs, cap)
         delays = dep - tt
         assert delays.max() <= 1.0 / cap + 1e-12
         unit = ts == 1.0
@@ -395,7 +394,3 @@ class TestMartingaleMc:
         a = martingale_mc_estimate(scenario(), 2.0, 2000, seed=7)
         b = martingale_mc_estimate(scenario(), 2.0, 2000, seed=7)
         assert a == b
-
-    def test_initial_state_validated(self):
-        with pytest.raises(InvalidParamsError):
-            martingale_mc_estimate(scenario(), 1.0, 2000, seed=1, initial_state=9)

@@ -47,12 +47,12 @@ def fifo_objective(sc):
 
 @pytest.fixture
 def optimizer_calls(monkeypatch):
-    """(arguments, (theta*, log minimum, at edge)) of every optimizer call, in call order."""
+    """(term, (theta*, log minimum, at edge)) of every optimizer call, in call order."""
     calls = []
     minimize = standard._minimize_theta
 
-    def spy(*args):
-        calls.append((args, minimize(*args)))
+    def spy(params, term):
+        calls.append((term, minimize(params, term)))
         return calls[-1][1]
 
     monkeypatch.setattr(standard, "_minimize_theta", spy)
@@ -146,7 +146,7 @@ class TestIntervalEnds:
                     continue
                 optimizer_calls.clear()
                 standard_delay_bound(sc, SchedulerSpec.gps(phi1), 5.0)
-                assert [args[-1] for args, _ in optimizer_calls] == [gamma]
+                assert [term.consts.gamma for term, _ in optimizer_calls] == [gamma]
                 checked += 1
         assert checked >= 4
 
@@ -160,7 +160,7 @@ class TestIntervalEnds:
                     continue
                 optimizer_calls.clear()
                 standard_delay_bound(sc, SchedulerSpec.edf(1.0, 10.0), 5.0)
-                assert [args[-1] for args, _ in optimizer_calls] == [
+                assert [term.consts.gamma for term, _ in optimizer_calls] == [
                     martingale_constants(sc).gamma, terms[1].consts.gamma]
                 checked += 1
         assert checked >= 10

@@ -158,8 +158,9 @@ def test_float_and_array_evaluators_agree(monkeypatch, sched):
             except SncboundsError:
                 pass
     assert calls
-    for params, const, cm, k, exponent, theta_max in calls:
-        on_array, on_float = standard._log_objective(params, const, cm, k, exponent)
+    for params, term in calls:
+        on_array, on_float = standard._log_objective(params, term)
+        theta_max = term.consts.gamma
         thetas = np.concatenate([standard._prescan_grid(theta_max),
                                  np.linspace(0.0, theta_max, 1026)[1:-1]])
         from_array = on_array(thetas)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sncbounds import (
+    DegenerateSourceError,
     EigenvectorError,
     InvalidParamsError,
     MarkovFluidSource,
@@ -197,6 +198,11 @@ class TestMarkovFluidSource:
             with pytest.raises(ValueError):
                 arr[0] = 5.0
 
+    def test_single_state_rejected(self):
+        # a constant-rate source has no eigenstructure, so none is built
+        with pytest.raises(DegenerateSourceError, match="single-state"):
+            MarkovFluidSource([], [], [1.0])
+
     def test_bad_generator_rejected(self):
         with pytest.raises(InvalidParamsError, match="> 0"):
             MarkovFluidSource([-1.0], [1.0], [0.0, 1.0])
@@ -217,28 +223,22 @@ class TestMarkovFluidSource:
 class TestSamplePath:
     def test_zero_horizon_rejected(self):
         with pytest.raises(InvalidParamsError):
-            sample_path(BASE_SOURCE.as_fluid_source(), 0.0, 1)
+            sample_path(BASE_SOURCE, 0.0, 1)
 
     @pytest.mark.parametrize("horizon", [math.nan, math.inf])
     def test_non_finite_horizon_rejected(self, horizon):
         with pytest.raises(InvalidParamsError, match="finite"):
-            sample_path(BASE_SOURCE.as_fluid_source(), horizon, 1)
-
-    def test_single_state_chain(self):
-        # only the two-state On-Off chain is sampled
-        for src in (MarkovFluidSource([], [], [2.0]), aggregate_source(2, BASE_SOURCE)):
-            with pytest.raises(InvalidParamsError, match="two-state"):
-                sample_path(src, 7.5, 1)
+            sample_path(BASE_SOURCE, horizon, 1)
 
     def test_invariants(self):
-        path = sample_path(BASE_SOURCE.as_fluid_source(), 500.0, 42)
+        path = sample_path(BASE_SOURCE, 500.0, 42)
         assert (path.durations > 0).all()
         assert (np.diff(path.states) != 0).all()
         assert path.durations.sum() == pytest.approx(500.0, rel=1e-12)
 
     def test_long_run_on_fraction(self):
         horizon = 1e6
-        path = sample_path(BASE_SOURCE.as_fluid_source(), horizon, 2024)
+        path = sample_path(BASE_SOURCE, horizon, 2024)
         p = BASE_SOURCE.on_probability
         lam, mu = BASE_SOURCE.lam, BASE_SOURCE.mu
         # asymptotic variance of the On-time fraction of a 2-state chain
@@ -247,20 +247,20 @@ class TestSamplePath:
         assert abs(frac - p) < 3 * se
 
     def test_deterministic_given_seed(self):
-        a = sample_path(BASE_SOURCE.as_fluid_source(), 100.0, (5, 1))
-        b = sample_path(BASE_SOURCE.as_fluid_source(), 100.0, (5, 1))
+        a = sample_path(BASE_SOURCE, 100.0, (5, 1))
+        b = sample_path(BASE_SOURCE, 100.0, (5, 1))
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.durations, b.durations)
 
 
-CHAINS = {"on_off": BASE_SOURCE.as_fluid_source}
+CHAINS = {"on_off": BASE_SOURCE}
 
 
 class TestBlockSampling:
     @pytest.mark.parametrize("chain", sorted(CHAINS))
     @pytest.mark.parametrize("h1,h2", [(300.0, 3e4), (1e4, 3e4)])
     def test_longer_horizon_extends_the_path(self, chain, h1, h2):
-        src = CHAINS[chain]()
+        src = CHAINS[chain]
         a = sample_path(src, h1, (8, 3))
         b = sample_path(src, h2, (8, 3))
         k = a.states.size
@@ -271,10 +271,10 @@ class TestBlockSampling:
 
     @pytest.mark.parametrize("chain", sorted(CHAINS))
     def test_mean_dwell_is_inverse_exit_rate(self, chain):
-        src = CHAINS[chain]()
+        src = CHAINS[chain]
         path = sample_path(src, 2e5, 77)
         states, dwells = path.states[:-1], path.durations[:-1]  # last is truncated
-        for i, rate in enumerate((src.up[0], src.down[0])):
+        for i, rate in enumerate((src.mu, src.lam)):
             mine = dwells[states == i]
             se = 1.0 / rate / math.sqrt(mine.size)
             assert abs(mine.mean() - 1.0 / rate) < 3 * se, (i, mine.size)
@@ -311,7 +311,7 @@ class TestPacketize:
 
     def test_volume_conservation_and_ordering(self):
         src = MmooParams(0.7, 0.3, 1.7)
-        path = sample_path(src.as_fluid_source(), 2000.0, 11)
+        path = sample_path(src, 2000.0, 11)
         times, sizes = packet_arrays(path, src.peak)
         on_time = path.durations[path.states == 1].sum()
         assert sizes.sum() == pytest.approx(src.peak * on_time, rel=1e-12)
