@@ -51,10 +51,12 @@ def palm_prefactor(scenario: Scenario) -> float:
     """Packet-delay correction 1/(1-(1-p)^n1).
 
     Conditioning on an arrival of the through flow: at least one of its n1
-    sub-flows is On, which happens with probability 1-(1-p)^n1.
+    sub-flows is On, which happens with probability 1-(1-p)^n1.  That is
+    computed as -expm1(n1*log1p(-p)), which stays positive however small p
+    is; 1 - (1-p)**n1 rounds to 0 once p is below half an ulp of 1.
     """
     p = scenario.params.on_probability
-    return 1.0 / (1.0 - (1.0 - p) ** scenario.n1)
+    return -1.0 / math.expm1(scenario.n1 * math.log1p(-p))
 
 
 def bound_rows(scenario: Scenario, sched: SchedulerSpec, grid) -> list[dict]:

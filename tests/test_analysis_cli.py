@@ -486,6 +486,15 @@ class TestCli:
         value = float(row["martingale_raw"])
         assert math.isfinite(value) and value >= 0.0
 
+    def test_palm_factor_of_a_rarely_on_source(self, capsys):
+        # p = 1e-17 is below half an ulp of 1, so 1 - (1-p)**n1 rounds to 0;
+        # the Palm factor is about 1/(n1*p) = 2e16, finite
+        assert main(["bound", "--mu", "1e-17", "--lambda", "1", "--rho", "0.5",
+                     "--d", "1"]) == 0
+        row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert all(math.isfinite(float(row[k])) for k in ("martingale_raw", "standard_raw"))
+        assert float(row["martingale_raw"]) == pytest.approx(2e16, rel=1e-6)
+
     @pytest.mark.parametrize("cmd", ["simulate", "compare"])
     def test_packets_rarer_than_exp_range(self, capsys, cmd):
         # lambda/P = 800: 1/expm1(lambda/P) overflows, the whole-packet
