@@ -37,11 +37,13 @@ in the golden-section evaluator; the two give the same bits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from .errors import InvalidParamsError
 from .martingale import SchedulerSpec, _bound_terms
 from .traffic import MmooParams, Scenario
 
@@ -112,12 +114,10 @@ def _prescan_grid(theta_max: float) -> np.ndarray:
     the points equal it byte for byte without its per-call overhead:
     ``log10`` of both ends, equal steps of their difference over 255 from
     the first, ``10**`` of each, and both ends set exactly (which makes
-    ``geomspace``'s own setting of the last exponent moot).  A zero end is
-    rejected as ``np.geomspace`` rejects it.
+    ``geomspace``'s own setting of the last exponent moot).  ``_minimize_theta``
+    passes only a ``theta_max`` whose lower end is a normal double.
     """
     lo, hi = _EDGE * theta_max, theta_max * (1.0 - _EDGE)
-    if lo == 0.0:
-        raise ValueError("Geometric sequence cannot include zero")
     ls, le = np.log10(lo), np.log10(hi)
     grid = _IDX * ((le - ls) / (_PRESCAN_POINTS - 1))
     grid += ls
@@ -190,7 +190,10 @@ def _minimize_theta(params: MmooParams, term) -> tuple[float, float, bool]:
     k*r_theta), or cm/(cm - k*r_theta) without ``euler``, plus the term's
     exponent, and gamma (``theta_max``) is the decay rate of the term's
     reduced system.  Returns the minimizer, the minimum and whether the
-    minimizer lies at an end of the inset interval.
+    minimizer lies at an end of the inset interval.  A gamma whose inset
+    end ``_EDGE*gamma`` is below the smallest normal double (gamma below
+    about 2e-299) raises ``InvalidParamsError``: the log-spaced grid would
+    start at a subnormal or zero theta.
 
     A 256-point log-spaced pre-scan (``_prescan_grid``) brackets the
     minimum; golden-section refines it.  The pre-scan minimum is the
@@ -206,6 +209,10 @@ def _minimize_theta(params: MmooParams, term) -> tuple[float, float, bool]:
     result does not depend on which of them produced a value.
     """
     theta_max = term.consts.gamma
+    if _EDGE * theta_max < sys.float_info.min:
+        raise InvalidParamsError(
+            f"decay rate gamma={theta_max:.6g} is too small for the standard bound's "
+            f"optimizer: {_EDGE:g}*gamma is below the smallest normal double")
     on_array, on_float = _log_objective(params, term)
     grid = _prescan_grid(theta_max)
     vals = on_array(grid)

@@ -495,6 +495,17 @@ class TestCli:
         assert all(math.isfinite(float(row[k])) for k in ("martingale_raw", "standard_raw"))
         assert float(row["martingale_raw"]) == pytest.approx(2e16, rel=1e-6)
 
+    @pytest.mark.parametrize("rate", ["1e-320", "1e-300"])
+    def test_decay_rate_too_small_for_the_optimizer(self, capsys, rate):
+        # gamma is subnormal at 1e-320 and 1.5e-300 at 1e-300: the optimizer's
+        # inset end 1e-9*gamma is not a normal double in either case
+        assert main(["bound", "--lambda", rate, "--mu", rate, "--rho", "0.75",
+                     "--d", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: decay rate gamma=")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("cmd", ["simulate", "compare"])
     def test_packets_rarer_than_exp_range(self, capsys, cmd):
         # lambda/P = 800: 1/expm1(lambda/P) overflows, the whole-packet

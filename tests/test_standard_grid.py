@@ -176,12 +176,6 @@ def test_prescan_grid_is_geomspace():
         expected = np.geomspace(standard._EDGE * theta_max, theta_max * (1.0 - standard._EDGE),
                                 standard._PRESCAN_POINTS)
         assert standard._prescan_grid(theta_max).tobytes() == expected.tobytes(), theta_max
-    # an interval end that rounds to zero is rejected by both
-    for build in (standard._prescan_grid,
-                  lambda t: np.geomspace(standard._EDGE * t, t * (1.0 - standard._EDGE),
-                                         standard._PRESCAN_POINTS)):
-        with pytest.raises(ValueError):
-            build(1e-320)
 
 
 ORACLE_SCHEDULERS = [SCHEDULERS[name] for name in ("fifo", "sp", "edf-10-1", "edf-1-10",
