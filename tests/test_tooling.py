@@ -130,6 +130,47 @@ def test_unused_export_detector():
         "lib.py": ["used", "alone", "Box", "Box.idle", "Box.width"]}
 
 
+def raised_names(tree: ast.AST) -> set:
+    """The name X of each ``raise X(...)``, ``raise X`` and ``raise mod.X(...)``;
+    a bare ``raise`` names nothing."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def unraised_errors(errors: ast.AST, trees: list) -> list:
+    """Error classes of ``errors`` that no tree raises, the base ``SncboundsError`` aside."""
+    raised = set().union(*(raised_names(tree) for tree in trees))
+    return [node.name for node in errors.body if isinstance(node, ast.ClassDef)
+            and node.name != "SncboundsError" and node.name not in raised]
+
+
+def test_every_error_type_is_raised():
+    # an error type nothing raises is a failure mode the package no longer has
+    trees = [ast.parse(f.read_text(), str(f)) for f in sorted(PACKAGE.glob("*.py"))]
+    errors = ast.parse((PACKAGE / "errors.py").read_text())
+    assert len(errors.body) > 2
+    assert unraised_errors(errors, trees) == []
+
+
+def test_unraised_error_detector():
+    errors = ast.parse('"""Errors."""\nclass SncboundsError(Exception): pass\n'
+                       'class Called(SncboundsError): pass\nclass Bare(SncboundsError): pass\n'
+                       'class Reached(SncboundsError): pass\nclass Caught(SncboundsError): pass\n'
+                       'class Built(SncboundsError): pass\n')
+    code = ast.parse('raise Called("x") from None\nraise Bare\nraise errors.Reached(1)\n'
+                     'try:\n    pass\nexcept Caught:\n    raise\nerr = Built("unused")\n')
+    assert raised_names(code) == {"Called", "Bare", "Reached"}
+    assert unraised_errors(errors, [code]) == ["Caught", "Built"]
+    assert unraised_errors(errors, []) == ["Called", "Bare", "Reached", "Caught", "Built"]
+
+
 def format_imports(tree: ast.AST) -> list:
     """Lines that import ``json`` or ``csv``, or a name from either."""
     formats = {"json", "csv"}
