@@ -7,8 +7,8 @@ Every reduced system has the constants
     theta = log((mu/lam)*(P-c)/c)        (< 0 under stability)
 
 where c is the system's per-flow capacity and rho = p*P/c its utilization.
-``_constants`` takes the source and the system's (rho, c); EDF's rescaled
-system passes its rho as (n1/n)*rho, as the bound has always computed it.
+``_constants`` takes the source and the system's (rho, c).  EDF's rescaled
+system passes (n1/n)*rho, which can differ from p*P/c in the last bit.
 
 One term table serves both bound families.  ``_bound_terms`` gives each
 scheduler's terms: a reduced system, its prefactor powers and a service

@@ -52,8 +52,6 @@ instant is left; a lane of n packets takes about 1.3n steps at desk scale.
 The ``_SCALAR_LANES`` longest lanes go through ``_serve_loop`` instead, and
 the rest, longest first, through lockstep calls of at most
 ``_LOCKSTEP_LANES`` lanes (the reasons for each constant are next to it).
-Every service function takes the ``SchedulerSpec`` and reads its kind,
-deadlines and weight itself.
 ``simulate`` stops after the warm-up plus measured through packets: busy
 periods after the one that holds the last of them are not served, and their
 packets stay NaN.  FIFO itself takes its departures from the recursion,
@@ -307,7 +305,7 @@ def _busy_periods(t, fifo):
 
 
 def _serve_loop(sched, tt, ts, ct, cs, cap):
-    """Two-queue head-selection service loop for SP, EDF and WFQ (GPS's ``sched``).
+    """Two-queue head-selection service loop for SP, EDF and WFQ (the ``gps`` kind).
 
     FIFO's selection is EDF with equal deadlines; ``simulate`` takes FIFO
     departures from the work recursion instead.  Within each flow, EDF
