@@ -573,9 +573,9 @@ def _serve(sched, T, S, nt, lanes, cap, need=None):
     """Departures of a non-preemptive two-flow server, busy period by busy period.
 
     Gives, bit for bit, what the scalar loop gives on the whole run under
-    ``sched`` (SP, EDF or GPS); see the module docstring.  ``T``/``S`` are the flat arrivals of ``nt`` through
-    packets then the cross packets, and ``lanes`` the per-bound tables of
-    ``_merge``.  ``need`` stops service after the busy period that holds
+    ``sched`` (SP, EDF or GPS); see the module docstring.  ``T``/``S`` are
+    the flat arrivals of ``nt`` through packets then the cross packets, and
+    ``lanes`` the per-bound tables of ``_merge``.  ``need`` stops service after the busy period that holds
     the ``need``-th through packet (None serves all).  Returns (through
     departs, cross departs); packets of later busy periods are NaN.
     """
