@@ -14,6 +14,7 @@ On-Off sources is one (``aggregate_source``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -257,6 +258,12 @@ class StatePath:
 _BLOCK = 1024  # dwells drawn per block; even, so every block starts in one state
 
 
+@functools.lru_cache(maxsize=64)
+def _on_off_law(params: MmooParams) -> np.ndarray:
+    """``stationary_distribution([mu], [lam])`` of a source, computed once per parameter set."""
+    return stationary_distribution([params.mu], [params.lam])
+
+
 def sample_path(params: MmooParams, horizon: float, seed) -> StatePath:
     """Simulate one On-Off source in its steady state over [0, horizon].
 
@@ -274,7 +281,7 @@ def sample_path(params: MmooParams, horizon: float, seed) -> StatePath:
     if not 0 < horizon < math.inf:
         raise InvalidParamsError(f"horizon must be finite and > 0, got {horizon}")
     rng = spawned_rng(seed)
-    state = int(rng.choice(2, p=stationary_distribution([params.mu], [params.lam])))
+    state = int(rng.choice(2, p=_on_off_law(params)))
     exits = (params.mu, params.lam)
     block_rates = np.resize(np.array([exits[state], exits[1 - state]]), _BLOCK)
     dwells, ends = [], []

@@ -19,7 +19,7 @@ from sncbounds import (
     sample_path,
     stationary_distribution,
 )
-from sncbounds.traffic import StatePath, packet_arrays, spawned_rng
+from sncbounds.traffic import StatePath, _on_off_law, packet_arrays, spawned_rng
 from general_reference import dense_generator
 import serial_reference
 
@@ -245,6 +245,12 @@ class TestSamplePath:
         se = math.sqrt(2 * p * (1 - p) / ((lam + mu) * horizon))
         frac = path.durations[path.states == 1].sum() / horizon
         assert abs(frac - p) < 3 * se
+
+    def test_initial_law_cached_per_source(self):
+        # equal parameters share one law, bit for bit the uncached one
+        law = _on_off_law(MmooParams(0.7, 0.3, 1.7))
+        assert _on_off_law(MmooParams(0.7, 0.3, 1.7)) is law
+        assert law.tobytes() == stationary_distribution([0.3], [0.7]).tobytes()
 
     def test_deterministic_given_seed(self):
         a = sample_path(BASE_SOURCE, 100.0, (5, 1))
