@@ -25,9 +25,11 @@ times, and the minimum is printed in milliseconds as one JSON object:
 The bound layer follows, in microseconds: ``bounds.<scheduler>`` is the
 median, over n1 = n2 = n/2 with n = 10, 10^3, 10^5 and d = 1, 2, 5, 10 at
 rho 0.75, of the minimum time of one ``standard_delay_bound`` call over
-``20 * --repeats`` sweeps of that grid, and ``bounds.<scheduler>.golden``
-the same of the time spent inside its golden-section refinements
-(``standard._golden_min``).
+``20 * --repeats`` sweeps of that grid, and ``bounds.<scheduler>.refine``
+the same of the time spent inside its refinements (``standard._refine``).
+Last, in milliseconds, ``bound_rows.<scheduler>`` is the minimum time of
+one ``analysis.bound_rows`` over the 1001-point delay grid 0, 0.01, ..., 10
+at n1 = n2 = 5, rho 0.75.
 """
 
 import argparse
@@ -38,6 +40,7 @@ from statistics import median
 import sncbounds.sim as sim
 import sncbounds.standard as standard
 from sncbounds import MmooParams, Scenario, SchedulerSpec, SimConfig, standard_delay_bound
+from sncbounds.analysis import bound_rows
 
 SCHEDULERS = {
     "fifo": SchedulerSpec.fifo(),
@@ -90,47 +93,48 @@ BOUND_DELAYS = (1.0, 2.0, 5.0, 10.0)
 # a bound call lasts about 1e-4 s, a desk stage 1e-2 s or more: sweep the
 # bound grid this many times per repeat, so its minima span comparable time
 BOUND_SWEEPS_PER_REPEAT = 20
+ROWS_GRID = [k / 100 for k in range(1001)]
 
 
 def bound_us(source, repeats):
     """Per scheduler, the median over the bound grid of the minimum us per
-    call, whole and inside golden-section.
+    call, whole and inside the refinement.
 
     Each sweep times every scheduler at every point, so no minimum is taken
     from one burst of a shared machine.  The whole call is timed without
-    the timer around ``_golden_min``, whose own overhead it would include.
+    the timer around ``_refine``, whose own overhead it would include.
     """
-    golden = standard._golden_min
+    refine = standard._refine
     inside = 0.0
 
     def timed(*args, **kwargs):
         nonlocal inside
         t0 = time.perf_counter()
-        out = golden(*args, **kwargs)
+        out = refine(*args, **kwargs)
         inside += time.perf_counter() - t0
         return out
 
     points = [(spec, Scenario.from_utilization(n // 2, n // 2, 0.75, source), d)
               for spec in SCHEDULERS.values() for n in BOUND_FLOWS for d in BOUND_DELAYS]
     whole = [float("inf")] * len(points)
-    in_golden = [float("inf")] * len(points)
+    in_refine = [float("inf")] * len(points)
     for _ in range(repeats * BOUND_SWEEPS_PER_REPEAT):
         for i, (spec, sc, d) in enumerate(points):
             t0 = time.perf_counter()
             standard_delay_bound(sc, spec, d)
             whole[i] = min(whole[i], time.perf_counter() - t0)
-            standard._golden_min, inside = timed, 0.0
+            standard._refine, inside = timed, 0.0
             try:
                 standard_delay_bound(sc, spec, d)
             finally:
-                standard._golden_min = golden
-            in_golden[i] = min(in_golden[i], inside)
+                standard._refine = refine
+            in_refine[i] = min(in_refine[i], inside)
     per = len(BOUND_FLOWS) * len(BOUND_DELAYS)
     out = {}
     for j, name in enumerate(SCHEDULERS):
         cut = slice(j * per, (j + 1) * per)
         out[f"bounds.{name}"] = round(median(whole[cut]) * 1e6, 1)
-        out[f"bounds.{name}.golden"] = round(median(in_golden[cut]) * 1e6, 1)
+        out[f"bounds.{name}.refine"] = round(median(in_refine[cut]) * 1e6, 1)
     return out
 
 
@@ -174,6 +178,8 @@ def main(argv=None):
     for name, spec in SCHEDULERS.items():
         out[f"simulate.{name}"] = best_ms(lambda: sim.simulate(sc, spec, cfg, 0), r)
     out |= bound_us(sc.params, r)
+    for name, spec in SCHEDULERS.items():
+        out[f"bound_rows.{name}"] = best_ms(lambda: bound_rows(sc, spec, ROWS_GRID), r)
     print(json.dumps(out))
 
 

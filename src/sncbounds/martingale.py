@@ -11,20 +11,22 @@ where c is the system's per-flow capacity and rho = p*P/c its utilization.
 system passes (n1/n)*rho, which can differ from p*P/c in the last bit.
 
 One term table serves both bound families.  ``_bound_terms`` gives each
-scheduler's terms: a reduced system, its prefactor powers and a service
-exponent(theta, r) in the twist theta and the effective bandwidth r.  The
-martingale bound evaluates each exponent at theta = gamma, where r_gamma = c,
-and sums K**flows * exp(exponent) over the terms; ``standard`` takes the
-infimum over theta in (0, gamma) instead.  Values are returned raw (they may
-exceed 1); clamping for display happens in the reporting layer only, so
-algebraic identities between bounds survive for testing.
+scheduler's terms: a reduced system, its prefactor powers and the
+coefficients of a service exponent theta*(a + b*r) in the twist theta and the
+effective bandwidth r.  The martingale bound evaluates each exponent at
+theta = gamma, where r_gamma = c, and sums K**flows * exp(exponent) over the
+terms; ``standard`` takes the infimum over theta in (0, gamma) instead.
+Values are returned raw (they may exceed 1); clamping for display happens in
+the reporting layer only, so algebraic identities between bounds survive.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (
     GpsInfeasibleError,
@@ -137,12 +139,12 @@ def gps_constants(scenario: Scenario, phi1: float) -> MartingaleConstants:
 
 
 class _Term(NamedTuple):
-    """One term of a bound: a reduced system and its service exponent.
+    """One term of a bound: a reduced system and its service exponent theta*(a + b*r).
 
     ``consts`` are the reduced system's constants and cm/k is its per-flow
     capacity c, so r_gamma = c at theta = consts.gamma.  The martingale term
-    is K**flows * exp(exponent(gamma, c)); the standard term is the infimum
-    over theta in (0, gamma) of L * exp(exponent(theta, r_theta)), with
+    is K**flows * exp(gamma*(a + b*c)); the standard term is the infimum
+    over theta in (0, gamma) of L * exp(theta*(a + b*r_theta)), with
     L = cm*e/(cm - k*r_theta), or cm/(cm - k*r_theta) without ``euler``.
     """
 
@@ -151,65 +153,77 @@ class _Term(NamedTuple):
     cm: float
     k: int
     euler: bool
-    exponent: Callable[[float, float], float]
+    a: float
+    b: float
 
 
-def _bound_terms(scenario: Scenario, sched: SchedulerSpec, d: float) -> tuple:
+def _bound_terms(scenario: Scenario, sched: SchedulerSpec, d) -> tuple:
     """The terms of the bound P(W1 > d) <= value under ``sched``.
 
-    Exponents, with y = d1* - d2* for EDF:
+    ``d`` is a delay or an increasing NumPy array of them; ``a`` (and ``b``
+    where it depends on d) then follow d.  Exponents theta*(a + b*r), with
+    y = d1* - d2* for EDF:
 
-    FIFO:  -theta C d
-    SP:    -theta (C - n2 r) d                  (cross flow has strict priority)
-    EDF, y >= 0 (ties included):  theta n2 r min(y, d) - theta C d
-    EDF, y <  0:  theta (C - n1 r) y - theta C d, plus -theta C d on the
+    FIFO:  a = -C d,  b = 0
+    SP:    a = -C d,  b = n2 d                  (cross flow has strict priority)
+    EDF, y >= 0 (ties included):  a = -C d,  b = n2 min(y, d)
+    EDF, y <  0:  a = C (y - d),  b = -n1 y, plus a = -C d,  b = 0 on the
            rescaled per-flow capacity c' = (n/n1) c at utilization (n1/n) rho,
            where the n1 through flows alone fill the whole server.  That
            second term is left out when P <= c': the through aggregate
            alone cannot backlog the server.
-    GPS:   -theta phi1 C d on the GPS-reduced system, which holds only the n1
-           through flows on a server of rate phi1 C: prefactor powers K^n1
-           and L = phi1 C/(phi1 C - n1 r_theta).
+    GPS:   a = -phi1 C d,  b = 0 on the GPS-reduced system, which holds only
+           the n1 through flows on a server of rate phi1 C: prefactor powers
+           K^n1 and L = phi1 C/(phi1 C - n1 r_theta).
     """
-    if not 0 <= d < math.inf:
-        raise InvalidParamsError(f"d must be finite and >= 0, got {d}")
+    grid = isinstance(d, np.ndarray)
+    lo, hi = (d[0], d[-1]) if grid else (d, d)
+    if not (0 <= lo and hi < math.inf):
+        raise InvalidParamsError(f"d must be finite and >= 0, got {hi if 0 <= lo else lo}")
     cap = scenario.capacity
     n1, n2 = scenario.n1, scenario.n2
 
     if sched.kind == "gps":
         phi_c = sched.phi1 * cap
         return (_Term(gps_constants(scenario, sched.phi1), n1, phi_c, n1, False,
-                      lambda th, r: -th * phi_c * d),)
+                      -phi_c * d, 0.0),)
 
     c = scenario.per_flow_capacity
     system = (martingale_constants(scenario), scenario.n, c, 1, True)
     if sched.kind == "fifo":
-        return (_Term(*system, lambda th, r: -th * cap * d),)
+        return (_Term(*system, -cap * d, 0.0),)
     if sched.kind == "sp":
-        return (_Term(*system, lambda th, r: -th * (cap - n2 * r) * d),)
+        return (_Term(*system, -cap * d, n2 * d),)
 
     y = sched.d1_star - sched.d2_star
     if y >= 0:
-        w = min(y, d)
-        return (_Term(*system, lambda th, r: th * n2 * r * w - th * cap * d),)
-    first = _Term(*system, lambda th, r: th * (cap - n1 * r) * y - th * cap * d)
+        return (_Term(*system, -cap * d, n2 * (np.minimum(y, d) if grid else min(y, d))),)
+    first = _Term(*system, cap * (y - d), -n1 * y)
     params = scenario.params
     c_resc = scenario.n / n1 * c
     if params.peak <= c_resc:
         return (first,)
     resc = _constants(params, n1 / scenario.n * scenario.rho, c_resc)
-    return first, _Term(resc, scenario.n, c_resc, 1, True,
-                        lambda th, r: -th * cap * d)
+    return first, _Term(resc, scenario.n, c_resc, 1, True, -cap * d, 0.0)
 
 
 def martingale_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float) -> DelayBound:
     """Delay-violation bound P(W1 > d) <= value for the through aggregate.
 
-    The sum of K**flows * exp(exponent(gamma, c)) over the scheduler's terms
+    The sum of K**flows * exp(gamma*(a + b*c)) over the scheduler's terms
     (``_bound_terms``), with c = cm/k; FIFO's, for one, is K^n e^{-gamma C d}.
     Each exponent is one sum inside ``exp``, so no factor overflows on its own.
     """
     value = 0.0
     for t in _bound_terms(scenario, sched, d):
-        value += t.consts.K ** t.flows * math.exp(t.exponent(t.consts.gamma, t.cm / t.k))
+        value += t.consts.K ** t.flows * math.exp(t.consts.gamma * (t.a + t.b * (t.cm / t.k)))
     return DelayBound(value)
+
+
+def _martingale_values(terms) -> list:
+    """``martingale_delay_bound`` at each delay of a grid's terms, bit for bit."""
+    values = [0.0] * len(terms[0].a)
+    for t in terms:
+        prefactor, exponents = t.consts.K ** t.flows, t.consts.gamma * (t.a + t.b * (t.cm / t.k))
+        values = [v + prefactor * math.exp(x) for v, x in zip(values, exponents.tolist())]
+    return values

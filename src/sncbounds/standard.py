@@ -19,19 +19,20 @@ decay rate gamma as its unique root.  So no root is searched for.
 One term table, two evaluators: ``martingale._bound_terms`` gives each
 scheduler's terms, each with its reduced system (the scenario's per-flow
 capacity, the GPS-reduced system or EDF's rescaled capacity), its
-prefactor L and its exponent(theta, r_theta).  The martingale bound
+prefactor L and its exponent theta*(a + b*r_theta).  The martingale bound
 evaluates the exponent at theta = gamma; this module takes the infimum
 over (0, gamma) of the reduced system, term by term (``_minimize_theta``
 takes one term), and sums the minima.
 A result carries that sum, the first term's minimizer and whether any
 minimum lies at an end of its interval.
 
-Each infimum is a 256-point log-spaced pre-scan on NumPy arrays and about
-55 golden-section steps on Python floats around its minimum.  The library
-builds the pre-scan grid itself (``_prescan_grid``, byte for byte the
-``np.geomspace`` of the same ends), and r_theta has one array definition,
-shared with ``effective_bandwidth_rate``, and one float definition, inline
-in the golden-section evaluator; the two give the same bits.
+Over a delay grid (one d is a one-point grid), one 256-point log-spaced
+pre-scan per term on NumPy arrays brackets the minimum at every d, where
+Newton steps on Python floats find the root of the objective's derivative.
+The library builds the pre-scan grid itself (``_prescan_grid``, byte for
+byte the ``np.geomspace`` of the same ends), and r_theta has one array
+definition, shared with ``effective_bandwidth_rate``, and one float
+definition, inline in the float evaluators; both give the same bits.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -56,6 +56,7 @@ __all__ = [
 _PRESCAN_POINTS = 256
 _EDGE = 1e-9  # relative inset of the optimization interval
 _IDX = np.arange(float(_PRESCAN_POINTS))
+_S_TOL = 1e-7  # relative Newton step in s that ends a refinement
 
 
 @dataclass(frozen=True)
@@ -64,9 +65,9 @@ class StandardBoundResult:
 
     A two-term EDF bound minimizes each term on its own and sums the
     minima.  ``at_edge`` is true when the minimum of any term lies at an
-    end of its optimization interval, within the ``_EDGE`` inset (and the
-    golden-section tolerance): the objective still fell toward the end, so
-    the bound may be loose or vacuous.
+    end of its optimization interval: its minimizer is within twice the
+    ``_EDGE`` inset of 0 or gamma, so the objective still fell toward the
+    end, and the bound may be loose or vacuous.
     """
 
     value: float
@@ -126,116 +127,151 @@ def _prescan_grid(theta_max: float) -> np.ndarray:
     return grid
 
 
-def _golden_min(f: Callable[[float], float], lo: float, hi: float,
-                tol: float) -> tuple[float, float]:
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - inv * (b - a)
-    x2 = a + inv * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv * (b - a)
-            f2 = f(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
-
-
 def _log_objective(params: MmooParams, term):
-    """Array and float evaluators of one term's log L + exponent(theta, r_theta).
+    """Pre-scan, float and slope evaluators of one term's log L + theta*(a + b*r_theta).
 
-    The value is ``const - log(cm - k*r_theta) + exponent(theta, r_theta)``,
-    with ``const`` = log(cm) + 1, or log(cm) without ``euler``.  Both give
-    +inf where the margin ``cm - k*r_theta`` is not positive or is NaN (on
-    arrays, through the log of a margin at or below zero) and where the
-    value is NaN.  The float one computes r_theta inline with the
-    IEEE operations of ``_rate_on_array`` in the same order; add, multiply,
-    divide and square root are correctly rounded in both ``math`` and
-    NumPy, so the two agree bit for bit.  Both take the logarithm with
-    ``np.log``: ``math.log`` differs from it in the last bit on some inputs.
+    The value f is ``const - log(cm - k*r_theta) + theta*(a + b*r_theta)``,
+    with ``const`` = log(cm) + 1, or log(cm) without ``euler``.  The pre-scan
+    maps a theta array to a (thetas x delays) matrix, with the d-free part
+    computed once per theta; the float evaluator takes one theta and one
+    delay's (a, b).  Both give +inf where the margin ``cm - k*r_theta`` is
+    not positive or is NaN, compute r_theta with the IEEE operations of
+    ``_rate_on_array`` in the same order (correctly rounded in both ``math``
+    and NumPy) and take the logarithm with ``np.log`` (``math.log`` differs
+    in the last bit on some inputs), so the two agree bit for bit.
+
+    The slope gives df/ds and d2f/ds2 in s = -log(1 - theta/gamma), where
+    df/ds = (gamma - theta) f' has no pole at gamma; with m = cm - k r,
+    f' = k r'/m + a + b (r + theta r') and f'' = k r''/m + (k r'/m)^2 +
+    b (2 r' + theta r''), where theta r^2 + q r = mu P, q = lam + mu - theta P,
+    gives r' = r (P - r)/sqrt(Delta) and r'' = r' (P - 2 r - P (2 mu - q)/sqrt(Delta))/sqrt(Delta).
     """
     lam_mu, mu4, two_mu_peak, peak = rates = _rate_constants(params)
-    cm, k, exponent = term.cm, term.k, term.exponent
+    cm, k, gamma = term.cm, term.k, term.consts.gamma
     const = 1.0 + math.log(cm) if term.euler else math.log(cm)
     log, sqrt, inf, to_float = np.log, math.sqrt, math.inf, float
 
     def on_array(th: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             r = _rate_on_array(th, *rates)
-            vals = const - log(cm - k * r) + exponent(th, r)
-        vals[np.isnan(vals)] = inf
-        return vals
+            base = const - log(cm - k * r)
+        base[np.isnan(base)] = inf
+        return base[:, None] + th[:, None] * (term.a + term.b * r[:, None])
 
-    def on_float(th: float) -> float:
-        b = lam_mu - th * peak
-        sq = sqrt(b * b + mu4 * th * peak)
-        r = two_mu_peak / (sq + b) if b > 0 else (sq - b) / (2.0 * th)
+    def on_float(th: float, a: float, b: float) -> float:
+        q = lam_mu - th * peak
+        sq = sqrt(q * q + mu4 * th * peak)
+        r = two_mu_peak / (sq + q) if q > 0 else (sq - q) / (2.0 * th)
+        margin = cm - k * r
+        return const - to_float(log(margin)) + th * (a + b * r) if margin > 0 else inf
+
+    def slope(th: float, a: float, b: float) -> tuple[float, float]:
+        q = lam_mu - th * peak
+        sq = sqrt(q * q + mu4 * th * peak)
+        r = two_mu_peak / (sq + q) if q > 0 else (sq - q) / (2.0 * th)
         margin = cm - k * r
         if not margin > 0:
-            return inf
-        val = const - to_float(log(margin)) + exponent(th, r)
-        return val if val == val else inf  # NaN is +inf
+            return inf, inf
+        dr = r * (peak - r) / sq
+        d2r = dr * (peak - 2.0 * r - peak * (0.5 * mu4 - q) / sq) / sq
+        u = k * dr / margin
+        f1 = u + a + b * (r + th * dr)
+        f2 = k * d2r / margin + u * u + b * (2.0 * dr + th * d2r)
+        w = gamma - th
+        return w * f1, w * (w * f2 - f1)
 
-    return on_array, on_float
+    return on_array, on_float, slope
 
 
-def _minimize_theta(params: MmooParams, term) -> tuple[float, float, bool]:
-    """Minimize one term of ``martingale._bound_terms`` over (0, gamma).
+def _refine(slope, lo: float, start: float, hi: float, gamma: float, a: float, b: float):
+    """The theta in [lo, hi] where df/ds changes sign, in s = -log(1 - theta/gamma).
+
+    Newton's method on s from ``start``, bisecting where a step leaves the
+    bracket that each evaluated sign narrows, up to the first step below
+    ``_S_TOL`` relative to s.  A start at an end sloping outward returns it.
+    """
+    s0, s, s1 = -math.log1p(-lo / gamma), -math.log1p(-start / gamma), -math.log1p(-hi / gamma)
+    th = start
+    for _ in range(100):
+        g, dg = slope(th, a, b)
+        if g < 0:
+            s0 = s
+        elif g > 0:
+            s1 = s
+        else:
+            break
+        step = s - g / dg
+        if not s0 < step < s1:
+            step = 0.5 * (s0 + s1)
+        th = -gamma * math.expm1(-step)
+        if abs(step - s) <= _S_TOL * step:
+            break
+        s = step
+    return th
+
+
+def _minimize_theta(params: MmooParams, term) -> list:
+    """Minimize one term of ``martingale._bound_terms`` over (0, gamma) at each delay.
 
     The objective (``_log_objective``) is the log of L = cm*e/(cm -
     k*r_theta), or cm/(cm - k*r_theta) without ``euler``, plus the term's
     exponent, and gamma (``theta_max``) is the decay rate of the term's
-    reduced system.  Returns the minimizer, the minimum and whether the
-    minimizer lies at an end of the inset interval.  A gamma whose inset
-    end ``_EDGE*gamma`` is below the smallest normal double (gamma below
-    about 2e-299) raises ``InvalidParamsError``: the log-spaced grid would
-    start at a subnormal or zero theta.
+    reduced system.  Returns, per delay, the minimizer, the minimum and
+    whether the minimizer lies at an end of the inset interval.  A gamma
+    whose inset end ``_EDGE*gamma`` is below the smallest normal double
+    (gamma below about 2e-299) raises ``InvalidParamsError``: the
+    log-spaced grid would start at a subnormal or zero theta.
 
-    A 256-point log-spaced pre-scan (``_prescan_grid``) brackets the
-    minimum; golden-section refines it.  The pre-scan minimum is the
-    fallback if the objective is not unimodal, so the result never exceeds
-    the scanned values.  Float dust can push the feasibility margin to or
-    below zero at the right endpoint when the utilization is extreme; such
-    points are treated as infeasible (+inf).
-
-    The pre-scan evaluates all 256 points at once on NumPy arrays, in one
-    ``errstate`` block; the golden-section steps evaluate one point at a
-    time on Python floats, where NumPy's per-call overhead would dominate.
-    The two evaluators of ``_log_objective`` agree bit for bit, so the
-    result does not depend on which of them produced a value.
+    The pre-scan (``_prescan_grid``) brackets each delay's minimum between
+    the neighbours of its smallest point, where ``_refine`` starts.  The
+    value is the float objective at the refined theta, or the pre-scan
+    minimum where lower (the objective need not be unimodal).  Float dust
+    can make the margin non-positive at the right end when the utilization
+    is extreme; such points are infeasible (+inf).
     """
     theta_max = term.consts.gamma
     if _EDGE * theta_max < sys.float_info.min:
         raise InvalidParamsError(
             f"decay rate gamma={theta_max:.6g} is too small for the standard bound's "
             f"optimizer: {_EDGE:g}*gamma is below the smallest normal double")
-    on_array, on_float = _log_objective(params, term)
+    on_array, on_float, slope = _log_objective(params, term)
     grid = _prescan_grid(theta_max)
     vals = on_array(grid)
-    i = int(vals.argmin())
-    lo = float(grid[max(i - 1, 0)])
-    hi = float(grid[min(i + 1, _PRESCAN_POINTS - 1)])
-    th, fv = _golden_min(on_float, lo, hi, tol=1e-12 * theta_max)
-    if vals[i] < fv:
-        th, fv = float(grid[i]), float(vals[i])
-    return th, fv, min(th, theta_max - th) <= 2.0 * _EDGE * theta_max
+    a_s = term.a.tolist()
+    b_s = term.b.tolist() if isinstance(term.b, np.ndarray) else [term.b] * len(a_s)
+    last, edge = _PRESCAN_POINTS - 1, 2.0 * _EDGE * theta_max
+    minima = []
+    for j, i in enumerate(vals.argmin(axis=0).tolist()):
+        a, b = a_s[j], b_s[j]
+        th = _refine(slope, grid.item(max(i - 1, 0)), grid.item(i), grid.item(min(i + 1, last)),
+                     theta_max, a, b)
+        fv = on_float(th, a, b)
+        if vals.item(i, j) < fv:
+            th, fv = grid.item(i), vals.item(i, j)
+        minima.append((th, fv, min(th, theta_max - th) <= edge))
+    return minima
+
+
+def _standard_bounds(params: MmooParams, terms) -> list:
+    """The standard bound at each delay of a grid's terms (``martingale._bound_terms``)."""
+    results = []
+    for per_d in zip(*[_minimize_theta(params, t) for t in terms]):
+        value, at_edge = 0.0, False
+        for _, fv, edge in per_d:
+            value += math.exp(fv)
+            at_edge = at_edge or edge
+        results.append(StandardBoundResult(value, per_d[0][0], at_edge))
+    return results
 
 
 def standard_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float) -> StandardBoundResult:
     """Classical delay bound P(W1 > d) <= value for each scheduler.
 
     The sum over the scheduler's terms (``martingale._bound_terms``) of the
-    infimum over (0, gamma) of L * exp(exponent(theta, r_theta)) on the
-    term's reduced system, with L = cm*e/(cm - k*r_theta), or
-    cm/(cm - k*r_theta) without ``euler``; FIFO's, for one, is
-    inf L e^{-theta C d}.  ``theta_star`` is the first term's minimizer.
+    infimum over (0, gamma) of L * exp(theta*(a + b*r_theta)) on the term's
+    reduced system, with L = cm*e/(cm - k*r_theta), or cm/(cm - k*r_theta)
+    without ``euler``; FIFO's, for one, is inf L e^{-theta C d}.
+    ``theta_star`` is the first term's minimizer.  One d is a one-point grid.
     """
-    minima = [_minimize_theta(scenario.params, t) for t in _bound_terms(scenario, sched, d)]
-    value = 0.0
-    for _, fv, _ in minima:
-        value += math.exp(fv)
-    return StandardBoundResult(value, minima[0][0], any(edge for _, _, edge in minima))
+    terms = _bound_terms(scenario, sched, np.array([d], dtype=float))
+    return _standard_bounds(scenario.params, terms)[0]

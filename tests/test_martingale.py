@@ -305,7 +305,7 @@ class TestTermTable:
                 for t in terms:
                     r = effective_bandwidth_rate(t.consts.gamma, sc.params)
                     assert r == pytest.approx(t.cm / t.k, rel=1e-12)
-                    total += t.consts.K ** t.flows * math.exp(t.exponent(t.consts.gamma, r))
+                    total += t.consts.K ** t.flows * math.exp(t.consts.gamma * (t.a + t.b * r))
                 assert martingale_delay_bound(sc, sched, d).value == pytest.approx(
                     total, rel=1e-12)
                 checked += 1

@@ -251,7 +251,7 @@ def test_kind_comparison_detector():
 
 
 def test_stage_times_script_runs(capsys):
-    # the script times private sim functions; a rename must fail here
+    # the script times private sim and standard functions; a rename must fail here
     spec = importlib.util.spec_from_file_location("stage_times",
                                                   ROOT / "scripts" / "stage_times.py")
     script = importlib.util.module_from_spec(spec)
@@ -264,12 +264,12 @@ def test_stage_times_script_runs(capsys):
         service.append(f"service.{n}")
         if script.SCHEDULERS[n].kind != "fifo":
             service += [f"service.{n}.{part}" for part in ("loop", "lockstep", "steps")]
-    bounds = [key for n in names for key in (f"bounds.{n}", f"bounds.{n}.golden")]
+    bounds = [key for n in names for key in (f"bounds.{n}", f"bounds.{n}.refine")]
     assert list(out) == (["arrivals", "merge"] + service
                          + ["backlog", "statistics"] + [f"simulate.{n}" for n in names]
-                         + bounds)
-    # golden-section is part of every bound call
-    assert all(0 < out[f"bounds.{n}.golden"] < out[f"bounds.{n}"] for n in names)
+                         + bounds + [f"bound_rows.{n}" for n in names])
+    # the refinement is part of every bound call
+    assert all(0 < out[f"bounds.{n}.refine"] < out[f"bounds.{n}"] for n in names)
     steps = {name: out.pop(name) for name in list(out) if name.endswith(".steps")}
     assert all(isinstance(n, int) and n > 0 for n in steps.values())
     assert all(isinstance(ms, float) and ms >= 0 for ms in out.values())
