@@ -186,9 +186,9 @@ def _log_objective(params: MmooParams, term):
 def _refine(slope, lo: float, start: float, hi: float, gamma: float, a: float, b: float):
     """The theta in [lo, hi] where df/ds changes sign, in s = -log(1 - theta/gamma).
 
-    Newton's method on s from ``start``, bisecting where a step leaves the
-    bracket that each evaluated sign narrows, up to the first step below
-    ``_S_TOL`` relative to s.  A start at an end sloping outward returns it.
+    Newton's method on s from ``start``, bisecting off convex stretches and
+    outside the bracket each evaluated sign narrows, up to the first step
+    below ``_S_TOL`` relative to s.  A start at an end sloping outward returns it.
     """
     s0, s, s1 = -math.log1p(-lo / gamma), -math.log1p(-start / gamma), -math.log1p(-hi / gamma)
     th = start
@@ -200,7 +200,7 @@ def _refine(slope, lo: float, start: float, hi: float, gamma: float, a: float, b
             s1 = s
         else:
             break
-        step = s - g / dg
+        step = s - g / dg if dg > 0 else math.nan
         if not s0 < step < s1:
             step = 0.5 * (s0 + s1)
         th = -gamma * math.expm1(-step)

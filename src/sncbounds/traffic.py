@@ -259,9 +259,9 @@ _BLOCK = 1024  # dwells drawn per block; even, so every block starts in one stat
 
 
 @functools.lru_cache(maxsize=64)
-def _on_off_law(params: MmooParams) -> np.ndarray:
-    """``stationary_distribution([mu], [lam])`` of a source, computed once per parameter set."""
-    return stationary_distribution([params.mu], [params.lam])
+def _on_off_law(params: MmooParams) -> tuple:
+    """``stationary_distribution([mu], [lam])`` of a source, once per parameter set, immutable."""
+    return tuple(stationary_distribution([params.mu], [params.lam]).tolist())
 
 
 def sample_path(params: MmooParams, horizon: float, seed) -> StatePath:

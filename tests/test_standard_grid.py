@@ -215,7 +215,8 @@ def test_slope_matches_central_differences(sched):
 
 
 @pytest.mark.parametrize("sched", sorted(SCHEDULERS))
-def test_refined_minimum_never_above_prescan(sched):
+def test_refined_minimum_never_above_prescan(monkeypatch, sched):
+    """Also when the refinement returns a worse theta: the pre-scan minimum stands."""
     delays = (0.0, 0.5, 5.0, 40.0)
     checked = 0
     for params, term in _grid_terms(sched, delays, flows=FLOWS):
@@ -224,8 +225,13 @@ def test_refined_minimum_never_above_prescan(sched):
         except SncboundsError:
             continue
         on_array, _, _ = standard._log_objective(params, term)
-        scanned = on_array(standard._prescan_grid(term.consts.gamma)).min(axis=0)
-        assert all(fv <= low for (_, fv, _), low in zip(minima, scanned.tolist()))
+        grid = standard._prescan_grid(term.consts.gamma)
+        scanned = on_array(grid).min(axis=0).tolist()
+        assert all(fv <= low for (_, fv, _), low in zip(minima, scanned))
+        with monkeypatch.context() as m:
+            m.setattr(standard, "_refine", lambda slope, lo, start, hi, *rest: hi)
+            sabotaged = standard._minimize_theta(params, term)
+        assert all(fv <= low for (_, fv, _), low in zip(sabotaged, scanned))
         checked += 1
     assert checked
 

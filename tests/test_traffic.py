@@ -250,7 +250,7 @@ class TestSamplePath:
         # equal parameters share one law, bit for bit the uncached one
         law = _on_off_law(MmooParams(0.7, 0.3, 1.7))
         assert _on_off_law(MmooParams(0.7, 0.3, 1.7)) is law
-        assert law.tobytes() == stationary_distribution([0.3], [0.7]).tobytes()
+        assert np.array(law).tobytes() == stationary_distribution([0.3], [0.7]).tobytes()
 
     def test_deterministic_given_seed(self):
         a = sample_path(BASE_SOURCE, 100.0, (5, 1))
