@@ -194,12 +194,12 @@ def test_slope_matches_central_differences(sched):
     for params, term in _grid_terms(sched, (1.0, 5.0), flows=(2, 10), sources=(SOURCE,)):
         _, on_float, slope = standard._log_objective(params, term)
         gamma = term.consts.gamma
+
+        def at(s):
+            return -gamma * math.expm1(-s)
+
         for j in range(2):
             a, b = _at(term.a, j), _at(term.b, j)
-
-            def at(s):
-                return -gamma * math.expm1(-s)
-
             for th in standard._prescan_grid(gamma)[170:252:4].tolist():
                 s = -math.log1p(-th / gamma)
                 h = 1e-4 * s
