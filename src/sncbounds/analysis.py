@@ -18,11 +18,10 @@ from .errors import InvalidParamsError
 from .martingale import (
     SchedulerSpec,
     _bound_terms,
-    _martingale_values,
     martingale_constants,
     martingale_delay_bound,
 )
-from .standard import _standard_bounds, standard_delay_bound
+from .standard import standard_delay_bound
 from .traffic import MmooParams, Scenario
 from .sim import SimConfig, check_delay_grid, replicate
 
@@ -61,14 +60,13 @@ def palm_prefactor(scenario: Scenario) -> float:
 
 
 def bound_rows(scenario: Scenario, sched: SchedulerSpec, grid) -> list[dict]:
-    """Palm-corrected martingale and standard bounds from one term table, a row per d."""
+    """Palm-corrected martingale and standard bounds, one row per d."""
     check_delay_grid(grid)
     palm = palm_prefactor(scenario)
-    terms = _bound_terms(scenario, sched, np.asarray(grid, dtype=float))
     rows = []
-    marts = _martingale_values(terms)
-    for d, mart, std in zip(grid, marts, _standard_bounds(scenario.params, terms)):
-        mart *= palm
+    for d in grid:
+        mart = palm * martingale_delay_bound(scenario, sched, d).value
+        std = standard_delay_bound(scenario, sched, d)
         std_raw = palm * std.value
         rows.append({
             "scheduler": sched.kind, "n1": scenario.n1, "n2": scenario.n2,
@@ -321,8 +319,8 @@ def _suite_optimizer() -> tuple[bool, str]:
 
     The grid evaluates L * exp(theta*(a + b*r_theta)) directly, with
     L = cm*e/(cm - k*r_theta) (cm/(cm - k*r_theta) without ``euler``), over
-    the term's inset interval (0, gamma), at each delay of one delay grid;
-    the excess is the optimized minimum over the grid's, minus 1.
+    the term's inset interval (0, gamma); the excess is the optimized
+    minimum over the grid's, minus 1.
     """
     from .errors import GpsInfeasibleError
     from .standard import _minimize_theta, effective_bandwidth_rate
@@ -331,26 +329,25 @@ def _suite_optimizer() -> tuple[bool, str]:
     scheds = (SchedulerSpec.fifo(), SchedulerSpec.sp(), SchedulerSpec.edf(10.0, 1.0),
               SchedulerSpec.edf(1.0, 10.0), SchedulerSpec.gps(0.3), SchedulerSpec.gps(0.5),
               SchedulerSpec.gps(0.7))
-    delays = np.array([0.0, 2.0, 10.0])
     worst, terms_checked = 0.0, 0
     for rho in (0.5, 0.75, 0.95):
         sc = Scenario.from_utilization(5, 5, rho, params)
         for sched in scheds:
-            try:
-                terms = _bound_terms(sc, sched, delays)
-            except GpsInfeasibleError:
-                continue
-            for t in terms:
-                gamma = t.consts.gamma
-                th = np.geomspace(1e-9 * gamma, gamma * (1 - 1e-9), 10_000)
-                r = effective_bandwidth_rate(th, params)
-                margin = t.cm - t.k * r
-                lead = t.cm * math.e if t.euler else t.cm
-                prefactor = np.where(margin > 0, lead / margin, np.inf)
-                for j, (_, log_min, _) in enumerate(_minimize_theta(params, t)):
-                    b = t.b[j] if isinstance(t.b, np.ndarray) else t.b
-                    grid_min = float((prefactor * np.exp(th * (t.a[j] + b * r))).min())
-                    worst = max(worst, math.exp(log_min) / grid_min - 1.0)
+            for d in (0.0, 2.0, 10.0):
+                try:
+                    terms = _bound_terms(sc, sched, d)
+                except GpsInfeasibleError:
+                    continue
+                for t in terms:
+                    _, log_min, _ = _minimize_theta(params, t)
+                    gamma = t.consts.gamma
+                    th = np.geomspace(1e-9 * gamma, gamma * (1 - 1e-9), 10_000)
+                    r = effective_bandwidth_rate(th, params)
+                    margin = t.cm - t.k * r
+                    lead = t.cm * math.e if t.euler else t.cm
+                    grid_vals = np.where(margin > 0, lead / margin, np.inf) \
+                        * np.exp(th * (t.a + t.b * r))
+                    worst = max(worst, math.exp(log_min) / float(grid_vals.min()) - 1.0)
                     terms_checked += 1
     return worst <= 1e-9, (f"max excess over 10^4-point grid {worst:.3g} "
                            f"({terms_checked} terms, 7 schedulers)")

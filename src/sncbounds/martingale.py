@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import (
     GpsInfeasibleError,
     InvalidParamsError,
@@ -157,12 +155,10 @@ class _Term(NamedTuple):
     b: float
 
 
-def _bound_terms(scenario: Scenario, sched: SchedulerSpec, d) -> tuple:
+def _bound_terms(scenario: Scenario, sched: SchedulerSpec, d: float) -> tuple:
     """The terms of the bound P(W1 > d) <= value under ``sched``.
 
-    ``d`` is a delay or an increasing NumPy array of them; ``a`` (and ``b``
-    where it depends on d) then follow d.  Exponents theta*(a + b*r), with
-    y = d1* - d2* for EDF:
+    Exponents theta*(a + b*r), with y = d1* - d2* for EDF:
 
     FIFO:  a = -C d,  b = 0
     SP:    a = -C d,  b = n2 d                  (cross flow has strict priority)
@@ -176,10 +172,8 @@ def _bound_terms(scenario: Scenario, sched: SchedulerSpec, d) -> tuple:
            the n1 through flows on a server of rate phi1 C: prefactor powers
            K^n1 and L = phi1 C/(phi1 C - n1 r_theta).
     """
-    grid = isinstance(d, np.ndarray)
-    lo, hi = (d[0], d[-1]) if grid else (d, d)
-    if not (0 <= lo and hi < math.inf):
-        raise InvalidParamsError(f"d must be finite and >= 0, got {hi if 0 <= lo else lo}")
+    if not 0 <= d < math.inf:
+        raise InvalidParamsError(f"d must be finite and >= 0, got {d}")
     cap = scenario.capacity
     n1, n2 = scenario.n1, scenario.n2
 
@@ -197,7 +191,7 @@ def _bound_terms(scenario: Scenario, sched: SchedulerSpec, d) -> tuple:
 
     y = sched.d1_star - sched.d2_star
     if y >= 0:
-        return (_Term(*system, -cap * d, n2 * (np.minimum(y, d) if grid else min(y, d))),)
+        return (_Term(*system, -cap * d, n2 * min(y, d)),)
     first = _Term(*system, cap * (y - d), -n1 * y)
     params = scenario.params
     c_resc = scenario.n / n1 * c
@@ -219,11 +213,3 @@ def martingale_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float) -
         value += t.consts.K ** t.flows * math.exp(t.consts.gamma * (t.a + t.b * (t.cm / t.k)))
     return DelayBound(value)
 
-
-def _martingale_values(terms) -> list:
-    """``martingale_delay_bound`` at each delay of a grid's terms, bit for bit."""
-    values = [0.0] * len(terms[0].a)
-    for t in terms:
-        prefactor, exponents = t.consts.K ** t.flows, t.consts.gamma * (t.a + t.b * (t.cm / t.k))
-        values = [v + prefactor * math.exp(x) for v, x in zip(values, exponents.tolist())]
-    return values

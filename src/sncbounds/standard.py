@@ -26,13 +26,13 @@ takes one term), and sums the minima.
 A result carries that sum, the first term's minimizer and whether any
 minimum lies at an end of its interval.
 
-Over a delay grid (one d is a one-point grid), one 256-point log-spaced
-pre-scan per term on NumPy arrays brackets the minimum at every d, where
-Newton steps on Python floats find the root of the objective's derivative.
-The library builds the pre-scan grid itself (``_prescan_grid``, byte for
-byte the ``np.geomspace`` of the same ends), and r_theta has one array
-definition, shared with ``effective_bandwidth_rate``, and one float
-definition, inline in the float evaluators; both give the same bits.
+Each infimum is a 256-point log-spaced pre-scan on NumPy arrays, which
+brackets the minimum, and Newton steps on Python floats to the root of the
+objective's derivative inside that bracket.  The library builds the
+pre-scan grid itself (``_prescan_grid``, byte for byte the
+``np.geomspace`` of the same ends), and r_theta has one array definition,
+shared with ``effective_bandwidth_rate``, and one float definition, inline
+in the float evaluators; both give the same bits.
 """
 
 from __future__ import annotations
@@ -132,10 +132,9 @@ def _log_objective(params: MmooParams, term):
 
     The value f is ``const - log(cm - k*r_theta) + theta*(a + b*r_theta)``,
     with ``const`` = log(cm) + 1, or log(cm) without ``euler``.  The pre-scan
-    maps a theta array to a (thetas x delays) matrix, with the d-free part
-    computed once per theta; the float evaluator takes one theta and one
-    delay's (a, b).  Both give +inf where the margin ``cm - k*r_theta`` is
-    not positive or is NaN, compute r_theta with the IEEE operations of
+    evaluator maps a theta array to its values, the float one takes one
+    theta.  Both give +inf where the margin ``cm - k*r_theta`` is not
+    positive or is NaN, compute r_theta with the IEEE operations of
     ``_rate_on_array`` in the same order (correctly rounded in both ``math``
     and NumPy) and take the logarithm with ``np.log`` (``math.log`` differs
     in the last bit on some inputs), so the two agree bit for bit.
@@ -147,25 +146,25 @@ def _log_objective(params: MmooParams, term):
     gives r' = r (P - r)/sqrt(Delta) and r'' = r' (P - 2 r - P (2 mu - q)/sqrt(Delta))/sqrt(Delta).
     """
     lam_mu, mu4, two_mu_peak, peak = rates = _rate_constants(params)
-    cm, k, gamma = term.cm, term.k, term.consts.gamma
+    cm, k, gamma, a, b = term.cm, term.k, term.consts.gamma, term.a, term.b
     const = 1.0 + math.log(cm) if term.euler else math.log(cm)
     log, sqrt, inf, to_float = np.log, math.sqrt, math.inf, float
 
     def on_array(th: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             r = _rate_on_array(th, *rates)
-            base = const - log(cm - k * r)
-        base[np.isnan(base)] = inf
-        return base[:, None] + th[:, None] * (term.a + term.b * r[:, None])
+            vals = const - log(cm - k * r) + th * (a + b * r)
+        vals[np.isnan(vals)] = inf
+        return vals
 
-    def on_float(th: float, a: float, b: float) -> float:
+    def on_float(th: float) -> float:
         q = lam_mu - th * peak
         sq = sqrt(q * q + mu4 * th * peak)
         r = two_mu_peak / (sq + q) if q > 0 else (sq - q) / (2.0 * th)
         margin = cm - k * r
         return const - to_float(log(margin)) + th * (a + b * r) if margin > 0 else inf
 
-    def slope(th: float, a: float, b: float) -> tuple[float, float]:
+    def slope(th: float) -> tuple[float, float]:
         q = lam_mu - th * peak
         sq = sqrt(q * q + mu4 * th * peak)
         r = two_mu_peak / (sq + q) if q > 0 else (sq - q) / (2.0 * th)
@@ -183,17 +182,18 @@ def _log_objective(params: MmooParams, term):
     return on_array, on_float, slope
 
 
-def _refine(slope, lo: float, start: float, hi: float, gamma: float, a: float, b: float):
+def _refine(slope, lo: float, start: float, hi: float, gamma: float) -> float:
     """The theta in [lo, hi] where df/ds changes sign, in s = -log(1 - theta/gamma).
 
-    Newton's method on s from ``start``, bisecting off convex stretches and
-    outside the bracket each evaluated sign narrows, up to the first step
-    below ``_S_TOL`` relative to s.  A start at an end sloping outward returns it.
+    Newton's method on s from ``start``, bisecting where the objective is not
+    convex (d2f/ds2 <= 0) and where a Newton step leaves the bracket that
+    each evaluated sign narrows, up to the first step below ``_S_TOL``
+    relative to s.  A start at an end sloping outward returns it.
     """
     s0, s, s1 = -math.log1p(-lo / gamma), -math.log1p(-start / gamma), -math.log1p(-hi / gamma)
     th = start
     for _ in range(100):
-        g, dg = slope(th, a, b)
+        g, dg = slope(th)
         if g < 0:
             s0 = s
         elif g > 0:
@@ -210,20 +210,20 @@ def _refine(slope, lo: float, start: float, hi: float, gamma: float, a: float, b
     return th
 
 
-def _minimize_theta(params: MmooParams, term) -> list:
-    """Minimize one term of ``martingale._bound_terms`` over (0, gamma) at each delay.
+def _minimize_theta(params: MmooParams, term) -> tuple[float, float, bool]:
+    """Minimize one term of ``martingale._bound_terms`` over (0, gamma).
 
     The objective (``_log_objective``) is the log of L = cm*e/(cm -
     k*r_theta), or cm/(cm - k*r_theta) without ``euler``, plus the term's
     exponent, and gamma (``theta_max``) is the decay rate of the term's
-    reduced system.  Returns, per delay, the minimizer, the minimum and
-    whether the minimizer lies at an end of the inset interval.  A gamma
-    whose inset end ``_EDGE*gamma`` is below the smallest normal double
-    (gamma below about 2e-299) raises ``InvalidParamsError``: the
-    log-spaced grid would start at a subnormal or zero theta.
+    reduced system.  Returns the minimizer, the minimum and whether the
+    minimizer lies at an end of the inset interval.  A gamma whose inset
+    end ``_EDGE*gamma`` is below the smallest normal double (gamma below
+    about 2e-299) raises ``InvalidParamsError``: the log-spaced grid would
+    start at a subnormal or zero theta.
 
-    The pre-scan (``_prescan_grid``) brackets each delay's minimum between
-    the neighbours of its smallest point, where ``_refine`` starts.  The
+    The pre-scan (``_prescan_grid``) brackets the minimum between the
+    neighbours of its smallest point, where ``_refine`` starts.  The
     value is the float objective at the refined theta, or the pre-scan
     minimum where lower (the objective need not be unimodal).  Float dust
     can make the margin non-positive at the right end when the utilization
@@ -237,31 +237,13 @@ def _minimize_theta(params: MmooParams, term) -> list:
     on_array, on_float, slope = _log_objective(params, term)
     grid = _prescan_grid(theta_max)
     vals = on_array(grid)
-    a_s = term.a.tolist()
-    b_s = term.b.tolist() if isinstance(term.b, np.ndarray) else [term.b] * len(a_s)
-    last, edge = _PRESCAN_POINTS - 1, 2.0 * _EDGE * theta_max
-    minima = []
-    for j, i in enumerate(vals.argmin(axis=0).tolist()):
-        a, b = a_s[j], b_s[j]
-        th = _refine(slope, grid.item(max(i - 1, 0)), grid.item(i), grid.item(min(i + 1, last)),
-                     theta_max, a, b)
-        fv = on_float(th, a, b)
-        if vals.item(i, j) < fv:
-            th, fv = grid.item(i), vals.item(i, j)
-        minima.append((th, fv, min(th, theta_max - th) <= edge))
-    return minima
-
-
-def _standard_bounds(params: MmooParams, terms) -> list:
-    """The standard bound at each delay of a grid's terms (``martingale._bound_terms``)."""
-    results = []
-    for per_d in zip(*[_minimize_theta(params, t) for t in terms]):
-        value, at_edge = 0.0, False
-        for _, fv, edge in per_d:
-            value += math.exp(fv)
-            at_edge = at_edge or edge
-        results.append(StandardBoundResult(value, per_d[0][0], at_edge))
-    return results
+    i = int(vals.argmin())
+    th = _refine(slope, grid.item(max(i - 1, 0)), grid.item(i),
+                 grid.item(min(i + 1, _PRESCAN_POINTS - 1)), theta_max)
+    fv = on_float(th)
+    if vals.item(i) < fv:
+        th, fv = grid.item(i), vals.item(i)
+    return th, fv, min(th, theta_max - th) <= 2.0 * _EDGE * theta_max
 
 
 def standard_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float) -> StandardBoundResult:
@@ -271,7 +253,10 @@ def standard_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float) -> 
     infimum over (0, gamma) of L * exp(theta*(a + b*r_theta)) on the term's
     reduced system, with L = cm*e/(cm - k*r_theta), or cm/(cm - k*r_theta)
     without ``euler``; FIFO's, for one, is inf L e^{-theta C d}.
-    ``theta_star`` is the first term's minimizer.  One d is a one-point grid.
+    ``theta_star`` is the first term's minimizer.
     """
-    terms = _bound_terms(scenario, sched, np.array([d], dtype=float))
-    return _standard_bounds(scenario.params, terms)[0]
+    minima = [_minimize_theta(scenario.params, t) for t in _bound_terms(scenario, sched, d)]
+    value = 0.0
+    for _, fv, _ in minima:
+        value += math.exp(fv)
+    return StandardBoundResult(value, minima[0][0], any(edge for _, _, edge in minima))

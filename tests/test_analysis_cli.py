@@ -246,8 +246,8 @@ class TestVerifySuites:
         minimize = standard._minimize_theta
 
         def off_on_gps(params, term):
-            shift = 1e-6 if term.k != 1 else 0.0
-            return [(th, fv + shift, edge) for th, fv, edge in minimize(params, term)]
+            th, fv, edge = minimize(params, term)
+            return th, fv + (1e-6 if term.k != 1 else 0.0), edge
 
         monkeypatch.setattr(standard, "_minimize_theta", off_on_gps)
         [(_, passed, detail)] = verify("optimizer-grid")

@@ -1,4 +1,6 @@
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -310,6 +312,46 @@ class TestTermTable:
                     total, rel=1e-12)
                 checked += 1
         assert checked >= 8
+
+    @pytest.mark.parametrize("sched", TABLE_SCHEDULERS, ids=repr)
+    def test_coefficients_match_closed_form_exponents(self, sched):
+        """(a, b) against the exponents written out, also on uneven splits.
+
+        a + b*c cancels where n2 >> n1: its summands are about n/n1 times the
+        sum, so two orders of the same operations differ by a few ulps of
+        the summands, gamma*(|a| + |b|*c), not of the exponent.
+        """
+        worst = 0.0
+        for rho, n1, n2, d in itertools.product((0.3, 0.75, 0.95), (1, 2, 5),
+                                                (1, 10, 1000, 10_000), (0.0, 0.5, 3.0, 12.0)):
+            sc = scenario(rho, n1, n2)
+            try:
+                terms = _bound_terms(sc, sched, d)
+            except (GpsInfeasibleError, TrivialScenarioError):
+                continue
+            cap, c, y = sc.capacity, sc.per_flow_capacity, sched.d1_star - sched.d2_star
+            if sched.kind == "gps":
+                exponents = [-sched.phi1 * cap * d]
+            elif sched.kind == "sp":
+                exponents = [-(cap - n2 * c) * d]
+            elif sched.kind == "edf" and y >= 0:
+                exponents = [n2 * c * min(y, d) - cap * d]
+            elif sched.kind == "edf":
+                exponents = [(cap - n1 * c) * y - cap * d, -cap * d]
+            else:
+                exponents = [-cap * d]
+            written, summands = 0.0, 0.0
+            for t, exponent in zip(terms, exponents):
+                written += t.consts.K ** t.flows * math.exp(t.consts.gamma * exponent)
+                summands = max(summands, t.consts.gamma * (abs(t.a) + abs(t.b) * t.cm / t.k))
+            value = martingale_delay_bound(sc, sched, d).value
+            if written < 1e-290:  # near or below the subnormals: no relative precision
+                assert value < 1e-280
+                continue
+            move = abs(value / written - 1.0)
+            assert move <= 1e-14 + 8 * sys.float_info.epsilon * summands, (rho, n1, n2, d)
+            worst = max(worst, move)
+        print(f"largest relative move against the written exponents: {worst:.3g}")
 
     def test_edf_10_1_at_ten_thousand_flows(self):
         # the gap factor exp(gamma C2 min(y, d)) alone overflows here;

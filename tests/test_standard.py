@@ -47,18 +47,13 @@ def fifo_objective(sc):
 
 @pytest.fixture
 def optimizer_calls(monkeypatch):
-    """(term, (theta*, log minimum, at edge)) of every optimizer call, in call order.
-
-    Each call optimizes one term over a delay grid; these tests pass one
-    delay, so each records the grid's only minimum.
-    """
+    """(term, (theta*, log minimum, at edge)) of every optimizer call, in call order."""
     calls = []
     minimize = standard._minimize_theta
 
     def spy(params, term):
-        minima = minimize(params, term)
-        calls.append((term, minima[0]))
-        return minima
+        calls.append((term, minimize(params, term)))
+        return calls[-1][1]
 
     monkeypatch.setattr(standard, "_minimize_theta", spy)
     return calls
