@@ -26,13 +26,13 @@ takes one term), and sums the minima.
 A result carries that sum, the first term's minimizer and whether any
 minimum lies at an end of its interval.
 
-Each infimum is a 256-point log-spaced pre-scan on NumPy arrays, which
-brackets the minimum, and Newton steps on Python floats to the root of the
-objective's derivative inside that bracket.  The library builds the
-pre-scan grid itself (``_prescan_grid``, byte for byte the
-``np.geomspace`` of the same ends), and r_theta has one array definition,
-shared with ``effective_bandwidth_rate``, and one float definition, inline
-in the float evaluators; both give the same bits.
+Each infimum is a 256-point pre-scan on NumPy arrays, which brackets the
+minimum, and Newton steps on Python floats to the root of the objective's
+derivative inside that bracket.  The pre-scan runs on the r axis, where the
+closed-form inverse theta(r) = (lam + mu)(r - p*P)/(r (P - r)) (Kelly, "Notes
+on effective bandwidths", 1996) maps (p*P, c) onto (0, gamma), with no square
+root.  A reported value is the float objective, whose r_theta has the bits of
+``effective_bandwidth_rate``.
 """
 
 from __future__ import annotations
@@ -53,9 +53,9 @@ __all__ = [
     "standard_delay_bound",
 ]
 
-_PRESCAN_POINTS = 256
 _EDGE = 1e-9  # relative inset of the optimization interval
-_IDX = np.arange(float(_PRESCAN_POINTS))
+# log-steps of the 2 x 128 pre-scan's gaps: up to the split, then from a step short of it down
+_LOG_STEPS = np.stack([np.arange(128) / 127, np.arange(128)[::-1] / 128])
 _S_TOL = 1e-7  # relative Newton step in s that ends a refinement
 
 
@@ -108,36 +108,16 @@ def effective_bandwidth_rate(theta, params: MmooParams):
     return r.reshape(theta.shape) if theta.ndim else float(r[0])
 
 
-def _prescan_grid(theta_max: float) -> np.ndarray:
-    """256 log-spaced points from ``_EDGE*theta_max`` to ``theta_max*(1-_EDGE)``.
-
-    The ufunc calls of ``np.geomspace`` over these ends, in its order, so
-    the points equal it byte for byte without its per-call overhead:
-    ``log10`` of both ends, equal steps of their difference over 255 from
-    the first, ``10**`` of each, and both ends set exactly (which makes
-    ``geomspace``'s own setting of the last exponent moot).  ``_minimize_theta``
-    passes only a ``theta_max`` whose lower end is a normal double.
-    """
-    lo, hi = _EDGE * theta_max, theta_max * (1.0 - _EDGE)
-    ls, le = np.log10(lo), np.log10(hi)
-    grid = _IDX * ((le - ls) / (_PRESCAN_POINTS - 1))
-    grid += ls
-    grid = np.power(10.0, grid)
-    grid[0], grid[-1] = lo, hi
-    return grid
-
-
 def _log_objective(params: MmooParams, term):
-    """Pre-scan, float and slope evaluators of one term's log L + theta*(a + b*r_theta).
+    """Float and slope evaluators of one term's log L + theta*(a + b*r_theta).
 
     The value f is ``const - log(cm - k*r_theta) + theta*(a + b*r_theta)``,
-    with ``const`` = log(cm) + 1, or log(cm) without ``euler``.  The pre-scan
-    evaluator maps a theta array to its values, the float one takes one
-    theta.  Both give +inf where the margin ``cm - k*r_theta`` is not
-    positive or is NaN, compute r_theta with the IEEE operations of
-    ``_rate_on_array`` in the same order (correctly rounded in both ``math``
-    and NumPy) and take the logarithm with ``np.log`` (``math.log`` differs
-    in the last bit on some inputs), so the two agree bit for bit.
+    with ``const`` = log(cm) + 1, or log(cm) without ``euler``, and +inf
+    where the margin ``cm - k*r_theta`` is not positive.  r_theta is
+    computed with the IEEE operations of ``_rate_on_array``, in the same
+    order, so it has the bits of ``effective_bandwidth_rate``; the log is
+    ``np.log`` (``math.log`` differs in the last bit on some inputs).  Near
+    gamma the margin cancels, to +inf under extreme utilization.
 
     The slope gives df/ds and d2f/ds2 in s = -log(1 - theta/gamma), where
     df/ds = (gamma - theta) f' has no pole at gamma; with m = cm - k r,
@@ -145,17 +125,10 @@ def _log_objective(params: MmooParams, term):
     b (2 r' + theta r''), where theta r^2 + q r = mu P, q = lam + mu - theta P,
     gives r' = r (P - r)/sqrt(Delta) and r'' = r' (P - 2 r - P (2 mu - q)/sqrt(Delta))/sqrt(Delta).
     """
-    lam_mu, mu4, two_mu_peak, peak = rates = _rate_constants(params)
+    lam_mu, mu4, two_mu_peak, peak = _rate_constants(params)
     cm, k, gamma, a, b = term.cm, term.k, term.consts.gamma, term.a, term.b
     const = 1.0 + math.log(cm) if term.euler else math.log(cm)
     log, sqrt, inf, to_float = np.log, math.sqrt, math.inf, float
-
-    def on_array(th: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = _rate_on_array(th, *rates)
-            vals = const - log(cm - k * r) + th * (a + b * r)
-        vals[np.isnan(vals)] = inf
-        return vals
 
     def on_float(th: float) -> float:
         q = lam_mu - th * peak
@@ -179,7 +152,48 @@ def _log_objective(params: MmooParams, term):
         w = gamma - th
         return w * f1, w * (w * f2 - f1)
 
-    return on_array, on_float, slope
+    return on_float, slope
+
+
+def _above_mean(theta: float, lam_mu: float, m: float, peak: float) -> float:
+    """r_theta - m, m = p*P, without cancellation: the positive root of the
+    effective-bandwidth equation in x = r - m, theta x^2 + q x = theta m (P - m)."""
+    q = lam_mu - theta * (peak - 2.0 * m)
+    t = theta * m * (peak - m)
+    sq = math.sqrt(q * q + 4.0 * theta * t)
+    return 2.0 * t / (sq + q) if q > 0 else (sq - q) / (2.0 * theta)
+
+
+def _prescan(params: MmooParams, term) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pre-scan's thetas, effective bandwidths and values, as 2 x 128 arrays.
+
+    Between the mean rate m = p*P and the term's capacity c = cm/k, row 0 is
+    log-spaced in r - m from theta = ``_EDGE``*gamma up to gamma/2, row 1 in
+    g = c - r on to theta = gamma*(1 - ``_EDGE``) =: T.  With both gaps,
+    theta = (lam + mu)(r - m)/(r (P - c + g)) and the margin cm - k*r = k*g
+    cancel nowhere; a value is theta*(a + b*r) - log(g), the objective less
+    its constant.  The end g solves T g^2 - M g + K = 0 (kk, mm below), M =
+    lam + mu + T (2c - P), K = (lam + mu)(c - m) - T c (P - c), with K at
+    least _EDGE*gamma*c*(P - c) to stay below theta(c) where gamma rounds above it.
+    """
+    lam_mu, peak, m = params.lam + params.mu, params.peak, params.mean_rate
+    c, gamma = term.cm / term.k, term.consts.gamma
+    span, dc = c - m, c * (peak - c)
+    inset, t_top = _EDGE * gamma, gamma - _EDGE * gamma
+    bottom = _above_mean(inset, lam_mu, m, peak)
+    split = _above_mean(0.5 * gamma, lam_mu, m, peak)
+    kk = max(lam_mu * span - t_top * dc, inset * dc)
+    mm = lam_mu + t_top * (2.0 * c - peak)
+    top = 2.0 * kk / (mm + math.sqrt(mm * mm - 4.0 * t_top * kk))
+    # per row: log-ratio of its gaps, signed end gap, r - m and c - r at gap 0
+    cols = np.array([math.log(split / bottom), math.log((span - split) / top), bottom, -top,
+                     0.0, span, span, 0.0]).reshape(4, 2, 1)
+    gap = np.exp(cols[0] * _LOG_STEPS) * cols[1]
+    delta = cols[2] + gap
+    gap = cols[3] - gap
+    r = m + delta
+    theta = lam_mu * delta / (r * ((peak - c) + gap))
+    return theta, r, theta * (term.a + term.b * r) - np.log(gap)
 
 
 def _refine(slope, lo: float, start: float, hi: float, gamma: float) -> float:
@@ -219,30 +233,27 @@ def _minimize_theta(params: MmooParams, term) -> tuple[float, float, bool]:
     reduced system.  Returns the minimizer, the minimum and whether the
     minimizer lies at an end of the inset interval.  A gamma whose inset
     end ``_EDGE*gamma`` is below the smallest normal double (gamma below
-    about 2e-299) raises ``InvalidParamsError``: the log-spaced grid would
-    start at a subnormal or zero theta.
+    about 2e-299) raises ``InvalidParamsError``: the pre-scan would start
+    at a subnormal theta.
 
-    The pre-scan (``_prescan_grid``) brackets the minimum between the
-    neighbours of its smallest point, where ``_refine`` starts.  The
-    value is the float objective at the refined theta, or the pre-scan
-    minimum where lower (the objective need not be unimodal).  Float dust
-    can make the margin non-positive at the right end when the utilization
-    is extreme; such points are infeasible (+inf).
+    The pre-scan (``_prescan``) brackets the minimum between the neighbours
+    of its smallest point, where ``_refine`` starts.  The value is the float
+    objective at the refined theta, or at that scan point where lower (the
+    objective need not be unimodal).
     """
     theta_max = term.consts.gamma
     if _EDGE * theta_max < sys.float_info.min:
         raise InvalidParamsError(
             f"decay rate gamma={theta_max:.6g} is too small for the standard bound's "
             f"optimizer: {_EDGE:g}*gamma is below the smallest normal double")
-    on_array, on_float, slope = _log_objective(params, term)
-    grid = _prescan_grid(theta_max)
-    vals = on_array(grid)
+    on_float, slope = _log_objective(params, term)
+    grid, _, vals = _prescan(params, term)
     i = int(vals.argmin())
     th = _refine(slope, grid.item(max(i - 1, 0)), grid.item(i),
-                 grid.item(min(i + 1, _PRESCAN_POINTS - 1)), theta_max)
-    fv = on_float(th)
-    if vals.item(i) < fv:
-        th, fv = grid.item(i), vals.item(i)
+                 grid.item(min(i + 1, grid.size - 1)), theta_max)
+    fv, at_scan = on_float(th), on_float(grid.item(i))
+    if at_scan < fv:
+        th, fv = grid.item(i), at_scan
     return th, fv, min(th, theta_max - th) <= 2.0 * _EDGE * theta_max
 
 

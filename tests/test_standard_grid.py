@@ -9,15 +9,17 @@ closed-form martingale gamma, so no root finder has bits of its own to
 pin.  The grid holds n1 = n2 = n/2 and the paper's source.  After an
 intended change of value, re-pin with ``python tests/test_standard_grid.py``.
 
-The optimizer's pre-scan runs on NumPy arrays and its refinement on Python
-floats; the two evaluators of the objective must agree bit for bit, which
-is checked here directly, as is the refinement's analytic slope against
-central differences.  ``bound_rows`` over a delay grid must give the fields
-of one call per delay bit for bit.  Off the paper's source and n1 = n2, the optimizer is held to
-the golden-section one it replaced (``tests/standard_reference.py``) on
-seeded random draws: the same errors and edge flags, and no value higher
-by more than float noise.  Its pre-scan grid is held byte for byte to
-``np.geomspace``.
+The optimizer's pre-scan runs on NumPy arrays, on the effective-bandwidth
+axis, and its refinement on Python floats.  The pre-scan's points must be
+the inverse of ``effective_bandwidth_rate`` up to rounding, its ends must
+sit at the interval's insets and its values must agree with the float
+objective within that objective's rounding; the refinement's analytic slope
+is checked against central differences.  ``bound_rows`` over a delay grid
+must give the fields of one call per delay bit for bit.  Off the paper's
+source and n1 = n2, the optimizer is held to the golden-section one it
+replaced (``tests/standard_reference.py``) on seeded random draws: the same
+errors and edge flags, and no value higher by more than float noise, with
+few slope evaluations per refinement.
 """
 
 import itertools
@@ -152,21 +154,35 @@ def _terms(sched: str, delays, flows=(2, 1000), sources=(SOURCE, OTHER_SOURCE)):
         yield from ((source, term) for term in terms)
 
 
-@pytest.mark.parametrize("sched", sorted(SCHEDULERS))
-def test_float_and_array_evaluators_agree(sched):
-    """At the 256 pre-scan points and a uniform sweep of each interval.
+def _float_values(params, term, thetas):
+    """The float objective at ``thetas`` and its rounding bound at each.
 
-    The second source has a peak rate other than 1, so that products with
-    the peak round.
+    The bound is 8*eps*cm/margin + 1e-13*max(1, |f|): the margin cm - k*r
+    of the float objective cancels near gamma.  Where that margin is not
+    positive the objective is +inf and the bound +inf.
+    """
+    on_float, _ = standard._log_objective(params, term)
+    values = np.array([on_float(th) for th in thetas.tolist()])
+    margin = term.cm - term.k * standard.effective_bandwidth_rate(thetas, params)
+    with np.errstate(divide="ignore"):
+        tol = np.where(margin > 0, 8 * np.finfo(float).eps * term.cm / margin, np.inf)
+    return values, tol + 1e-13 * np.maximum(1.0, np.abs(values))
+
+
+@pytest.mark.parametrize("sched", sorted(SCHEDULERS))
+def test_prescan_values_agree_with_float_objective(sched):
+    """At every pre-scan point, within the float objective's own rounding.
+
+    The pre-scan's values leave out the objective's constant log(cm/k),
+    plus 1 with ``euler``.  The second source has a peak rate other than 1,
+    so that products with the peak round.
     """
     checked = 0
     for params, term in _terms(sched, (0.0, 5.0)):
-        on_array, on_float, _ = standard._log_objective(params, term)
-        theta_max = term.consts.gamma
-        thetas = np.concatenate([standard._prescan_grid(theta_max),
-                                 np.linspace(0.0, theta_max, 1026)[1:-1]])
-        from_float = np.array([on_float(float(th)) for th in thetas])
-        assert on_array(thetas).tobytes() == from_float.tobytes()
+        thetas, _, vals = (x.ravel() for x in standard._prescan(params, term))
+        const = math.log(term.cm / term.k) + (1.0 if term.euler else 0.0)
+        values, tol = _float_values(params, term, thetas)
+        assert (np.abs(vals + const - values) <= tol).all()
         checked += 1
     assert checked
 
@@ -175,20 +191,20 @@ def test_float_and_array_evaluators_agree(sched):
 def test_slope_matches_central_differences(sched):
     """df/ds and its derivative against central differences in s = -log(1 - theta/gamma).
 
-    At interior pre-scan points from theta = 1e-3 gamma up, where the slope
-    is not near its root (where a relative error means nothing), with steps
-    of 1e-4 s and, for the second derivative, whose differences of slopes
-    round more, 1e-3 s.
+    At 21 log-spaced points from theta = 1e-3 gamma to 0.8 gamma, where the
+    slope is not near its root (where a relative error means nothing), with
+    steps of 1e-4 s and, for the second derivative, whose differences of
+    slopes round more, 1e-3 s.
     """
     checked = 0
     for params, term in _terms(sched, (1.0, 5.0), flows=(2, 10), sources=(SOURCE,)):
-        _, on_float, slope = standard._log_objective(params, term)
+        on_float, slope = standard._log_objective(params, term)
         gamma = term.consts.gamma
 
         def at(s):
             return -gamma * math.expm1(-s)
 
-        for th in standard._prescan_grid(gamma)[170:252:4].tolist():
+        for th in (gamma * np.geomspace(1e-3, 0.8, 21)).tolist():
             s = -math.log1p(-th / gamma)
             h = 1e-4 * s
             g, dg = slope(th)
@@ -204,15 +220,19 @@ def test_slope_matches_central_differences(sched):
 
 @pytest.mark.parametrize("sched", sorted(SCHEDULERS))
 def test_refined_minimum_never_above_prescan(monkeypatch, sched):
-    """Also when the refinement returns a worse theta: the pre-scan minimum stands."""
+    """Against the float objective at the pre-scan points, within its rounding.
+
+    Also when the refinement returns a worse theta: the value at the
+    pre-scan's smallest point stands.
+    """
     checked = 0
     for params, term in _terms(sched, (0.0, 0.5, 5.0, 40.0), flows=FLOWS):
         try:
             _, fv, _ = standard._minimize_theta(params, term)
         except SncboundsError:
             continue
-        on_array, _, _ = standard._log_objective(params, term)
-        scanned = float(on_array(standard._prescan_grid(term.consts.gamma)).min())
+        values, tol = _float_values(params, term, standard._prescan(params, term)[0].ravel())
+        scanned = float((values + tol).min())
         assert fv <= scanned
         with monkeypatch.context() as m:
             m.setattr(standard, "_refine", lambda slope, lo, start, hi, gamma: hi)
@@ -245,14 +265,47 @@ def test_delay_grid_matches_one_point_calls(sched):
     assert checked >= len(grid)
 
 
-def test_prescan_grid_is_geomspace():
-    """Byte for byte, on log-uniform interval ends over 18 decades."""
-    rng = np.random.default_rng(19)
-    for theta_max in 10.0 ** rng.uniform(-12.0, 6.0, 10_000):
-        theta_max = float(theta_max)
-        expected = np.geomspace(standard._EDGE * theta_max, theta_max * (1.0 - standard._EDGE),
-                                standard._PRESCAN_POINTS)
-        assert standard._prescan_grid(theta_max).tobytes() == expected.tobytes(), theta_max
+def test_prescan_on_effective_bandwidth_axis():
+    """On 10^4 random systems, rho up to 0.999 and capacities near the peak.
+
+    Thetas increase strictly, both ends lie within [_EDGE, 2*_EDGE]*gamma of
+    their end of (0, gamma), and each point's r is the effective bandwidth
+    of its theta: within 4 ulps of r plus 4 ulps of theta times dr/dtheta,
+    which is up to (P - m)/(2 sqrt(m (P - m))) times r/theta.  The upper
+    end's distance to gamma holds up to 8 ulps of gamma, the rounding of
+    gamma*(1 - _EDGE) itself.
+    """
+    rng = np.random.default_rng(23)
+    edge, ulp = standard._EDGE, np.finfo(float).eps
+    systems = 0
+    while systems < 10_000:
+        params = MmooParams(rng.uniform(0.05, 3.0), rng.uniform(0.05, 3.0),
+                            rng.uniform(0.3, 4.0))
+        kind = rng.integers(3)
+        if kind == 0:
+            rho = rng.uniform(params.on_probability, 0.999)
+        elif kind == 1:
+            rho = 1.0 - 10 ** rng.uniform(-3.0, -1.0)
+        else:  # capacity near the peak
+            rho = params.on_probability / (1.0 - 10 ** rng.uniform(-8.0, -1.0))
+        sched = ORACLE_SCHEDULERS[int(rng.integers(len(ORACLE_SCHEDULERS)))]
+        try:
+            sc = Scenario.from_utilization(int(rng.integers(1, 100)), int(rng.integers(0, 100)),
+                                           rho, params)
+            terms = _bound_terms(sc, sched, 1.0)
+        except SncboundsError:
+            continue
+        for term in terms:
+            gamma = term.consts.gamma
+            theta, r, _ = (x.ravel() for x in standard._prescan(params, term))
+            assert (np.diff(theta) > 0).all()
+            assert edge * gamma * (1 - 8 * ulp) <= theta[0] <= 2 * edge * gamma
+            assert edge * gamma - 8 * ulp * gamma <= gamma - theta[-1] <= 2 * edge * gamma
+            rate = standard.effective_bandwidth_rate(theta, params)
+            slope = r * (params.peak - r) / (
+                2 * theta * r + params.lam + params.mu - theta * params.peak)
+            assert (np.abs(r - rate) <= 4 * ulp * (r + theta * slope)).all()
+        systems += 1
 
 
 ORACLE_SCHEDULERS = [SCHEDULERS[name] for name in ("fifo", "sp", "edf-10-1", "edf-1-10",
@@ -358,6 +411,31 @@ def test_optimizer_matches_reference_oracle(monkeypatch):
     assert {id(s) for s in finite} == {id(s) for s in ORACLE_SCHEDULERS}
     assert any(isinstance(got, tuple) and got[2] for got, _ in outcomes)
     assert any(not isinstance(got, tuple) for got, _ in outcomes)
+
+
+def test_few_slope_evaluations_per_refinement(monkeypatch):
+    """Over the oracle's draws, a mean of at most 3.5 and a maximum of 10.
+
+    The pre-scan resolves both ends of the interval alike, so a refinement
+    starts near the minimum wherever it lies.
+    """
+    counts = []
+    refine = standard._refine
+
+    def counted(slope, *args):
+        counts.append(0)
+
+        def call(th):
+            counts[-1] += 1
+            return slope(th)
+        return refine(call, *args)
+
+    monkeypatch.setattr(standard, "_refine", counted)
+    for draw in _oracle_draws(2400, seed=1919):
+        _outcome(standard_delay_bound, *draw)
+    assert len(counts) > 1000
+    assert sum(counts) / len(counts) <= 3.5
+    assert max(counts) <= 10
 
 
 if __name__ == "__main__":
