@@ -10,7 +10,9 @@ replication.  Each stage is timed alone on the same inputs, ``--repeats``
 times, and the minimum is printed in milliseconds as one JSON object:
 
 - ``arrivals``: sample paths, packetization and the per-flow sort;
-- ``merge``: the two-flow merge, FIFO recursion and busy-period tables;
+- ``merge``: the two-flow merge and FIFO recursion;
+- ``lanes``: the busy-period tables, which only SP, EDF and GPS service
+  reads;
 - ``service.<scheduler>``: departures of the through packets (FIFO reads
   them from the recursion; the others are served busy period by busy
   period);
@@ -26,7 +28,9 @@ The bound layer follows, in microseconds: ``bounds.<scheduler>`` is the
 median, over n1 = n2 = n/2 with n = 10, 10^3, 10^5 and d = 1, 2, 5, 10 at
 rho 0.75, of the minimum time of one ``standard_delay_bound`` call over
 ``20 * --repeats`` sweeps of that grid, and ``bounds.<scheduler>.refine``
-the same of the time spent inside its refinements (``standard._refine``).
+the same of the time spent inside its refinements (``standard._refine``),
+and ``bounds.<scheduler>.slopes`` the mean number of slope evaluations per
+refinement over that grid (a count, so it repeats exactly).
 Last, in milliseconds, ``bound_rows.<scheduler>`` is the minimum time of
 one ``analysis.bound_rows`` over the 1001-point delay grid 0, 0.01, ..., 10
 at n1 = n2 = 5, rho 0.75.
@@ -36,6 +40,8 @@ import argparse
 import json
 import time
 from statistics import median
+
+import numpy as np
 
 import sncbounds.sim as sim
 import sncbounds.standard as standard
@@ -98,7 +104,8 @@ ROWS_GRID = [k / 100 for k in range(1001)]
 
 def bound_us(source, repeats):
     """Per scheduler, the median over the bound grid of the minimum us per
-    call, whole and inside the refinement.
+    call, whole and inside the refinement, and the mean slope evaluations
+    per refinement.
 
     Each sweep times every scheduler at every point, so no minimum is taken
     from one burst of a shared machine.  The whole call is timed without
@@ -113,6 +120,16 @@ def bound_us(source, repeats):
         out = refine(*args, **kwargs)
         inside += time.perf_counter() - t0
         return out
+
+    counts = []  # slope evaluations of each refinement
+
+    def counted(slope, *args):
+        counts.append(0)
+
+        def call(th):
+            counts[-1] += 1
+            return slope(th)
+        return refine(call, *args)
 
     points = [(spec, Scenario.from_utilization(n // 2, n // 2, 0.75, source), d)
               for spec in SCHEDULERS.values() for n in BOUND_FLOWS for d in BOUND_DELAYS]
@@ -135,6 +152,14 @@ def bound_us(source, repeats):
         cut = slice(j * per, (j + 1) * per)
         out[f"bounds.{name}"] = round(median(whole[cut]) * 1e6, 1)
         out[f"bounds.{name}.refine"] = round(median(in_refine[cut]) * 1e6, 1)
+        counts.clear()
+        standard._refine = counted
+        try:
+            for spec, sc, d in points[cut]:
+                standard_delay_bound(sc, spec, d)
+        finally:
+            standard._refine = refine
+        out[f"bounds.{name}.slopes"] = round(sum(counts) / len(counts), 3)
     return out
 
 
@@ -150,11 +175,12 @@ def main(argv=None):
     cap, warm = sc.capacity, cfg.warmup_packets
     need = warm + cfg.measured_packets
     T, S, nt = sim._flat_arrivals(sc, cfg, 0)
-    pos_t, fifo, lanes = sim._merge(T, S, nt, cap)
+    through, fifo, t = sim._merge(T, S, nt, cap)
+    lanes = sim._lanes(t, through, fifo)
 
     def service(spec):
         if spec.kind == "fifo":
-            return fifo[pos_t]
+            return fifo[np.flatnonzero(through)]
         return sim._serve(spec, T, S, nt, lanes, cap, need)[0]
 
     dep_win = service(SCHEDULERS["sp"])[warm:need]
@@ -165,6 +191,7 @@ def main(argv=None):
     out = {
         "arrivals": best_ms(lambda: sim._flat_arrivals(sc, cfg, 0), r),
         "merge": best_ms(lambda: sim._merge(T, S, nt, cap), r),
+        "lanes": best_ms(lambda: sim._lanes(t, through, fifo), r),
     }
     for name, spec in SCHEDULERS.items():
         out[f"service.{name}"] = best_ms(lambda: service(spec), r)

@@ -24,7 +24,7 @@ ties through first, and runs the FIFO work recursion on the merged order.
 
 Service runs busy period by busy period.  A busy period is a stretch in
 which the server never idles; every work-conserving discipline has the same
-ones, and the FIFO work recursion finds them.  ``_merge`` keeps three small
+ones, and the FIFO work recursion finds them.  ``_lanes`` builds three small
 tables with one entry per busy-period bound: the bound's merged index, the
 through packets before it and the first arrival at it.  A busy period's
 packets of each flow are a contiguous slice of the flat index, read from
@@ -73,7 +73,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -252,21 +251,15 @@ _SCALAR_LANES = 32
 
 
 def _merge(T, S, nt, cap):
-    """Stable merge of the two sorted flows, the FIFO work recursion, busy periods.
+    """Stable merge of the two sorted flows and the FIFO work recursion.
 
     ``T``/``S`` hold the arrival times and sizes of the ``nt`` through
     packets followed by the cross packets (the flat index).  ``T`` is two
     sorted runs, so a stable sort merges them in one pass and orders ties
     through first.  FIFO departures follow from depart_k = max(arrive_k,
     depart_{k-1}) + size_k/C, rewritten as a running maximum over arrive_j
-    minus cumulative prior service.  Returns the merged index of each
-    through packet, the FIFO departures in merged order, and the busy
-    periods as three per-bound tables (``_busy_periods`` bounds, through
-    packets before each bound, first merged arrival at it; the last bound
-    is the packet count, with no through packet after it and an arrival at
-    +inf).  A lane [bounds[i], bounds[i+1]) then owns the flat slices
-    [before[i], before[i+1]) and [nt + bounds[i] - before[i], nt +
-    bounds[i+1] - before[i+1]), with no search over the packets.
+    minus cumulative prior service.  Returns, in merged order, which
+    packets are through packets, the FIFO departures and the arrivals.
     """
     order = np.argsort(T, kind="stable")
     t = np.empty(T.size + 1)  # the last arrival, at +inf, ends the last busy period
@@ -283,15 +276,21 @@ def _merge(T, S, nt, cap):
     np.maximum.accumulate(fifo, out=fifo)
     fifo += service
     del service
+    return through, fifo, t
+
+
+def _lanes(t, through, fifo):
+    """Busy-period tables from ``_merge``'s outputs: the ``_busy_periods`` bounds
+    (the last is the packet count, its arrival +inf), the through packets before
+    each and the first arrival at each.  A lane [bounds[i], bounds[i+1]) owns the
+    flat slices [before[i], before[i+1]) and [nt + bounds[i] - before[i], nt +
+    bounds[i+1] - before[i+1])."""
     bounds = _busy_periods(t, fifo)
-    first = t[bounds]
-    del t  # each packet-sized array goes once used up: they set the peak memory
-    pos_t = np.flatnonzero(through)
     before = np.zeros(bounds.size, dtype=np.intp)
     # an int32 running count halves the packet-sized array; it reaches nt
-    count = np.int32 if nt < 2**31 else np.intp
+    count = np.int32 if through.size < 2**31 else np.intp
     before[1:] = np.cumsum(through, dtype=count)[bounds[1:] - 1]
-    return pos_t, fifo, (bounds, before, first)
+    return bounds, before, t[bounds]
 
 
 def _busy_periods(t, fifo):
@@ -575,7 +574,7 @@ def _serve(sched, T, S, nt, lanes, cap, need=None):
     Gives, bit for bit, what the scalar loop gives on the whole run under
     ``sched`` (SP, EDF or GPS); see the module docstring.  ``T``/``S`` are
     the flat arrivals of ``nt`` through packets then the cross packets, and
-    ``lanes`` the per-bound tables of ``_merge``.  ``need`` stops service after the busy period that holds
+    ``lanes`` the per-bound tables of ``_lanes``.  ``need`` stops service after the busy period that holds
     the ``need``-th through packet (None serves all).  Returns (through
     departs, cross departs); packets of later busy periods are NaN.
     """
@@ -658,16 +657,17 @@ def simulate(scenario: Scenario, sched: SchedulerSpec, cfg: SimConfig,
     T, S, nt = _flat_arrivals(scenario, cfg, replication_index)
     cap = scenario.capacity
     need = cfg.warmup_packets + cfg.measured_packets
-    pos_t, fifo, lanes = _merge(T, S, nt, cap)
-    # the packet-sized through positions are freed as soon as they are used;
-    # service reads the lane tables instead
+    through, fifo, t = _merge(T, S, nt, cap)
+    # packet-sized arrays are freed as soon as they are used
     if sched.kind == "fifo":
-        dep_thr = fifo[pos_t]
-        del pos_t
+        del t
+        dep_thr = fifo[np.flatnonzero(through)]
+        del through
     else:
-        del pos_t
+        lanes = _lanes(t, through, fifo)
+        del t, through
         dep_thr, _ = _serve(sched, T, S, nt, lanes, cap, need)
-    del lanes
+        del lanes
     delays = dep_thr[cfg.warmup_packets:need] - T[cfg.warmup_packets:need]
     at = dep_thr[cfg.warmup_packets + _flag_window(cfg.measured_packets)]
     backlog = _backlog(T, nt, fifo, at, cap)
@@ -690,6 +690,8 @@ def replicate(scenario: Scenario, sched: SchedulerSpec, cfg: SimConfig,
     jobs = [(scenario, sched, cfg, k) for k in range(cfg.replications)]
     workers = min(n_jobs or 1, cfg.replications, os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as ex:
             stats = list(ex.map(_one_replication, jobs))
     else:

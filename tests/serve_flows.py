@@ -6,11 +6,11 @@ tests build the two flows by hand, so they merge them here first.
 
 import numpy as np
 
-from sncbounds.sim import _merge, _serve
+from sncbounds.sim import _lanes, _merge, _serve
 
 
 def serve_flows(sched, tt, ts, ct, cs, cap, need=None):
     """``sim._serve`` under ``sched`` on per-flow arrival arrays, each sorted by time."""
     T, S = np.concatenate([tt, ct]), np.concatenate([ts, cs])
-    _, _, lanes = _merge(T, S, tt.size, cap)
-    return _serve(sched, T, S, tt.size, lanes, cap, need)
+    through, fifo, t = _merge(T, S, tt.size, cap)
+    return _serve(sched, T, S, tt.size, _lanes(t, through, fifo), cap, need)

@@ -1,11 +1,11 @@
-"""The stable-sort merge and its per-bound tables against the search-based oracle.
+"""The stable-sort merge and the per-bound tables against the search-based oracle.
 
 ``serial_reference.merge`` finds each packet's merged index by a binary
 search in the other flow, and ``serial_reference.lane_tables`` finds each
 lane's slices by a search over the through packets' merged indices.  The
-simulator's ``_merge`` must give the same through positions, FIFO
-departures and busy-period bounds, bit for bit, and per-bound tables equal
-to those lookups.
+simulator's ``_merge`` must give the same through packets and FIFO
+departures, and its ``_lanes`` the same busy-period bounds, bit for bit,
+and per-bound tables equal to those lookups.
 """
 
 import numpy as np
@@ -20,9 +20,10 @@ SOURCE = MmooParams(0.5, 0.1, 1.0)
 
 def assert_same_as_reference(tt, ts, ct, cs, cap):
     T, S, nt = np.concatenate([tt, ct]), np.concatenate([ts, cs]), tt.size
-    pos_t, fifo, (bounds, before, first) = sim._merge(T, S, nt, cap)
+    through, fifo, t = sim._merge(T, S, nt, cap)
+    bounds, before, first = sim._lanes(t, through, fifo)
     want_pos, want_fifo, want_bounds = ref.merge(T, S, nt, cap, sim._busy_periods)
-    assert np.array_equal(pos_t, want_pos)
+    assert np.array_equal(np.flatnonzero(through), want_pos)
     assert np.array_equal(fifo, want_fifo)
     assert np.array_equal(bounds, want_bounds)
     lo_t, lo_c, want_first = ref.lane_tables(T, want_pos, want_bounds)
@@ -74,8 +75,9 @@ class TestHandBuilt:
 
     def test_no_packets(self):
         empty = np.empty(0)
-        pos_t, fifo, tables = sim._merge(empty, empty, 0, 1.0)
-        assert pos_t.size == fifo.size == 0
+        through, fifo, t = sim._merge(empty, empty, 0, 1.0)
+        assert through.size == fifo.size == 0
+        tables = sim._lanes(t, through, fifo)
         assert [tab.tolist() for tab in tables] == [[0], [0], [np.inf]]
 
 

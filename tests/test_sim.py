@@ -135,8 +135,8 @@ class TestSimulateBasics:
         sc = scenario()
         ev = event_log(sc, SchedulerSpec.fifo(), cfg, 0)  # head selection
         T, S, nt = _flat_arrivals(sc, cfg, 0)
-        pos_t, depart, _ = _merge(T, S, nt, sc.capacity)
-        fast_thr = depart[pos_t]
+        through, depart, _ = _merge(T, S, nt, sc.capacity)
+        fast_thr = depart[through]
         assert np.allclose(fast_thr, ev["through"]["depart"], rtol=1e-9, atol=1e-9)
 
 
@@ -316,6 +316,8 @@ class TestReplicate:
         (2, 8, 4, 2),
     ])
     def test_jobs_clamped(self, monkeypatch, n_jobs, reps, cpus, workers):
+        import concurrent.futures
+
         import sncbounds.sim as sim
 
         started = []
@@ -335,7 +337,7 @@ class TestReplicate:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
         cfg = small_cfg(measured_packets=200, warmup_packets=20, replications=reps)
         box = replicate(scenario(), SchedulerSpec.fifo(), cfg, n_jobs=n_jobs)

@@ -264,12 +264,15 @@ def test_stage_times_script_runs(capsys):
         service.append(f"service.{n}")
         if script.SCHEDULERS[n].kind != "fifo":
             service += [f"service.{n}.{part}" for part in ("loop", "lockstep", "steps")]
-    bounds = [key for n in names for key in (f"bounds.{n}", f"bounds.{n}.refine")]
-    assert list(out) == (["arrivals", "merge"] + service
+    bounds = [key for n in names
+              for key in (f"bounds.{n}", f"bounds.{n}.refine", f"bounds.{n}.slopes")]
+    assert list(out) == (["arrivals", "merge", "lanes"] + service
                          + ["backlog", "statistics"] + [f"simulate.{n}" for n in names]
                          + bounds + [f"bound_rows.{n}" for n in names])
     # the refinement is part of every bound call
     assert all(0 < out[f"bounds.{n}.refine"] < out[f"bounds.{n}"] for n in names)
     steps = {name: out.pop(name) for name in list(out) if name.endswith(".steps")}
     assert all(isinstance(n, int) and n > 0 for n in steps.values())
+    # every refinement evaluates the slope at least once
+    assert all(out.pop(f"bounds.{n}.slopes") >= 1 for n in names)
     assert all(isinstance(ms, float) and ms >= 0 for ms in out.values())
