@@ -27,10 +27,14 @@ times, and the minimum is printed in milliseconds as one JSON object:
 The bound layer follows, in microseconds: ``bounds.<scheduler>`` is the
 median, over n1 = n2 = n/2 with n = 10, 10^3, 10^5 and d = 1, 2, 5, 10 at
 rho 0.75, of the minimum time of one ``standard_delay_bound`` call over
-``20 * --repeats`` sweeps of that grid, and ``bounds.<scheduler>.refine``
-the same of the time spent inside its refinements (``standard._refine``),
-and ``bounds.<scheduler>.slopes`` the mean number of slope evaluations per
-refinement over that grid (a count, so it repeats exactly).
+``20 * --repeats`` sweeps of that grid.  It is a warm figure: the pre-scan
+axis of each reduced system (``standard._axis``) is cached from the first
+sweep on.  ``bounds.<scheduler>.cold`` is the same with that cache cleared
+before each timed call, the cost without reuse.  ``bounds.<scheduler>.refine``
+is the part of the warm figure spent inside the refinements
+(``standard._refine``), and ``bounds.<scheduler>.slopes`` the mean number
+of slope evaluations per refinement over that grid (a count, so it repeats
+exactly).
 Last, in milliseconds, ``bound_rows.<scheduler>`` is the minimum time of
 one ``analysis.bound_rows`` over the 1001-point delay grid 0, 0.01, ..., 10
 at n1 = n2 = 5, rho 0.75.
@@ -104,8 +108,8 @@ ROWS_GRID = [k / 100 for k in range(1001)]
 
 def bound_us(source, repeats):
     """Per scheduler, the median over the bound grid of the minimum us per
-    call, whole and inside the refinement, and the mean slope evaluations
-    per refinement.
+    call, warm, cold and inside the refinement, and the mean slope
+    evaluations per refinement.
 
     Each sweep times every scheduler at every point, so no minimum is taken
     from one burst of a shared machine.  The whole call is timed without
@@ -134,9 +138,14 @@ def bound_us(source, repeats):
     points = [(spec, Scenario.from_utilization(n // 2, n // 2, 0.75, source), d)
               for spec in SCHEDULERS.values() for n in BOUND_FLOWS for d in BOUND_DELAYS]
     whole = [float("inf")] * len(points)
+    cold = [float("inf")] * len(points)
     in_refine = [float("inf")] * len(points)
     for _ in range(repeats * BOUND_SWEEPS_PER_REPEAT):
         for i, (spec, sc, d) in enumerate(points):
+            standard._axis.cache_clear()
+            t0 = time.perf_counter()
+            standard_delay_bound(sc, spec, d)
+            cold[i] = min(cold[i], time.perf_counter() - t0)
             t0 = time.perf_counter()
             standard_delay_bound(sc, spec, d)
             whole[i] = min(whole[i], time.perf_counter() - t0)
@@ -151,6 +160,7 @@ def bound_us(source, repeats):
     for j, name in enumerate(SCHEDULERS):
         cut = slice(j * per, (j + 1) * per)
         out[f"bounds.{name}"] = round(median(whole[cut]) * 1e6, 1)
+        out[f"bounds.{name}.cold"] = round(median(cold[cut]) * 1e6, 1)
         out[f"bounds.{name}.refine"] = round(median(in_refine[cut]) * 1e6, 1)
         counts.clear()
         standard._refine = counted

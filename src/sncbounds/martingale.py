@@ -156,7 +156,25 @@ class _Term(NamedTuple):
 
 
 def _bound_terms(scenario: Scenario, sched: SchedulerSpec, d: float) -> tuple:
-    """The terms of the bound P(W1 > d) <= value under ``sched``.
+    """The terms of the bound P(W1 > d) <= value under ``sched`` (``_scheduler_terms``).
+
+    Rejects a d that is not finite and >= 0, and a d or an EDF deadline gap
+    so large that a coefficient a or b overflows (C d near the largest
+    double), where an exponent would read -inf + inf.
+    """
+    if not 0 <= d < math.inf:
+        raise InvalidParamsError(f"d must be finite and >= 0, got {d}")
+    terms = _scheduler_terms(scenario, sched, d)
+    for t in terms:
+        if not (math.isfinite(t.a) and math.isfinite(t.b)):
+            raise InvalidParamsError(
+                f"the bound's exponent overflows at d={d:g} on server rate "
+                f"{scenario.capacity:.6g}: delays and deadlines this large are out of range")
+    return terms
+
+
+def _scheduler_terms(scenario: Scenario, sched: SchedulerSpec, d: float) -> tuple:
+    """The terms of the bound P(W1 > d) <= value under ``sched``, unchecked.
 
     Exponents theta*(a + b*r), with y = d1* - d2* for EDF:
 
@@ -172,8 +190,6 @@ def _bound_terms(scenario: Scenario, sched: SchedulerSpec, d: float) -> tuple:
            the n1 through flows on a server of rate phi1 C: prefactor powers
            K^n1 and L = phi1 C/(phi1 C - n1 r_theta).
     """
-    if not 0 <= d < math.inf:
-        raise InvalidParamsError(f"d must be finite and >= 0, got {d}")
     cap = scenario.capacity
     n1, n2 = scenario.n1, scenario.n2
 

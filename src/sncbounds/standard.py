@@ -31,12 +31,16 @@ minimum, and Newton steps on Python floats to the root of the objective's
 derivative inside that bracket.  The pre-scan runs on the r axis, where the
 closed-form inverse theta(r) = (lam + mu)(r - p*P)/(r (P - r)) (Kelly, "Notes
 on effective bandwidths", 1996) maps (p*P, c) onto (0, gamma), with no square
-root.  A reported value is the float objective, whose r_theta has the bits of
-``effective_bandwidth_rate``.
+root.  The points' thetas, r and log(c - r) depend on the reduced system
+alone, so each system's axis is built once (``_axis``, a bounded cache keyed
+by the source, c and gamma) and every delay and flow count on it shares it;
+a call forms only the exponent on that axis.  A reported value is the float
+objective, whose r_theta has the bits of ``effective_bandwidth_rate``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -164,20 +168,23 @@ def _above_mean(theta: float, lam_mu: float, m: float, peak: float) -> float:
     return 2.0 * t / (sq + q) if q > 0 else (sq - q) / (2.0 * theta)
 
 
-def _prescan(params: MmooParams, term) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pre-scan's thetas, effective bandwidths and values, as 2 x 128 arrays.
+@functools.lru_cache(maxsize=256)
+def _axis(params: MmooParams, c: float, gamma: float) -> tuple:
+    """The pre-scan's thetas, effective bandwidths and log(c - r), read-only 2 x 128 arrays.
 
-    Between the mean rate m = p*P and the term's capacity c = cm/k, row 0 is
-    log-spaced in r - m from theta = ``_EDGE``*gamma up to gamma/2, row 1 in
-    g = c - r on to theta = gamma*(1 - ``_EDGE``) =: T.  With both gaps,
-    theta = (lam + mu)(r - m)/(r (P - c + g)) and the margin cm - k*r = k*g
-    cancel nowhere; a value is theta*(a + b*r) - log(g), the objective less
-    its constant.  The end g solves T g^2 - M g + K = 0 (kk, mm below), M =
-    lam + mu + T (2c - P), K = (lam + mu)(c - m) - T c (P - c), with K at
-    least _EDGE*gamma*c*(P - c) to stay below theta(c) where gamma rounds above it.
+    They depend on the reduced system alone (the source, its per-flow
+    capacity c and decay rate gamma), not on the delay or the flow count,
+    so each system's axis is built once and shared by every term on it.
+    Between the mean rate m = p*P and c, row 0 is log-spaced in r - m from
+    theta = ``_EDGE``*gamma up to gamma/2, row 1 in g = c - r on to theta =
+    gamma*(1 - ``_EDGE``) =: T.  With both gaps, theta = (lam + mu)(r - m)/(r
+    (P - c + g)) and the margin cm - k*r = k*g cancel nowhere.  The end g
+    solves T g^2 - M g + K = 0 (kk, mm below), M = lam + mu + T (2c - P),
+    K = (lam + mu)(c - m) - T c (P - c), with K at least _EDGE*gamma*c*(P - c)
+    to stay below theta(c) where gamma rounds above it.  256 systems take
+    at most about 1.7 MB.
     """
     lam_mu, peak, m = params.lam + params.mu, params.peak, params.mean_rate
-    c, gamma = term.cm / term.k, term.consts.gamma
     span, dc = c - m, c * (peak - c)
     inset, t_top = _EDGE * gamma, gamma - _EDGE * gamma
     bottom = _above_mean(inset, lam_mu, m, peak)
@@ -193,7 +200,20 @@ def _prescan(params: MmooParams, term) -> tuple[np.ndarray, np.ndarray, np.ndarr
     gap = cols[3] - gap
     r = m + delta
     theta = lam_mu * delta / (r * ((peak - c) + gap))
-    return theta, r, theta * (term.a + term.b * r) - np.log(gap)
+    axis = theta, r, np.log(gap)
+    for x in axis:
+        x.setflags(write=False)
+    return axis
+
+
+def _prescan(params: MmooParams, term) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pre-scan's thetas, effective bandwidths and values, as 2 x 128 arrays.
+
+    The first two are the term's system's shared ``_axis``; a value is
+    theta*(a + b*r) - log(c - r), the objective less its constant.
+    """
+    theta, r, log_gap = _axis(params, term.cm / term.k, term.consts.gamma)
+    return theta, r, theta * (term.a + term.b * r) - log_gap
 
 
 def _refine(slope, lo: float, start: float, hi: float, gamma: float) -> float:

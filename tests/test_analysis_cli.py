@@ -408,6 +408,19 @@ class TestCli:
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("argv,d", [
+        (["bound", "--scheduler", "sp", "--rho", "0.75", "--d", "1e308"], "1e+308"),
+        (["scaling", "--delay", "1e308"], "1e+308"),
+        (["bound", "--scheduler", "edf", "--d1", "0", "--d2", "1e308", "--d", "5"], "5"),
+    ])
+    def test_overflowing_exponent_named(self, capsys, argv, d):
+        # each once gave a NaN bound (bound, exit 0) or "float division by zero" (scaling)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error: the bound's exponent overflows at d={d} ")
+
     @pytest.mark.parametrize("missing", ["n2", "rho", "lambda"])
     def test_scenario_file_missing_key_exit_code(self, tmp_path, capsys, missing):
         doc = {"lambda": 0.5, "mu": 0.1, "peak": 1.0, "n1": 5, "n2": 5, "rho": 0.75}

@@ -368,6 +368,18 @@ class TestStandardDelayBounds:
         with pytest.raises(InvalidParamsError, match="finite"):
             standard_delay_bound(scenario(), SchedulerSpec.fifo(), d)
 
+    @pytest.mark.parametrize("bound", [martingale_delay_bound, standard_delay_bound])
+    @pytest.mark.parametrize("sched", [SchedulerSpec.fifo(), SchedulerSpec.sp(),
+                                       SchedulerSpec.edf(10.0, 1.0), SchedulerSpec.edf(1.0, 10.0),
+                                       SchedulerSpec.gps(0.5)], ids=lambda s: s.kind)
+    def test_overflowing_d_rejected(self, bound, sched):
+        # C d overflows at a server rate of 22.2 (GPS's 0.5 C d too): an
+        # exponent would read -inf, or -inf + inf (a NaN bound) under SP
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParamsError, match="overflows at d=1e"):
+                bound(scenario(n1=50, n2=50), sched, 1e308)
+
     def test_minimum_on_interval_edge_flagged(self):
         # pinned in tests/golden/bound-sp-capacity.csv: the SP objective still
         # falls as theta -> 0, so theta* sits on the inset left end

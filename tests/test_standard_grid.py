@@ -15,7 +15,10 @@ the inverse of ``effective_bandwidth_rate`` up to rounding, its ends must
 sit at the interval's insets and its values must agree with the float
 objective within that objective's rounding; the refinement's analytic slope
 is checked against central differences.  ``bound_rows`` over a delay grid
-must give the fields of one call per delay bit for bit.  Off the paper's
+must give the fields of one call per delay bit for bit.  The pre-scan's
+axis is cached per reduced system: no result may depend on what the cache
+holds, a delay grid builds one axis per system, and the cached arrays are
+read-only.  Off the paper's
 source and n1 = n2, the optimizer is held to the golden-section one it
 replaced (``tests/standard_reference.py``) on seeded random draws: the same
 errors and edge flags, and no value higher by more than float noise, with
@@ -411,6 +414,64 @@ def test_optimizer_matches_reference_oracle(monkeypatch):
     assert {id(s) for s in finite} == {id(s) for s in ORACLE_SCHEDULERS}
     assert any(isinstance(got, tuple) and got[2] for got, _ in outcomes)
     assert any(not isinstance(got, tuple) for got, _ in outcomes)
+
+
+def test_cached_axis_gives_cold_results():
+    """Every oracle draw, warm, bit for bit as with the cache cleared before it.
+
+    Warm, the draws run in shuffled order, each right after the same
+    scenario at another delay, whose call leaves the axes of its systems in
+    the cache.
+    """
+    axis = standard._axis
+    draws = _oracle_draws(2400, seed=1919)
+    cold = []
+    for draw in draws:
+        axis.cache_clear()
+        cold.append(_outcome(standard_delay_bound, *draw))
+    axis.cache_clear()
+    warm = [None] * len(draws)
+    for i in np.random.default_rng(23).permutation(len(draws)).tolist():
+        sc, sched, d = draws[i]
+        _outcome(standard_delay_bound, sc, sched, 2.0 * d + 1.0)
+        warm[i] = _outcome(standard_delay_bound, sc, sched, d)
+    hits = axis.cache_info().hits
+    axis.cache_clear()
+    assert warm == cold
+    assert hits >= sum(isinstance(got, tuple) for got in cold)
+
+
+@pytest.mark.parametrize("sched", sorted(SCHEDULERS))
+def test_delay_grid_builds_one_axis_per_system(sched):
+    """``bound_rows`` over d = 1..10 misses the cache once per distinct reduced system."""
+    grid = [float(d) for d in range(1, 11)]
+    axis = standard._axis
+    checked = 0
+    for n, rho, source in itertools.product((2, 10, 1000), RHOS, (SOURCE, OTHER_SOURCE)):
+        sc = Scenario.from_utilization(n // 2, n // 2, rho, source)
+        spec = SCHEDULERS[sched]
+        try:
+            terms = _bound_terms(sc, spec, 1.0)
+        except SncboundsError:
+            continue
+        axis.cache_clear()
+        bound_rows(sc, spec, grid)
+        info = axis.cache_info()
+        systems = {(source, t.cm / t.k, t.consts.gamma) for t in terms}
+        assert (info.misses, info.hits) == (len(systems), len(grid) * len(terms) - len(systems))
+        checked += 1
+    axis.cache_clear()
+    assert checked
+
+
+def test_cached_axis_is_read_only():
+    term = _bound_terms(Scenario.from_utilization(5, 5, 0.75, SOURCE), SCHEDULERS["fifo"], 1.0)[0]
+    cached = standard._axis(SOURCE, term.cm / term.k, term.consts.gamma)
+    assert cached is standard._axis(SOURCE, term.cm / term.k, term.consts.gamma)
+    for x in cached:
+        assert x.shape == (2, 128) and not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0, 0] = 1.0
 
 
 def test_few_slope_evaluations_per_refinement(monkeypatch):

@@ -265,7 +265,8 @@ def test_stage_times_script_runs(capsys):
         if script.SCHEDULERS[n].kind != "fifo":
             service += [f"service.{n}.{part}" for part in ("loop", "lockstep", "steps")]
     bounds = [key for n in names
-              for key in (f"bounds.{n}", f"bounds.{n}.refine", f"bounds.{n}.slopes")]
+              for key in (f"bounds.{n}", f"bounds.{n}.cold", f"bounds.{n}.refine",
+                          f"bounds.{n}.slopes")]
     assert list(out) == (["arrivals", "merge", "lanes"] + service
                          + ["backlog", "statistics"] + [f"simulate.{n}" for n in names]
                          + bounds + [f"bound_rows.{n}" for n in names])
