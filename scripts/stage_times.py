@@ -32,9 +32,9 @@ axis of each reduced system (``standard._axis``) is cached from the first
 sweep on.  ``bounds.<scheduler>.cold`` is the same with that cache cleared
 before each timed call, the cost without reuse.  ``bounds.<scheduler>.refine``
 is the part of the warm figure spent inside the refinements
-(``standard._refine``), and ``bounds.<scheduler>.slopes`` the mean number
-of slope evaluations per refinement over that grid (a count, so it repeats
-exactly).
+(``standard._refine``, Newton steps in the axis coordinate w), and
+``bounds.<scheduler>.slopes`` the mean number of slope evaluations per
+refinement over that grid (a count, so it repeats exactly).
 Last, in milliseconds, ``bound_rows.<scheduler>`` is the minimum time of
 one ``analysis.bound_rows`` over the 1001-point delay grid 0, 0.01, ..., 10
 at n1 = n2 = 5, rho 0.75.

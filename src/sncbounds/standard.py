@@ -27,15 +27,14 @@ A result carries that sum, the first term's minimizer and whether any
 minimum lies at an end of its interval.
 
 Each infimum is a 256-point pre-scan on NumPy arrays, which brackets the
-minimum, and Newton steps on Python floats to the root of the objective's
-derivative inside that bracket.  The pre-scan runs on the r axis, where the
-closed-form inverse theta(r) = (lam + mu)(r - p*P)/(r (P - r)) (Kelly, "Notes
-on effective bandwidths", 1996) maps (p*P, c) onto (0, gamma), with no square
-root.  The points' thetas, r and log(c - r) depend on the reduced system
-alone, so each system's axis is built once (``_axis``, a bounded cache keyed
-by the source, c and gamma) and every delay and flow count on it shares it;
-a call forms only the exponent on that axis.  A reported value is the float
-objective, whose r_theta has the bits of ``effective_bandwidth_rate``.
+minimum, and Newton steps on Python floats inside that bracket, both in
+one coordinate, w = log((r - p*P)/(c - r)).  From w, both gaps r - p*P and
+c - r are formed without subtraction, and theta is the closed-form inverse
+theta(r) = (lam + mu)(r - p*P)/(r (P - r)) (Kelly, "Notes on effective
+bandwidths", 1996), so no step takes a square root and L's margin c - r
+does not cancel near gamma.  The pre-scan's points depend on the reduced
+system alone, so each system's axis is built once (``_axis``, a bounded
+cache) and shared by every delay and flow count on it.
 """
 
 from __future__ import annotations
@@ -58,9 +57,9 @@ __all__ = [
 ]
 
 _EDGE = 1e-9  # relative inset of the optimization interval
-# log-steps of the 2 x 128 pre-scan's gaps: up to the split, then from a step short of it down
-_LOG_STEPS = np.stack([np.arange(128) / 127, np.arange(128)[::-1] / 128])
-_S_TOL = 1e-7  # relative Newton step in s that ends a refinement
+_STEPS = np.arange(256) / 255  # of the pre-scan, from one end of w to the other
+_W_INSET = 2.0**-42  # inward move of the pre-scan's end w, far above their rounding
+_W_TOL = 1e-7  # Newton step in w, relative to max(1, |w|), that ends a refinement
 
 
 @dataclass(frozen=True)
@@ -79,84 +78,21 @@ class StandardBoundResult:
     at_edge: bool
 
 
-def _rate_constants(params: MmooParams) -> tuple[float, float, float, float]:
-    """lam + mu, 4*mu, 2*mu*P and P: the constants of r_theta."""
-    lam, mu, peak = params.lam, params.mu, params.peak
-    return lam + mu, 4.0 * mu, 2.0 * mu * peak, peak
-
-
-def _rate_on_array(theta: np.ndarray, lam_mu: float, mu4: float, two_mu_peak: float,
-                   peak: float) -> np.ndarray:
-    """r_theta on an array of at least one dimension, with b = lam + mu - theta*P.
-
-    Uses the rationalized form 2*mu*P/(sqrt(Delta)+b) where b > 0 to avoid
-    cancellation at small theta.  Both branches are computed, so the
-    caller silences the division warnings of the branch it discards.
-    """
-    b = lam_mu - theta * peak
-    sq = np.sqrt(b * b + mu4 * theta * peak)
-    r = (sq - b) / (2.0 * theta)
-    np.copyto(r, two_mu_peak / (sq + b), where=b > 0)
-    return r
-
-
 def effective_bandwidth_rate(theta, params: MmooParams):
     """Dominant rate r_theta; accepts scalars or numpy arrays.
 
-    At theta = 0 the rationalized branch gives the mean rate p*P; the 0/0
-    of the discarded branch raises no warning.
+    Uses the rationalized form 2*mu*P/(sqrt(Delta)+b) where b > 0 to avoid
+    cancellation at small theta: at theta = 0 it gives the mean rate p*P,
+    and the 0/0 of the discarded branch raises no warning.
     """
     theta = np.asarray(theta, dtype=float)
+    th, mu, peak = theta.reshape(-1), params.mu, params.peak
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = _rate_on_array(theta.reshape(-1), *_rate_constants(params))
+        b = params.lam + mu - th * peak
+        sq = np.sqrt(b * b + 4.0 * mu * th * peak)
+        r = (sq - b) / (2.0 * th)
+        np.copyto(r, 2.0 * mu * peak / (sq + b), where=b > 0)
     return r.reshape(theta.shape) if theta.ndim else float(r[0])
-
-
-def _log_objective(params: MmooParams, term):
-    """Float and slope evaluators of one term's log L + theta*(a + b*r_theta).
-
-    The value f is ``const - log(cm - k*r_theta) + theta*(a + b*r_theta)``,
-    with ``const`` = log(cm) + 1, or log(cm) without ``euler``, and +inf
-    where the margin ``cm - k*r_theta`` is not positive.  r_theta is
-    computed with the IEEE operations of ``_rate_on_array``, in the same
-    order, so it has the bits of ``effective_bandwidth_rate``; the log is
-    ``np.log`` (``math.log`` differs in the last bit on some inputs).  Near
-    gamma the margin cancels, to +inf under extreme utilization.
-
-    The slope gives df/ds and d2f/ds2 in s = -log(1 - theta/gamma), where
-    df/ds = (gamma - theta) f' has no pole at gamma; with m = cm - k r,
-    f' = k r'/m + a + b (r + theta r') and f'' = k r''/m + (k r'/m)^2 +
-    b (2 r' + theta r''), where theta r^2 + q r = mu P, q = lam + mu - theta P,
-    gives r' = r (P - r)/sqrt(Delta) and r'' = r' (P - 2 r - P (2 mu - q)/sqrt(Delta))/sqrt(Delta).
-    """
-    lam_mu, mu4, two_mu_peak, peak = _rate_constants(params)
-    cm, k, gamma, a, b = term.cm, term.k, term.consts.gamma, term.a, term.b
-    const = 1.0 + math.log(cm) if term.euler else math.log(cm)
-    log, sqrt, inf, to_float = np.log, math.sqrt, math.inf, float
-
-    def on_float(th: float) -> float:
-        q = lam_mu - th * peak
-        sq = sqrt(q * q + mu4 * th * peak)
-        r = two_mu_peak / (sq + q) if q > 0 else (sq - q) / (2.0 * th)
-        margin = cm - k * r
-        return const - to_float(log(margin)) + th * (a + b * r) if margin > 0 else inf
-
-    def slope(th: float) -> tuple[float, float]:
-        q = lam_mu - th * peak
-        sq = sqrt(q * q + mu4 * th * peak)
-        r = two_mu_peak / (sq + q) if q > 0 else (sq - q) / (2.0 * th)
-        margin = cm - k * r
-        if not margin > 0:
-            return inf, inf
-        dr = r * (peak - r) / sq
-        d2r = dr * (peak - 2.0 * r - peak * (0.5 * mu4 - q) / sq) / sq
-        u = k * dr / margin
-        f1 = u + a + b * (r + th * dr)
-        f2 = k * d2r / margin + u * u + b * (2.0 * dr + th * d2r)
-        w = gamma - th
-        return w * f1, w * (w * f2 - f1)
-
-    return on_float, slope
 
 
 def _above_mean(theta: float, lam_mu: float, m: float, peak: float) -> float:
@@ -170,110 +106,141 @@ def _above_mean(theta: float, lam_mu: float, m: float, peak: float) -> float:
 
 @functools.lru_cache(maxsize=256)
 def _axis(params: MmooParams, c: float, gamma: float) -> tuple:
-    """The pre-scan's thetas, effective bandwidths and log(c - r), read-only 2 x 128 arrays.
+    """The pre-scan's w, theta, r and log(c - r): row views of one read-only array.
 
-    They depend on the reduced system alone (the source, its per-flow
-    capacity c and decay rate gamma), not on the delay or the flow count,
-    so each system's axis is built once and shared by every term on it.
-    Between the mean rate m = p*P and c, row 0 is log-spaced in r - m from
-    theta = ``_EDGE``*gamma up to gamma/2, row 1 in g = c - r on to theta =
-    gamma*(1 - ``_EDGE``) =: T.  With both gaps, theta = (lam + mu)(r - m)/(r
-    (P - c + g)) and the margin cm - k*r = k*g cancel nowhere.  The end g
-    solves T g^2 - M g + K = 0 (kk, mm below), M = lam + mu + T (2c - P),
-    K = (lam + mu)(c - m) - T c (P - c), with K at least _EDGE*gamma*c*(P - c)
-    to stay below theta(c) where gamma rounds above it.  256 systems take
-    at most about 1.7 MB.
+    Keyed by the reduced system (the source, its per-flow capacity c and
+    decay rate gamma), not by the delay or the flow count.  The 256 points
+    are evenly spaced in w from theta = ``_EDGE``*gamma to theta =
+    gamma*(1 - ``_EDGE``) =: T.  The ends' gaps avoid cancellation: r - m
+    from ``_above_mean``, and c - r at T from T g^2 - M g + K = 0 (kk, mm
+    below), M = lam + mu + T (2c - P), K = (lam + mu)(c - m) - T c (P - c),
+    with K at least _EDGE*gamma*c*(P - c) to stay below theta(c) where gamma
+    rounds above it.  Both end w move inward by ``_W_INSET`` so that log and
+    exp rounding keeps them inside the insets.  256 systems take at most
+    about 2.2 MB.
     """
     lam_mu, peak, m = params.lam + params.mu, params.peak, params.mean_rate
     span, dc = c - m, c * (peak - c)
     inset, t_top = _EDGE * gamma, gamma - _EDGE * gamma
     bottom = _above_mean(inset, lam_mu, m, peak)
-    split = _above_mean(0.5 * gamma, lam_mu, m, peak)
     kk = max(lam_mu * span - t_top * dc, inset * dc)
     mm = lam_mu + t_top * (2.0 * c - peak)
     top = 2.0 * kk / (mm + math.sqrt(mm * mm - 4.0 * t_top * kk))
-    # per row: log-ratio of its gaps, signed end gap, r - m and c - r at gap 0
-    cols = np.array([math.log(split / bottom), math.log((span - split) / top), bottom, -top,
-                     0.0, span, span, 0.0]).reshape(4, 2, 1)
-    gap = np.exp(cols[0] * _LOG_STEPS) * cols[1]
-    delta = cols[2] + gap
-    gap = cols[3] - gap
-    r = m + delta
-    theta = lam_mu * delta / (r * ((peak - c) + gap))
-    axis = theta, r, np.log(gap)
-    for x in axis:
-        x.setflags(write=False)
-    return axis
+    w_bottom = -math.log((span - bottom) / bottom) + _W_INSET
+    w_top = math.log((span - top) / top) - _W_INSET
+    axis = np.empty((4, 256))
+    w, theta, r, gap = axis
+    np.multiply(w_top - w_bottom, _STEPS, out=w)
+    w += w_bottom
+    # ``_objective``'s float operations, in its order, so that scan and objective agree
+    np.exp(w, out=r)
+    np.add(r, 1.0, out=gap)
+    np.divide(span, gap, out=gap)  # c - r
+    r *= gap  # r - m
+    np.multiply(r, lam_mu, out=theta)
+    r += m
+    theta /= r * (gap + (peak - c))
+    np.log(gap, out=gap)
+    axis.setflags(write=False)
+    return tuple(axis)
 
 
-def _prescan(params: MmooParams, term) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pre-scan's thetas, effective bandwidths and values, as 2 x 128 arrays.
+def _objective(params: MmooParams, term):
+    """Value and slope in w of one term's log L + theta*(a + b*r_theta).
 
-    The first two are the term's system's shared ``_axis``; a value is
-    theta*(a + b*r) - log(c - r), the objective less its constant.
+    With c = cm/k and m = p*P, w gives g = c - r = (c - m)/(1 + e^w) and
+    x = r - m = e^w g, and theta = (lam + mu) x/(r (P - r)); the margin
+    cm - k*r_theta is k g.  ``at(w)`` gives theta and the value
+    f = log(c) [+ 1 with ``euler``] - log(g) + theta*(a + b*r).
+    ``slope(w)`` gives df/dw = (x/span)(1 + g E), span = c - m, which has
+    no pole at either end, and d2f/dw2 = (x g/span^2)(1 + (g - x) E + x g E'),
+    with E = theta' (a + b r) + theta b and E' = theta'' (a + b r) + 2 b theta'
+    in r: theta' = (lam + mu)(x^2 + m (P - m))/D^2 is rational, D = r (P - r),
+    and theta'' = 2 (theta - theta' (P - 2r))/D.
     """
-    theta, r, log_gap = _axis(params, term.cm / term.k, term.consts.gamma)
-    return theta, r, theta * (term.a + term.b * r) - log_gap
+    lam_mu, peak, m = params.lam + params.mu, params.peak, params.mean_rate
+    c = term.cm / term.k
+    span, headroom, spread = c - m, peak - c, m * (peak - m)
+    a, b = term.a, term.b
+    const = 1.0 + math.log(c) if term.euler else math.log(c)
+    exp, log = math.exp, math.log
+
+    def at(w: float) -> tuple[float, float]:
+        ew = exp(w)
+        g = span / (ew + 1.0)
+        x = ew * g
+        r = x + m
+        theta = x * lam_mu / (r * (g + headroom))
+        return theta, const - log(g) + theta * (a + b * r)
+
+    def slope(w: float) -> tuple[float, float]:
+        ew = exp(w)
+        g = span / (ew + 1.0)
+        x = ew * g
+        r = x + m
+        d = r * (g + headroom)
+        theta, d1 = x * lam_mu / d, lam_mu * (x * x + spread) / d / d
+        d2 = 2.0 * (theta - d1 * (g + headroom - r)) / d
+        e = d1 * (a + b * r) + theta * b
+        e1 = d2 * (a + b * r) + 2.0 * b * d1
+        u = x / span
+        return u * (1.0 + g * e), u * g / span * (1.0 + (g - x) * e + x * g * e1)
+
+    return at, slope
 
 
-def _refine(slope, lo: float, start: float, hi: float, gamma: float) -> float:
-    """The theta in [lo, hi] where df/ds changes sign, in s = -log(1 - theta/gamma).
+def _refine(slope, lo: float, w: float, hi: float) -> float:
+    """The w in [lo, hi] where df/dw changes sign, by Newton's method from ``w``.
 
-    Newton's method on s from ``start``, bisecting where the objective is not
-    convex (d2f/ds2 <= 0) and where a Newton step leaves the bracket that
-    each evaluated sign narrows, up to the first step below ``_S_TOL``
-    relative to s.  A start at an end sloping outward returns it.
+    It bisects where the objective is not convex (d2f/dw2 <= 0) and where a
+    step leaves the bracket that each evaluated sign narrows, and stops at
+    the first step below ``_W_TOL``.  A start at an end sloping outward
+    returns it.
     """
-    s0, s, s1 = -math.log1p(-lo / gamma), -math.log1p(-start / gamma), -math.log1p(-hi / gamma)
-    th = start
     for _ in range(100):
-        g, dg = slope(th)
+        g, dg = slope(w)
         if g < 0:
-            s0 = s
+            lo = w
         elif g > 0:
-            s1 = s
+            hi = w
         else:
-            break
-        step = s - g / dg if dg > 0 else math.nan
-        if not s0 < step < s1:
-            step = 0.5 * (s0 + s1)
-        th = -gamma * math.expm1(-step)
-        if abs(step - s) <= _S_TOL * step:
-            break
-        s = step
-    return th
+            return w
+        step = w - g / dg if dg > 0 else math.nan
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - w) <= _W_TOL * max(1.0, abs(step)):
+            return step
+        w = step
+    return w
 
 
 def _minimize_theta(params: MmooParams, term) -> tuple[float, float, bool]:
     """Minimize one term of ``martingale._bound_terms`` over (0, gamma).
 
-    The objective (``_log_objective``) is the log of L = cm*e/(cm -
-    k*r_theta), or cm/(cm - k*r_theta) without ``euler``, plus the term's
-    exponent, and gamma (``theta_max``) is the decay rate of the term's
-    reduced system.  Returns the minimizer, the minimum and whether the
-    minimizer lies at an end of the inset interval.  A gamma whose inset
-    end ``_EDGE*gamma`` is below the smallest normal double (gamma below
-    about 2e-299) raises ``InvalidParamsError``: the pre-scan would start
-    at a subnormal theta.
+    The objective (``_objective``) is the log of L = cm*e/(cm - k*r_theta),
+    or cm/(cm - k*r_theta) without ``euler``, plus the term's exponent;
+    gamma (``theta_max``) is the decay rate of the term's reduced system.
+    Returns the minimizer, the minimum and whether the minimizer lies at an
+    end of the inset interval.  A gamma below about 2e-299, whose inset end
+    ``_EDGE*gamma`` is subnormal, raises ``InvalidParamsError``.
 
-    The pre-scan (``_prescan``) brackets the minimum between the neighbours
-    of its smallest point, where ``_refine`` starts.  The value is the float
-    objective at the refined theta, or at that scan point where lower (the
-    objective need not be unimodal).
+    ``_refine`` starts at the smallest point of the pre-scan on the system's
+    ``_axis``, bracketed by its neighbours.  The value is the objective at
+    the refined w, or at that scan point where lower (the objective need
+    not be unimodal).
     """
     theta_max = term.consts.gamma
     if _EDGE * theta_max < sys.float_info.min:
         raise InvalidParamsError(
             f"decay rate gamma={theta_max:.6g} is too small for the standard bound's "
             f"optimizer: {_EDGE:g}*gamma is below the smallest normal double")
-    on_float, slope = _log_objective(params, term)
-    grid, _, vals = _prescan(params, term)
-    i = int(vals.argmin())
-    th = _refine(slope, grid.item(max(i - 1, 0)), grid.item(i),
-                 grid.item(min(i + 1, grid.size - 1)), theta_max)
-    fv, at_scan = on_float(th), on_float(grid.item(i))
-    if at_scan < fv:
-        th, fv = grid.item(i), at_scan
+    w, theta, r, log_gap = _axis(params, term.cm / term.k, theta_max)
+    i = int((theta * (term.a + term.b * r) - log_gap).argmin())
+    at, slope = _objective(params, term)
+    th, fv = at(_refine(slope, w.item(max(i - 1, 0)), w.item(i), w.item(min(i + 1, w.size - 1))))
+    th_scan, f_scan = at(w.item(i))
+    if f_scan < fv:
+        th, fv = th_scan, f_scan
     return th, fv, min(th, theta_max - th) <= 2.0 * _EDGE * theta_max
 
 

@@ -380,6 +380,20 @@ class TestStandardDelayBounds:
             with pytest.raises(InvalidParamsError, match="overflows at d=1e"):
                 bound(scenario(n1=50, n2=50), sched, 1e308)
 
+    @pytest.mark.parametrize("sched", [SchedulerSpec.fifo(), SchedulerSpec.sp()],
+                             ids=lambda s: s.kind)
+    @pytest.mark.parametrize("d", [5.0, 1e6])
+    def test_capacity_near_peak_gives_finite_minimum(self, optimizer_calls, sched, d):
+        # c within about 1e-12 of the peak: the margin c - r is a gap of its
+        # own, so it does not cancel to zero near gamma, where the minimum lies
+        sc = Scenario.from_utilization(5, 5, (1 / 6) / (1 - 1e-12), BASE_SOURCE)
+        res = standard_delay_bound(sc, sched, d)
+        assert len(optimizer_calls) == 1
+        _, (th, fv, edge) = optimizer_calls[0]
+        assert math.isfinite(fv) and edge
+        assert 0 < th < martingale_constants(sc).gamma
+        assert res.at_edge and not math.isinf(res.value)
+
     def test_minimum_on_interval_edge_flagged(self):
         # pinned in tests/golden/bound-sp-capacity.csv: the SP objective still
         # falls as theta -> 0, so theta* sits on the inset left end

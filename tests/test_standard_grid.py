@@ -9,12 +9,13 @@ closed-form martingale gamma, so no root finder has bits of its own to
 pin.  The grid holds n1 = n2 = n/2 and the paper's source.  After an
 intended change of value, re-pin with ``python tests/test_standard_grid.py``.
 
-The optimizer's pre-scan runs on NumPy arrays, on the effective-bandwidth
-axis, and its refinement on Python floats.  The pre-scan's points must be
-the inverse of ``effective_bandwidth_rate`` up to rounding, its ends must
-sit at the interval's insets and its values must agree with the float
-objective within that objective's rounding; the refinement's analytic slope
-is checked against central differences.  ``bound_rows`` over a delay grid
+The optimizer's pre-scan runs on NumPy arrays and its refinement on Python
+floats, both in one coordinate of the effective-bandwidth axis,
+w = log((r - p*P)/(c - r)).  The pre-scan's points must be the inverse of
+``effective_bandwidth_rate`` up to rounding, its ends must sit at the
+interval's insets and its values must agree with the float objective up to
+the rounding of one sum; the refinement's analytic slope in w is checked
+against central differences.  ``bound_rows`` over a delay grid
 must give the fields of one call per delay bit for bit.  The pre-scan's
 axis is cached per reduced system: no result may depend on what the cache
 holds, a delay grid builds one axis per system, and the cached arrays are
@@ -157,76 +158,74 @@ def _terms(sched: str, delays, flows=(2, 1000), sources=(SOURCE, OTHER_SOURCE)):
         yield from ((source, term) for term in terms)
 
 
-def _float_values(params, term, thetas):
-    """The float objective at ``thetas`` and its rounding bound at each.
+def _scan(params, term):
+    """The term's pre-scan values, the objective at the scan's w and a bound on their difference.
 
-    The bound is 8*eps*cm/margin + 1e-13*max(1, |f|): the margin cm - k*r
-    of the float objective cancels near gamma.  Where that margin is not
-    positive the objective is +inf and the bound +inf.
+    A scan value leaves out the objective's constant log(c), plus 1 with
+    ``euler``; it is added back here.  Scan and objective form the same
+    gaps, theta and exponent from w, so the two differ only in the order of
+    the final sum and in the last bit of a NumPy against a ``math`` exp or
+    log: 8 eps times 1 + |log(c)| + |log(c - r)| + |theta*(a + b*r)|, the
+    returned bound, covers both.
     """
-    on_float, _ = standard._log_objective(params, term)
-    values = np.array([on_float(th) for th in thetas.tolist()])
-    margin = term.cm - term.k * standard.effective_bandwidth_rate(thetas, params)
-    with np.errstate(divide="ignore"):
-        tol = np.where(margin > 0, 8 * np.finfo(float).eps * term.cm / margin, np.inf)
-    return values, tol + 1e-13 * np.maximum(1.0, np.abs(values))
+    w, theta, r, log_gap = standard._axis(params, term.cm / term.k, term.consts.gamma)
+    exponent = theta * (term.a + term.b * r)
+    const = math.log(term.cm / term.k) + (1.0 if term.euler else 0.0)
+    at, _ = standard._objective(params, term)
+    values = np.array([at(x)[1] for x in w.tolist()])
+    tol = 8 * np.finfo(float).eps * (1.0 + abs(const) + np.abs(log_gap) + np.abs(exponent))
+    return exponent - log_gap + const, values, tol
 
 
 @pytest.mark.parametrize("sched", sorted(SCHEDULERS))
 def test_prescan_values_agree_with_float_objective(sched):
-    """At every pre-scan point, within the float objective's own rounding.
+    """At every pre-scan point, within the rounding of the final sum.
 
-    The pre-scan's values leave out the objective's constant log(cm/k),
-    plus 1 with ``euler``.  The second source has a peak rate other than 1,
-    so that products with the peak round.
+    The second source has a peak rate other than 1, so that products with
+    the peak round.
     """
     checked = 0
     for params, term in _terms(sched, (0.0, 5.0)):
-        thetas, _, vals = (x.ravel() for x in standard._prescan(params, term))
-        const = math.log(term.cm / term.k) + (1.0 if term.euler else 0.0)
-        values, tol = _float_values(params, term, thetas)
-        assert (np.abs(vals + const - values) <= tol).all()
+        scanned, values, tol = _scan(params, term)
+        assert (np.abs(scanned - values) <= tol).all()
         checked += 1
     assert checked
 
 
 @pytest.mark.parametrize("sched", sorted(SCHEDULERS))
 def test_slope_matches_central_differences(sched):
-    """df/ds and its derivative against central differences in s = -log(1 - theta/gamma).
+    """df/dw and its derivative against central differences in w.
 
-    At 21 log-spaced points from theta = 1e-3 gamma to 0.8 gamma, where the
-    slope is not near its root (where a relative error means nothing), with
-    steps of 1e-4 s and, for the second derivative, whose differences of
-    slopes round more, 1e-3 s.
+    At every fourth pre-scan point from theta = 1e-3 gamma to 0.8 gamma,
+    where the slope is not near its root (where a relative error means
+    nothing), with steps of 1e-4 in w and, for the second derivative,
+    whose differences of slopes round more, 1e-3.
     """
     checked = 0
     for params, term in _terms(sched, (1.0, 5.0), flows=(2, 10), sources=(SOURCE,)):
-        on_float, slope = standard._log_objective(params, term)
+        at, slope = standard._objective(params, term)
         gamma = term.consts.gamma
-
-        def at(s):
-            return -gamma * math.expm1(-s)
-
-        for th in (gamma * np.geomspace(1e-3, 0.8, 21)).tolist():
-            s = -math.log1p(-th / gamma)
-            h = 1e-4 * s
-            g, dg = slope(th)
+        w, theta = standard._axis(params, term.cm / term.k, gamma)[:2]
+        inside = (theta >= 1e-3 * gamma) & (theta <= 0.8 * gamma)
+        for x in w[inside][::4].tolist():
+            h = 1e-4
+            g, dg = slope(x)
             if not (math.isfinite(g) and abs(g) > 1e-3):
                 continue
-            df = (on_float(at(s + h)) - on_float(at(s - h))) / (2 * h)
-            assert g == pytest.approx(df, rel=1e-6), (th, gamma)
-            ddf = (slope(at(s + 10 * h))[0] - slope(at(s - 10 * h))[0]) / (20 * h)
-            assert dg == pytest.approx(ddf, rel=1e-4, abs=1e-6 * abs(g)), (th, gamma)
+            df = (at(x + h)[1] - at(x - h)[1]) / (2 * h)
+            assert g == pytest.approx(df, rel=1e-6), (x, gamma)
+            ddf = (slope(x + 10 * h)[0] - slope(x - 10 * h)[0]) / (20 * h)
+            assert dg == pytest.approx(ddf, rel=1e-4, abs=1e-6 * abs(g)), (x, gamma)
             checked += 1
     assert checked >= 20
 
 
 @pytest.mark.parametrize("sched", sorted(SCHEDULERS))
 def test_refined_minimum_never_above_prescan(monkeypatch, sched):
-    """Against the float objective at the pre-scan points, within its rounding.
+    """Against the objective at the pre-scan points, within their rounding.
 
-    Also when the refinement returns a worse theta: the value at the
-    pre-scan's smallest point stands.
+    Also when the refinement returns a worse w: the value at the pre-scan's
+    smallest point stands.
     """
     checked = 0
     for params, term in _terms(sched, (0.0, 0.5, 5.0, 40.0), flows=FLOWS):
@@ -234,11 +233,11 @@ def test_refined_minimum_never_above_prescan(monkeypatch, sched):
             _, fv, _ = standard._minimize_theta(params, term)
         except SncboundsError:
             continue
-        values, tol = _float_values(params, term, standard._prescan(params, term)[0].ravel())
+        _, values, tol = _scan(params, term)
         scanned = float((values + tol).min())
         assert fv <= scanned
         with monkeypatch.context() as m:
-            m.setattr(standard, "_refine", lambda slope, lo, start, hi, gamma: hi)
+            m.setattr(standard, "_refine", lambda slope, lo, w, hi: hi)
             _, fv, _ = standard._minimize_theta(params, term)
         assert fv <= scanned
         checked += 1
@@ -271,12 +270,12 @@ def test_delay_grid_matches_one_point_calls(sched):
 def test_prescan_on_effective_bandwidth_axis():
     """On 10^4 random systems, rho up to 0.999 and capacities near the peak.
 
-    Thetas increase strictly, both ends lie within [_EDGE, 2*_EDGE]*gamma of
-    their end of (0, gamma), and each point's r is the effective bandwidth
-    of its theta: within 4 ulps of r plus 4 ulps of theta times dr/dtheta,
-    which is up to (P - m)/(2 sqrt(m (P - m))) times r/theta.  The upper
-    end's distance to gamma holds up to 8 ulps of gamma, the rounding of
-    gamma*(1 - _EDGE) itself.
+    The points' w and thetas increase strictly, both ends lie within
+    [_EDGE, 2*_EDGE]*gamma of their end of (0, gamma), and each point's r is
+    the effective bandwidth of its theta: within 4 ulps of r plus 4 ulps of
+    theta times dr/dtheta, which is up to (P - m)/(2 sqrt(m (P - m))) times
+    r/theta.  The upper end's distance to gamma holds up to 8 ulps of gamma,
+    the rounding of gamma*(1 - _EDGE) itself.
     """
     rng = np.random.default_rng(23)
     edge, ulp = standard._EDGE, np.finfo(float).eps
@@ -300,8 +299,8 @@ def test_prescan_on_effective_bandwidth_axis():
             continue
         for term in terms:
             gamma = term.consts.gamma
-            theta, r, _ = (x.ravel() for x in standard._prescan(params, term))
-            assert (np.diff(theta) > 0).all()
+            w, theta, r, _ = standard._axis(params, term.cm / term.k, gamma)
+            assert (np.diff(w) > 0).all() and (np.diff(theta) > 0).all()
             assert edge * gamma * (1 - 8 * ulp) <= theta[0] <= 2 * edge * gamma
             assert edge * gamma - 8 * ulp * gamma <= gamma - theta[-1] <= 2 * edge * gamma
             rate = standard.effective_bandwidth_rate(theta, params)
@@ -465,13 +464,17 @@ def test_delay_grid_builds_one_axis_per_system(sched):
 
 
 def test_cached_axis_is_read_only():
+    """The w, theta, r and log(c - r) rows are views of one read-only 4 x 256 array."""
     term = _bound_terms(Scenario.from_utilization(5, 5, 0.75, SOURCE), SCHEDULERS["fifo"], 1.0)[0]
     cached = standard._axis(SOURCE, term.cm / term.k, term.consts.gamma)
     assert cached is standard._axis(SOURCE, term.cm / term.k, term.consts.gamma)
-    for x in cached:
-        assert x.shape == (2, 128) and not x.flags.writeable
+    base = cached[0].base
+    assert base.shape == (4, 256) and not base.flags.writeable
+    assert len(cached) == 4
+    for row in cached:
+        assert row.shape == (256,) and row.base is base and not row.flags.writeable
         with pytest.raises(ValueError):
-            x[0, 0] = 1.0
+            row[0] = 1.0
 
 
 def test_few_slope_evaluations_per_refinement(monkeypatch):
