@@ -15,10 +15,12 @@ times, and the minimum is printed in milliseconds as one JSON object:
   reads;
 - ``service.<scheduler>``: departures of the through packets (FIFO reads
   them from the recursion; the others are served busy period by busy
-  period);
+  period, as ``simulate`` serves them: from the one that holds the first
+  measured packet to the one that holds the last);
 - ``service.<scheduler>.loop`` and ``.lockstep``: for SP, EDF and GPS, the
   part of that service spent in the scalar loop (the longest busy periods)
-  and in lockstep calls, and ``.steps`` the lockstep steps taken (a count);
+  and in lockstep calls, ``.steps`` the lockstep steps taken and ``.lanes``
+  the busy periods served (counts);
 - ``backlog``: the backlog sample behind the ``unstable`` flag, taken at the
   departures the flag reads, as ``simulate`` takes it;
 - ``statistics``: delay quantiles and the CCDF on the delay grid;
@@ -71,8 +73,9 @@ def best_ms(fn, repeats):
 
 
 def service_split(serve, repeats):
-    """Minimum ms in the scalar loop and in lockstep over the repeats, and the steps."""
-    loop, lockstep = sim._serve_loop, sim._lockstep
+    """Minimum ms in the scalar loop and in lockstep over the repeats, the
+    steps and the busy periods served."""
+    loop, lockstep, lanes = sim._serve_loop, sim._lockstep, sim._serve_lanes
     spent = {}
 
     def timed(name, fn):
@@ -85,17 +88,23 @@ def service_split(serve, repeats):
             return out
         return call
 
+    def counted(*args):
+        spent["lanes"] += args[7].size  # the ``lanes`` argument
+        return lanes(*args)
+
     best = {"loop": float("inf"), "lockstep": float("inf")}
     sim._serve_loop, sim._lockstep = timed("loop", loop), timed("lockstep", lockstep)
+    sim._serve_lanes = counted
     try:
         for _ in range(repeats):
-            spent.update(loop=0.0, lockstep=0.0, steps=0)
+            spent.update(loop=0.0, lockstep=0.0, steps=0, lanes=0)
             serve()
             for name in best:
                 best[name] = min(best[name], spent[name])
     finally:
-        sim._serve_loop, sim._lockstep = loop, lockstep
-    return {name: round(t * 1e3, 2) for name, t in best.items()} | {"steps": spent["steps"]}
+        sim._serve_loop, sim._lockstep, sim._serve_lanes = loop, lockstep, lanes
+    return ({name: round(t * 1e3, 2) for name, t in best.items()}
+            | {"steps": spent["steps"], "lanes": spent["lanes"]})
 
 
 BOUND_FLOWS = (10, 1_000, 100_000)
@@ -191,7 +200,7 @@ def main(argv=None):
     def service(spec):
         if spec.kind == "fifo":
             return fifo[np.flatnonzero(through)]
-        return sim._serve(spec, T, S, nt, lanes, cap, need)[0]
+        return sim._serve(spec, T, S, nt, lanes, cap, need, warm)[0]
 
     dep_win = service(SCHEDULERS["sp"])[warm:need]
     delays = dep_win - T[warm:need]

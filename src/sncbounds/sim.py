@@ -24,11 +24,12 @@ ties through first, and runs the FIFO work recursion on the merged order.
 
 Service runs busy period by busy period.  A busy period is a stretch in
 which the server never idles; every work-conserving discipline has the same
-ones, and the FIFO work recursion finds them.  ``_lanes`` builds three small
+ones, and the FIFO work recursion finds them.  ``_lanes`` builds four small
 tables with one entry per busy-period bound: the bound's merged index, the
-through packets before it and the first arrival at it.  A busy period's
-packets of each flow are a contiguous slice of the flat index, read from
-its two bounds, so service searches no packet array.
+through packets before it, the first arrival at it and whether the scalar
+loop is provably idle there too.  A busy period's packets of each flow are
+a contiguous slice of the flat index, read from its two bounds, so service
+searches no packet array.
 
 Nothing carries over from one busy period to the next: the server starts
 again at the next arrival, and the WFQ virtual time and finish trackers
@@ -49,13 +50,20 @@ takes, in order, at most one arrival (the next event up to the free
 instant, before the pending departure), then the pending departure if it
 is now the next event, then a selection once no event up to the free
 instant is left; a lane of n packets takes about 1.3n steps at desk scale.
-The ``_SCALAR_LANES`` longest lanes go through ``_serve_loop`` instead, and
-the rest, longest first, through lockstep calls of at most
-``_LOCKSTEP_LANES`` lanes (the reasons for each constant are next to it).
-``simulate`` stops after the warm-up plus measured through packets: busy
-periods after the one that holds the last of them are not served, and their
-packets stay NaN.  FIFO itself takes its departures from the recursion,
-so the kernels serve only SP, EDF and WFQ.
+Before a lane is served, each of its packets' departure slots is filled
+with what a step reads from it: the service time size/C under SP and EDF,
+the tag increment size/phi under WFQ.  The ``_SCALAR_LANES`` longest lanes
+go through ``_serve_loop`` instead, and the rest, longest first, through
+lockstep calls of at most ``_LOCKSTEP_LANES`` lanes (the reasons for each
+constant are next to it).
+
+``simulate`` serves only the busy periods that hold measured through
+packets: from the one that holds the first (or a lower one, where the
+scalar loop might not be idle at its bound; ``_serve`` states the rounding
+bound) to the one that holds the last.  The warm-up busy periods before
+and the ones after are not served, and their packets stay NaN.  FIFO
+itself takes its departures from the recursion, so the kernels serve only
+SP, EDF and WFQ.
 
 The kernels return departures only.  The backlog that ``DelayStats.unstable``
 samples needs no service order: every discipline here is work-conserving, so
@@ -234,20 +242,24 @@ def _flow_arrivals(scenario: Scenario, cfg: SimConfig, replication_index: int):
 # only a few steps each.
 _LOCKSTEP_LANES = 1 << 12
 # Longest lanes of a run served by the scalar loop instead.  A lockstep
-# step costs 30 (SP/EDF) to 120 (WFQ) NumPy calls whatever its width, so the
-# step count is set by the longest lane served in lockstep: handing the few
-# longest to the scalar loop, at 0.2 (SP/EDF) to 0.6 (WFQ) us per packet,
-# cuts the steps to the length of the next one.  Service ms of a desk run
-# (4.4e4 busy periods, the longest about 400 packets; mean over seeds 3, 5
-# and 7 of the minimum of 7 runs) with 16/32/48/64/96/128 scalar lanes:
-#   SP        15.5/15.3/15.1/15.8/17.2/16.6
-#   EDF(10,1) 18.2/17.7/17.4/17.9/17.9/18.8
-#   WFQ(0.5)  75.7/73.2/75.4/73.0/75.3/73.7
-# 32 is within the spread of the best for each discipline, so one count
-# serves all three.  At the 2.2e3-packet size of the benchmark's warm-up,
-# 32 and 64 tie for SP/EDF (1.1-1.3 ms) and WFQ takes 4.5 ms at 32 against
-# 3.4 at 64.
-_SCALAR_LANES = 32
+# step costs about 25 (SP), 30 (EDF) or 100 (WFQ) NumPy calls whatever its
+# width, so the step count is set by the longest lane served in lockstep:
+# handing the few longest to the scalar loop, at 0.2 (SP/EDF) to 0.6 (WFQ)
+# us per packet, cuts the steps to the length of the next one.  Service ms
+# from the busy period of the first measured packet on, with
+# 16/32/48/64/96/128 scalar lanes (mean over seeds 3, 5 and 7 of the minimum
+# of 15 runs, 31 at the small size):
+#   desk, 4.0e4 busy periods, the longest about 400 packets
+#     SP        13.0/12.5/12.2/12.5/13.2/14.1
+#     EDF(10,1) 15.4/15.6/16.0/16.3/17.1/17.4
+#     WFQ(0.5)  57.3/57.0/54.5/54.3/54.9/56.1
+#   the benchmark's warm-up size, 200 + 2000 through packets
+#     SP        1.56/1.36/1.25/1.28/1.40/1.52
+#     EDF(10,1) 1.52/1.25/1.18/1.18/1.25/1.37
+#     WFQ(0.5)  5.96/4.37/3.93/3.66/3.38/3.31
+# 48 is within the spread of the best at desk scale for each discipline;
+# at the small size it is the best for SP and EDF and 10 % below 32 for WFQ.
+_SCALAR_LANES = 48
 
 
 def _merge(T, S, nt, cap):
@@ -282,15 +294,20 @@ def _merge(T, S, nt, cap):
 def _lanes(t, through, fifo):
     """Busy-period tables from ``_merge``'s outputs: the ``_busy_periods`` bounds
     (the last is the packet count, its arrival +inf), the through packets before
-    each and the first arrival at each.  A lane [bounds[i], bounds[i+1]) owns the
-    flat slices [before[i], before[i+1]) and [nt + bounds[i] - before[i], nt +
-    bounds[i+1] - before[i+1])."""
+    each, the first arrival at each, and whether the scalar loop's server is
+    provably idle at each (the bound is stated in ``_serve``).  A lane
+    [bounds[i], bounds[i+1]) owns the flat slices [before[i], before[i+1]) and
+    [nt + bounds[i] - before[i], nt + bounds[i+1] - before[i+1])."""
     bounds = _busy_periods(t, fifo)
     before = np.zeros(bounds.size, dtype=np.intp)
     # an int32 running count halves the packet-sized array; it reaches nt
     count = np.int32 if through.size < 2**31 else np.intp
     before[1:] = np.cumsum(through, dtype=count)[bounds[1:] - 1]
-    return bounds, before, t[bounds]
+    first = t[bounds]
+    k = bounds[1:]
+    idle = np.ones(bounds.size, dtype=bool)
+    idle[1:] = first[1:] - fifo[k - 1] > 4.0 * np.finfo(float).eps * (k + 2) * first[1:]
+    return bounds, before, first, idle
 
 
 def _busy_periods(t, fifo):
@@ -410,18 +427,27 @@ def _lockstep(sched, T, S, cap, lo_t, hi_t, lo_c, hi_c, dep):
     """Serve lanes sorted longest first, all of them a step at a time, under ``sched``.
 
     ``T``/``S`` hold the arrival times and sizes of all through packets then
-    all cross packets (the flat index); lane i owns [lo_t, hi_t) and
-    [lo_c, hi_c) of it.  Each step applies the scalar loop's arithmetic to
-    every lane: the idle jump, then under SP/EDF one head selection.  Under
-    WFQ a step does three things in order: at most one arrival, if it is the
-    next event up to the free instant (before the pending departure, which
-    goes first on ties; through first among arrivals), which advances V and
-    gets its finish tag; then the pending departure, if it is now the next
-    event up to that instant; then a head selection, once no event up to
-    that instant is left.  So a lane of n packets takes n steps, plus one
-    for each arrival after which another is still due by the free instant:
-    about 1.3n at desk scale (2.6e5 lane steps for 2.0e5 packets).  A
-    finished lane has NaN heads, serves nothing and keeps its state, so the
+    all cross packets (the flat index); lane i owns [lo_t, hi_t) and [lo_c,
+    hi_c) of it.  ``dep`` comes filled by ``_serve``: under SP and EDF a
+    packet's slot holds its service time size/C until it departs, and under
+    WFQ size/phi of its flow until it arrives, then its finish tag until it
+    is served (WFQ divides size by C at service).  Each step applies the
+    scalar loop's arithmetic to every lane: the idle jump, then under SP/EDF
+    one head selection.  Under WFQ a step does three things in order: at
+    most one arrival, if it is the next event up to the free instant (before
+    the pending departure, which goes first on ties; through first among
+    arrivals), which advances V and gets its finish tag; then the pending
+    departure, if it is now the next event up to that instant; then a head
+    selection, once no event up to that instant is left.  So a lane of n
+    packets takes n steps, plus one for each arrival after which another is
+    still due by the free instant: about 1.3n at desk scale (2.6e5 lane
+    steps for 2.0e5 packets).
+
+    A flow's head past the lane's last packet of that flow is the next
+    lane's first (``_serve_lanes`` hands lockstep only lanes that have one).
+    It arrives no earlier than any packet of the lane, so the idle jump to
+    the earlier head picks it only once the lane is finished, and a mask
+    keeps it from being served.  A finished lane serves nothing, so the
     steps cover the lanes up to the last unfinished one.  Writes departures
     into ``dep`` at flat indices (the last slot takes the writes of lanes
     that serve nothing in a step) and returns each lane's last departure
@@ -430,118 +456,141 @@ def _lockstep(sched, T, S, cap, lo_t, hi_t, lo_c, hi_c, dep):
     kind, d1, d2, phi1 = sched.kind, sched.d1_star, sched.d2_star, sched.phi1
     wfq = kind == "gps"
     it, ic = lo_t.copy(), lo_c.copy()
-    free = np.full(it.size, -np.inf)
-    inf, nan = np.inf, np.nan
+    done = np.full(it.size, -np.inf)  # the last departure per lane
+    inf = np.inf
     nothing = dep.size - 1
     if wfq:
-        # a packet's finish tag is read only while it waits and its
-        # departure written only once it is served, so both share ``dep``
-        tags = dep
-        phi2 = 1.0 - phi1
+        # the weight sum by busy flows (1 through, 2 cross); an empty system
+        # divides by inf, so an arrival into it leaves V at 0
+        weights = np.array([inf, phi1, 1.0 - phi1, phi1 + (1.0 - phi1)])
         gt, gc = lo_t.copy(), lo_c.copy()        # next packet to tag per flow
-        ta = np.where(gt < hi_t, T.take(gt, mode="clip"), inf)  # ... its arrival
-        ca = np.where(gc < hi_c, T.take(gc, mode="clip"), inf)
-        q1 = np.zeros(it.size, dtype=np.intp)    # packets in system per flow
-        q2 = np.zeros(it.size, dtype=np.intp)
-        v, vt, f1, f2 = (np.zeros(it.size) for _ in range(4))
-        pend = np.full(it.size, inf)             # departure not yet processed
-        pend_c = np.zeros(it.size, dtype=bool)   # ... and whether it is cross
+        ta = np.where(gt < hi_t, T.take(gt), inf)  # ... and its arrival
+        ca = np.where(gc < hi_c, T.take(gc), inf)
+        vf = np.zeros((3, it.size))              # V and the per-flow last finish tags
+        vt = np.zeros(it.size)                   # instant of V's last update
+        pending = np.zeros(it.size, dtype=bool)  # the last departure is not processed yet
+        pend_c = np.zeros(it.size, dtype=bool)   # ... and it is cross
 
     w, steps = it.size, 0
     while w:
         steps += 1
-        it_, ic_, hi_t_, hi_c_, free_ = it[:w], ic[:w], hi_t[:w], hi_c[:w], free[:w]
-        th = np.where(it_ < hi_t_, T.take(it_, mode="clip"), nan)
-        ch = np.where(ic_ < hi_c_, T.take(ic_, mode="clip"), nan)
-        np.fmax(free_, np.fmin(th, ch), out=free_)  # idle jump
-        t_ok = th <= free_
-        c_ok = ch <= free_
+        it_, ic_, hi_t_, hi_c_, done_ = it[:w], ic[:w], hi_t[:w], hi_c[:w], done[:w]
+        t_in, c_in = it_ < hi_t_, ic_ < hi_c_
+        th, ch = T.take(it_), T.take(ic_)
+        free = np.maximum(done_, np.minimum(th, ch))  # the free instant, after an idle jump
+        t_ok = th <= free
+        t_ok &= t_in
+        c_ok = ch <= free
+        c_ok &= c_in
 
         if wfq:
-            gt_, gc_, ta_, ca_, q1_, q2_ = gt[:w], gc[:w], ta[:w], ca[:w], q1[:w], q2[:w]
-            v_, vt_, f1_, f2_, pend_, pend_c_ = (v[:w], vt[:w], f1[:w], f2[:w],
-                                                 pend[:w], pend_c[:w])
+            gt_, gc_, ta_, ca_, vt_, pending_, pend_c_ = (
+                gt[:w], gc[:w], ta[:w], ca[:w], vt[:w], pending[:w], pend_c[:w])
+            vf_ = vf[:, :w]
+            v_, f1_, f2_ = vf_
             # an arrival before the pending departure and up to the free
             # instant (through first on ties) advances V and gets its tag
             arrive = np.minimum(ta_, ca_)
-            come = (arrive < pend_) & (arrive <= free_)
-            come_t = come & (ta_ <= ca_)
+            come = arrive <= free
+            late = arrive >= done_
+            late &= pending_
+            np.greater(come, late, out=come)
+            come_t = ta_ <= ca_
+            come_t &= come
             come_c = come ^ come_t
-            denom = np.where(q1_ > 0, phi1, 0.0) + np.where(q2_ > 0, phi2, 0.0)
-            np.copyto(v_, v_ + (arrive - vt_) * cap / denom, where=come & (denom > 0.0))
-            np.copyto(vt_, arrive, where=come)
-            q1_ += come_t
-            q2_ += come_c
+            # a flow has packets in the system if one is tagged and not yet
+            # served, or if the departure not yet processed is its own
+            pend_t = pending_ > pend_c_
+            pend_x = pending_ & pend_c_
+            busy = (gt_ > it_) | pend_t
+            busy_c = (gc_ > ic_) | pend_x
+            x = np.where(come, arrive, vt_)
+            v_ += (x - vt_) * cap / weights.take(busy + 2 * busy_c)
+            vt_[...] = x
             g = np.where(come_t, gt_, gc_)
-            tag = (np.maximum(np.where(come_t, f1_, f2_), v_)
-                   + S.take(g, mode="clip") / np.where(come_t, phi1, phi2))
-            np.copyto(f1_, tag, where=come_t)
-            np.copyto(f2_, tag, where=come_c)
-            tags[np.where(come, g, nothing)] = tag
+            tag = np.maximum(np.where(come_t, f1_, f2_), v_)
+            tag += dep.take(g)
+            np.putmask(f1_, come_t, tag)
+            np.putmask(f2_, come_c, tag)
+            dep[np.where(come, g, nothing)] = tag
             gt_ += come_t
             gc_ += come_c
-            g += 1
-            a = np.where(g < np.where(come_t, hi_t_, hi_c_), T.take(g, mode="clip"), inf)
-            np.copyto(ta_, a, where=come_t)
-            np.copyto(ca_, a, where=come_c)
+            ta_[...] = np.where(gt_ < hi_t_, T.take(gt_), inf)
+            ca_[...] = np.where(gc_ < hi_c_, T.take(gc_), inf)
             # then the pending departure, if it is now the next event (first
             # on ties); V and the finish trackers reset when the system empties
             np.minimum(ta_, ca_, out=arrive)
-            gone = (pend_ <= arrive) & (pend_ <= free_)
-            denom = np.where(q1_ > 0, phi1, 0.0) + np.where(q2_ > 0, phi2, 0.0)
-            np.copyto(v_, v_ + (pend_ - vt_) * cap / denom, where=gone)
-            np.copyto(vt_, pend_, where=gone)
-            q1_ -= gone & ~pend_c_
-            q2_ -= gone & pend_c_
-            np.copyto(pend_, inf, where=gone)
-            reset = gone & (q1_ + q2_ == 0)
-            np.copyto(v_, 0.0, where=reset)
-            np.copyto(f1_, 0.0, where=reset)
-            np.copyto(f2_, 0.0, where=reset)
+            gone = done_ <= arrive
+            gone &= pending_
+            busy = (gt_ > it_) | pend_t
+            busy_c = (gc_ > ic_) | pend_x
+            x = np.where(gone, done_, vt_)
+            v_ += (x - vt_) * cap / weights.take(busy + 2 * busy_c)
+            vt_[...] = x
+            np.greater(pending_, gone, out=pending_)
+            # only an empty lane with arrivals still to come needs the reset
+            reset = (gt_ == it_) & (gc_ == ic_) & (arrive < inf)
+            reset &= gone
+            if reset.any():
+                vf_ *= ~reset
 
         if kind == "sp":
-            take = t_ok & ~c_ok
-        elif kind == "edf":
-            dl_t, dl_c = th + d1, ch + d2
-            take = np.where(t_ok & c_ok, (dl_t < dl_c) | ((dl_t == dl_c) & (th <= ch)), t_ok)
+            take = t_ok > c_ok
         else:
-            take = np.where(t_ok & c_ok, tags.take(it_) <= tags.take(ic_), t_ok)
-        take_c = c_ok & ~take  # neither takes: the lane is finished
-        serve = take | take_c
+            if kind == "edf":
+                dl_t, dl_c = th + d1, ch + d2
+                first_t = (dl_t < dl_c) | ((dl_t == dl_c) & (th <= ch))
+            else:
+                first_t = dep.take(it_) <= dep.take(ic_)
+            take = t_ok > (c_ok > first_t)
+        take_c = c_ok > take  # neither takes: the lane waits or is finished
         if wfq:
             # then a selection, once no event up to the free instant is left
-            serve &= arrive > free_
-            take &= serve
-            take_c &= serve
-        idx = np.where(take, it_, np.where(take_c, ic_, nothing))
-        d = free_ + S.take(idx, mode="clip") / cap
-        if wfq:
-            np.copyto(pend_, d, where=serve)
-            np.copyto(pend_c_, take_c, where=serve)
-
-        dep[idx] = d
+            ready = arrive > free
+            take &= ready
+            take_c &= ready
+        serve = take | take_c
+        idx = np.where(take, it_, ic_)
+        d = free + (S.take(idx) / cap if wfq else dep.take(idx))
+        dep[np.where(serve, idx, nothing)] = d
         it_ += take
         ic_ += take_c
-        np.copyto(free_, d, where=serve)
+        np.putmask(done_, serve, d)
+        if wfq:
+            pending_ |= serve
+            np.putmask(pend_c_, serve, take_c)
         # NumPy keeps freed buffers under 1 KiB for reuse, one cache per
         # byte size, so narrowing lane by lane would leave a buffer of every
-        # size behind: below 1024 lanes, widths are multiples of 128
-        left = (it_ < hi_t_) | (ic_ < hi_c_)
+        # size behind: below 1024 lanes, widths are multiples of 128.  A lane
+        # that finished in this step drops out in the next.
+        left = t_in | c_in
         k = int(left[::-1].argmax())
         live = w - k if left[w - 1 - k] else 0
         w = live if live >= 1024 else min(-(-live // 128) * 128, w)
-    return free, steps
+    return done, steps
 
 
 def _serve_lanes(sched, T, S, cap, nt, bounds, before, lanes, dep):
     """Serve the given lanes exactly as the scalar loop would; last departures.
 
     Lane i is the busy period [bounds[i], bounds[i+1]) of the merged order,
-    with ``before[i]`` through packets ahead of it (see ``_merge``).  A lane
-    of one packet departs at arrival + size/C, the ``_SCALAR_LANES`` longest
-    go through ``_serve_loop`` on their own packets, and the rest through
-    ``_lockstep``.
+    with ``before[i]`` through packets ahead of it (see ``_merge``).  Their
+    slots of ``dep`` are first filled as ``_lockstep`` reads them, a slice
+    per flow for each run of consecutive lanes.  A lane of one packet
+    departs at arrival + size/C.  The ``_SCALAR_LANES`` longest go through
+    ``_serve_loop`` on their own packets, and so do the lanes from the one
+    that holds the last packet of a flow on, which have no next packet of
+    it; the rest go through ``_lockstep``.  Where one flow has no packets at
+    all, lockstep reads the last arrival as its head, which comes no earlier
+    than any other.
     """
+    scale = (sched.phi1, 1.0 - sched.phi1) if sched.kind == "gps" else (cap, cap)
+    runs = np.flatnonzero(np.diff(lanes) != 1) + 1  # of consecutive lanes
+    for a, z in zip(lanes[:1].tolist() + lanes[runs].tolist(),
+                    (lanes[runs - 1] + 1).tolist() + (lanes[-1:] + 1).tolist()):
+        for lo, hi, s in ((before[a], before[z], scale[0]),
+                          (nt + bounds[a] - before[a], nt + bounds[z] - before[z], scale[1])):
+            np.divide(S[lo:hi], s, out=dep[lo:hi])
     last = np.empty(lanes.size)
     start, lo_t = bounds[lanes], before[lanes]
     n = bounds[lanes + 1] - start
@@ -556,29 +605,57 @@ def _serve_lanes(sched, T, S, cap, nt, bounds, before, lanes, dep):
     hi_t = before[lanes[many] + 1]
     del n, one, m, lo, p
     lo_c, hi_c = nt + start - lo_t, nt + end - hi_t
-    for i in range(min(_SCALAR_LANES, many.size)):
+    edge = T.size - 1
+    if nt == 0:
+        lo_t[:] = hi_t[:] = edge
+    if nt == T.size:
+        lo_c[:] = hi_c[:] = edge
+    scalar = np.zeros(many.size, dtype=bool)
+    scalar[:_SCALAR_LANES] = True
+    scalar |= (hi_t == nt) | (hi_c == T.size)
+    for i in np.flatnonzero(scalar):
         a, z, c, e = lo_t[i], hi_t[i], lo_c[i], hi_c[i]
         dep[a:z], dep[c:e], last[many[i]] = _serve_loop(sched, T[a:z], S[a:z],
                                                         T[c:e], S[c:e], cap)
-    for g in range(_SCALAR_LANES, many.size, _LOCKSTEP_LANES):
-        group = slice(g, g + _LOCKSTEP_LANES)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            last[many[group]], _ = _lockstep(sched, T, S, cap, lo_t[group], hi_t[group],
-                                             lo_c[group], hi_c[group], dep)
+    rest = np.flatnonzero(~scalar)
+    for g in range(0, rest.size, _LOCKSTEP_LANES):
+        group = rest[g:g + _LOCKSTEP_LANES]
+        last[many[group]], _ = _lockstep(sched, T, S, cap, lo_t[group], hi_t[group],
+                                         lo_c[group], hi_c[group], dep)
     return last
 
 
-def _serve(sched, T, S, nt, lanes, cap, need=None):
+def _serve(sched, T, S, nt, lanes, cap, need=None, warm=0):
     """Departures of a non-preemptive two-flow server, busy period by busy period.
 
     Gives, bit for bit, what the scalar loop gives on the whole run under
-    ``sched`` (SP, EDF or GPS); see the module docstring.  ``T``/``S`` are
-    the flat arrivals of ``nt`` through packets then the cross packets, and
-    ``lanes`` the per-bound tables of ``_lanes``.  ``need`` stops service after the busy period that holds
-    the ``need``-th through packet (None serves all).  Returns (through
-    departs, cross departs); packets of later busy periods are NaN.
+    ``sched`` (SP, EDF or GPS) on every packet it serves; see the module
+    docstring.  ``T``/``S`` are the flat arrivals of ``nt`` through packets
+    then the cross packets, and ``lanes`` the per-bound tables of
+    ``_lanes``.  Service starts at the busy period that holds through packet
+    ``warm`` (0: at the first) and stops after the one that holds the
+    ``need``-th through packet (None serves all).  Returns (through departs,
+    cross departs); packets of busy periods outside that range are NaN.
+
+    Skipping the busy periods below needs the loop's server to be idle at
+    the lowest served bound, and the FIFO recursion shows it idle only in
+    its own rounding.  Take a bound with k packets ahead of it and first
+    arrival t; no value either computation meets on the way there exceeds
+    t, and each operation is off by at most 2^-53 of its value.  The
+    recursion's end of that work carries a k-term running sum twice plus
+    five single operations: at most (2k + 7) 2^-53 t off the exact end.
+    The loop's is k divisions and k additions from the last instant at
+    which it jumped to an arrival, and never above the exact end by more
+    than (k + 1) 2^-53 t.  So where the recursion's idle gap t - fifo
+    exceeds (1.5k + 4) eps t, eps = 2^-52, the loop is idle there too.
+    ``_lanes`` calls a bound idle where the gap exceeds 4(k + 2) eps t, and
+    service starts a busy period lower while its bound is not.
     """
-    bounds, before, first = lanes
+    bounds, before, first, idle = lanes
+    low = int(np.searchsorted(before, warm, side="right")) - 1 if warm else 0
+    while not idle[low]:
+        low -= 1
+    bounds, before, first = bounds[low:], before[low:], first[low:]
     dep = np.full(T.size + 1, np.nan)
     stop = need is not None and need <= nt
     last = np.full(bounds.size - 1, np.nan)  # last departure; NaN: not served yet
@@ -666,7 +743,7 @@ def simulate(scenario: Scenario, sched: SchedulerSpec, cfg: SimConfig,
     else:
         lanes = _lanes(t, through, fifo)
         del t, through
-        dep_thr, _ = _serve(sched, T, S, nt, lanes, cap, need)
+        dep_thr, _ = _serve(sched, T, S, nt, lanes, cap, need, cfg.warmup_packets)
         del lanes
     delays = dep_thr[cfg.warmup_packets:need] - T[cfg.warmup_packets:need]
     at = dep_thr[cfg.warmup_packets + _flag_window(cfg.measured_packets)]

@@ -101,6 +101,8 @@ def _above_mean(theta: float, lam_mu: float, m: float, peak: float) -> float:
     q = lam_mu - theta * (peak - 2.0 * m)
     t = theta * m * (peak - m)
     sq = math.sqrt(q * q + 4.0 * theta * t)
+    if not sq < math.inf:  # the squares overflow near the top of the double range
+        sq = math.hypot(q, 2.0 * math.sqrt(theta) * math.sqrt(t))
     return 2.0 * t / (sq + q) if q > 0 else (sq - q) / (2.0 * theta)
 
 
@@ -125,7 +127,11 @@ def _axis(params: MmooParams, c: float, gamma: float) -> tuple:
     bottom = _above_mean(inset, lam_mu, m, peak)
     kk = max(lam_mu * span - t_top * dc, inset * dc)
     mm = lam_mu + t_top * (2.0 * c - peak)
-    top = 2.0 * kk / (mm + math.sqrt(mm * mm - 4.0 * t_top * kk))
+    root = math.sqrt(mm * mm - 4.0 * t_top * kk)
+    if not root < math.inf:  # as in ``_above_mean``: a difference of squares
+        s = 2.0 * math.sqrt(t_top) * math.sqrt(kk)
+        root = math.sqrt(mm - s) * math.sqrt(mm + s)
+    top = 2.0 * kk / (mm + root)
     w_bottom = -math.log((span - bottom) / bottom) + _W_INSET
     w_top = math.log((span - top) / top) - _W_INSET
     axis = np.empty((4, 256))

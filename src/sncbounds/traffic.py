@@ -273,31 +273,42 @@ def sample_path(params: MmooParams, horizon: float, seed) -> StatePath:
     ``lam``.  Memorylessness makes residual-time handling unnecessary.  The
     final dwell is truncated at the horizon.
 
-    Dwells are drawn in blocks of ``_BLOCK`` as standard exponentials divided
-    by the exit rates of the block's states, then cut at the horizon.  The
+    Dwells come in blocks of ``_BLOCK`` standard exponentials divided by the
+    exit rates of the block's states; each block's ends are its cumulative
+    sum plus the end of the block before, then cut at the horizon.  The
     block size does not depend on the horizon, so a longer horizon extends
-    the same path.
+    the same path.  The blocks are drawn in one call: as many as the mean
+    number of dwells in the horizon fills, plus one, and more in a further
+    call in the rare case that they end short of it.  These are the numbers
+    that drawing block by block gives, but a ``Generator`` passed as
+    ``seed`` advances past the last block the path uses.
     """
     if not 0 < horizon < math.inf:
         raise InvalidParamsError(f"horizon must be finite and > 0, got {horizon}")
     rng = spawned_rng(seed)
     state = int(rng.choice(2, p=_on_off_law(params)))
     exits = (params.mu, params.lam)
-    block_rates = np.resize(np.array([exits[state], exits[1 - state]]), _BLOCK)
+    block_rates = np.tile([exits[state], exits[1 - state]], _BLOCK // 2)
+    per_time = 2.0 / (1.0 / params.mu + 1.0 / params.lam)  # mean dwells per unit time
     dwells, ends = [], []
     t = 0.0
     while t < horizon:
-        dwell = rng.standard_exponential(_BLOCK) / block_rates
-        end = np.cumsum(dwell)
-        end += t
-        dwells.append(dwell)
-        ends.append(end)
-        t = float(end[-1])
+        blocks = int((horizon - t) * per_time / _BLOCK) + 1
+        dwell = rng.standard_exponential((blocks, _BLOCK))
+        dwell /= block_rates
+        end = np.cumsum(dwell, axis=1)
+        # each block starts at the end of the one before, summed in block order
+        starts = np.cumsum(np.concatenate(([t], end[:-1, -1])))
+        end += starts[:, None]
+        dwells.append(dwell.ravel())
+        ends.append(end.ravel())
+        t = float(end[-1, -1])
     end = np.concatenate(ends)
     last = int(np.searchsorted(end, horizon, side="left"))  # first dwell reaching it
     durations = np.concatenate(dwells)[:last + 1]
     durations[last] = horizon - (end[last - 1] if last else 0.0)
-    states = (np.arange(last + 1, dtype=np.int64) + state) % 2
+    states = np.arange(last + 1, dtype=np.int64) & 1
+    states ^= state
     return StatePath(states, durations)
 
 

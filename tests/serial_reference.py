@@ -11,6 +11,8 @@
 - ``packet_arrays``: packetization by a stable sort of the unit packets
   followed by the fractional ones, as it was before each dwell's packets
   were written into consecutive slots.
+- ``sample_path``: an On-Off path drawn one block of dwells per call, as it
+  was before all the blocks a horizon needs were drawn in one call.
 
 Do not edit them to follow the simulator.
 """
@@ -18,6 +20,8 @@ Do not edit them to follow the simulator.
 import math
 
 import numpy as np
+
+from sncbounds.traffic import StatePath, spawned_rng, stationary_distribution
 
 
 def _serve_loop(kind, tt, ts, ct, cs, cap, need, d1=0.0, d2=0.0,
@@ -201,3 +205,33 @@ def packet_arrays(path, peak):
     sizes = np.concatenate([np.ones(total), frac[keep]])
     order = np.argsort(times, kind="stable")
     return times[order], sizes[order]
+
+
+def sample_path(params, horizon, seed, block=1024):
+    """One On-Off source over [0, horizon], its dwells drawn block by block.
+
+    The initial state comes from the stationary law and the states
+    alternate; each block is ``block`` standard exponentials divided by the
+    exit rates of its states, and its ends are its cumulative sum plus the
+    end of the block before.  Blocks are drawn until one ends at or past the
+    horizon, and the dwell that reaches it is cut there.
+    """
+    rng = spawned_rng(seed)
+    state = int(rng.choice(2, p=stationary_distribution([params.mu], [params.lam])))
+    exits = (params.mu, params.lam)
+    block_rates = np.resize(np.array([exits[state], exits[1 - state]]), block)
+    dwells, ends = [], []
+    t = 0.0
+    while t < horizon:
+        dwell = rng.standard_exponential(block) / block_rates
+        end = np.cumsum(dwell)
+        end += t
+        dwells.append(dwell)
+        ends.append(end)
+        t = float(end[-1])
+    end = np.concatenate(ends)
+    last = int(np.searchsorted(end, horizon, side="left"))
+    durations = np.concatenate(dwells)[:last + 1]
+    durations[last] = horizon - (end[last - 1] if last else 0.0)
+    states = (np.arange(last + 1, dtype=np.int64) + state) % 2
+    return StatePath(states, durations)

@@ -9,8 +9,8 @@ import numpy as np
 from sncbounds.sim import _lanes, _merge, _serve
 
 
-def serve_flows(sched, tt, ts, ct, cs, cap, need=None):
+def serve_flows(sched, tt, ts, ct, cs, cap, need=None, warm=0):
     """``sim._serve`` under ``sched`` on per-flow arrival arrays, each sorted by time."""
     T, S = np.concatenate([tt, ct]), np.concatenate([ts, cs])
     through, fifo, t = _merge(T, S, tt.size, cap)
-    return _serve(sched, T, S, tt.size, _lanes(t, through, fifo), cap, need)
+    return _serve(sched, T, S, tt.size, _lanes(t, through, fifo), cap, need, warm)

@@ -270,6 +270,16 @@ class TestCli:
         # martingale bound K^n e^{-gamma C d} at d=5 times the Palm factor
         assert float(d5[5]) == pytest.approx(0.10587 * 1.67190, abs=1e-4)
 
+    def test_bound_at_rates_near_the_top_of_the_double_range(self, capsys):
+        rc = main(["bound", "--lambda", "1e200", "--mu", "1e200", "--d", "0,5"])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 3
+        header = lines[0].split(",")
+        for line in lines[1:]:
+            row = dict(zip(header, line.split(",")))
+            assert math.isfinite(float(row["standard_raw"]))
+
     def test_bound_json(self, capsys):
         rc = main(["bound", "--rho", "0.75", "--d", "2", "--format", "json"])
         assert rc == 0

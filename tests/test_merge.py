@@ -21,7 +21,7 @@ SOURCE = MmooParams(0.5, 0.1, 1.0)
 def assert_same_as_reference(tt, ts, ct, cs, cap):
     T, S, nt = np.concatenate([tt, ct]), np.concatenate([ts, cs]), tt.size
     through, fifo, t = sim._merge(T, S, nt, cap)
-    bounds, before, first = sim._lanes(t, through, fifo)
+    bounds, before, first, idle = sim._lanes(t, through, fifo)
     want_pos, want_fifo, want_bounds = ref.merge(T, S, nt, cap, sim._busy_periods)
     assert np.array_equal(np.flatnonzero(through), want_pos)
     assert np.array_equal(fifo, want_fifo)
@@ -31,6 +31,10 @@ def assert_same_as_reference(tt, ts, ct, cs, cap):
     assert np.array_equal(nt + bounds - before, lo_c)
     assert np.array_equal(first, want_first)
     assert first[-1] == np.inf
+    # the first bound has nothing before it; the others are idle by a margin
+    assert idle[0] and not idle[-1]
+    gap = first[1:-1] - fifo[bounds[1:-1] - 1]
+    assert (gap[idle[1:-1]] > 0).all()
 
 
 def generated(size, seed, rho=0.75):
@@ -78,7 +82,7 @@ class TestHandBuilt:
         through, fifo, t = sim._merge(empty, empty, 0, 1.0)
         assert through.size == fifo.size == 0
         tables = sim._lanes(t, through, fifo)
-        assert [tab.tolist() for tab in tables] == [[0], [0], [np.inf]]
+        assert [tab.tolist() for tab in tables] == [[0], [0], [np.inf], [True]]
 
 
 @pytest.mark.parametrize("size, seed", [("small", 0), ("small", 1)])

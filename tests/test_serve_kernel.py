@@ -222,3 +222,65 @@ def test_wfq_uneven_weights(arrivals, phi1):
     tt, ts, ct, cs, cap, need = arrivals("small", 1)
     assert_same_as_reference(SchedulerSpec.gps(phi1), tt, ts, ct, cs, cap, need)
     assert_same_as_reference(SchedulerSpec.gps(phi1), tt, ts, ct, cs, cap, None)
+
+
+# Service from the busy period of the first measured through packet on, as
+# ``simulate`` serves: the served packets are the loop's over the whole run,
+# and the busy periods below are skipped.
+@pytest.mark.parametrize("name", sorted(DISCIPLINES))
+@pytest.mark.parametrize("size, seed", [("small", 0), ("small", 1), ("small", 5), ("desk", 0)])
+def test_warm_up_offset(arrivals, size, seed, name):
+    tt, ts, ct, cs, cap, need = arrivals(size, seed)
+    warm = SIZES[size][0]
+    sched = DISCIPLINES[name]
+    want = reference(REFERENCE_KIND.get(name, sched.kind), tt, ts, ct, cs, cap, need,
+                     d1=sched.d1_star, d2=sched.d2_star, phi1=sched.phi1)
+    got = serve_flows(sched, tt, ts, ct, cs, cap, need, warm)
+    for dep, loop_dep in zip(got, want[:2]):
+        served = ~np.isnan(dep)
+        both = served & ~np.isnan(loop_dep)  # the loop stops at ``need``
+        assert np.array_equal(dep[both], loop_dep[both])
+        # served: one run, after the skipped busy periods at the start
+        assert not served[0] and np.count_nonzero(np.diff(served)) <= 2
+    assert not np.isnan(got[0][warm:need]).any()
+
+
+@pytest.mark.parametrize("name", sorted(DISCIPLINES))
+def test_warm_up_offset_in_each_lane_kind(arrivals, monkeypatch, name):
+    tt, ts, ct, cs, cap, need = arrivals("small", 1)
+    for lanes in (0, 10**9):
+        monkeypatch.setattr(sim, "_SCALAR_LANES", lanes)
+        sched = DISCIPLINES[name]
+        want = reference(REFERENCE_KIND.get(name, sched.kind), tt, ts, ct, cs, cap, need,
+                         d1=sched.d1_star, d2=sched.d2_star, phi1=sched.phi1)
+        got = serve_flows(sched, tt, ts, ct, cs, cap, need, 1000)
+        for dep, loop_dep in zip(got, want[:2]):
+            both = ~np.isnan(dep) & ~np.isnan(loop_dep)
+            assert np.array_equal(dep[both], loop_dep[both])
+        assert not np.isnan(got[0][1000:need]).any()
+
+
+@pytest.mark.parametrize("name", sorted(DISCIPLINES))
+def test_warm_up_bound_inside_the_rounding_is_served_from_below(name, monkeypatch):
+    # C = 3: four back-to-back through packets end at 627.4499999999999 by
+    # the FIFO recursion and at 627.4500000000002 in the loop; the fifth
+    # arrives at 627.45, idle to the recursion but busy to the loop
+    tt = np.full(5, 626.66) + np.arange(5) * 1e-3
+    tt[4] = 627.45
+    ts = np.array([0.863, 0.389, 0.59, 0.528, 0.25])
+    empty = np.empty(0)
+    T = tt.copy()
+    through, fifo, t = sim._merge(T, ts, 5, 3.0)
+    bounds, _, _, idle = sim._lanes(t, through, fifo)
+    assert bounds.tolist() == [0, 4, 5] and not idle[1]
+    sched = DISCIPLINES[name]
+    want, _, _ = reference(REFERENCE_KIND.get(name, sched.kind), tt, ts, empty, empty, 3.0,
+                           5, d1=sched.d1_star, d2=sched.d2_star, phi1=sched.phi1)
+    got, _ = serve_flows(sched, tt, ts, empty, empty, 3.0, 5, 4)
+    assert np.array_equal(got, want)  # served from the busy period below
+    # starting at the bound instead would give the fifth packet another departure
+    lanes = sim._lanes
+    monkeypatch.setattr(sim, "_lanes", lambda *a: lanes(*a)[:3] + (np.ones(3, dtype=bool),))
+    from serve_flows import _serve
+    bad, _ = _serve(sched, T, ts, 5, sim._lanes(t, through, fifo), 3.0, 5, 4)
+    assert bad[4] != want[4]

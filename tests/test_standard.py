@@ -223,6 +223,19 @@ class TestStandardDelayBounds:
             assert res.value == pytest.approx(oracle, rel=1e-3)
             assert res.value <= oracle * (1 + 1e-12)  # optimizer beats the grid
 
+    @pytest.mark.parametrize("sched", [SchedulerSpec.fifo(), SchedulerSpec.sp(),
+                                       SchedulerSpec.edf(1.0, 10.0), SchedulerSpec.gps(0.5)])
+    def test_rates_near_the_top_of_the_double_range(self, sched):
+        # at 1e200 the squares behind the pre-scan's ends overflow; the bound
+        # is the one of a fast-switching source at 1e150, where they do not
+        fast = Scenario.from_utilization(5, 5, 0.75, MmooParams(1e200, 1e200, 1.0))
+        slower = Scenario.from_utilization(5, 5, 0.75, MmooParams(1e150, 1e150, 1.0))
+        for d in (0.0, 5.0):
+            got = standard_delay_bound(fast, sched, d)
+            want = standard_delay_bound(slower, sched, d)
+            assert math.isfinite(got.value) and math.isfinite(got.theta_star)
+            assert got.value == pytest.approx(want.value, rel=1e-9)
+
     def test_fifo_exceeds_martingale_at_five(self):
         sc = scenario()
         std = standard_delay_bound(sc, SchedulerSpec.fifo(), 5.0).value

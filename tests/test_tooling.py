@@ -263,7 +263,8 @@ def test_stage_times_script_runs(capsys):
     for n in names:
         service.append(f"service.{n}")
         if script.SCHEDULERS[n].kind != "fifo":
-            service += [f"service.{n}.{part}" for part in ("loop", "lockstep", "steps")]
+            service += [f"service.{n}.{part}"
+                        for part in ("loop", "lockstep", "steps", "lanes")]
     bounds = [key for n in names
               for key in (f"bounds.{n}", f"bounds.{n}.cold", f"bounds.{n}.refine",
                           f"bounds.{n}.slopes")]
@@ -272,8 +273,9 @@ def test_stage_times_script_runs(capsys):
                          + bounds + [f"bound_rows.{n}" for n in names])
     # the refinement is part of every bound call
     assert all(0 < out[f"bounds.{n}.refine"] < out[f"bounds.{n}"] for n in names)
-    steps = {name: out.pop(name) for name in list(out) if name.endswith(".steps")}
-    assert all(isinstance(n, int) and n > 0 for n in steps.values())
+    counts = {name: out.pop(name) for name in list(out)
+              if name.endswith((".steps", ".lanes"))}
+    assert all(isinstance(n, int) and n > 0 for n in counts.values())
     # every refinement evaluates the slope at least once
     assert all(out.pop(f"bounds.{n}.slopes") >= 1 for n in names)
     assert all(isinstance(ms, float) and ms >= 0 for ms in out.values())

@@ -19,6 +19,7 @@ from sncbounds import (
     sample_path,
     stationary_distribution,
 )
+from sncbounds import traffic
 from sncbounds.traffic import StatePath, _on_off_law, packet_arrays, spawned_rng
 from general_reference import dense_generator
 import serial_reference
@@ -274,6 +275,32 @@ class TestBlockSampling:
         assert np.array_equal(a.states, b.states[:k])
         assert np.array_equal(a.durations[:-1], b.durations[:k - 1])
         assert a.durations[-1] <= b.durations[k - 1]
+
+    def test_same_path_as_block_by_block(self):
+        """One draw for all blocks gives the block-by-block path, bit for bit."""
+        rng = np.random.default_rng(20261019)
+        for k in range(300):
+            lam, mu = 10.0 ** rng.uniform(-2, 1, 2)
+            src = MmooParams(lam, mu, 1.0)
+            horizon = 10.0 ** rng.uniform(-1, 4.5)
+            got = sample_path(src, horizon, (k, 7))
+            want = serial_reference.sample_path(src, horizon, (k, 7))
+            assert np.array_equal(got.states, want.states)
+            assert np.array_equal(got.durations, want.durations)
+
+    def test_same_path_when_the_first_draw_ends_short(self):
+        # a horizon that one block covers on average: the first call draws
+        # one block, and a path of more dwells than that needed a second
+        per_time = 2.0 / (1.0 / BASE_SOURCE.mu + 1.0 / BASE_SOURCE.lam)
+        horizon = 0.99 * traffic._BLOCK / per_time
+        second = 0
+        for seed in range(20):
+            want = serial_reference.sample_path(BASE_SOURCE, horizon, seed)
+            got = sample_path(BASE_SOURCE, horizon, seed)
+            assert np.array_equal(got.states, want.states)
+            assert np.array_equal(got.durations, want.durations)
+            second += want.states.size > traffic._BLOCK
+        assert second > 0
 
     @pytest.mark.parametrize("chain", sorted(CHAINS))
     def test_mean_dwell_is_inverse_exit_rate(self, chain):
