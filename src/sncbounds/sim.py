@@ -477,7 +477,7 @@ def _lockstep(sched, T, S, cap, lo_t, hi_t, lo_c, hi_c, dep):
         it_, ic_, hi_t_, hi_c_, done_ = it[:w], ic[:w], hi_t[:w], hi_c[:w], done[:w]
         t_in, c_in = it_ < hi_t_, ic_ < hi_c_
         th, ch = T.take(it_), T.take(ic_)
-        free = np.maximum(done_, np.minimum(th, ch))  # the free instant, after an idle jump
+        free = np.maximum(done_, np.minimum(th, ch))  # after the idle jump
         t_ok = th <= free
         t_ok &= t_in
         c_ok = ch <= free
@@ -580,16 +580,17 @@ def _serve_lanes(sched, T, S, cap, nt, bounds, before, lanes, dep):
     departs at arrival + size/C.  The ``_SCALAR_LANES`` longest go through
     ``_serve_loop`` on their own packets, and so do the lanes from the one
     that holds the last packet of a flow on, which have no next packet of
-    it; the rest go through ``_lockstep``.  Where one flow has no packets at
-    all, lockstep reads the last arrival as its head, which comes no earlier
-    than any other.
+    it; the rest go through ``_lockstep``.  Where there are no cross
+    packets at all, lockstep reads the last arrival as the cross head,
+    which comes no earlier than any other.
     """
     scale = (sched.phi1, 1.0 - sched.phi1) if sched.kind == "gps" else (cap, cap)
     runs = np.flatnonzero(np.diff(lanes) != 1) + 1  # of consecutive lanes
     for a, z in zip(lanes[:1].tolist() + lanes[runs].tolist(),
                     (lanes[runs - 1] + 1).tolist() + (lanes[-1:] + 1).tolist()):
         for lo, hi, s in ((before[a], before[z], scale[0]),
-                          (nt + bounds[a] - before[a], nt + bounds[z] - before[z], scale[1])):
+                          (nt + bounds[a] - before[a], nt + bounds[z] - before[z],
+                           scale[1])):
             np.divide(S[lo:hi], s, out=dep[lo:hi])
     last = np.empty(lanes.size)
     start, lo_t = bounds[lanes], before[lanes]
@@ -605,11 +606,8 @@ def _serve_lanes(sched, T, S, cap, nt, bounds, before, lanes, dep):
     hi_t = before[lanes[many] + 1]
     del n, one, m, lo, p
     lo_c, hi_c = nt + start - lo_t, nt + end - hi_t
-    edge = T.size - 1
-    if nt == 0:
-        lo_t[:] = hi_t[:] = edge
-    if nt == T.size:
-        lo_c[:] = hi_c[:] = edge
+    if nt == T.size:  # no cross packets: every lane would end the cross flow
+        lo_c[:] = hi_c[:] = nt - 1
     scalar = np.zeros(many.size, dtype=bool)
     scalar[:_SCALAR_LANES] = True
     scalar |= (hi_t == nt) | (hi_c == T.size)

@@ -261,7 +261,7 @@ def test_warm_up_offset_in_each_lane_kind(arrivals, monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", sorted(DISCIPLINES))
-def test_warm_up_bound_inside_the_rounding_is_served_from_below(name, monkeypatch):
+def test_warm_up_bound_inside_the_rounding_is_served_from_below(name):
     # C = 3: four back-to-back through packets end at 627.4499999999999 by
     # the FIFO recursion and at 627.4500000000002 in the loop; the fifth
     # arrives at 627.45, idle to the recursion but busy to the loop
@@ -269,18 +269,15 @@ def test_warm_up_bound_inside_the_rounding_is_served_from_below(name, monkeypatc
     tt[4] = 627.45
     ts = np.array([0.863, 0.389, 0.59, 0.528, 0.25])
     empty = np.empty(0)
-    T = tt.copy()
-    through, fifo, t = sim._merge(T, ts, 5, 3.0)
-    bounds, _, _, idle = sim._lanes(t, through, fifo)
-    assert bounds.tolist() == [0, 4, 5] and not idle[1]
+    through, fifo, t = sim._merge(tt, ts, 5, 3.0)
+    lanes = sim._lanes(t, through, fifo)
+    assert lanes[0].tolist() == [0, 4, 5] and not lanes[3][1]
     sched = DISCIPLINES[name]
     want, _, _ = reference(REFERENCE_KIND.get(name, sched.kind), tt, ts, empty, empty, 3.0,
                            5, d1=sched.d1_star, d2=sched.d2_star, phi1=sched.phi1)
     got, _ = serve_flows(sched, tt, ts, empty, empty, 3.0, 5, 4)
     assert np.array_equal(got, want)  # served from the busy period below
     # starting at the bound instead would give the fifth packet another departure
-    lanes = sim._lanes
-    monkeypatch.setattr(sim, "_lanes", lambda *a: lanes(*a)[:3] + (np.ones(3, dtype=bool),))
-    from serve_flows import _serve
-    bad, _ = _serve(sched, T, ts, 5, sim._lanes(t, through, fifo), 3.0, 5, 4)
+    trusted = lanes[:3] + (np.ones(3, dtype=bool),)
+    bad, _ = sim._serve(sched, tt, ts, 5, trusted, 3.0, 5, 4)
     assert bad[4] != want[4]
