@@ -9,7 +9,11 @@ P 1), rho 0.75, 1e4 warm-up + 1e5 measured through packets, one
 replication.  Each stage is timed alone on the same inputs, ``--repeats``
 times, and the minimum is printed in milliseconds as one JSON object:
 
-- ``arrivals``: sample paths, packetization and the per-flow sort;
+- ``arrivals``: sample paths, packetization and the per-flow sort, and
+  each alone on the first horizon's inputs: ``arrivals.paths`` (the sample
+  paths of all sources), ``arrivals.packetize`` (``packet_arrays`` on
+  them) and ``arrivals.sort`` (each flow's packets merged into the flat
+  arrays);
 - ``merge``: the two-flow merge and FIFO recursion;
 - ``lanes``: the busy-period tables, which only SP, EDF and GPS service
   reads;
@@ -22,7 +26,8 @@ times, and the minimum is printed in milliseconds as one JSON object:
   and in lockstep calls, ``.steps`` the lockstep steps taken and ``.lanes``
   the busy periods served (counts);
 - ``backlog``: the backlog sample behind the ``unstable`` flag, taken at the
-  departures the flag reads, as ``simulate`` takes it;
+  FIFO departures the flag reads, as ``simulate`` takes it under FIFO (one
+  search over the merged arrivals);
 - ``statistics``: delay quantiles and the CCDF on the delay grid;
 - ``simulate.<scheduler>``: the whole call.
 
@@ -52,6 +57,7 @@ import numpy as np
 import sncbounds.sim as sim
 import sncbounds.standard as standard
 from sncbounds import MmooParams, Scenario, SchedulerSpec, SimConfig, standard_delay_bound
+from sncbounds.traffic import packet_arrays, sample_path, spawned_rng
 from sncbounds.analysis import bound_rows
 
 SCHEDULERS = {
@@ -202,13 +208,29 @@ def main(argv=None):
             return fifo[np.flatnonzero(through)]
         return sim._serve(spec, T, S, nt, lanes, cap, need, warm)[0]
 
-    dep_win = service(SCHEDULERS["sp"])[warm:need]
-    delays = dep_win - T[warm:need]
-    flagged = sim._flag_window(cfg.measured_packets)
+    delays = service(SCHEDULERS["sp"])[warm:need] - T[warm:need]
+    at = service(SCHEDULERS["fifo"])[warm + sim._flag_window(cfg.measured_packets)]
+
+    horizon, _ = sim._arrival_horizon(sc, need)
+    flows = ((0, sc.n1), (1, sc.n2))
+
+    def paths():
+        return [[sample_path(sc.params, horizon, spawned_rng(args.seed, 0, f, j))
+                 for j in range(count)] for f, count in flows]
+
+    def packetize(sources):
+        return [[packet_arrays(path, sc.params.peak) for path in flow] for flow in sources]
+
+    sources = paths()
+    packets = packetize(sources)
 
     r = args.repeats
     out = {
         "arrivals": best_ms(lambda: sim._flat_arrivals(sc, cfg, 0), r),
+        "arrivals.paths": best_ms(paths, r),
+        "arrivals.packetize": best_ms(lambda: packetize(sources), r),
+        # ``_sort_flows`` empties the lists it is given
+        "arrivals.sort": best_ms(lambda: sim._sort_flows(*map(list, packets)), r),
         "merge": best_ms(lambda: sim._merge(T, S, nt, cap), r),
         "lanes": best_ms(lambda: sim._lanes(t, through, fifo), r),
     }
@@ -218,7 +240,7 @@ def main(argv=None):
             for part, value in service_split(lambda: service(spec), r).items():
                 out[f"service.{name}.{part}"] = value
     out["backlog"] = best_ms(
-        lambda: sim._instability_flag(sim._backlog(T, nt, fifo, dep_win[flagged], cap)), r)
+        lambda: sim._instability_flag(sim._backlog((t,), fifo, at, cap)), r)
     out["statistics"] = best_ms(
         lambda: sim._stats_from_delays(delays, cfg.delay_grid, False), r)
     for name, spec in SCHEDULERS.items():

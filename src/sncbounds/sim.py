@@ -19,16 +19,20 @@ At equal timestamps departures are processed before arrivals, and ties are
 broken through-flow first, then by subflow id, then by sequence number.
 
 Both flows arrive sorted, one after the other in a flat index (through
-packets first).  ``_merge`` merges them with one stable sort, which orders
-ties through first, and runs the FIFO work recursion on the merged order.
+packets first): each flow's sources are packetized, and a stable sort of
+their concatenation writes them straight into the flow's slice
+(``_sort_flows``).  ``_merge`` merges the two flows with one stable sort,
+which orders ties through first, and runs the FIFO work recursion on the
+merged order.
 
 Service runs busy period by busy period.  A busy period is a stretch in
 which the server never idles; every work-conserving discipline has the same
-ones, and the FIFO work recursion finds them.  ``_lanes`` builds four small
+ones, and the FIFO work recursion finds them.  ``_lanes`` builds three small
 tables with one entry per busy-period bound: the bound's merged index, the
-through packets before it, the first arrival at it and whether the scalar
-loop is provably idle there too.  A busy period's packets of each flow are
-a contiguous slice of the flat index, read from its two bounds, so service
+through packets before it and the first arrival at it.  Whether the scalar
+loop is provably idle at a bound too (``_idle``) is tested only at the
+bounds service starts from.  A busy period's packets of each flow are a
+contiguous slice of the flat index, read from its two bounds, so service
 searches no packet array.
 
 Nothing carries over from one busy period to the next: the server starts
@@ -70,7 +74,10 @@ samples needs no service order: every discipline here is work-conserving, so
 all leave the same unfinished work at every instant, and the FIFO recursion
 gives it (C times the wait left to the FIFO departure of the last arrival).
 ``simulate`` takes it only at the measured departures the flag reads
-(``_flag_window``).
+(``_flag_window``).  It counts the arrivals up to each with one binary
+search over the merged arrivals under FIFO, and with one per flow under
+the other disciplines, whose service runs after the merged arrivals are
+freed.
 
 Warm-up is counted in through-flow packets.  All randomness derives from
 (master_seed, replication, subflow) spawn keys, so replications are
@@ -194,40 +201,61 @@ def _arrival_horizon(scenario: Scenario, need: int) -> tuple[float, float]:
     return mean_time + slack + tail, tail
 
 
-def _flow_arrivals(scenario: Scenario, cfg: SimConfig, replication_index: int):
-    """Merged (times, sizes) per flow, with enough through packets.
+def _flow_packets(scenario: Scenario, cfg: SimConfig, replication_index: int,
+                  flow_id: int, horizon: float) -> list:
+    """(times, sizes) of each source of a flow (0 through, 1 cross), in subflow order."""
+    params = scenario.params
+    return [packet_arrays(sample_path(params, horizon,
+                                      spawned_rng(cfg.master_seed, replication_index,
+                                                  flow_id, j)),
+                          params.peak)
+            for j in range(scenario.n2 if flow_id else scenario.n1)]
+
+
+def _sort_flows(through: list, cross: list):
+    """Flat arrival times and sizes of the through then the cross packets.
+
+    Each flow's sources are concatenated in (subflow, sequence) order, and
+    a stable sort, which keeps that order among equal times, writes them
+    sorted straight into the flow's slice of the flat arrays.  Empties both
+    lists on the way.  Returns (times, sizes, through packet count).
+    """
+    counts = [sum(t.size for t, _ in flow) for flow in (through, cross)]
+    T, S = np.empty(sum(counts)), np.empty(sum(counts))
+    lo = 0
+    for flow, count in zip((through, cross), counts):
+        if flow:
+            t = np.concatenate([times for times, _ in flow])
+            s = np.concatenate([sizes for _, sizes in flow])
+            flow.clear()  # frees each source's arrays
+            order = np.argsort(t, kind="stable")
+            # "clip" skips the bounds check, and with it the buffered copy
+            # that ``out`` takes under "raise"; ``order`` is in range
+            t.take(order, out=T[lo:lo + count], mode="clip")
+            s.take(order, out=S[lo:lo + count], mode="clip")
+        lo += count
+    return T, S, counts[0]
+
+
+def _flat_arrivals(scenario: Scenario, cfg: SimConfig, replication_index: int):
+    """Arrival times and sizes of all through packets then all cross packets.
 
     Arrivals are generated over ``_arrival_horizon`` and accepted only if
     warmup+measured through packets all arrive before its tail starts, so
     the last measured ones stay exposed to the cross traffic that arrives
     while they wait.  Otherwise, rarely, the horizon grows geometrically;
     subflow seeds are horizon-independent, so regeneration extends the same
-    sample paths.
+    sample paths.  The cross flow is generated once the through flow has
+    enough packets.  Returns (times, sizes, through packet count).
     """
     need = cfg.warmup_packets + cfg.measured_packets
     horizon, tail = _arrival_horizon(scenario, need)
-    params = scenario.params
     for _ in range(12):
-        flows = []
-        for flow_id, count in ((0, scenario.n1), (1, scenario.n2)):
-            times, sizes = [], []
-            for j in range(count):
-                rng = spawned_rng(cfg.master_seed, replication_index, flow_id, j)
-                path = sample_path(params, horizon, rng)
-                t, s = packet_arrays(path, params.peak)
-                times.append(t)
-                sizes.append(s)
-            if times:
-                # concatenated in (subflow, sequence) order, which a stable
-                # sort keeps among equal times
-                t = np.concatenate(times)
-                s = np.concatenate(sizes)
-                order = np.argsort(t, kind="stable")
-                flows.append((t[order], s[order]))
-            else:
-                flows.append((np.empty(0), np.empty(0)))
-        if np.searchsorted(flows[0][0], horizon - tail) >= need:
-            return flows
+        through = _flow_packets(scenario, cfg, replication_index, 0, horizon)
+        # each source's times are sorted: count those before the tail per source
+        if sum(int(np.searchsorted(t, horizon - tail)) for t, _ in through) >= need:
+            return _sort_flows(through,
+                               _flow_packets(scenario, cfg, replication_index, 1, horizon))
         horizon *= 1.5
     raise ArrivalGenerationError(
         f"could not generate {need} through packets in 12 attempts at growing horizons")
@@ -275,12 +303,13 @@ def _merge(T, S, nt, cap):
     """
     order = np.argsort(T, kind="stable")
     t = np.empty(T.size + 1)  # the last arrival, at +inf, ends the last busy period
-    np.take(T, order, out=t[:-1])
+    T.take(order, out=t[:-1], mode="clip")  # unbuffered, as in ``_sort_flows``
     t[-1] = np.inf
     s = S.take(order)
     through = order < nt
     del order
-    service = np.cumsum(s) / cap
+    service = np.cumsum(s)
+    service /= cap
     fifo = s  # in place: max.accumulate(t - (service - s/C)) + service
     np.divide(s, cap, out=fifo)
     np.subtract(service, fifo, out=fifo)
@@ -294,20 +323,29 @@ def _merge(T, S, nt, cap):
 def _lanes(t, through, fifo):
     """Busy-period tables from ``_merge``'s outputs: the ``_busy_periods`` bounds
     (the last is the packet count, its arrival +inf), the through packets before
-    each, the first arrival at each, and whether the scalar loop's server is
-    provably idle at each (the bound is stated in ``_serve``).  A lane
-    [bounds[i], bounds[i+1]) owns the flat slices [before[i], before[i+1]) and
-    [nt + bounds[i] - before[i], nt + bounds[i+1] - before[i+1])."""
+    each and the first arrival at each, then ``fifo`` itself, for ``_idle``.  A
+    lane [bounds[i], bounds[i+1]) owns the flat slices [before[i], before[i+1])
+    and [nt + bounds[i] - before[i], nt + bounds[i+1] - before[i+1])."""
     bounds = _busy_periods(t, fifo)
     before = np.zeros(bounds.size, dtype=np.intp)
     # an int32 running count halves the packet-sized array; it reaches nt
     count = np.int32 if through.size < 2**31 else np.intp
     before[1:] = np.cumsum(through, dtype=count)[bounds[1:] - 1]
-    first = t[bounds]
-    k = bounds[1:]
-    idle = np.ones(bounds.size, dtype=bool)
-    idle[1:] = first[1:] - fifo[k - 1] > 4.0 * np.finfo(float).eps * (k + 2) * first[1:]
-    return bounds, before, first, idle
+    return bounds, before, t[bounds], fifo
+
+
+def _idle(lanes, i) -> bool:
+    """Whether the scalar loop's server is provably idle at bound ``i`` of ``_lanes``.
+
+    True at the first bound; elsewhere where the FIFO recursion's idle gap
+    exceeds 4(k + 2) eps t, with k packets ahead of the bound and first
+    arrival t (``_serve`` derives the bound).
+    """
+    bounds, _, first, fifo = lanes
+    k = bounds[i]
+    if not k:
+        return True
+    return bool(first[i] - fifo[k - 1] > 4.0 * np.finfo(float).eps * (k + 2) * first[i])
 
 
 def _busy_periods(t, fifo):
@@ -601,7 +639,10 @@ def _serve_lanes(sched, T, S, cap, nt, bounds, before, lanes, dep):
     dep[p] = T[p] + S[p] / cap
     last[one] = dep[p]
     many = np.flatnonzero(n > 1)
-    many = many[np.argsort(-n[many], kind="stable")]
+    key = -n[many]
+    if key.size and key.min() >= np.iinfo(np.int16).min:
+        key = key.astype(np.int16)  # a stable sort radix-sorts a 16-bit key
+    many = many[np.argsort(key, kind="stable")]
     start, end, lo_t = start[many], start[many] + n[many], lo_t[many]
     hi_t = before[lanes[many] + 1]
     del n, one, m, lo, p
@@ -646,12 +687,14 @@ def _serve(sched, T, S, nt, lanes, cap, need=None, warm=0):
     which it jumped to an arrival, and never above the exact end by more
     than (k + 1) 2^-53 t.  So where the recursion's idle gap t - fifo
     exceeds (1.5k + 4) eps t, eps = 2^-52, the loop is idle there too.
-    ``_lanes`` calls a bound idle where the gap exceeds 4(k + 2) eps t, and
-    service starts a busy period lower while its bound is not.
+    ``_idle`` calls a bound idle where the gap exceeds 4(k + 2) eps t, and
+    service starts a busy period lower while its bound is not.  Only the
+    bounds tried are tested: the one that holds packet ``warm`` and, rarely,
+    a few below it.
     """
-    bounds, before, first, idle = lanes
+    bounds, before, first, _ = lanes
     low = int(np.searchsorted(before, warm, side="right")) - 1 if warm else 0
-    while not idle[low]:
+    while not _idle(lanes, low):
         low -= 1
     bounds, before, first = bounds[low:], before[low:], first[low:]
     dep = np.full(T.size + 1, np.nan)
@@ -707,23 +750,20 @@ def _stats_from_delays(delays: np.ndarray, grid, unstable: bool) -> DelayStats:
                       tuple(garr.tolist()), ccdf, unstable)
 
 
-def _backlog(T, nt, fifo, dep, cap):
+def _backlog(runs, fifo, dep, cap):
     """Backlog (bits in system) sampled at each departure instant in ``dep``.
 
     It is the FIFO unfinished work, which every discipline here shares
     (module docstring): C times the wait left to the FIFO departure
-    ``fifo`` (merged order) of the last arrival.  Arrivals are counted per
-    flow of the flat index, the same count as in merged order.
+    ``fifo`` (merged order) of the last arrival.  ``runs`` are sorted
+    arrays whose union is all arrivals: the merged arrivals, or each flow
+    of the flat index; the arrivals up to a departure are counted in each
+    and summed, the same count as in merged order.
     """
-    idx = (np.searchsorted(T[:nt], dep, side="right")
-           + np.searchsorted(T[nt:], dep, side="right"))
+    idx = np.searchsorted(runs[0], dep, side="right")
+    for run in runs[1:]:
+        idx += np.searchsorted(run, dep, side="right")
     return cap * np.maximum(fifo[idx - 1] - dep, 0.0)
-
-
-def _flat_arrivals(scenario: Scenario, cfg: SimConfig, replication_index: int):
-    """Arrival times and sizes of all through packets then all cross packets."""
-    (tt, ts), (ct, cs) = _flow_arrivals(scenario, cfg, replication_index)
-    return np.concatenate([tt, ct]), np.concatenate([ts, cs]), tt.size
 
 
 def simulate(scenario: Scenario, sched: SchedulerSpec, cfg: SimConfig,
@@ -735,17 +775,20 @@ def simulate(scenario: Scenario, sched: SchedulerSpec, cfg: SimConfig,
     through, fifo, t = _merge(T, S, nt, cap)
     # packet-sized arrays are freed as soon as they are used
     if sched.kind == "fifo":
-        del t
+        del S
         dep_thr = fifo[np.flatnonzero(through)]
         del through
+        runs = (t,)  # the backlog sample searches the merged arrivals once
     else:
         lanes = _lanes(t, through, fifo)
         del t, through
         dep_thr, _ = _serve(sched, T, S, nt, lanes, cap, need, cfg.warmup_packets)
         del lanes
-    delays = dep_thr[cfg.warmup_packets:need] - T[cfg.warmup_packets:need]
+        runs = (T[:nt], T[nt:])  # ``t`` was freed before service: each flow
     at = dep_thr[cfg.warmup_packets + _flag_window(cfg.measured_packets)]
-    backlog = _backlog(T, nt, fifo, at, cap)
+    backlog = _backlog(runs, fifo, at, cap)
+    del runs
+    delays = dep_thr[cfg.warmup_packets:need] - T[cfg.warmup_packets:need]
     return _stats_from_delays(delays, cfg.delay_grid, _instability_flag(backlog))
 
 

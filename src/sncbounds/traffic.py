@@ -303,9 +303,11 @@ def sample_path(params: MmooParams, horizon: float, seed) -> StatePath:
         dwells.append(dwell.ravel())
         ends.append(end.ravel())
         t = float(end[-1, -1])
-    end = np.concatenate(ends)
+    # one draw covers the horizon unless, rarely, it ended short of it
+    end, dwell = ((ends[0], dwells[0]) if len(ends) == 1
+                  else (np.concatenate(ends), np.concatenate(dwells)))
     last = int(np.searchsorted(end, horizon, side="left"))  # first dwell reaching it
-    durations = np.concatenate(dwells)[:last + 1]
+    durations = dwell[:last + 1]
     durations[last] = horizon - (end[last - 1] if last else 0.0)
     states = np.arange(last + 1, dtype=np.int64) & 1
     states ^= state
@@ -320,15 +322,27 @@ def packet_arrays(path: StatePath, peak: float) -> tuple[np.ndarray, np.ndarray]
     P*tau - floor(P*tau) at the dwell end.  Total bits equal the fluid volume.
     Dwells follow each other, so each dwell's packets take consecutive slots
     and come out in time order without a sort.
+
+    The path's states must alternate, as ``sample_path``'s do, so its
+    On-dwells are every other dwell, a stride-2 slice from the first; any
+    other path raises ``InvalidParamsError``.  Dwell i runs from the sum of
+    the dwells before it to that sum plus its own, both read from one
+    cumulative sum (the end is the next running sum, bit for bit).
     """
-    if path.states.size and path.states.max() > 1:
-        raise InvalidParamsError("packet_arrays expects a binary On/Off path")
-    on = path.states == 1
-    starts = np.concatenate(([0.0], np.cumsum(path.durations)[:-1]))[on]
-    durs = path.durations[on]
-    counts = np.floor(peak * durs).astype(np.int64)
-    frac = peak * durs - counts
-    ends = starts + durs
+    states = path.states
+    first_state = int(states[0]) if states.size else 0
+    if not np.array_equal(states, np.arange(first_state, first_state + states.size) & 1):
+        raise InvalidParamsError(
+            "packet_arrays expects a binary On/Off path whose states alternate")
+    cum = np.empty(states.size + 1)  # cum[i]: start of dwell i, cum[i + 1] its end
+    cum[0] = 0.0
+    np.cumsum(path.durations, out=cum[1:])
+    on = 1 - first_state  # the first On-dwell
+    starts, ends = cum[on:-1:2], cum[on + 1::2]
+    durs = path.durations[on::2]
+    fluid = peak * durs
+    counts = np.floor(fluid).astype(np.int64)
+    frac = fluid - counts
     # a fractional packet whose float timestamp collides with the last unit
     # packet would break strict ordering; drop it (volume error ~ ulp)
     last_unit = np.where(counts > 0, starts + counts / peak, -np.inf)
@@ -337,9 +351,15 @@ def packet_arrays(path: StatePath, peak: float) -> tuple[np.ndarray, np.ndarray]
     first = np.cumsum(slots) - slots  # exclusive prefix sum: each dwell's first slot
     total = int(slots.sum())
     # slot k-1 of a dwell holds its k-th unit packet; the one after the unit
-    # packets gets k = counts + 1 here and is overwritten by the fraction
-    k = np.arange(total) - np.repeat(first, slots) + 1
-    times = np.repeat(starts, slots) + k / peak
+    # packets gets k = counts + 1 here and is overwritten by the fraction.
+    # k counts up by one and restarts at 1 on each nonempty dwell's first
+    # slot: a running sum of ones, less the previous dwell's slots there
+    begin = first[slots > 0]
+    k = np.ones(total, dtype=np.int64)
+    k[begin[1:]] = 1 - np.diff(begin)
+    np.cumsum(k, out=k)
+    times = k / peak
+    times += np.repeat(starts, slots)
     sizes = np.ones(total)
     at = (first + counts)[keep]
     times[at] = ends[keep]

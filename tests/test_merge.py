@@ -21,7 +21,8 @@ SOURCE = MmooParams(0.5, 0.1, 1.0)
 def assert_same_as_reference(tt, ts, ct, cs, cap):
     T, S, nt = np.concatenate([tt, ct]), np.concatenate([ts, cs]), tt.size
     through, fifo, t = sim._merge(T, S, nt, cap)
-    bounds, before, first, idle = sim._lanes(t, through, fifo)
+    tables = sim._lanes(t, through, fifo)
+    bounds, before, first, _ = tables
     want_pos, want_fifo, want_bounds = ref.merge(T, S, nt, cap, sim._busy_periods)
     assert np.array_equal(np.flatnonzero(through), want_pos)
     assert np.array_equal(fifo, want_fifo)
@@ -32,6 +33,7 @@ def assert_same_as_reference(tt, ts, ct, cs, cap):
     assert np.array_equal(first, want_first)
     assert first[-1] == np.inf
     # the first bound has nothing before it; the others are idle by a margin
+    idle = np.array([sim._idle(tables, i) for i in range(bounds.size)])
     assert idle[0] and not idle[-1]
     gap = first[1:-1] - fifo[bounds[1:-1] - 1]
     assert (gap[idle[1:-1]] > 0).all()
@@ -42,8 +44,8 @@ def generated(size, seed, rho=0.75):
     cfg = SimConfig(measured_packets=measured, warmup_packets=warmup,
                     replications=1, master_seed=seed)
     sc = Scenario.from_utilization(5, 5, rho, SOURCE)
-    (tt, ts), (ct, cs) = sim._flow_arrivals(sc, cfg, 0)
-    return tt, ts, ct, cs, sc.capacity
+    T, S, nt = sim._flat_arrivals(sc, cfg, 0)
+    return T[:nt], S[:nt], T[nt:], S[nt:], sc.capacity
 
 
 @pytest.mark.parametrize("size, seed, rho", [("small", 0, 0.75), ("small", 1, 0.95),
@@ -82,7 +84,8 @@ class TestHandBuilt:
         through, fifo, t = sim._merge(empty, empty, 0, 1.0)
         assert through.size == fifo.size == 0
         tables = sim._lanes(t, through, fifo)
-        assert [tab.tolist() for tab in tables] == [[0], [0], [np.inf], [True]]
+        assert [tab.tolist() for tab in tables[:3]] == [[0], [0], [np.inf]]
+        assert sim._idle(tables, 0)
 
 
 @pytest.mark.parametrize("size, seed", [("small", 0), ("small", 1)])

@@ -18,7 +18,7 @@ import pytest
 import sncbounds.sim as sim
 from sncbounds import MmooParams, Scenario, SchedulerSpec, SimConfig
 from serial_reference import _serve_loop as reference
-from serve_flows import serve_flows
+from serve_flows import flow_arrivals, serve_flows
 
 SOURCE = MmooParams(0.5, 0.1, 1.0)
 DISCIPLINES = {
@@ -59,7 +59,7 @@ def arrivals():
             cfg = SimConfig(measured_packets=measured, warmup_packets=warmup,
                             replications=1, master_seed=seed)
             sc = Scenario.from_utilization(5, 5, 0.75, SOURCE)
-            (tt, ts), (ct, cs) = sim._flow_arrivals(sc, cfg, 0)
+            (tt, ts), (ct, cs) = flow_arrivals(sc, cfg, 0)
             cache[size, seed] = (tt, ts, ct, cs, sc.capacity, warmup + measured)
         return cache[size, seed]
 
@@ -92,6 +92,52 @@ def test_backlog_from_fifo_workload(arrivals, size, seed, name):
     arrived = np.cumsum(S[np.argsort(T, kind="stable")])[idx - 1]
     backlog = cap * np.maximum(fifo[idx - 1] - dep, 0.0)
     assert np.abs(backlog - (arrived - served_bits)).max() <= 1e-8
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_backlog_one_search_equals_per_flow_count(seed):
+    """FIFO counts the arrivals up to a departure in the merged arrivals, the
+    other disciplines per flow: the same backlog, bit for bit.
+
+    Arrivals on a quarter grid tie within and across the flows, and the
+    sample instants include every arrival instant and FIFO departure.
+    """
+    rng = np.random.default_rng(seed)
+    tt = np.sort(rng.integers(0, 400, 300)) / 4.0
+    ct = np.sort(rng.integers(0, 400, 200)) / 4.0
+    T = np.concatenate([tt, ct])
+    S = rng.uniform(0.1, 1.0, T.size)
+    _, fifo, t = sim._merge(T, S, tt.size, 1.9)
+    dep = np.concatenate([T, fifo, rng.uniform(t[0], fifo[-1] + 1.0, 100)])
+    one = sim._backlog((t,), fifo, dep, 1.9)
+    per_flow = sim._backlog((tt, ct), fifo, dep, 1.9)
+    assert [x.hex() for x in one.tolist()] == [x.hex() for x in per_flow.tolist()]
+    assert (one > 0).any() and (one == 0).any()
+
+
+@pytest.mark.parametrize("name", sorted(DISCIPLINES))
+def test_lane_longer_than_a_16_bit_sort_key(monkeypatch, name):
+    """A busy period of 2**15 + 2 packets: the lanes sort on a wider key.
+
+    It is still the longest, so the one scalar lane; the short lanes after
+    it, of 1 to 6 packets, go through lockstep, except the last.
+    """
+    loop, sizes = sim._serve_loop, []
+
+    def spy(sched, tt, ts, ct, cs, cap):
+        sizes.append(tt.size + ct.size)
+        return loop(sched, tt, ts, ct, cs, cap)
+
+    monkeypatch.setattr(sim, "_serve_loop", spy)
+    monkeypatch.setattr(sim, "_SCALAR_LANES", 1)
+    long = np.arange(2**15 + 2) * 0.5  # unit packets at twice the rate C = 1
+    starts = 40_000.0 + 10.0 * np.arange(300)
+    tt = np.concatenate([long] + [s + 0.1 * np.arange(i % 4 + 1) for i, s in enumerate(starts)])
+    ct = np.concatenate([s + 0.05 + 0.1 * np.arange(i % 3) for i, s in enumerate(starts)])
+    ts = np.concatenate([np.ones(long.size), np.full(tt.size - long.size, 0.5)])
+    cs = np.full(ct.size, 0.5)
+    assert_same_as_reference(name, tt, ts, ct, cs, 1.0, None)
+    assert sizes == [long.size, 299 % 4 + 1 + 299 % 3]
 
 
 @pytest.mark.parametrize("name", sorted(DISCIPLINES))
@@ -166,7 +212,7 @@ class TestHandBuilt:
         cfg = SimConfig(measured_packets=2000, warmup_packets=200, replications=1,
                         master_seed=2)
         sc = Scenario.from_utilization(5, 0, 0.75, SOURCE)
-        (tt, ts), (ct, cs) = sim._flow_arrivals(sc, cfg, 0)
+        (tt, ts), (ct, cs) = flow_arrivals(sc, cfg, 0)
         assert ct.size == 0
         assert_same_as_reference(name, tt, ts, ct, cs, sc.capacity, 2200)
 
@@ -261,7 +307,7 @@ def test_warm_up_offset_in_each_lane_kind(arrivals, monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", sorted(DISCIPLINES))
-def test_warm_up_bound_inside_the_rounding_is_served_from_below(name):
+def test_warm_up_bound_inside_the_rounding_is_served_from_below(monkeypatch, name):
     # C = 3: four back-to-back through packets end at 627.4499999999999 by
     # the FIFO recursion and at 627.4500000000002 in the loop; the fifth
     # arrives at 627.45, idle to the recursion but busy to the loop
@@ -271,13 +317,13 @@ def test_warm_up_bound_inside_the_rounding_is_served_from_below(name):
     empty = np.empty(0)
     through, fifo, t = sim._merge(tt, ts, 5, 3.0)
     lanes = sim._lanes(t, through, fifo)
-    assert lanes[0].tolist() == [0, 4, 5] and not lanes[3][1]
+    assert lanes[0].tolist() == [0, 4, 5] and not sim._idle(lanes, 1)
     sched = DISCIPLINES[name]
     want, _, _ = reference(REFERENCE_KIND.get(name, sched.kind), tt, ts, empty, empty, 3.0,
                            5, d1=sched.d1_star, d2=sched.d2_star, phi1=sched.phi1)
     got, _ = serve_flows(sched, tt, ts, empty, empty, 3.0, 5, 4)
     assert np.array_equal(got, want)  # served from the busy period below
     # starting at the bound instead would give the fifth packet another departure
-    trusted = lanes[:3] + (np.ones(3, dtype=bool),)
-    bad, _ = sim._serve(sched, tt, ts, 5, trusted, 3.0, 5, 4)
+    monkeypatch.setattr(sim, "_idle", lambda lanes, i: True)
+    bad, _ = sim._serve(sched, tt, ts, 5, lanes, 3.0, 5, 4)
     assert bad[4] != want[4]

@@ -20,11 +20,10 @@ from sncbounds.cli import main
 from sncbounds.sim import (
     _flat_arrivals,
     _flag_window,
-    _flow_arrivals,
     _instability_flag,
     _merge,
 )
-from serve_flows import serve_flows
+from serve_flows import flow_arrivals, serve_flows
 
 BASE_SOURCE = MmooParams(0.5, 0.1, 1.0)
 GRID = tuple(float(x) for x in range(1, 11))
@@ -41,7 +40,7 @@ def event_log(sc, sched, cfg, replication_index=0):
     """
     if sched.kind == "fifo":
         sched = SchedulerSpec.edf(0.0, 0.0)
-    (tt, ts), (ct, cs) = _flow_arrivals(sc, cfg, replication_index)
+    (tt, ts), (ct, cs) = flow_arrivals(sc, cfg, replication_index)
     dep_t, dep_c = serve_flows(sched, tt, ts, ct, cs, sc.capacity)
     return {
         "through": {"arrival": tt, "size": ts, "depart": dep_t},
@@ -115,7 +114,7 @@ class TestSimulateBasics:
         # arrivals of one source are served at C = 1.5 directly, in FIFO
         # order as EDF(0, 0)
         sc = Scenario(1, 0, 0.9, BASE_SOURCE)
-        (tt, ts), (ct, cs) = _flow_arrivals(
+        (tt, ts), (ct, cs) = flow_arrivals(
             sc, small_cfg(measured_packets=2000, warmup_packets=0), 0)
         cap = 1.5
         dep, _ = serve_flows(SchedulerSpec.edf(0.0, 0.0), tt, ts, ct, cs, cap)
@@ -283,8 +282,8 @@ class TestInstabilityFlag:
         cfg = small_cfg(measured_packets=300, warmup_packets=30, replications=1)
         tt = np.concatenate([np.arange(240.0), 240.0 + np.arange(0.0, 3000.0, 0.25)])
         ct = np.concatenate([np.arange(0.5, 240.0, 2.0), 240.0 + np.arange(0.1, 3000.0, 0.5)])
-        flows = [(tt, np.ones(tt.size)), (ct, np.ones(ct.size))]
-        monkeypatch.setattr(sim, "_flow_arrivals", lambda scenario, cfg, k: flows)
+        flat = (np.concatenate([tt, ct]), np.ones(tt.size + ct.size), tt.size)
+        monkeypatch.setattr(sim, "_flat_arrivals", lambda scenario, cfg, k: flat)
         assert simulate(sc, self.SCHEDULERS[name], cfg, 0).unstable
         monkeypatch.undo()
         assert not simulate(sc, self.SCHEDULERS[name], cfg, 0).unstable

@@ -268,7 +268,8 @@ def test_stage_times_script_runs(capsys):
     bounds = [key for n in names
               for key in (f"bounds.{n}", f"bounds.{n}.cold", f"bounds.{n}.refine",
                           f"bounds.{n}.slopes")]
-    assert list(out) == (["arrivals", "merge", "lanes"] + service
+    assert list(out) == (["arrivals", "arrivals.paths", "arrivals.packetize",
+                          "arrivals.sort", "merge", "lanes"] + service
                          + ["backlog", "statistics"] + [f"simulate.{n}" for n in names]
                          + bounds + [f"bound_rows.{n}" for n in names])
     # the refinement is part of every bound call

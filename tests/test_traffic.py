@@ -314,14 +314,14 @@ class TestBlockSampling:
 
     @pytest.mark.parametrize("replication", [0, 1, 2])
     def test_desk_horizon_yields_enough_through_packets(self, replication):
-        from sncbounds.sim import SimConfig, _flow_arrivals
+        from sncbounds.sim import SimConfig, _flat_arrivals
 
         sc = Scenario.from_utilization(5, 5, 0.75, BASE_SOURCE)
         cfg = SimConfig(measured_packets=100_000, warmup_packets=10_000, replications=1,
                         master_seed=20240810)
         need = cfg.warmup_packets + cfg.measured_packets
-        (through, _), _ = _flow_arrivals(sc, cfg, replication)
-        assert need <= through.size <= 1.10 * need
+        _, _, through = _flat_arrivals(sc, cfg, replication)
+        assert need <= through <= 1.10 * need
 
 
 class TestPacketize:
@@ -355,6 +355,27 @@ class TestPacketize:
         path = StatePath(np.array([2]), np.array([1.0]))
         with pytest.raises(InvalidParamsError, match="packet_arrays"):
             packet_arrays(path, 1.0)
+
+    @pytest.mark.parametrize("states", [[1, 1], [0, 0], [0, 1, 1, 0], [1, 0, 1, 0, 0]])
+    def test_path_that_does_not_alternate_rejected(self, states):
+        path = StatePath(np.array(states), np.ones(len(states)))
+        with pytest.raises(InvalidParamsError, match="alternate"):
+            packet_arrays(path, 1.0)
+
+    @pytest.mark.parametrize("states, durations", [
+        ([], []),                                   # empty path
+        ([1], [2.75]),                              # one dwell, On
+        ([0], [2.75]),                              # one dwell, Off
+        ([1, 0, 1, 0, 1], [0.0, 3.0, 0.0, 1.0, 0.0]),  # zero-length On-dwells
+        ([0, 1, 0, 1], [1.5, 0.0, 2.0, 0.0]),
+    ])
+    @pytest.mark.parametrize("peak", [1.0, 0.37])
+    def test_edge_paths_same_as_sorted_concatenation(self, states, durations, peak):
+        path = StatePath(np.array(states, dtype=np.int64), np.array(durations, dtype=float))
+        times, sizes = packet_arrays(path, peak)
+        want_times, want_sizes = serial_reference.packet_arrays(path, peak)
+        assert np.array_equal(times, want_times)
+        assert np.array_equal(sizes, want_sizes)
 
     @pytest.mark.parametrize("on, peak", [(2.5e-16, 1e16), (29 / 0.37, 0.37)])
     def test_colliding_fraction_dropped_as_by_sort(self, on, peak):
