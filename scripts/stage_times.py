@@ -35,13 +35,18 @@ The bound layer follows, in microseconds: ``bounds.<scheduler>`` is the
 median, over n1 = n2 = n/2 with n = 10, 10^3, 10^5 and d = 1, 2, 5, 10 at
 rho 0.75, of the minimum time of one ``standard_delay_bound`` call over
 ``20 * --repeats`` sweeps of that grid.  It is a warm figure: the pre-scan
-axis of each reduced system (``standard._axis``) is cached from the first
-sweep on.  ``bounds.<scheduler>.cold`` is the same with that cache cleared
-before each timed call, the cost without reuse.  ``bounds.<scheduler>.refine``
-is the part of the warm figure spent inside the refinements
-(``standard._refine``, Newton steps in the axis coordinate w), and
-``bounds.<scheduler>.slopes`` the mean number of slope evaluations per
-refinement over that grid (a count, so it repeats exactly).
+axis (``standard._axis``) and the constants K, gamma, theta
+(``martingale._constants``) of each reduced system are cached from the
+first sweep on.  ``bounds.<scheduler>.cold`` is the same with both caches
+cleared before each timed call, the cost without reuse.
+``bounds.<scheduler>.refine`` is the part of the warm figure spent inside
+the refinements (``standard._refine``, Newton steps in the axis coordinate
+w), and ``bounds.<scheduler>.slopes`` the mean number of slope evaluations
+per refinement over that grid (a count, so it repeats exactly).
+``bounds.<scheduler>.martingale`` and ``bounds.<scheduler>.martingale.cold``
+are the warm and cold figures of one ``martingale_delay_bound`` call on the
+same grid.  Where ``martingale._constants`` has no cache to clear, only
+the axis is cleared, so the script times a tree without that cache too.
 Last, in milliseconds, ``bound_rows.<scheduler>`` is the minimum time of
 one ``analysis.bound_rows`` over the 1001-point delay grid 0, 0.01, ..., 10
 at n1 = n2 = 5, rho 0.75.
@@ -54,9 +59,11 @@ from statistics import median
 
 import numpy as np
 
+import sncbounds.martingale as martingale
 import sncbounds.sim as sim
 import sncbounds.standard as standard
-from sncbounds import MmooParams, Scenario, SchedulerSpec, SimConfig, standard_delay_bound
+from sncbounds import (MmooParams, Scenario, SchedulerSpec, SimConfig, martingale_delay_bound,
+                       standard_delay_bound)
 from sncbounds.traffic import packet_arrays, sample_path, spawned_rng
 from sncbounds.analysis import bound_rows
 
@@ -121,10 +128,17 @@ BOUND_SWEEPS_PER_REPEAT = 20
 ROWS_GRID = [k / 100 for k in range(1001)]
 
 
+def clear_bound_caches():
+    """Empty the per-system caches of both bound families."""
+    standard._axis.cache_clear()
+    getattr(martingale._constants, "cache_clear", lambda: None)()
+
+
 def bound_us(source, repeats):
     """Per scheduler, the median over the bound grid of the minimum us per
-    call, warm, cold and inside the refinement, and the mean slope
-    evaluations per refinement.
+    standard call, warm, cold and inside the refinement, the mean slope
+    evaluations per refinement, and the minimum us per martingale call,
+    warm and cold.
 
     Each sweep times every scheduler at every point, so no minimum is taken
     from one burst of a shared machine.  The whole call is timed without
@@ -155,9 +169,11 @@ def bound_us(source, repeats):
     whole = [float("inf")] * len(points)
     cold = [float("inf")] * len(points)
     in_refine = [float("inf")] * len(points)
+    mart = [float("inf")] * len(points)
+    mart_cold = [float("inf")] * len(points)
     for _ in range(repeats * BOUND_SWEEPS_PER_REPEAT):
         for i, (spec, sc, d) in enumerate(points):
-            standard._axis.cache_clear()
+            clear_bound_caches()
             t0 = time.perf_counter()
             standard_delay_bound(sc, spec, d)
             cold[i] = min(cold[i], time.perf_counter() - t0)
@@ -170,6 +186,13 @@ def bound_us(source, repeats):
             finally:
                 standard._refine = refine
             in_refine[i] = min(in_refine[i], inside)
+            clear_bound_caches()
+            t0 = time.perf_counter()
+            martingale_delay_bound(sc, spec, d)
+            mart_cold[i] = min(mart_cold[i], time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            martingale_delay_bound(sc, spec, d)
+            mart[i] = min(mart[i], time.perf_counter() - t0)
     per = len(BOUND_FLOWS) * len(BOUND_DELAYS)
     out = {}
     for j, name in enumerate(SCHEDULERS):
@@ -185,6 +208,8 @@ def bound_us(source, repeats):
         finally:
             standard._refine = refine
         out[f"bounds.{name}.slopes"] = round(sum(counts) / len(counts), 3)
+        out[f"bounds.{name}.martingale"] = round(median(mart[cut]) * 1e6, 2)
+        out[f"bounds.{name}.martingale.cold"] = round(median(mart_cold[cut]) * 1e6, 2)
     return out
 
 

@@ -9,6 +9,12 @@ Every reduced system has the constants
 where c is the system's per-flow capacity and rho = p*P/c its utilization.
 ``_constants`` takes the source and the system's (rho, c).  EDF's rescaled
 system passes (n1/n)*rho, which can differ from p*P/c in the last bit.
+None of the three depends on the delay, so each system's constants are
+built once: ``_constants`` is a bounded cache (256 systems, as the
+standard bound's pre-scan axis ``standard._axis``) keyed by
+(params, rho, c), and the scenario's own system, the GPS-reduced one and
+EDF's rescaled one each share one frozen ``MartingaleConstants`` across
+every delay and both bound families.
 
 One term table serves both bound families.  ``_bound_terms`` gives each
 scheduler's terms: a reduced system, its prefactor powers and the
@@ -22,6 +28,7 @@ the reporting layer only, so algebraic identities between bounds survive.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -102,8 +109,14 @@ class DelayBound:
     value: float
 
 
+@functools.lru_cache(maxsize=256)
 def _constants(params: MmooParams, rho: float, c: float) -> MartingaleConstants:
-    """K, gamma, theta of a reduced system: per-flow capacity c at utilization rho."""
+    """K, gamma, theta of a reduced system: per-flow capacity c at utilization rho.
+
+    Cached per system, like ``standard._axis``: every delay, both bound
+    families and the experiments share one frozen result.  A raised error
+    is not cached, so a repeated call raises it again.
+    """
     lam, mu, peak, p = params.lam, params.mu, params.peak, params.on_probability
     if rho >= 1.0:
         raise UnstableScenarioError(f"rho={rho:.6g} >= 1")

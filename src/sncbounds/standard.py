@@ -34,7 +34,11 @@ theta(r) = (lam + mu)(r - p*P)/(r (P - r)) (Kelly, "Notes on effective
 bandwidths", 1996), so no step takes a square root and L's margin c - r
 does not cancel near gamma.  The pre-scan's points depend on the reduced
 system alone, so each system's axis is built once (``_axis``, a bounded
-cache) and shared by every delay and flow count on it.
+cache of 256 systems) and shared by every delay and flow count on it.  The
+entry also holds the objective's delay-free scalars (lam + mu, p*P,
+c - p*P, P - c, p*P (P - p*P) and log c), and the term's gamma comes from
+``martingale._constants``, cached per system the same way, so a call forms
+only what depends on the delay.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,9 +111,29 @@ def _above_mean(theta: float, lam_mu: float, m: float, peak: float) -> float:
     return 2.0 * t / (sq + q) if q > 0 else (sq - q) / (2.0 * theta)
 
 
+class _Axis(NamedTuple):
+    """A reduced system's pre-scan points and the scalars of its objective.
+
+    ``w``, ``theta``, ``r`` and ``log_gap`` = log(c - r) are row views of
+    one read-only 4 x 256 array.  The rest are the objective's delay-free
+    scalars: lam + mu, m = p*P, c - m, P - c, m (P - m) and log(c).
+    """
+
+    w: np.ndarray
+    theta: np.ndarray
+    r: np.ndarray
+    log_gap: np.ndarray
+    lam_mu: float
+    m: float
+    span: float
+    headroom: float
+    spread: float
+    log_c: float
+
+
 @functools.lru_cache(maxsize=256)
-def _axis(params: MmooParams, c: float, gamma: float) -> tuple:
-    """The pre-scan's w, theta, r and log(c - r): row views of one read-only array.
+def _axis(params: MmooParams, c: float, gamma: float) -> _Axis:
+    """The pre-scan's points and the objective's scalars (``_Axis``) of one system.
 
     Keyed by the reduced system (the source, its per-flow capacity c and
     decay rate gamma), not by the delay or the flow count.  The 256 points
@@ -122,7 +147,8 @@ def _axis(params: MmooParams, c: float, gamma: float) -> tuple:
     about 2.2 MB.
     """
     lam_mu, peak, m = params.lam + params.mu, params.peak, params.mean_rate
-    span, dc = c - m, c * (peak - c)
+    span, headroom = c - m, peak - c
+    dc = c * headroom
     inset, t_top = _EDGE * gamma, gamma - _EDGE * gamma
     bottom = _above_mean(inset, lam_mu, m, peak)
     kk = max(lam_mu * span - t_top * dc, inset * dc)
@@ -145,13 +171,13 @@ def _axis(params: MmooParams, c: float, gamma: float) -> tuple:
     r *= gap  # r - m
     np.multiply(r, lam_mu, out=theta)
     r += m
-    theta /= r * (gap + (peak - c))
+    theta /= r * (gap + headroom)
     np.log(gap, out=gap)
     axis.setflags(write=False)
-    return tuple(axis)
+    return _Axis(*axis, lam_mu, m, span, headroom, m * (peak - m), math.log(c))
 
 
-def _objective(params: MmooParams, term):
+def _objective(axis: _Axis, term):
     """Value and slope in w of one term's log L + theta*(a + b*r_theta).
 
     With c = cm/k and m = p*P, w gives g = c - r = (c - m)/(1 + e^w) and
@@ -162,13 +188,12 @@ def _objective(params: MmooParams, term):
     no pole at either end, and d2f/dw2 = (x g/span^2)(1 + (g - x) E + x g E'),
     with E = theta' (a + b r) + theta b and E' = theta'' (a + b r) + 2 b theta'
     in r: theta' = (lam + mu)(x^2 + m (P - m))/D^2 is rational, D = r (P - r),
-    and theta'' = 2 (theta - theta' (P - 2r))/D.
+    and theta'' = 2 (theta - theta' (P - 2r))/D.  The delay-free scalars come
+    from the term's system, ``axis`` (``_axis``); only a and b vary per call.
     """
-    lam_mu, peak, m = params.lam + params.mu, params.peak, params.mean_rate
-    c = term.cm / term.k
-    span, headroom, spread = c - m, peak - c, m * (peak - m)
+    lam_mu, m, span, headroom, spread = axis.lam_mu, axis.m, axis.span, axis.headroom, axis.spread
     a, b = term.a, term.b
-    const = 1.0 + math.log(c) if term.euler else math.log(c)
+    const = 1.0 + axis.log_c if term.euler else axis.log_c
     exp, log = math.exp, math.log
 
     def at(w: float) -> tuple[float, float]:
@@ -240,9 +265,10 @@ def _minimize_theta(params: MmooParams, term) -> tuple[float, float, bool]:
         raise InvalidParamsError(
             f"decay rate gamma={theta_max:.6g} is too small for the standard bound's "
             f"optimizer: {_EDGE:g}*gamma is below the smallest normal double")
-    w, theta, r, log_gap = _axis(params, term.cm / term.k, theta_max)
-    i = int((theta * (term.a + term.b * r) - log_gap).argmin())
-    at, slope = _objective(params, term)
+    axis = _axis(params, term.cm / term.k, theta_max)
+    w = axis.w
+    i = int((axis.theta * (term.a + term.b * axis.r) - axis.log_gap).argmin())
+    at, slope = _objective(axis, term)
     th, fv = at(_refine(slope, w.item(max(i - 1, 0)), w.item(i), w.item(min(i + 1, w.size - 1))))
     th_scan, f_scan = at(w.item(i))
     if f_scan < fv:

@@ -50,7 +50,12 @@ def spawned_rng(master_seed, *key: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class MmooParams:
-    """One On-Off source: Off->On rate ``mu``, On->Off rate ``lam``, peak rate ``peak``."""
+    """One On-Off source: Off->On rate ``mu``, On->Off rate ``lam``, peak rate ``peak``.
+
+    Frozen, so ``on_probability`` and ``mean_rate`` are computed once per
+    instance (``functools.cached_property``): a source is shared by every
+    scenario and bound call on it.
+    """
 
     lam: float
     mu: float
@@ -63,11 +68,11 @@ class MmooParams:
                 f"peak={self.peak}"
             )
 
-    @property
+    @functools.cached_property
     def on_probability(self) -> float:
         return self.mu / (self.lam + self.mu)
 
-    @property
+    @functools.cached_property
     def mean_rate(self) -> float:
         return self.on_probability * self.peak
 

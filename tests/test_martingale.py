@@ -17,6 +17,8 @@ from sncbounds import (
     martingale_constants,
     martingale_delay_bound,
 )
+from sncbounds import martingale
+from sncbounds.errors import SncboundsError
 from sncbounds.martingale import _bound_terms
 from sncbounds.standard import effective_bandwidth_rate
 
@@ -85,6 +87,87 @@ class TestConstants:
         sc = Scenario(1, 9, 0.3, BASE_SOURCE)
         with pytest.raises(TrivialScenarioError):
             gps_constants(sc, 0.5)
+
+
+def reduced_systems(count: int, seed: int, monkeypatch) -> list:
+    """``count`` distinct (params, rho, c) of ``_constants`` calls the term table makes.
+
+    Seeded random scenarios (other sources and peaks, uneven flow counts,
+    rho up to 0.999) under FIFO, EDF(1,10) and GPS at several phi1: the
+    scenario's own system, EDF's rescaled one and the GPS-reduced ones.
+    """
+    rng = np.random.default_rng(seed)
+    keys = {}
+    build = martingale._constants
+
+    def recorded(*args):
+        keys[args] = None
+        return build(*args)
+
+    monkeypatch.setattr(martingale, "_constants", recorded)
+    scheds = [SchedulerSpec.fifo(), SchedulerSpec.edf(1.0, 10.0)] + [
+        SchedulerSpec.gps(phi1) for phi1 in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    while len(keys) < count:
+        params = MmooParams(rng.uniform(0.05, 3.0), rng.uniform(0.05, 3.0),
+                            rng.uniform(0.3, 4.0))
+        n1, n2 = int(10 ** rng.uniform(0.0, 4.0)), int(10 ** rng.uniform(0.0, 4.0)) - 1
+        try:
+            sc = Scenario.from_utilization(n1, n2, rng.uniform(0.05, 0.999), params)
+        except SncboundsError:
+            continue
+        for sched in scheds:
+            try:
+                _bound_terms(sc, sched, 1.0)
+            except SncboundsError:
+                pass
+    monkeypatch.undo()
+    return list(keys)[:count]
+
+
+def constants_outcome(build, key):
+    """K, gamma and theta as ``float.hex``, or the type of the raised error."""
+    try:
+        consts = build(*key)
+    except SncboundsError as exc:
+        return type(exc)
+    return consts.K.hex(), consts.gamma.hex(), consts.theta.hex()
+
+
+class TestConstantsCache:
+    def test_cached_constants_equal_uncached(self, monkeypatch):
+        """Every reduced system, cached, bit for bit as built afresh.
+
+        The systems run in shuffled order from an empty cache, each twice,
+        so that both a miss and a hit are checked; more than 256 distinct
+        systems also evict.
+        """
+        keys = reduced_systems(2000, seed=27, monkeypatch=monkeypatch)
+        cached, fresh = martingale._constants, martingale._constants.__wrapped__
+        order = np.random.default_rng(7).permutation(2 * len(keys)) % len(keys)
+        cached.cache_clear()
+        got = [(i, constants_outcome(cached, keys[i])) for i in order.tolist()]
+        info = cached.cache_info()
+        cached.cache_clear()
+        assert all(outcome == constants_outcome(fresh, keys[i]) for i, outcome in got)
+        assert info.hits > 0 and info.misses > 256
+        # the draws reach the trivial-share error as well as built systems
+        assert {type(o) for _, o in got} == {tuple, type}
+
+    def test_repeated_calls_still_raise(self):
+        """A raised error is not cached: every repeat raises it again."""
+        cases = [
+            (UnstableScenarioError,
+             lambda: martingale._constants(BASE_SOURCE, 1.0, BASE_SOURCE.mean_rate)),
+            (TrivialScenarioError, lambda: gps_constants(Scenario(1, 9, 0.3, BASE_SOURCE), 0.5)),
+            (TrivialScenarioError, lambda: martingale_delay_bound(
+                scenario(0.75, 1, 9), SchedulerSpec.gps(0.9), 1.0)),
+            (GpsInfeasibleError, lambda: martingale_delay_bound(
+                scenario(0.9), SchedulerSpec.gps(0.05), 1.0)),
+        ]
+        for error, call in cases:
+            for _ in range(3):
+                with pytest.raises(error):
+                    call()
 
 
 class TestSamplePathBound:

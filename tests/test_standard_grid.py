@@ -19,7 +19,8 @@ against central differences.  ``bound_rows`` over a delay grid
 must give the fields of one call per delay bit for bit.  The pre-scan's
 axis is cached per reduced system: no result may depend on what the cache
 holds, a delay grid builds one axis per system, and the cached arrays are
-read-only.  Off the paper's
+read-only; a delay grid builds each system's martingale constants once as
+well.  Off the paper's
 source and n1 = n2, the optimizer is held to the golden-section one it
 replaced (``tests/standard_reference.py``) on seeded random draws: the same
 errors and edge flags, and no value higher by more than float noise, with
@@ -39,6 +40,7 @@ from sncbounds import (
     MmooParams,
     Scenario,
     SchedulerSpec,
+    martingale,
     martingale_delay_bound,
     standard,
     standard_delay_bound,
@@ -168,10 +170,11 @@ def _scan(params, term):
     log: 8 eps times 1 + |log(c)| + |log(c - r)| + |theta*(a + b*r)|, the
     returned bound, covers both.
     """
-    w, theta, r, log_gap = standard._axis(params, term.cm / term.k, term.consts.gamma)
+    axis = standard._axis(params, term.cm / term.k, term.consts.gamma)
+    w, theta, r, log_gap = axis[:4]
     exponent = theta * (term.a + term.b * r)
     const = math.log(term.cm / term.k) + (1.0 if term.euler else 0.0)
-    at, _ = standard._objective(params, term)
+    at, _ = standard._objective(axis, term)
     values = np.array([at(x)[1] for x in w.tolist()])
     tol = 8 * np.finfo(float).eps * (1.0 + abs(const) + np.abs(log_gap) + np.abs(exponent))
     return exponent - log_gap + const, values, tol
@@ -203,9 +206,10 @@ def test_slope_matches_central_differences(sched):
     """
     checked = 0
     for params, term in _terms(sched, (1.0, 5.0), flows=(2, 10), sources=(SOURCE,)):
-        at, slope = standard._objective(params, term)
         gamma = term.consts.gamma
-        w, theta = standard._axis(params, term.cm / term.k, gamma)[:2]
+        axis = standard._axis(params, term.cm / term.k, gamma)
+        at, slope = standard._objective(axis, term)
+        w, theta = axis.w, axis.theta
         inside = (theta >= 1e-3 * gamma) & (theta <= 0.8 * gamma)
         for x in w[inside][::4].tolist():
             h = 1e-4
@@ -299,7 +303,7 @@ def test_prescan_on_effective_bandwidth_axis():
             continue
         for term in terms:
             gamma = term.consts.gamma
-            w, theta, r, _ = standard._axis(params, term.cm / term.k, gamma)
+            w, theta, r = standard._axis(params, term.cm / term.k, gamma)[:3]
             assert (np.diff(w) > 0).all() and (np.diff(theta) > 0).all()
             assert edge * gamma * (1 - 8 * ulp) <= theta[0] <= 2 * edge * gamma
             assert edge * gamma - 8 * ulp * gamma <= gamma - theta[-1] <= 2 * edge * gamma
@@ -442,9 +446,13 @@ def test_cached_axis_gives_cold_results():
 
 @pytest.mark.parametrize("sched", sorted(SCHEDULERS))
 def test_delay_grid_builds_one_axis_per_system(sched):
-    """``bound_rows`` over d = 1..10 misses the cache once per distinct reduced system."""
+    """``bound_rows`` over d = 1..10 misses each cache once per distinct reduced system.
+
+    The axis is read by the standard bound at every delay, the martingale
+    constants by both bound families.
+    """
     grid = [float(d) for d in range(1, 11)]
-    axis = standard._axis
+    caches = (standard._axis, martingale._constants)
     checked = 0
     for n, rho, source in itertools.product((2, 10, 1000), RHOS, (SOURCE, OTHER_SOURCE)):
         sc = Scenario.from_utilization(n // 2, n // 2, rho, source)
@@ -453,28 +461,41 @@ def test_delay_grid_builds_one_axis_per_system(sched):
             terms = _bound_terms(sc, spec, 1.0)
         except SncboundsError:
             continue
-        axis.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
         bound_rows(sc, spec, grid)
-        info = axis.cache_info()
-        systems = {(source, t.cm / t.k, t.consts.gamma) for t in terms}
-        assert (info.misses, info.hits) == (len(systems), len(grid) * len(terms) - len(systems))
+        systems = len({(source, t.cm / t.k, t.consts.gamma) for t in terms})
+        for cache, reads in zip(caches, (1, 2)):
+            info = cache.cache_info()
+            assert (info.misses, info.hits) == (systems, reads * len(grid) * len(terms) - systems)
         checked += 1
-    axis.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
     assert checked
 
 
 def test_cached_axis_is_read_only():
-    """The w, theta, r and log(c - r) rows are views of one read-only 4 x 256 array."""
+    """The w, theta, r and log(c - r) rows are views of one read-only 4 x 256 array.
+
+    The rest of the entry are the objective's delay-free scalars, floats
+    formed as the objective formed them per call: lam + mu, m = p*P, c - m,
+    P - c, m (P - m) and log(c).
+    """
     term = _bound_terms(Scenario.from_utilization(5, 5, 0.75, SOURCE), SCHEDULERS["fifo"], 1.0)[0]
-    cached = standard._axis(SOURCE, term.cm / term.k, term.consts.gamma)
-    assert cached is standard._axis(SOURCE, term.cm / term.k, term.consts.gamma)
-    base = cached[0].base
+    c = term.cm / term.k
+    cached = standard._axis(SOURCE, c, term.consts.gamma)
+    assert cached is standard._axis(SOURCE, c, term.consts.gamma)
+    rows = cached[:4]
+    base = rows[0].base
     assert base.shape == (4, 256) and not base.flags.writeable
-    assert len(cached) == 4
-    for row in cached:
+    for row in rows:
         assert row.shape == (256,) and row.base is base and not row.flags.writeable
         with pytest.raises(ValueError):
             row[0] = 1.0
+    m, peak = SOURCE.mean_rate, SOURCE.peak
+    scalars = (SOURCE.lam + SOURCE.mu, m, c - m, peak - c, m * (peak - m), math.log(c))
+    assert [_hex(x) for x in cached[4:]] == [_hex(x) for x in scalars]
+    assert all(type(x) is float for x in cached[4:])
 
 
 def test_few_slope_evaluations_per_refinement(monkeypatch):

@@ -49,8 +49,8 @@ def test_detector_sees_every_form():
     assert not linalg_uses(ast.parse("import numpy as np\nnp.cumsum(x)"))
 
 
-# only the benchmark calls the two-flow bound, until ROADMAP direction 5
-# gives it a caller in the package or deletes it
+# only the benchmark calls the two-flow bound, until ROADMAP direction 2
+# deletes it, which waits on a change to the benchmark
 API_EXEMPT = {"general_sample_path_bound"}
 
 
@@ -267,7 +267,8 @@ def test_stage_times_script_runs(capsys):
                         for part in ("loop", "lockstep", "steps", "lanes")]
     bounds = [key for n in names
               for key in (f"bounds.{n}", f"bounds.{n}.cold", f"bounds.{n}.refine",
-                          f"bounds.{n}.slopes")]
+                          f"bounds.{n}.slopes", f"bounds.{n}.martingale",
+                          f"bounds.{n}.martingale.cold")]
     assert list(out) == (["arrivals", "arrivals.paths", "arrivals.packetize",
                           "arrivals.sort", "merge", "lanes"] + service
                          + ["backlog", "statistics"] + [f"simulate.{n}" for n in names]
