@@ -15,16 +15,16 @@ times, and the minimum is printed in milliseconds as one JSON object:
   them) and ``arrivals.sort`` (each flow's packets merged into the flat
   arrays);
 - ``merge``: the two-flow merge and FIFO recursion;
-- ``lanes``: the busy-period tables, which only SP, EDF and GPS service
-  reads;
+- ``lanes``: the lane tables (the busy-period bounds the scalar loop is
+  idle at), which only SP, EDF and GPS service reads;
 - ``service.<scheduler>``: departures of the through packets (FIFO reads
-  them from the recursion; the others are served busy period by busy
-  period, as ``simulate`` serves them: from the one that holds the first
-  measured packet to the one that holds the last);
+  them from the recursion; the others are served lane by lane, as
+  ``simulate`` serves them: from the one that holds the first measured
+  packet to the one that holds the last);
 - ``service.<scheduler>.loop`` and ``.lockstep``: for SP, EDF and GPS, the
-  part of that service spent in the scalar loop (the longest busy periods)
-  and in lockstep calls, ``.steps`` the lockstep steps taken and ``.lanes``
-  the busy periods served (counts);
+  part of that service spent in the scalar loop (the longest lanes) and in
+  lockstep calls, ``.steps`` the lockstep steps taken and ``.lanes`` the
+  lanes served (counts);
 - ``backlog``: the backlog sample behind the ``unstable`` flag, taken at the
   FIFO departures the flag reads, as ``simulate`` takes it under FIFO (one
   search over the merged arrivals);
@@ -87,7 +87,7 @@ def best_ms(fn, repeats):
 
 def service_split(serve, repeats):
     """Minimum ms in the scalar loop and in lockstep over the repeats, the
-    steps and the busy periods served."""
+    steps and the lanes served."""
     loop, lockstep, lanes = sim._serve_loop, sim._lockstep, sim._serve_lanes
     spent = {}
 
@@ -97,12 +97,12 @@ def service_split(serve, repeats):
             out = fn(*args, **kwargs)
             spent[name] += time.perf_counter() - t0
             if fn is lockstep:
-                spent["steps"] += out[1]
+                spent["steps"] += out
             return out
         return call
 
     def counted(*args):
-        spent["lanes"] += args[7].size  # the ``lanes`` argument
+        spent["lanes"] += args[5].size - 1  # between the ``bounds`` argument's
         return lanes(*args)
 
     best = {"loop": float("inf"), "lockstep": float("inf")}

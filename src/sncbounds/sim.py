@@ -27,25 +27,21 @@ merged order.
 
 Service runs busy period by busy period.  A busy period is a stretch in
 which the server never idles; every work-conserving discipline has the same
-ones, and the FIFO work recursion finds them.  ``_lanes`` builds three small
-tables with one entry per busy-period bound: the bound's merged index, the
-through packets before it and the first arrival at it.  Whether the scalar
-loop is provably idle at a bound too (``_idle``) is tested only at the
-bounds service starts from.  A busy period's packets of each flow are a
-contiguous slice of the flat index, read from its two bounds, so service
-searches no packet array.
+ones, and the FIFO work recursion finds them.  The recursion rounds
+differently from the scalar head-selection loop ``_serve_loop``, so
+``_lanes`` keeps only the busy-period bounds at which the loop is provably
+idle too, by a margin over the rounding (``_serve`` derives it), and builds
+two small tables with one entry per kept bound: its merged index and the
+through packets before it.  The packets between two kept bounds (a "lane",
+one or more busy periods) are a contiguous slice of the flat index per
+flow, read from the two bounds, so service searches no packet array.
 
-Nothing carries over from one busy period to the next: the server starts
-again at the next arrival, and the WFQ virtual time and finish trackers
-reset when the system empties.  So each busy period (a "lane") is served on
-its own, with the arithmetic of the scalar head-selection loop
-``_serve_loop`` applied operation for operation, and the departures equal
-those of the loop run over the whole sample path, bit for bit.  The FIFO
-recursion rounds differently from that loop, so a split stands only if the
-exact last departure of a lane comes before the next lane's first arrival;
-lanes that touch are merged, by dropping the tables' entries at the bounds
-between them, and served again (inside a lane the loop's idle jump and WFQ
-reset still apply).
+Nothing carries over from one lane to the next: the server starts again at
+the next arrival, and the WFQ virtual time and finish trackers reset when
+the system empties.  So each lane is served on its own, with the
+arithmetic of ``_serve_loop`` applied operation for operation (inside a
+lane the loop's idle jump and WFQ reset still apply), and the departures
+equal those of the loop run over the whole sample path, bit for bit.
 
 A lane of one packet departs at arrival + size/C.  The others are served in
 lockstep by ``_lockstep``, all lanes a step at a time.  Under SP and EDF
@@ -61,13 +57,11 @@ go through ``_serve_loop`` instead, and the rest, longest first, through
 lockstep calls of at most ``_LOCKSTEP_LANES`` lanes (the reasons for each
 constant are next to it).
 
-``simulate`` serves only the busy periods that hold measured through
-packets: from the one that holds the first (or a lower one, where the
-scalar loop might not be idle at its bound; ``_serve`` states the rounding
-bound) to the one that holds the last.  The warm-up busy periods before
-and the ones after are not served, and their packets stay NaN.  FIFO
-itself takes its departures from the recursion, so the kernels serve only
-SP, EDF and WFQ.
+``simulate`` serves only the lanes that hold measured through packets:
+from the one that holds the first to the one that holds the last.  The
+warm-up lanes before and the ones after are not served, and their packets
+stay NaN.  FIFO itself takes its departures from the recursion, so the
+kernels serve only SP, EDF and WFQ.
 
 The kernels return departures only.  The backlog that ``DelayStats.unstable``
 samples needs no service order: every discipline here is work-conserving, so
@@ -321,31 +315,28 @@ def _merge(T, S, nt, cap):
 
 
 def _lanes(t, through, fifo):
-    """Busy-period tables from ``_merge``'s outputs: the ``_busy_periods`` bounds
-    (the last is the packet count, its arrival +inf), the through packets before
-    each and the first arrival at each, then ``fifo`` itself, for ``_idle``.  A
-    lane [bounds[i], bounds[i+1]) owns the flat slices [before[i], before[i+1])
-    and [nt + bounds[i] - before[i], nt + bounds[i+1] - before[i+1])."""
+    """Lane tables from ``_merge``'s outputs: the kept bounds and the through
+    packets before each.
+
+    Of the ``_busy_periods`` bounds, the first and the last (the packet
+    count, its arrival +inf) stay, and the others where the FIFO
+    recursion's idle gap exceeds 4(k + 2) eps t, with k packets ahead of the
+    bound and first arrival t: there the scalar loop is idle too (``_serve``
+    derives the margin).  A lane [bounds[i], bounds[i+1]) owns the flat
+    slices [before[i], before[i+1]) and [nt + bounds[i] - before[i], nt +
+    bounds[i+1] - before[i+1]).
+    """
     bounds = _busy_periods(t, fifo)
+    k = bounds[1:-1]
+    first = t[k]
+    keep = np.ones(bounds.size, dtype=bool)
+    keep[1:-1] = first - fifo[k - 1] > 4.0 * np.finfo(float).eps * (k + 2) * first
+    bounds = bounds[keep]
     before = np.zeros(bounds.size, dtype=np.intp)
     # an int32 running count halves the packet-sized array; it reaches nt
     count = np.int32 if through.size < 2**31 else np.intp
     before[1:] = np.cumsum(through, dtype=count)[bounds[1:] - 1]
-    return bounds, before, t[bounds], fifo
-
-
-def _idle(lanes, i) -> bool:
-    """Whether the scalar loop's server is provably idle at bound ``i`` of ``_lanes``.
-
-    True at the first bound; elsewhere where the FIFO recursion's idle gap
-    exceeds 4(k + 2) eps t, with k packets ahead of the bound and first
-    arrival t (``_serve`` derives the bound).
-    """
-    bounds, _, first, fifo = lanes
-    k = bounds[i]
-    if not k:
-        return True
-    return bool(first[i] - fifo[k - 1] > 4.0 * np.finfo(float).eps * (k + 2) * first[i])
+    return bounds, before
 
 
 def _busy_periods(t, fifo):
@@ -366,7 +357,7 @@ def _serve_loop(sched, tt, ts, ct, cs, cap):
     deadlines and WFQ finish tags are increasing, so the discipline's next
     packet is always one of the two queue heads.  Serves everything and
     returns the through and the cross departures as lists, aligned with the
-    input arrival order, and the last departure.
+    input arrival order.
 
     It runs on Python floats, which perform the same IEEE operations as
     NumPy's float64 and cost far less one at a time; each flow's arrivals end
@@ -458,7 +449,7 @@ def _serve_loop(sched, tt, ts, ct, cs, cap):
             ch = ct[ic]
         pend, pend_c = free, not take_t
 
-    return dep_t, dep_c, free
+    return dep_t, dep_c
 
 
 def _lockstep(sched, T, S, cap, lo_t, hi_t, lo_c, hi_c, dep):
@@ -488,8 +479,7 @@ def _lockstep(sched, T, S, cap, lo_t, hi_t, lo_c, hi_c, dep):
     keeps it from being served.  A finished lane serves nothing, so the
     steps cover the lanes up to the last unfinished one.  Writes departures
     into ``dep`` at flat indices (the last slot takes the writes of lanes
-    that serve nothing in a step) and returns each lane's last departure
-    and the number of steps.
+    that serve nothing in a step) and returns the number of steps.
     """
     kind, d1, d2, phi1 = sched.kind, sched.d1_star, sched.d2_star, sched.phi1
     wfq = kind == "gps"
@@ -605,48 +595,40 @@ def _lockstep(sched, T, S, cap, lo_t, hi_t, lo_c, hi_c, dep):
         k = int(left[::-1].argmax())
         live = w - k if left[w - 1 - k] else 0
         w = live if live >= 1024 else min(-(-live // 128) * 128, w)
-    return done, steps
+    return steps
 
 
-def _serve_lanes(sched, T, S, cap, nt, bounds, before, lanes, dep):
-    """Serve the given lanes exactly as the scalar loop would; last departures.
+def _serve_lanes(sched, T, S, cap, nt, bounds, before, dep):
+    """Serve the lanes between consecutive ``bounds`` exactly as the scalar loop would.
 
-    Lane i is the busy period [bounds[i], bounds[i+1]) of the merged order,
-    with ``before[i]`` through packets ahead of it (see ``_merge``).  Their
-    slots of ``dep`` are first filled as ``_lockstep`` reads them, a slice
-    per flow for each run of consecutive lanes.  A lane of one packet
-    departs at arrival + size/C.  The ``_SCALAR_LANES`` longest go through
-    ``_serve_loop`` on their own packets, and so do the lanes from the one
-    that holds the last packet of a flow on, which have no next packet of
-    it; the rest go through ``_lockstep``.  Where there are no cross
-    packets at all, lockstep reads the last arrival as the cross head,
-    which comes no earlier than any other.
+    Lane i is [bounds[i], bounds[i+1]) of the merged order, with
+    ``before[i]`` through packets ahead of it (see ``_lanes``).  Their slots
+    of ``dep`` are first filled as ``_lockstep`` reads them, one slice per
+    flow.  A lane of one packet departs at arrival + size/C.  The
+    ``_SCALAR_LANES`` longest go through ``_serve_loop`` on their own
+    packets, and so do the lanes from the one that holds the last packet of
+    a flow on, which have no next packet of it; the rest go through
+    ``_lockstep``.  Where there are no cross packets at all, lockstep reads
+    the last arrival as the cross head, which comes no earlier than any
+    other.
     """
     scale = (sched.phi1, 1.0 - sched.phi1) if sched.kind == "gps" else (cap, cap)
-    runs = np.flatnonzero(np.diff(lanes) != 1) + 1  # of consecutive lanes
-    for a, z in zip(lanes[:1].tolist() + lanes[runs].tolist(),
-                    (lanes[runs - 1] + 1).tolist() + (lanes[-1:] + 1).tolist()):
-        for lo, hi, s in ((before[a], before[z], scale[0]),
-                          (nt + bounds[a] - before[a], nt + bounds[z] - before[z],
-                           scale[1])):
-            np.divide(S[lo:hi], s, out=dep[lo:hi])
-    last = np.empty(lanes.size)
-    start, lo_t = bounds[lanes], before[lanes]
-    n = bounds[lanes + 1] - start
+    lo_t, hi_t = before[:-1], before[1:]
+    lo_c, hi_c = nt + bounds[:-1] - lo_t, nt + bounds[1:] - hi_t
+    for lo, hi, s in ((before[0], before[-1], scale[0]),
+                      (nt + bounds[0] - before[0], nt + bounds[-1] - before[-1], scale[1])):
+        np.divide(S[lo:hi], s, out=dep[lo:hi])
+    n = np.diff(bounds)
     one = np.flatnonzero(n == 1)
-    m, lo = start[one], lo_t[one]
-    p = np.where(before[lanes[one] + 1] > lo, lo, nt + m - lo)  # through or cross
+    p = np.where(hi_t[one] > lo_t[one], lo_t[one], lo_c[one])  # through or cross
     dep[p] = T[p] + S[p] / cap
-    last[one] = dep[p]
     many = np.flatnonzero(n > 1)
     key = -n[many]
     if key.size and key.min() >= np.iinfo(np.int16).min:
         key = key.astype(np.int16)  # a stable sort radix-sorts a 16-bit key
     many = many[np.argsort(key, kind="stable")]
-    start, end, lo_t = start[many], start[many] + n[many], lo_t[many]
-    hi_t = before[lanes[many] + 1]
-    del n, one, m, lo, p
-    lo_c, hi_c = nt + start - lo_t, nt + end - hi_t
+    del n, one, p, key
+    lo_t, hi_t, lo_c, hi_c = lo_t[many], hi_t[many], lo_c[many], hi_c[many]
     if nt == T.size:  # no cross packets: every lane would end the cross flow
         lo_c[:] = hi_c[:] = nt - 1
     scalar = np.zeros(many.size, dtype=bool)
@@ -654,67 +636,47 @@ def _serve_lanes(sched, T, S, cap, nt, bounds, before, lanes, dep):
     scalar |= (hi_t == nt) | (hi_c == T.size)
     for i in np.flatnonzero(scalar):
         a, z, c, e = lo_t[i], hi_t[i], lo_c[i], hi_c[i]
-        dep[a:z], dep[c:e], last[many[i]] = _serve_loop(sched, T[a:z], S[a:z],
-                                                        T[c:e], S[c:e], cap)
+        dep[a:z], dep[c:e] = _serve_loop(sched, T[a:z], S[a:z], T[c:e], S[c:e], cap)
     rest = np.flatnonzero(~scalar)
     for g in range(0, rest.size, _LOCKSTEP_LANES):
         group = rest[g:g + _LOCKSTEP_LANES]
-        last[many[group]], _ = _lockstep(sched, T, S, cap, lo_t[group], hi_t[group],
-                                         lo_c[group], hi_c[group], dep)
-    return last
+        _lockstep(sched, T, S, cap, lo_t[group], hi_t[group], lo_c[group], hi_c[group],
+                  dep)
 
 
 def _serve(sched, T, S, nt, lanes, cap, need=None, warm=0):
-    """Departures of a non-preemptive two-flow server, busy period by busy period.
+    """Departures of a non-preemptive two-flow server, lane by lane.
 
     Gives, bit for bit, what the scalar loop gives on the whole run under
     ``sched`` (SP, EDF or GPS) on every packet it serves; see the module
     docstring.  ``T``/``S`` are the flat arrivals of ``nt`` through packets
-    then the cross packets, and ``lanes`` the per-bound tables of
-    ``_lanes``.  Service starts at the busy period that holds through packet
-    ``warm`` (0: at the first) and stops after the one that holds the
-    ``need``-th through packet (None serves all).  Returns (through departs,
-    cross departs); packets of busy periods outside that range are NaN.
+    then the cross packets, and ``lanes`` the tables of ``_lanes``.
+    Service starts at the lane that holds through packet ``warm`` (0: at
+    the first) and stops after the one that holds the ``need``-th through
+    packet (None serves all).  Returns (through departs, cross departs);
+    packets of lanes outside that range are NaN.
 
-    Skipping the busy periods below needs the loop's server to be idle at
-    the lowest served bound, and the FIFO recursion shows it idle only in
-    its own rounding.  Take a bound with k packets ahead of it and first
-    arrival t; no value either computation meets on the way there exceeds
-    t, and each operation is off by at most 2^-53 of its value.  The
-    recursion's end of that work carries a k-term running sum twice plus
-    five single operations: at most (2k + 7) 2^-53 t off the exact end.
-    The loop's is k divisions and k additions from the last instant at
-    which it jumped to an arrival, and never above the exact end by more
-    than (k + 1) 2^-53 t.  So where the recursion's idle gap t - fifo
-    exceeds (1.5k + 4) eps t, eps = 2^-52, the loop is idle there too.
-    ``_idle`` calls a bound idle where the gap exceeds 4(k + 2) eps t, and
-    service starts a busy period lower while its bound is not.  Only the
-    bounds tried are tested: the one that holds packet ``warm`` and, rarely,
-    a few below it.
+    Serving a lane on its own needs the loop's server to be idle at the
+    lane's bound, and the FIFO recursion shows it idle only in its own
+    rounding.  Take a bound with k packets ahead of it and first arrival t;
+    no value either computation meets on the way there exceeds t, and each
+    operation is off by at most 2^-53 of its value.  The recursion's end of
+    that work carries a k-term running sum twice plus five single
+    operations: at most (2k + 7) 2^-53 t off the exact end.  The loop's is
+    k divisions and k additions from the last instant at which it jumped to
+    an arrival, and never above the exact end by more than (k + 1) 2^-53 t.
+    So where the recursion's idle gap t - fifo exceeds (1.5k + 4) eps t,
+    eps = 2^-52, the loop is idle there too.  ``_lanes`` keeps a busy-period
+    bound only where the gap exceeds 4(k + 2) eps t, so the loop is idle at
+    every bound of the tables.
     """
-    bounds, before, first, _ = lanes
+    bounds, before = lanes
     low = int(np.searchsorted(before, warm, side="right")) - 1 if warm else 0
-    while not _idle(lanes, low):
-        low -= 1
-    bounds, before, first = bounds[low:], before[low:], first[low:]
+    # up to the lane whose through packets reach ``need``
+    high = (int(np.searchsorted(before, need)) if need is not None and need <= nt
+            else bounds.size - 1)
     dep = np.full(T.size + 1, np.nan)
-    stop = need is not None and need <= nt
-    last = np.full(bounds.size - 1, np.nan)  # last departure; NaN: not served yet
-    while True:
-        # lanes [0, served): up to the one whose through packets reach ``need``
-        served = int(np.searchsorted(before, need)) if stop else bounds.size - 1
-        todo = np.flatnonzero(np.isnan(last[:served]))
-        last[todo] = _serve_lanes(sched, T, S, cap, nt, bounds, before, todo, dep)
-        # a split is exact only if the server is idle when the next lane begins
-        inner = np.arange(1, min(served + 1, bounds.size - 1))
-        touch = inner[last[inner - 1] >= first[inner]]
-        if not touch.size:
-            break
-        keep = np.ones(bounds.size, dtype=bool)
-        keep[touch] = False
-        last = last[keep[:-1]]
-        last[~keep[1:][keep[:-1]]] = np.nan  # the merged lanes
-        bounds, before, first = bounds[keep], before[keep], first[keep]
+    _serve_lanes(sched, T, S, cap, nt, bounds[low:high + 1], before[low:high + 1], dep)
     return dep[:nt], dep[nt:-1]
 
 

@@ -1,42 +1,45 @@
-"""The stable-sort merge and the per-bound tables against the search-based oracle.
+"""The stable-sort merge and the lane tables against the search-based oracle.
 
 ``serial_reference.merge`` finds each packet's merged index by a binary
 search in the other flow, and ``serial_reference.lane_tables`` finds each
 lane's slices by a search over the through packets' merged indices.  The
 simulator's ``_merge`` must give the same through packets and FIFO
-departures, and its ``_lanes`` the same busy-period bounds, bit for bit,
-and per-bound tables equal to those lookups.
+departures, bit for bit.  Its ``_lanes`` must keep exactly the oracle's
+busy-period bounds that pass the rounding test, with tables equal to those
+lookups, and the scalar loop run over the whole sample path must be idle at
+every bound it keeps.
 """
 
 import numpy as np
 import pytest
 
 import sncbounds.sim as sim
-from sncbounds import MmooParams, Scenario, SimConfig
+from sncbounds import MmooParams, Scenario, SchedulerSpec, SimConfig
 import serial_reference as ref
 
 SOURCE = MmooParams(0.5, 0.1, 1.0)
+GENERATED = [("small", 0, 0.75), ("small", 1, 0.95), ("small", 5, 0.5), ("desk", 0, 0.75)]
+LOOP_DISCIPLINES = {"sp": SchedulerSpec.sp(), "edf_1_10": SchedulerSpec.edf(1.0, 10.0),
+                    "gps_0.5": SchedulerSpec.gps(0.5)}
 
 
 def assert_same_as_reference(tt, ts, ct, cs, cap):
     T, S, nt = np.concatenate([tt, ct]), np.concatenate([ts, cs]), tt.size
     through, fifo, t = sim._merge(T, S, nt, cap)
-    tables = sim._lanes(t, through, fifo)
-    bounds, before, first, _ = tables
+    bounds, before = sim._lanes(t, through, fifo)
     want_pos, want_fifo, want_bounds = ref.merge(T, S, nt, cap, sim._busy_periods)
     assert np.array_equal(np.flatnonzero(through), want_pos)
     assert np.array_equal(fifo, want_fifo)
-    assert np.array_equal(bounds, want_bounds)
-    lo_t, lo_c, want_first = ref.lane_tables(T, want_pos, want_bounds)
+    # the first and the last bound stay, the others where the FIFO idle gap
+    # exceeds 4(k + 2) eps t (k packets ahead, first arrival t)
+    _, _, first = ref.lane_tables(T, want_pos, want_bounds)
+    k, t_k = want_bounds[1:-1], first[1:-1]
+    keep = t_k - want_fifo[k - 1] > 4.0 * np.finfo(float).eps * (k + 2) * t_k
+    kept = want_bounds[np.concatenate([[True], keep, [True]])]
+    assert np.array_equal(bounds, kept)
+    lo_t, lo_c, _ = ref.lane_tables(T, want_pos, kept)
     assert np.array_equal(before, lo_t)
     assert np.array_equal(nt + bounds - before, lo_c)
-    assert np.array_equal(first, want_first)
-    assert first[-1] == np.inf
-    # the first bound has nothing before it; the others are idle by a margin
-    idle = np.array([sim._idle(tables, i) for i in range(bounds.size)])
-    assert idle[0] and not idle[-1]
-    gap = first[1:-1] - fifo[bounds[1:-1] - 1]
-    assert (gap[idle[1:-1]] > 0).all()
 
 
 def generated(size, seed, rho=0.75):
@@ -48,10 +51,31 @@ def generated(size, seed, rho=0.75):
     return T[:nt], S[:nt], T[nt:], S[nt:], sc.capacity
 
 
-@pytest.mark.parametrize("size, seed, rho", [("small", 0, 0.75), ("small", 1, 0.95),
-                                             ("small", 5, 0.5), ("desk", 0, 0.75)])
+@pytest.mark.parametrize("size, seed, rho", GENERATED)
 def test_generated_traffic(size, seed, rho):
     assert_same_as_reference(*generated(size, seed, rho))
+
+
+def assert_loop_idle_at_kept_bounds(name, tt, ts, ct, cs, cap):
+    """Every packet ahead of a kept bound departs, in the scalar loop run over
+    the whole sample path, before the bound's first arrival."""
+    sched = LOOP_DISCIPLINES[name]
+    T, S, nt = np.concatenate([tt, ct]), np.concatenate([ts, cs]), tt.size
+    through, fifo, t = sim._merge(T, S, nt, cap)
+    bounds, _ = sim._lanes(t, through, fifo)
+    dep_t, dep_c, _ = ref._serve_loop(sched.kind, tt, ts, ct, cs, cap, nt, d1=sched.d1_star,
+                                      d2=sched.d2_star, phi1=sched.phi1, drain=True)
+    dep = np.empty(T.size)  # in merged order
+    dep[through], dep[~through] = dep_t, dep_c
+    done = np.maximum.accumulate(dep)
+    k = bounds[1:]
+    assert k.size > 1 and (done[k - 1] < t[k]).all()
+
+
+@pytest.mark.parametrize("name", sorted(LOOP_DISCIPLINES))
+@pytest.mark.parametrize("size, seed, rho", GENERATED)
+def test_scalar_loop_idle_at_every_kept_bound(size, seed, rho, name):
+    assert_loop_idle_at_kept_bounds(name, *generated(size, seed, rho))
 
 
 def _arrays(*values):
@@ -83,13 +107,19 @@ class TestHandBuilt:
         empty = np.empty(0)
         through, fifo, t = sim._merge(empty, empty, 0, 1.0)
         assert through.size == fifo.size == 0
-        tables = sim._lanes(t, through, fifo)
-        assert [tab.tolist() for tab in tables[:3]] == [[0], [0], [np.inf]]
-        assert sim._idle(tables, 0)
+        assert [tab.tolist() for tab in sim._lanes(t, through, fifo)] == [[0], [0]]
 
 
 @pytest.mark.parametrize("size, seed", [("small", 0), ("small", 1)])
 def test_split_everywhere(monkeypatch, size, seed):
-    """Every packet its own lane: the tables hold one entry per packet."""
+    """Every packet a candidate bound: the tables keep those that pass the test."""
     monkeypatch.setattr(sim, "_busy_periods", lambda t, fifo: np.arange(t.size))
     assert_same_as_reference(*generated(size, seed))
+
+
+@pytest.mark.parametrize("name", sorted(LOOP_DISCIPLINES))
+@pytest.mark.parametrize("size, seed", [("small", 0), ("small", 1)])
+def test_split_everywhere_keeps_only_idle_bounds(monkeypatch, size, seed, name):
+    """Every packet a candidate bound: the kept ones are still idle in the loop."""
+    monkeypatch.setattr(sim, "_busy_periods", lambda t, fifo: np.arange(t.size))
+    assert_loop_idle_at_kept_bounds(name, *generated(size, seed))

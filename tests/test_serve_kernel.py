@@ -160,7 +160,7 @@ def test_many_lockstep_groups(arrivals, monkeypatch, name):
 
 @pytest.mark.parametrize("name", sorted(DISCIPLINES))
 def test_split_everywhere_is_merged_back(arrivals, monkeypatch, name):
-    """Every packet its own lane: touching lanes must be merged and re-run."""
+    """Every packet a candidate bound: ``_lanes`` keeps only the idle ones."""
     tt, ts, ct, cs, cap, need = arrivals("small", 0)
     monkeypatch.setattr(sim, "_busy_periods", lambda t, fifo: np.arange(t.size))
     monkeypatch.setattr(sim, "_SCALAR_LANES", 0)
@@ -307,7 +307,7 @@ def test_warm_up_offset_in_each_lane_kind(arrivals, monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", sorted(DISCIPLINES))
-def test_warm_up_bound_inside_the_rounding_is_served_from_below(monkeypatch, name):
+def test_warm_up_bound_inside_the_rounding_is_served_from_below(name):
     # C = 3: four back-to-back through packets end at 627.4499999999999 by
     # the FIFO recursion and at 627.4500000000002 in the loop; the fifth
     # arrives at 627.45, idle to the recursion but busy to the loop
@@ -316,14 +316,14 @@ def test_warm_up_bound_inside_the_rounding_is_served_from_below(monkeypatch, nam
     ts = np.array([0.863, 0.389, 0.59, 0.528, 0.25])
     empty = np.empty(0)
     through, fifo, t = sim._merge(tt, ts, 5, 3.0)
-    lanes = sim._lanes(t, through, fifo)
-    assert lanes[0].tolist() == [0, 4, 5] and not sim._idle(lanes, 1)
+    assert sim._busy_periods(t, fifo).tolist() == [0, 4, 5]
+    assert [tab.tolist() for tab in sim._lanes(t, through, fifo)] == [[0, 5], [0, 5]]
     sched = DISCIPLINES[name]
     want, _, _ = reference(REFERENCE_KIND.get(name, sched.kind), tt, ts, empty, empty, 3.0,
                            5, d1=sched.d1_star, d2=sched.d2_star, phi1=sched.phi1)
     got, _ = serve_flows(sched, tt, ts, empty, empty, 3.0, 5, 4)
     assert np.array_equal(got, want)  # served from the busy period below
-    # starting at the bound instead would give the fifth packet another departure
-    monkeypatch.setattr(sim, "_idle", lambda lanes, i: True)
-    bad, _ = sim._serve(sched, tt, ts, 5, lanes, 3.0, 5, 4)
+    # a lane from the unfiltered bound would give the fifth packet another departure
+    split = np.array([0, 4, 5])
+    bad, _ = sim._serve(sched, tt, ts, 5, (split, split), 3.0, 5, 4)
     assert bad[4] != want[4]
