@@ -45,11 +45,9 @@ w), and ``bounds.<scheduler>.slopes`` the mean number of slope evaluations
 per refinement over that grid (a count, so it repeats exactly).
 ``bounds.<scheduler>.martingale`` and ``bounds.<scheduler>.martingale.cold``
 are the warm and cold figures of one ``martingale_delay_bound`` call on the
-same grid.  Where ``martingale._constants`` has no cache to clear, only
-the axis is cleared, so the script times a tree without that cache too.
-Last, in milliseconds, ``bound_rows.<scheduler>`` is the minimum time of
-one ``analysis.bound_rows`` over the 1001-point delay grid 0, 0.01, ..., 10
-at n1 = n2 = 5, rho 0.75.
+same grid.  Last, in milliseconds, ``bound_rows.<scheduler>`` is the
+minimum time of one ``analysis.bound_rows`` over the 1001-point delay grid
+0, 0.01, ..., 10 at n1 = n2 = 5, rho 0.75.
 """
 
 import argparse
@@ -131,7 +129,7 @@ ROWS_GRID = [k / 100 for k in range(1001)]
 def clear_bound_caches():
     """Empty the per-system caches of both bound families."""
     standard._axis.cache_clear()
-    getattr(martingale._constants, "cache_clear", lambda: None)()
+    martingale._constants.cache_clear()
 
 
 def bound_us(source, repeats):

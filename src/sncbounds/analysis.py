@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidParamsError
+from .errors import GpsInfeasibleError, InvalidParamsError, TrivialScenarioError
 from .martingale import (
     SchedulerSpec,
     _bound_terms,
@@ -150,15 +150,20 @@ class AdmissionQuery:
 
 
 def _violation(q: AdmissionQuery, n: int) -> float:
-    """Palm-corrected, clamped violation bound for n flows on capacity C."""
-    c = q.capacity / n
-    if q.params.peak <= c:
-        return 0.0  # aggregate peak <= C: the queue never builds
-    sc = Scenario(n // 2, n // 2, c, q.params)
-    if q.method == "martingale":
-        raw = martingale_delay_bound(sc, q.scheduler, q.d).value
-    else:
-        raw = standard_delay_bound(sc, q.scheduler, q.d).value
+    """Palm-corrected, clamped violation bound for n flows on capacity C.
+
+    A count whose (GPS-reduced) system can never backlog, its peak within
+    its per-flow capacity, has zero delay: 0.0.  A count whose GPS-reduced
+    system is unstable is not admissible: 1.0.
+    """
+    bound = martingale_delay_bound if q.method == "martingale" else standard_delay_bound
+    try:
+        sc = Scenario(n // 2, n // 2, q.capacity / n, q.params)
+        raw = bound(sc, q.scheduler, q.d).value
+    except TrivialScenarioError:
+        return 0.0
+    except GpsInfeasibleError:
+        return 1.0
     return min(1.0, palm_prefactor(sc) * raw)
 
 
@@ -298,7 +303,7 @@ def _suite_alpha_gamma() -> tuple[bool, str]:
         c = lo + rng.uniform(0.15, 0.85) * (hi - lo)
         gd = generalized_decay(src, c)
         alpha = fluid_effective_bandwidth(gd.gamma, src)
-        worst = max(worst, abs(alpha - c) / c)
+        worst = max(worst, float(abs(alpha - c) / c))
     return worst <= 1e-12, f"max |alpha_gamma - C|/C = {worst:.3g}"
 
 
@@ -318,11 +323,10 @@ def _suite_optimizer() -> tuple[bool, str]:
     """Each term's optimized minimum against a 10^4-point grid of its objective.
 
     The grid evaluates L * exp(theta*(a + b*r_theta)) directly, with
-    L = cm*e/(cm - k*r_theta) (cm/(cm - k*r_theta) without ``euler``), over
+    L = c*e/(c - r_theta) (c/(c - r_theta) without ``euler``), over
     the term's inset interval (0, gamma); the excess is the optimized
     minimum over the grid's, minus 1.
     """
-    from .errors import GpsInfeasibleError
     from .standard import _minimize_theta, effective_bandwidth_rate
 
     params = MmooParams(0.5, 0.1, 1.0)
@@ -343,8 +347,8 @@ def _suite_optimizer() -> tuple[bool, str]:
                     gamma = t.consts.gamma
                     th = np.geomspace(1e-9 * gamma, gamma * (1 - 1e-9), 10_000)
                     r = effective_bandwidth_rate(th, params)
-                    margin = t.cm - t.k * r
-                    lead = t.cm * math.e if t.euler else t.cm
+                    margin = t.c - r
+                    lead = t.c * math.e if t.euler else t.c
                     grid_vals = np.where(margin > 0, lead / margin, np.inf) \
                         * np.exp(th * (t.a + t.b * r))
                     worst = max(worst, math.exp(log_min) / float(grid_vals.min()) - 1.0)

@@ -17,11 +17,12 @@ EDF's rescaled one each share one frozen ``MartingaleConstants`` across
 every delay and both bound families.
 
 One term table serves both bound families.  ``_bound_terms`` gives each
-scheduler's terms: a reduced system, its prefactor powers and the
-coefficients of a service exponent theta*(a + b*r) in the twist theta and the
-effective bandwidth r.  The martingale bound evaluates each exponent at
-theta = gamma, where r_gamma = c, and sums K**flows * exp(exponent) over the
-terms; ``standard`` takes the infimum over theta in (0, gamma) instead.
+scheduler's terms: a reduced system, its prefactor powers, its per-flow
+capacity c and the coefficients of a service exponent theta*(a + b*r) in the
+twist theta and the effective bandwidth r.  The martingale bound evaluates
+each exponent at theta = gamma, where r_gamma = c, and sums
+K**flows * exp(exponent) over the terms; ``standard`` takes the infimum
+over theta in (0, gamma) instead.
 Values are returned raw (they may exceed 1); clamping for display happens in
 the reporting layer only, so algebraic identities between bounds survive.
 """
@@ -152,42 +153,23 @@ def gps_constants(scenario: Scenario, phi1: float) -> MartingaleConstants:
 class _Term(NamedTuple):
     """One term of a bound: a reduced system and its service exponent theta*(a + b*r).
 
-    ``consts`` are the reduced system's constants and cm/k is its per-flow
+    ``consts`` are the constants of the reduced system with per-flow
     capacity c, so r_gamma = c at theta = consts.gamma.  The martingale term
     is K**flows * exp(gamma*(a + b*c)); the standard term is the infimum
     over theta in (0, gamma) of L * exp(theta*(a + b*r_theta)), with
-    L = cm*e/(cm - k*r_theta), or cm/(cm - k*r_theta) without ``euler``.
+    L = c*e/(c - r_theta), or c/(c - r_theta) without ``euler``.
     """
 
     consts: MartingaleConstants
     flows: int
-    cm: float
-    k: int
+    c: float
     euler: bool
     a: float
     b: float
 
 
 def _bound_terms(scenario: Scenario, sched: SchedulerSpec, d: float) -> tuple:
-    """The terms of the bound P(W1 > d) <= value under ``sched`` (``_scheduler_terms``).
-
-    Rejects a d that is not finite and >= 0, and a d or an EDF deadline gap
-    so large that a coefficient a or b overflows (C d near the largest
-    double), where an exponent would read -inf + inf.
-    """
-    if not 0 <= d < math.inf:
-        raise InvalidParamsError(f"d must be finite and >= 0, got {d}")
-    terms = _scheduler_terms(scenario, sched, d)
-    for t in terms:
-        if not (math.isfinite(t.a) and math.isfinite(t.b)):
-            raise InvalidParamsError(
-                f"the bound's exponent overflows at d={d:g} on server rate "
-                f"{scenario.capacity:.6g}: delays and deadlines this large are out of range")
-    return terms
-
-
-def _scheduler_terms(scenario: Scenario, sched: SchedulerSpec, d: float) -> tuple:
-    """The terms of the bound P(W1 > d) <= value under ``sched``, unchecked.
+    """The terms of the bound P(W1 > d) <= value under ``sched``.
 
     Exponents theta*(a + b*r), with y = d1* - d2* for EDF:
 
@@ -201,44 +183,53 @@ def _scheduler_terms(scenario: Scenario, sched: SchedulerSpec, d: float) -> tupl
            alone cannot backlog the server.
     GPS:   a = -phi1 C d,  b = 0 on the GPS-reduced system, which holds only
            the n1 through flows on a server of rate phi1 C: prefactor powers
-           K^n1 and L = phi1 C/(phi1 C - n1 r_theta).
+           K^n1 and per-flow capacity c = phi1 C/n1, without the factor e.
+
+    Rejects a d that is not finite and >= 0, and a d or an EDF deadline gap
+    so large that a coefficient a or b overflows (C d near the largest
+    double), where an exponent would read -inf + inf.
     """
+    if not 0 <= d < math.inf:
+        raise InvalidParamsError(f"d must be finite and >= 0, got {d}")
     cap = scenario.capacity
     n1, n2 = scenario.n1, scenario.n2
-
     if sched.kind == "gps":
         phi_c = sched.phi1 * cap
-        return (_Term(gps_constants(scenario, sched.phi1), n1, phi_c, n1, False,
-                      -phi_c * d, 0.0),)
-
-    c = scenario.per_flow_capacity
-    system = (martingale_constants(scenario), scenario.n, c, 1, True)
-    if sched.kind == "fifo":
-        return (_Term(*system, -cap * d, 0.0),)
-    if sched.kind == "sp":
-        return (_Term(*system, -cap * d, n2 * d),)
-
-    y = sched.d1_star - sched.d2_star
-    if y >= 0:
-        return (_Term(*system, -cap * d, n2 * min(y, d)),)
-    first = _Term(*system, cap * (y - d), -n1 * y)
-    params = scenario.params
-    c_resc = scenario.n / n1 * c
-    if params.peak <= c_resc:
-        return (first,)
-    resc = _constants(params, n1 / scenario.n * scenario.rho, c_resc)
-    return first, _Term(resc, scenario.n, c_resc, 1, True, -cap * d, 0.0)
+        terms = (_Term(gps_constants(scenario, sched.phi1), n1, phi_c / n1, False,
+                       -phi_c * d, 0.0),)
+    else:
+        c = scenario.per_flow_capacity
+        system = (martingale_constants(scenario), scenario.n, c, True)
+        y = sched.d1_star - sched.d2_star
+        if sched.kind == "fifo":
+            terms = (_Term(*system, -cap * d, 0.0),)
+        elif sched.kind == "sp":
+            terms = (_Term(*system, -cap * d, n2 * d),)
+        elif y >= 0:
+            terms = (_Term(*system, -cap * d, n2 * min(y, d)),)
+        else:
+            terms = (_Term(*system, cap * (y - d), -n1 * y),)
+            c_resc = scenario.n / n1 * c
+            if scenario.params.peak > c_resc:
+                resc = _constants(scenario.params, n1 / scenario.n * scenario.rho, c_resc)
+                terms += (_Term(resc, scenario.n, c_resc, True, -cap * d, 0.0),)
+    for t in terms:
+        if not (math.isfinite(t.a) and math.isfinite(t.b)):
+            raise InvalidParamsError(
+                f"the bound's exponent overflows at d={d:g} on server rate "
+                f"{cap:.6g}: delays and deadlines this large are out of range")
+    return terms
 
 
 def martingale_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float) -> DelayBound:
     """Delay-violation bound P(W1 > d) <= value for the through aggregate.
 
     The sum of K**flows * exp(gamma*(a + b*c)) over the scheduler's terms
-    (``_bound_terms``), with c = cm/k; FIFO's, for one, is K^n e^{-gamma C d}.
+    (``_bound_terms``); FIFO's, for one, is K^n e^{-gamma C d}.
     Each exponent is one sum inside ``exp``, so no factor overflows on its own.
     """
     value = 0.0
     for t in _bound_terms(scenario, sched, d):
-        value += t.consts.K ** t.flows * math.exp(t.consts.gamma * (t.a + t.b * (t.cm / t.k)))
+        value += t.consts.K ** t.flows * math.exp(t.consts.gamma * (t.a + t.b * t.c))
     return DelayBound(value)
 

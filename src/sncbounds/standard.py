@@ -180,9 +180,9 @@ def _axis(params: MmooParams, c: float, gamma: float) -> _Axis:
 def _objective(axis: _Axis, term):
     """Value and slope in w of one term's log L + theta*(a + b*r_theta).
 
-    With c = cm/k and m = p*P, w gives g = c - r = (c - m)/(1 + e^w) and
-    x = r - m = e^w g, and theta = (lam + mu) x/(r (P - r)); the margin
-    cm - k*r_theta is k g.  ``at(w)`` gives theta and the value
+    With c the term's per-flow capacity and m = p*P, w gives
+    g = c - r = (c - m)/(1 + e^w), L's margin, and x = r - m = e^w g, and
+    theta = (lam + mu) x/(r (P - r)).  ``at(w)`` gives theta and the value
     f = log(c) [+ 1 with ``euler``] - log(g) + theta*(a + b*r).
     ``slope(w)`` gives df/dw = (x/span)(1 + g E), span = c - m, which has
     no pole at either end, and d2f/dw2 = (x g/span^2)(1 + (g - x) E + x g E'),
@@ -248,9 +248,9 @@ def _refine(slope, lo: float, w: float, hi: float) -> float:
 def _minimize_theta(params: MmooParams, term) -> tuple[float, float, bool]:
     """Minimize one term of ``martingale._bound_terms`` over (0, gamma).
 
-    The objective (``_objective``) is the log of L = cm*e/(cm - k*r_theta),
-    or cm/(cm - k*r_theta) without ``euler``, plus the term's exponent;
-    gamma (``theta_max``) is the decay rate of the term's reduced system.
+    The objective (``_objective``) is the log of the term's prefactor L
+    (``martingale._Term``) plus its exponent; gamma (``theta_max``) is the
+    decay rate of the term's reduced system.
     Returns the minimizer, the minimum and whether the minimizer lies at an
     end of the inset interval.  A gamma below about 2e-299, whose inset end
     ``_EDGE*gamma`` is subnormal, raises ``InvalidParamsError``.
@@ -265,7 +265,7 @@ def _minimize_theta(params: MmooParams, term) -> tuple[float, float, bool]:
         raise InvalidParamsError(
             f"decay rate gamma={theta_max:.6g} is too small for the standard bound's "
             f"optimizer: {_EDGE:g}*gamma is below the smallest normal double")
-    axis = _axis(params, term.cm / term.k, theta_max)
+    axis = _axis(params, term.c, theta_max)
     w = axis.w
     i = int((axis.theta * (term.a + term.b * axis.r) - axis.log_gap).argmin())
     at, slope = _objective(axis, term)
@@ -281,8 +281,8 @@ def standard_delay_bound(scenario: Scenario, sched: SchedulerSpec, d: float) -> 
 
     The sum over the scheduler's terms (``martingale._bound_terms``) of the
     infimum over (0, gamma) of L * exp(theta*(a + b*r_theta)) on the term's
-    reduced system, with L = cm*e/(cm - k*r_theta), or cm/(cm - k*r_theta)
-    without ``euler``; FIFO's, for one, is inf L e^{-theta C d}.
+    reduced system (L as in ``martingale._Term``); FIFO's, for one, is
+    inf L e^{-theta C d}.
     ``theta_star`` is the first term's minimizer.
     """
     minima = [_minimize_theta(scenario.params, t) for t in _bound_terms(scenario, sched, d)]

@@ -23,7 +23,7 @@ from sncbounds import (
     standard,
     verify,
 )
-from sncbounds.analysis import _stability_cap, _violation
+from sncbounds.analysis import VERIFY_SUITES, _stability_cap, _violation
 from sncbounds.cli import COLUMNS, main
 
 BASE_SOURCE = MmooParams(0.5, 0.1, 1.0)
@@ -219,9 +219,13 @@ class TestAdmission:
 
     @pytest.mark.parametrize("method", ["martingale", "standard"])
     @pytest.mark.parametrize("sched", [SchedulerSpec.fifo(), SchedulerSpec.sp(),
-                                       SchedulerSpec.edf(10.0, 1.0), SchedulerSpec.gps(0.5)],
-                             ids=["fifo", "sp", "edf", "gps"])
+                                       SchedulerSpec.edf(10.0, 1.0), SchedulerSpec.gps(0.5),
+                                       SchedulerSpec.gps(0.3), SchedulerSpec.gps(0.45),
+                                       SchedulerSpec.gps(0.9)],
+                             ids=["fifo", "sp", "edf", "gps", "gps-0.3", "gps-0.45", "gps-0.9"])
     def test_scan_down_matches_exhaustive_scan(self, method, sched):
+        # under GPS, counts whose reduced system is unstable (violation 1)
+        # or cannot backlog (violation 0) lie in the scan
         for mult, d, eps in ((3, 10.0, 1e-3), (10, 1.0, 1e-3), (21, 10.0, 1e-6),
                              (50, 5.0, 1e-3), (50, 0.0, 1e-9)):
             q = AdmissionQuery(mult * BASE_SOURCE.mean_rate, d, eps, sched,
@@ -233,21 +237,20 @@ class TestAdmission:
 
 
 class TestVerifySuites:
-    def test_fast_suites_pass(self):
-        for name in ("binomial-stationarity", "reductions", "bound-ordering"):
-            results = verify(name)
-            assert len(results) == 1
-            assert results[0][1], results[0][2]
+    @pytest.mark.parametrize("name", list(VERIFY_SUITES))
+    def test_suite_passes(self, name):
+        [(_, passed, detail)] = verify(name)
+        assert passed is True, detail
 
     def test_optimizer_suite_checks_every_scheduler(self, monkeypatch):
         [(_, passed, detail)] = verify("optimizer-grid")
         assert passed, detail
-        # a minimum 1e-6 too high on GPS terms alone (k = n1 != 1) must fail it
+        # a minimum 1e-6 too high on GPS terms alone (the only ones without e) must fail it
         minimize = standard._minimize_theta
 
         def off_on_gps(params, term):
             th, fv, edge = minimize(params, term)
-            return th, fv + (1e-6 if term.k != 1 else 0.0), edge
+            return th, fv + (0.0 if term.euler else 1e-6), edge
 
         monkeypatch.setattr(standard, "_minimize_theta", off_on_gps)
         [(_, passed, detail)] = verify("optimizer-grid")

@@ -389,7 +389,7 @@ class TestTermTable:
                 total = 0.0
                 for t in terms:
                     r = effective_bandwidth_rate(t.consts.gamma, sc.params)
-                    assert r == pytest.approx(t.cm / t.k, rel=1e-12)
+                    assert r == pytest.approx(t.c, rel=1e-12)
                     total += t.consts.K ** t.flows * math.exp(t.consts.gamma * (t.a + t.b * r))
                 assert martingale_delay_bound(sc, sched, d).value == pytest.approx(
                     total, rel=1e-12)
@@ -426,7 +426,7 @@ class TestTermTable:
             written, summands = 0.0, 0.0
             for t, exponent in zip(terms, exponents):
                 written += t.consts.K ** t.flows * math.exp(t.consts.gamma * exponent)
-                summands = max(summands, t.consts.gamma * (abs(t.a) + abs(t.b) * t.cm / t.k))
+                summands = max(summands, t.consts.gamma * (abs(t.a) + abs(t.b) * t.c))
             value = martingale_delay_bound(sc, sched, d).value
             if written < 1e-290:  # near or below the subnormals: no relative precision
                 assert value < 1e-280

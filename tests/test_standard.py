@@ -319,7 +319,7 @@ class TestStandardDelayBounds:
             return c * math.e / (c - r) * np.exp(ths * (cap - n1 * r) * y - ths * cap * d)
 
         resc = _bound_terms(sc, SchedulerSpec.edf(1.0, 10.0), d)[1]
-        c2 = resc.cm / resc.k
+        c2 = resc.c
         assert c2 == pytest.approx(4 / 9, rel=1e-15)
         gamma2 = resc.consts.gamma
 

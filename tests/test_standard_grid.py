@@ -170,10 +170,10 @@ def _scan(params, term):
     log: 8 eps times 1 + |log(c)| + |log(c - r)| + |theta*(a + b*r)|, the
     returned bound, covers both.
     """
-    axis = standard._axis(params, term.cm / term.k, term.consts.gamma)
+    axis = standard._axis(params, term.c, term.consts.gamma)
     w, theta, r, log_gap = axis[:4]
     exponent = theta * (term.a + term.b * r)
-    const = math.log(term.cm / term.k) + (1.0 if term.euler else 0.0)
+    const = math.log(term.c) + (1.0 if term.euler else 0.0)
     at, _ = standard._objective(axis, term)
     values = np.array([at(x)[1] for x in w.tolist()])
     tol = 8 * np.finfo(float).eps * (1.0 + abs(const) + np.abs(log_gap) + np.abs(exponent))
@@ -207,7 +207,7 @@ def test_slope_matches_central_differences(sched):
     checked = 0
     for params, term in _terms(sched, (1.0, 5.0), flows=(2, 10), sources=(SOURCE,)):
         gamma = term.consts.gamma
-        axis = standard._axis(params, term.cm / term.k, gamma)
+        axis = standard._axis(params, term.c, gamma)
         at, slope = standard._objective(axis, term)
         w, theta = axis.w, axis.theta
         inside = (theta >= 1e-3 * gamma) & (theta <= 0.8 * gamma)
@@ -303,7 +303,7 @@ def test_prescan_on_effective_bandwidth_axis():
             continue
         for term in terms:
             gamma = term.consts.gamma
-            w, theta, r = standard._axis(params, term.cm / term.k, gamma)[:3]
+            w, theta, r = standard._axis(params, term.c, gamma)[:3]
             assert (np.diff(w) > 0).all() and (np.diff(theta) > 0).all()
             assert edge * gamma * (1 - 8 * ulp) <= theta[0] <= 2 * edge * gamma
             assert edge * gamma - 8 * ulp * gamma <= gamma - theta[-1] <= 2 * edge * gamma
@@ -357,15 +357,20 @@ _ReferenceTerm = namedtuple("_ReferenceTerm", "consts flows cm k euler exponent"
 
 
 def _reference_terms(scenario, sched, d):
-    """The library's terms with the exponent functions the frozen oracle reads.
+    """The library's terms with the prefactor and exponent the frozen oracle reads.
 
-    Each is the exponent(theta, r) the library evaluated before its terms
-    carried (a, b), operation for operation, so the oracle reproduces that
+    Each exponent(theta, r) is the one the library evaluated before its terms
+    carried (a, b), and each (cm, k) the pair of L = cm/(cm - k*r_theta) it
+    read before its terms carried c: (phi1*C, n1) under GPS, (c, 1)
+    otherwise.  Operation for operation, so the oracle reproduces that
     library's values bit for bit.
     """
+    terms = _bound_terms(scenario, sched, d)
     cap, n1, n2 = scenario.capacity, scenario.n1, scenario.n2
+    pairs = [(t.c, 1) for t in terms]
     if sched.kind == "gps":
         phi_c = sched.phi1 * cap
+        pairs = [(phi_c, n1)]
         exponents = [lambda th, r: -th * phi_c * d]
     elif sched.kind == "fifo":
         exponents = [lambda th, r: -th * cap * d]
@@ -378,8 +383,8 @@ def _reference_terms(scenario, sched, d):
         y = sched.d1_star - sched.d2_star
         exponents = [lambda th, r: th * (cap - n1 * r) * y - th * cap * d,
                      lambda th, r: -th * cap * d]
-    return tuple(_ReferenceTerm(t.consts, t.flows, t.cm, t.k, t.euler, exponent)
-                 for t, exponent in zip(_bound_terms(scenario, sched, d), exponents))
+    return tuple(_ReferenceTerm(t.consts, t.flows, cm, k, t.euler, exponent)
+                 for t, (cm, k), exponent in zip(terms, pairs, exponents))
 
 
 def test_optimizer_matches_reference_oracle(monkeypatch):
@@ -464,7 +469,7 @@ def test_delay_grid_builds_one_axis_per_system(sched):
         for cache in caches:
             cache.cache_clear()
         bound_rows(sc, spec, grid)
-        systems = len({(source, t.cm / t.k, t.consts.gamma) for t in terms})
+        systems = len({(source, t.c, t.consts.gamma) for t in terms})
         for cache, reads in zip(caches, (1, 2)):
             info = cache.cache_info()
             assert (info.misses, info.hits) == (systems, reads * len(grid) * len(terms) - systems)
@@ -482,7 +487,7 @@ def test_cached_axis_is_read_only():
     P - c, m (P - m) and log(c).
     """
     term = _bound_terms(Scenario.from_utilization(5, 5, 0.75, SOURCE), SCHEDULERS["fifo"], 1.0)[0]
-    c = term.cm / term.k
+    c = term.c
     cached = standard._axis(SOURCE, c, term.consts.gamma)
     assert cached is standard._axis(SOURCE, c, term.consts.gamma)
     rows = cached[:4]
