@@ -219,8 +219,6 @@ def _suite_theta_star() -> tuple[bool, str]:
         params = MmooParams(lam, mu, peak)
         p = params.on_probability
         rho = rng.uniform(p + 1e-3, 1 - 1e-3)
-        if rho <= p:
-            continue
         c = params.mean_rate / rho
         gamma = martingale_constants(Scenario(1, 0, c, params)).gamma
         worst = max(worst, abs(effective_bandwidth_rate(gamma, params) - c) / c)

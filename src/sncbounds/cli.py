@@ -83,8 +83,8 @@ def _add_sim_args(p: argparse.ArgumentParser):
     p.add_argument("--warmup", type=int, default=10_000,
                    help="discarded through packets (full scale: 10^6)")
     p.add_argument("--jobs", type=int, default=None,
-                   help="parallel replications (at most one process per replication and CPU); "
-                        "a process pool pays off only when one replication outlasts its "
+                   help="parallel replications, at least 1 (at most one process per replication "
+                        "and CPU); a process pool pays off only when one replication outlasts its "
                         "start-up, about 10 ms: at desk size FIFO runs slower with it")
 
 

@@ -30,9 +30,11 @@ which the server never idles; every work-conserving discipline has the same
 ones, and the FIFO work recursion finds them.  The recursion rounds
 differently from the scalar head-selection loop ``_serve_loop``, so
 ``_lanes`` keeps only the busy-period bounds at which the loop is provably
-idle too, by a margin over the rounding (``_serve`` derives it), and builds
-two small tables with one entry per kept bound: its merged index and the
-through packets before it.  The packets between two kept bounds (a "lane",
+idle too: one comparison over the merged arrivals finds those whose idle
+gap exceeds 4(N + 3) eps t, with N packets and first arrival t, a margin
+over the rounding of both (``_serve`` derives it).  It builds two small
+tables with one entry per kept bound: its merged index and the through
+packets before it.  The packets between two kept bounds (a "lane",
 one or more busy periods) are a contiguous slice of the flat index per
 flow, read from the two bounds, so service searches no packet array.
 
@@ -318,35 +320,21 @@ def _lanes(t, through, fifo):
     """Lane tables from ``_merge``'s outputs: the kept bounds and the through
     packets before each.
 
-    Of the ``_busy_periods`` bounds, the first and the last (the packet
-    count, its arrival +inf) stay, and the others where the FIFO
-    recursion's idle gap exceeds 4(k + 2) eps t, with k packets ahead of the
-    bound and first arrival t: there the scalar loop is idle too (``_serve``
-    derives the margin).  A lane [bounds[i], bounds[i+1]) owns the flat
-    slices [before[i], before[i+1]) and [nt + bounds[i] - before[i], nt +
-    bounds[i+1] - before[i+1]).
+    A bound is 0 or a merged index k whose first arrival t, scaled down by
+    1 - 4(N + 3) eps (N packets), still exceeds the FIFO recursion's
+    departure of the packet before it: an idle gap above the margin
+    ``_serve`` derives, so the scalar loop is idle there too.  The last
+    arrival, at +inf, keeps the last bound (the packet count).  A lane
+    [bounds[i], bounds[i+1]) owns the flat slices [before[i], before[i+1])
+    and [nt + bounds[i] - before[i], nt + bounds[i+1] - before[i+1]).
     """
-    bounds = _busy_periods(t, fifo)
-    k = bounds[1:-1]
-    first = t[k]
-    keep = np.ones(bounds.size, dtype=bool)
-    keep[1:-1] = first - fifo[k - 1] > 4.0 * np.finfo(float).eps * (k + 2) * first
-    bounds = bounds[keep]
+    shrink = 1.0 - 4.0 * np.finfo(float).eps * (t.size + 2)  # exact in binary
+    bounds = np.concatenate([[0], np.flatnonzero(t[1:] * shrink > fifo) + 1])
     before = np.zeros(bounds.size, dtype=np.intp)
     # an int32 running count halves the packet-sized array; it reaches nt
     count = np.int32 if through.size < 2**31 else np.intp
     before[1:] = np.cumsum(through, dtype=count)[bounds[1:] - 1]
     return bounds, before
-
-
-def _busy_periods(t, fifo):
-    """Merged-index bounds of the busy periods, from 0 to the packet count.
-
-    A busy period starts where an arrival finds the FIFO server idle; every
-    work-conserving discipline has the same ones.  ``t`` ends with an
-    arrival at +inf, which finds the server idle after the last one.
-    """
-    return np.concatenate([[0], np.flatnonzero(t[1:] > fifo) + 1])
 
 
 def _serve_loop(sched, tt, ts, ct, cs, cap):
@@ -666,9 +654,12 @@ def _serve(sched, T, S, nt, lanes, cap, need=None, warm=0):
     k divisions and k additions from the last instant at which it jumped to
     an arrival, and never above the exact end by more than (k + 1) 2^-53 t.
     So where the recursion's idle gap t - fifo exceeds (1.5k + 4) eps t,
-    eps = 2^-52, the loop is idle there too.  ``_lanes`` keeps a busy-period
-    bound only where the gap exceeds 4(k + 2) eps t, so the loop is idle at
-    every bound of the tables.
+    eps = 2^-52, the loop is idle there too.  ``_lanes`` keeps a bound only
+    where t (1 - 4(N + 3) eps) > fifo in floating point, N being the packet
+    count: the factor is exact in binary (1 minus a multiple of 2^-50) and
+    the product rounds by at most eps/2 of t, so the gap there exceeds
+    (4N + 11.5) eps t, above (1.5k + 4) eps t for every k <= N.  The loop is
+    idle at every bound of the tables.
     """
     bounds, before = lanes
     low = int(np.searchsorted(before, warm, side="right")) - 1 if warm else 0
@@ -765,8 +756,11 @@ def replicate(scenario: Scenario, sched: SchedulerSpec, cfg: SimConfig,
 
     Replication k is seeded by (master_seed, k); results are deterministic
     and independent of ``n_jobs``.  Processes are used when n_jobs > 1, at
-    most one per replication and per CPU.
+    most one per replication and per CPU; None runs serially, and a count
+    below 1 is rejected.
     """
+    if n_jobs is not None and n_jobs < 1:
+        raise InvalidParamsError(f"the job count must be at least 1, got {n_jobs}")
     jobs = [(scenario, sched, cfg, k) for k in range(cfg.replications)]
     workers = min(n_jobs or 1, cfg.replications, os.cpu_count() or 1)
     if workers > 1:

@@ -163,6 +163,10 @@ class TestAdmission:
         with pytest.raises(InvalidParamsError):
             self.query(10, eps=1.5)
 
+    def test_unknown_method_rejected(self):
+        with pytest.raises(InvalidParamsError, match="method must be martingale|standard"):
+            self.query(10, method="exact")
+
     @pytest.mark.parametrize("capacity, d", [(math.inf, 10.0), (math.nan, 10.0),
                                              (2.0, math.nan)])
     def test_non_finite_capacity_or_nan_delay_rejected(self, capacity, d):
@@ -363,6 +367,11 @@ class TestCli:
         assert "PASS" in capsys.readouterr().out
         assert main(["verify", "nope"]) == 2
 
+    def test_verify_all_runs_every_suite(self, capsys):
+        assert main(["verify", "all"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [f"PASS {n}" for n in VERIFY_SUITES]
+
     def test_edf_and_gps_flags(self, capsys):
         assert main(["bound", "--scheduler", "edf", "--d1", "10", "--d2", "1",
                      "--d", "5"]) == 0
@@ -420,6 +429,23 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_job_count_below_one_exit_code(self, capsys, monkeypatch, jobs):
+        import concurrent.futures
+
+        import sncbounds.sim as sim
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a replication or a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(sim, "_one_replication", refuse)
+        assert main(["compare", "--jobs", jobs, "--packets", "2000", "--warmup", "200",
+                     "--reps", "2", "--d", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: the job count must be at least 1, got {jobs}\n"
 
     @pytest.mark.parametrize("argv,d", [
         (["bound", "--scheduler", "sp", "--rho", "0.75", "--d", "1e308"], "1e+308"),

@@ -316,6 +316,10 @@ class TestDelayBounds:
         with pytest.raises(InvalidParamsError, match="finite"):
             martingale_delay_bound(scenario(), SchedulerSpec.fifo(), d)
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(InvalidParamsError, match="unknown scheduler kind 'wfq'"):
+            SchedulerSpec("wfq")
+
 
 class TestGps:
     def test_gps_closed_form(self):

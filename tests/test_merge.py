@@ -16,6 +16,7 @@ import pytest
 import sncbounds.sim as sim
 from sncbounds import MmooParams, Scenario, SchedulerSpec, SimConfig
 import serial_reference as ref
+from serve_flows import busy_periods, near_ties
 
 SOURCE = MmooParams(0.5, 0.1, 1.0)
 GENERATED = [("small", 0, 0.75), ("small", 1, 0.95), ("small", 5, 0.5), ("desk", 0, 0.75)]
@@ -27,15 +28,15 @@ def assert_same_as_reference(tt, ts, ct, cs, cap):
     T, S, nt = np.concatenate([tt, ct]), np.concatenate([ts, cs]), tt.size
     through, fifo, t = sim._merge(T, S, nt, cap)
     bounds, before = sim._lanes(t, through, fifo)
-    want_pos, want_fifo, want_bounds = ref.merge(T, S, nt, cap, sim._busy_periods)
+    want_pos, want_fifo, want_bounds = ref.merge(T, S, nt, cap, busy_periods)
     assert np.array_equal(np.flatnonzero(through), want_pos)
     assert np.array_equal(fifo, want_fifo)
-    # the first and the last bound stay, the others where the FIFO idle gap
-    # exceeds 4(k + 2) eps t (k packets ahead, first arrival t)
+    # bound 0 stays, and every other one whose first arrival t, scaled by
+    # 1 - 4(N + 3) eps with N packets, exceeds the FIFO departure before it
     _, _, first = ref.lane_tables(T, want_pos, want_bounds)
-    k, t_k = want_bounds[1:-1], first[1:-1]
-    keep = t_k - want_fifo[k - 1] > 4.0 * np.finfo(float).eps * (k + 2) * t_k
-    kept = want_bounds[np.concatenate([[True], keep, [True]])]
+    k = want_bounds[1:]
+    shrink = 1.0 - 4.0 * np.finfo(float).eps * (T.size + 3)
+    kept = np.concatenate([[0], k[first[1:] * shrink > want_fifo[k - 1]]])
     assert np.array_equal(bounds, kept)
     lo_t, lo_c, _ = ref.lane_tables(T, want_pos, kept)
     assert np.array_equal(before, lo_t)
@@ -111,15 +112,13 @@ class TestHandBuilt:
 
 
 @pytest.mark.parametrize("size, seed", [("small", 0), ("small", 1)])
-def test_split_everywhere(monkeypatch, size, seed):
-    """Every packet a candidate bound: the tables keep those that pass the test."""
-    monkeypatch.setattr(sim, "_busy_periods", lambda t, fifo: np.arange(t.size))
-    assert_same_as_reference(*generated(size, seed))
+def test_split_everywhere(size, seed):
+    """Most idle gaps inside the rounding: the tables keep those that pass the test."""
+    assert_same_as_reference(*near_ties(*generated(size, seed), seed))
 
 
 @pytest.mark.parametrize("name", sorted(LOOP_DISCIPLINES))
 @pytest.mark.parametrize("size, seed", [("small", 0), ("small", 1)])
-def test_split_everywhere_keeps_only_idle_bounds(monkeypatch, size, seed, name):
-    """Every packet a candidate bound: the kept ones are still idle in the loop."""
-    monkeypatch.setattr(sim, "_busy_periods", lambda t, fifo: np.arange(t.size))
-    assert_loop_idle_at_kept_bounds(name, *generated(size, seed))
+def test_split_everywhere_keeps_only_idle_bounds(size, seed, name):
+    """Most idle gaps inside the rounding: the kept bounds are still idle in the loop."""
+    assert_loop_idle_at_kept_bounds(name, *near_ties(*generated(size, seed), seed))

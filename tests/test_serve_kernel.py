@@ -18,7 +18,7 @@ import pytest
 import sncbounds.sim as sim
 from sncbounds import MmooParams, Scenario, SchedulerSpec, SimConfig
 from serial_reference import _serve_loop as reference
-from serve_flows import flow_arrivals, serve_flows
+from serve_flows import busy_periods, flow_arrivals, near_ties, serve_flows
 
 SOURCE = MmooParams(0.5, 0.1, 1.0)
 DISCIPLINES = {
@@ -160,9 +160,10 @@ def test_many_lockstep_groups(arrivals, monkeypatch, name):
 
 @pytest.mark.parametrize("name", sorted(DISCIPLINES))
 def test_split_everywhere_is_merged_back(arrivals, monkeypatch, name):
-    """Every packet a candidate bound: ``_lanes`` keeps only the idle ones."""
+    """Most idle gaps inside the rounding: the busy periods ``_lanes`` joins
+    into one lane are served as the loop serves them."""
     tt, ts, ct, cs, cap, need = arrivals("small", 0)
-    monkeypatch.setattr(sim, "_busy_periods", lambda t, fifo: np.arange(t.size))
+    tt, ts, ct, cs, cap = near_ties(tt, ts, ct, cs, cap, 0)
     monkeypatch.setattr(sim, "_SCALAR_LANES", 0)
     assert_same_as_reference(name, tt, ts, ct, cs, cap, need)
     assert_same_as_reference(name, tt, ts, ct, cs, cap, None)
@@ -316,7 +317,8 @@ def test_warm_up_bound_inside_the_rounding_is_served_from_below(name):
     ts = np.array([0.863, 0.389, 0.59, 0.528, 0.25])
     empty = np.empty(0)
     through, fifo, t = sim._merge(tt, ts, 5, 3.0)
-    assert sim._busy_periods(t, fifo).tolist() == [0, 4, 5]
+    exact = busy_periods(t, fifo)  # idle to the recursion
+    assert exact.tolist() == [0, 4, 5]
     assert [tab.tolist() for tab in sim._lanes(t, through, fifo)] == [[0, 5], [0, 5]]
     sched = DISCIPLINES[name]
     want, _, _ = reference(REFERENCE_KIND.get(name, sched.kind), tt, ts, empty, empty, 3.0,
@@ -324,6 +326,5 @@ def test_warm_up_bound_inside_the_rounding_is_served_from_below(name):
     got, _ = serve_flows(sched, tt, ts, empty, empty, 3.0, 5, 4)
     assert np.array_equal(got, want)  # served from the busy period below
     # a lane from the unfiltered bound would give the fifth packet another departure
-    split = np.array([0, 4, 5])
-    bad, _ = sim._serve(sched, tt, ts, 5, (split, split), 3.0, 5, 4)
+    bad, _ = sim._serve(sched, tt, ts, 5, (exact, exact), 3.0, 5, 4)
     assert bad[4] != want[4]

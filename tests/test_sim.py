@@ -61,6 +61,10 @@ class TestSimConfig:
         with pytest.raises(InvalidParamsError):
             SimConfig(measured_packets=10, warmup_packets=10)
 
+    def test_replications_at_least_one(self):
+        with pytest.raises(InvalidParamsError, match="at least one replication"):
+            SimConfig(replications=0)
+
     def test_grid_validation(self):
         with pytest.raises(InvalidParamsError):
             SimConfig(delay_grid=())
@@ -342,6 +346,21 @@ class TestReplicate:
         box = replicate(scenario(), SchedulerSpec.fifo(), cfg, n_jobs=n_jobs)
         assert started == [workers]
         assert box.replications == reps
+
+    @pytest.mark.parametrize("n_jobs", [0, -1])
+    def test_job_count_below_one_rejected(self, monkeypatch, n_jobs):
+        # -1 means every CPU under the joblib convention: never a silent serial run
+        import concurrent.futures
+
+        import sncbounds.sim as sim
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a replication or a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(sim, "_one_replication", refuse)
+        with pytest.raises(InvalidParamsError, match="at least 1"):
+            replicate(scenario(), SchedulerSpec.fifo(), small_cfg(), n_jobs=n_jobs)
 
     def test_unstable_replications_counted(self, monkeypatch, capsys):
         import sncbounds.sim as sim

@@ -49,6 +49,32 @@ def test_detector_sees_every_form():
     assert not linalg_uses(ast.parse("import numpy as np\nnp.cumsum(x)"))
 
 
+# pyproject.toml admits Python 3.10, and this interpreter may be newer
+OLDEST_PYTHON = (3, 10)
+
+
+def parses_on_oldest_python(source: str, filename: str = "<string>") -> bool:
+    """Whether ``source`` parses under the grammar of ``OLDEST_PYTHON``."""
+    try:
+        ast.parse(source, filename, feature_version=OLDEST_PYTHON)
+    except SyntaxError:
+        return False
+    return True
+
+
+def test_sources_parse_on_the_oldest_python():
+    files = sorted(f for part in ("src", "tests", "scripts") for f in (ROOT / part).rglob("*.py"))
+    assert files
+    assert [str(f.relative_to(ROOT)) for f in files
+            if not parses_on_oldest_python(f.read_text(), str(f))] == []
+
+
+def test_oldest_grammar_check_rejects_newer_syntax():
+    assert not parses_on_oldest_python("try:\n    pass\nexcept* ValueError:\n    pass\n")
+    assert parses_on_oldest_python("try:\n    pass\nexcept ValueError:\n    pass\n")
+    assert parses_on_oldest_python("match x:\n    case 1: pass\n")
+
+
 # only the benchmark calls the two-flow bound, until ROADMAP direction 2
 # deletes it, which waits on a change to the benchmark
 API_EXEMPT = {"general_sample_path_bound"}

@@ -215,6 +215,10 @@ class TestMarkovFluidSource:
         with pytest.raises(InvalidParamsError, match="finite"):
             MarkovFluidSource([1.0], [bad], [0.0, 1.0])
 
+    def test_negative_rate_rejected(self):
+        with pytest.raises(InvalidParamsError, match="arrival rates must be >= 0"):
+            MarkovFluidSource([1.0], [1.0], [0.0, -1.0])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_rate_rejected(self, bad):
         with pytest.raises(InvalidParamsError, match="finite"):
