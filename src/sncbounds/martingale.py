@@ -168,22 +168,27 @@ class _Term(NamedTuple):
     b: float
 
 
+_GAPS = {"fifo": 0.0, "sp": math.inf, "gps": 0.0}  # deadline gap y of the non-EDF kinds
+
+
 def _bound_terms(scenario: Scenario, sched: SchedulerSpec, d: float) -> tuple:
     """The terms of the bound P(W1 > d) <= value under ``sched``.
 
-    Exponents theta*(a + b*r), with y = d1* - d2* for EDF:
+    One rule for every scheduler, on a reduced system with server rate R,
+    exponents theta*(a + b*r) and the EDF deadline gap y = d1* - d2*:
 
-    FIFO:  a = -C d,  b = 0
-    SP:    a = -C d,  b = n2 d                  (cross flow has strict priority)
-    EDF, y >= 0 (ties included):  a = -C d,  b = n2 min(y, d)
-    EDF, y <  0:  a = C (y - d),  b = -n1 y, plus a = -C d,  b = 0 on the
+    y >= 0 (ties included):  a = -R d,  b = n2 min(y, d)
+    y <  0:  a = C (y - d),  b = -n1 y, plus a = -C d,  b = 0 on the
            rescaled per-flow capacity c' = (n/n1) c at utilization (n1/n) rho,
            where the n1 through flows alone fill the whole server.  That
            second term is left out when P <= c': the through aggregate
            alone cannot backlog the server.
-    GPS:   a = -phi1 C d,  b = 0 on the GPS-reduced system, which holds only
-           the n1 through flows on a server of rate phi1 C: prefactor powers
-           K^n1 and per-flow capacity c = phi1 C/n1, without the factor e.
+
+    FIFO is y = 0 and SP is y = +inf (b = n2 d: the cross flow has strict
+    priority); both ignore the deadlines they carry.  GPS is y = 0 on the
+    GPS-reduced system: the n1 through flows alone on rate R = phi1 C,
+    prefactor powers K^n1, per-flow capacity c = phi1 C/n1, no factor e.
+    Every other system is the scenario's own: R = C, prefactor powers K^n.
 
     Rejects a d that is not finite and >= 0, and a d or an EDF deadline gap
     so large that a coefficient a or b overflows (C d near the largest
@@ -191,28 +196,22 @@ def _bound_terms(scenario: Scenario, sched: SchedulerSpec, d: float) -> tuple:
     """
     if not 0 <= d < math.inf:
         raise InvalidParamsError(f"d must be finite and >= 0, got {d}")
-    cap = scenario.capacity
-    n1, n2 = scenario.n1, scenario.n2
+    cap, n1 = scenario.capacity, scenario.n1
     if sched.kind == "gps":
-        phi_c = sched.phi1 * cap
-        terms = (_Term(gps_constants(scenario, sched.phi1), n1, phi_c / n1, False,
-                       -phi_c * d, 0.0),)
+        rate = sched.phi1 * cap
+        consts, flows, c, euler = gps_constants(scenario, sched.phi1), n1, rate / n1, False
     else:
-        c = scenario.per_flow_capacity
-        system = (martingale_constants(scenario), scenario.n, c, True)
-        y = sched.d1_star - sched.d2_star
-        if sched.kind == "fifo":
-            terms = (_Term(*system, -cap * d, 0.0),)
-        elif sched.kind == "sp":
-            terms = (_Term(*system, -cap * d, n2 * d),)
-        elif y >= 0:
-            terms = (_Term(*system, -cap * d, n2 * min(y, d)),)
-        else:
-            terms = (_Term(*system, cap * (y - d), -n1 * y),)
-            c_resc = scenario.n / n1 * c
-            if scenario.params.peak > c_resc:
-                resc = _constants(scenario.params, n1 / scenario.n * scenario.rho, c_resc)
-                terms += (_Term(resc, scenario.n, c_resc, True, -cap * d, 0.0),)
+        rate, flows, c, euler = cap, scenario.n, scenario.per_flow_capacity, True
+        consts = martingale_constants(scenario)
+    y = _GAPS.get(sched.kind, sched.d1_star - sched.d2_star)
+    if y >= 0:  # b = n2 min(y, d), without a builtin call on every bound evaluation
+        terms = (_Term(consts, flows, c, euler, -rate * d, scenario.n2 * (d if d < y else y)),)
+    else:
+        terms = (_Term(consts, flows, c, euler, cap * (y - d), -n1 * y),)
+        c_resc = scenario.n / n1 * c
+        if scenario.params.peak > c_resc:
+            resc = _constants(scenario.params, n1 / scenario.n * scenario.rho, c_resc)
+            terms += (_Term(resc, scenario.n, c_resc, True, -cap * d, 0.0),)
     for t in terms:
         if not (math.isfinite(t.a) and math.isfinite(t.b)):
             raise InvalidParamsError(

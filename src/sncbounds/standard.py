@@ -8,21 +8,21 @@ exp(theta*r_theta*t), where
     r_theta = (-b + sqrt(Delta)) / (2*theta)
 
 is the effective bandwidth (between mean rate p*P and peak P, nondecreasing
-in theta).  The discretized union/Chernoff sample-path argument then gives
+in theta).  The discretized union/Chernoff sample-path argument then bounds
+each term of the scheduler's table (``martingale._bound_terms``) by
 
-    inf_{theta: c > r_theta}  L * exp(-theta*(C - n2*r_theta)*u - theta*sigma)
+    inf_{theta: c > r_theta}  L * exp(theta*(a + b*r_theta))
 
-with L = c*e/(c - r_theta).  The feasible set is the open interval
-(0, gamma): the effective-bandwidth equation r_theta = c has the martingale
-decay rate gamma as its unique root.  So no root is searched for.
+on the term's reduced system, c its per-flow capacity, with
+L = c*e/(c - r_theta) (c/(c - r_theta) on GPS's).  The feasible set is the
+open interval (0, gamma): the effective-bandwidth equation r_theta = c has
+the martingale decay rate gamma as its unique root, so none is searched for.
 
-One term table, two evaluators: ``martingale._bound_terms`` gives each
-scheduler's terms, each with its reduced system (the scenario's per-flow
-capacity, the GPS-reduced system or EDF's rescaled capacity), its
-prefactor L and its exponent theta*(a + b*r_theta).  The martingale bound
-evaluates the exponent at theta = gamma; this module takes the infimum
-over (0, gamma) of the reduced system, term by term (``_minimize_theta``
-takes one term), and sums the minima.
+One term table, two evaluators: one rule gives every scheduler's terms
+(FIFO and SP are EDF's deadline gaps 0 and +inf, GPS is gap 0 on its
+reduced system).  The martingale bound evaluates each exponent at
+theta = gamma; this module takes the infimum over (0, gamma), term by term
+(``_minimize_theta`` takes one term), and sums the minima.
 A result carries that sum, the first term's minimizer and whether any
 minimum lies at an end of its interval.
 
@@ -142,9 +142,10 @@ def _axis(params: MmooParams, c: float, gamma: float) -> _Axis:
     from ``_above_mean``, and c - r at T from T g^2 - M g + K = 0 (kk, mm
     below), M = lam + mu + T (2c - P), K = (lam + mu)(c - m) - T c (P - c),
     with K at least _EDGE*gamma*c*(P - c) to stay below theta(c) where gamma
-    rounds above it.  Both end w move inward by ``_W_INSET`` so that log and
-    exp rounding keeps them inside the insets.  256 systems take at most
-    about 2.2 MB.
+    rounds above it.  An end gap that underflows to 0 or rounds to c - m or
+    above raises ``InvalidParamsError``.  Both end w move inward by
+    ``_W_INSET`` so that log and exp rounding keeps them inside the insets.
+    256 systems take at most about 2.2 MB.
     """
     lam_mu, peak, m = params.lam + params.mu, params.peak, params.mean_rate
     span, headroom = c - m, peak - c
@@ -158,6 +159,9 @@ def _axis(params: MmooParams, c: float, gamma: float) -> _Axis:
         s = 2.0 * math.sqrt(t_top) * math.sqrt(kk)
         root = math.sqrt(mm - s) * math.sqrt(mm + s)
     top = 2.0 * kk / (mm + root)
+    if not (0 < bottom < span and 0 < top < span):
+        raise InvalidParamsError(f"the standard bound's optimizer cannot place the ends of "
+                                 f"(0, gamma={gamma:.6g}): an end's gap leaves (0, c - p*P)")
     w_bottom = -math.log((span - bottom) / bottom) + _W_INSET
     w_top = math.log((span - top) / top) - _W_INSET
     axis = np.empty((4, 256))
@@ -253,7 +257,8 @@ def _minimize_theta(params: MmooParams, term) -> tuple[float, float, bool]:
     decay rate of the term's reduced system.
     Returns the minimizer, the minimum and whether the minimizer lies at an
     end of the inset interval.  A gamma below about 2e-299, whose inset end
-    ``_EDGE*gamma`` is subnormal, raises ``InvalidParamsError``.
+    ``_EDGE*gamma`` is subnormal, raises ``InvalidParamsError``, and so do
+    interval ends that ``_axis`` cannot place.
 
     ``_refine`` starts at the smallest point of the pre-scan on the system's
     ``_axis``, bracketed by its neighbours.  The value is the objective at

@@ -263,17 +263,11 @@ class StatePath:
 _BLOCK = 1024  # dwells drawn per block; even, so every block starts in one state
 
 
-@functools.lru_cache(maxsize=64)
-def _on_off_law(params: MmooParams) -> tuple:
-    """``stationary_distribution([mu], [lam])`` of a source, once per parameter set, immutable."""
-    return tuple(stationary_distribution([params.mu], [params.lam]).tolist())
-
-
 def sample_path(params: MmooParams, horizon: float, seed) -> StatePath:
     """Simulate one On-Off source in its steady state over [0, horizon].
 
     The initial state (0 Off, 1 On) is drawn from the stationary law
-    ``stationary_distribution([mu], [lam])``, and the states alternate.  The
+    (1 - p, p), p = ``params.on_probability``, and the states alternate.  The
     dwell in state 0 is exponential with rate ``mu``, in state 1 with rate
     ``lam``.  Memorylessness makes residual-time handling unnecessary.  The
     final dwell is truncated at the horizon.
@@ -291,7 +285,8 @@ def sample_path(params: MmooParams, horizon: float, seed) -> StatePath:
     if not 0 < horizon < math.inf:
         raise InvalidParamsError(f"horizon must be finite and > 0, got {horizon}")
     rng = spawned_rng(seed)
-    state = int(rng.choice(2, p=_on_off_law(params)))
+    p = params.on_probability
+    state = int(rng.choice(2, p=(1.0 - p, p)))
     exits = (params.mu, params.lam)
     block_rates = np.tile([exits[state], exits[1 - state]], _BLOCK // 2)
     per_time = 2.0 / (1.0 / params.mu + 1.0 / params.lam)  # mean dwells per unit time

@@ -558,6 +558,16 @@ class TestCli:
         assert captured.err.startswith("error: decay rate gamma=")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [["--lambda", "1e308"], ["--peak", "1e-300"]])
+    def test_interval_ends_out_of_range_for_the_optimizer(self, capsys, argv):
+        # the gap r - p*P at the lower end underflows to 0 at lambda = 1e308;
+        # at P = 1e-300 the gap c - r at the upper end rounds above c - p*P
+        assert main(["bound", *argv, "--d", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the standard bound's optimizer cannot place")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("cmd", ["simulate", "compare"])
     def test_packets_rarer_than_exp_range(self, capsys, cmd):
         # lambda/P = 800: 1/expm1(lambda/P) overflows, the whole-packet

@@ -440,6 +440,22 @@ class TestTermTable:
             worst = max(worst, move)
         print(f"largest relative move against the written exponents: {worst:.3g}")
 
+    @pytest.mark.parametrize("rho,n1,n2", [(0.75, 2, 8), (0.9, 8, 2), (0.6, 1, 99)])
+    def test_fifo_and_sp_are_edf_limits(self, rho, n1, n2):
+        # FIFO is EDF at deadline gap 0, SP at any finite gap of at least d
+        sc = scenario(rho, n1, n2)
+        for d in (0.0, 0.7, 3.0, 12.0):
+            pairs = [(SchedulerSpec.fifo(), SchedulerSpec.edf(x, x)) for x in (0.0, 2.5, 40.0)]
+            pairs += [(SchedulerSpec.sp(), SchedulerSpec.edf(g, 0.0)) for g in (d, 2 * d + 1, 1e6)]
+            for sched, edf in pairs:
+                got, want = _bound_terms(sc, sched, d), _bound_terms(sc, edf, d)
+                assert len(got) == len(want) == 1
+                for g, w in zip(got, want):
+                    assert g.consts is w.consts
+                    assert (g.flows, g.euler) == (w.flows, w.euler)
+                    assert ([x.hex() for x in (g.a, g.b, g.c)]
+                            == [x.hex() for x in (w.a, w.b, w.c)]), (sched, edf, d)
+
     def test_edf_10_1_at_ten_thousand_flows(self):
         # the gap factor exp(gamma C2 min(y, d)) alone overflows here;
         # the summed exponent does not

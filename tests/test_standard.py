@@ -372,6 +372,15 @@ class TestStandardDelayBounds:
         with pytest.raises(TrivialScenarioError):
             standard_delay_bound(sc, SchedulerSpec.gps(0.9), 1.0)
 
+    @pytest.mark.parametrize("params", [MmooParams(1e308, 0.1, 1.0),
+                                        MmooParams(0.5, 0.1, 1e-300)], ids=["lam", "peak"])
+    def test_interval_ends_out_of_range_rejected(self, params):
+        # an end's gap underflows to 0 or rounds above c - p*P: no division
+        # by zero or log domain error escapes
+        sc = Scenario.from_utilization(5, 5, 0.75, params)
+        with pytest.raises(InvalidParamsError, match="optimizer cannot place"):
+            standard_delay_bound(sc, SchedulerSpec.fifo(), 1.0)
+
     def test_negative_d_rejected(self):
         with pytest.raises(InvalidParamsError):
             standard_delay_bound(scenario(), SchedulerSpec.fifo(), -1.0)

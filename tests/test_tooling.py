@@ -267,6 +267,15 @@ def test_bound_layer_branches_on_scheduler_once():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def test_term_table_branches_on_scheduler_once():
+    # FIFO and SP are EDF's deadline gaps 0 and +inf, so the one kind
+    # comparison left picks GPS's reduced system
+    tree = ast.parse((PACKAGE / "martingale.py").read_text(), "martingale.py")
+    [table] = [node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "_bound_terms"]
+    assert len(kind_comparisons(table)) == 1
+
+
 def test_kind_comparison_detector():
     for code in ('if sched.kind == "gps": pass', 'x = "sp" != spec.kind',
                  'x = q.scheduler.kind in ("fifo", "sp")',
