@@ -25,9 +25,12 @@ times, and the minimum is printed in milliseconds as one JSON object:
   part of that service spent in the scalar loop (the longest lanes) and in
   lockstep calls, ``.steps`` the lockstep steps taken and ``.lanes`` the
   lanes served (counts);
-- ``backlog``: the backlog sample behind the ``unstable`` flag, taken at the
-  FIFO departures the flag reads, as ``simulate`` takes it under FIFO (one
-  search over the merged arrivals);
+- ``backlog``: the ``unstable`` flag as ``simulate`` takes it on a stable
+  run: the backlog at the last measured FIFO departure, one search per
+  flow, which does not exceed 10 bits, so the flag reads no window;
+- ``backlog.window``: the same with the last sample taken above 10 bits,
+  so that the flag also samples the backlog at the middle third of the
+  measured departures;
 - ``statistics``: delay quantiles and the CCDF on the delay grid;
 - ``simulate.<scheduler>``: the whole call.
 
@@ -232,7 +235,15 @@ def main(argv=None):
         return sim._serve(spec, T, S, nt, lanes, cap, need, warm)[0]
 
     delays = service(SCHEDULERS["sp"])[warm:need] - T[warm:need]
-    at = service(SCHEDULERS["fifo"])[warm + sim._flag_window(cfg.measured_packets)]
+    dep = service(SCHEDULERS["fifo"])
+    at = dep[warm + sim._flag_window(cfg.measured_packets)]
+
+    def flag(tripped):
+        """The flag on the FIFO departures; ``tripped`` takes the last sample
+        as +inf bits, above any window maximum."""
+        last = sim._backlog(T, nt, fifo, dep[need - 1], cap)
+        return sim._instability_flag(np.inf if tripped else last,
+                                     lambda: sim._backlog(T, nt, fifo, at, cap))
 
     horizon, _ = sim._arrival_horizon(sc, need)
     flows = ((0, sc.n1), (1, sc.n2))
@@ -262,8 +273,8 @@ def main(argv=None):
         if spec.kind != "fifo":
             for part, value in service_split(lambda: service(spec), r).items():
                 out[f"service.{name}.{part}"] = value
-    out["backlog"] = best_ms(
-        lambda: sim._instability_flag(sim._backlog((t,), fifo, at, cap)), r)
+    out["backlog"] = best_ms(lambda: flag(False), r)
+    out["backlog.window"] = best_ms(lambda: flag(True), r)
     out["statistics"] = best_ms(
         lambda: sim._stats_from_delays(delays, cfg.delay_grid, False), r)
     for name, spec in SCHEDULERS.items():

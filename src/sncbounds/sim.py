@@ -69,11 +69,11 @@ The kernels return departures only.  The backlog that ``DelayStats.unstable``
 samples needs no service order: every discipline here is work-conserving, so
 all leave the same unfinished work at every instant, and the FIFO recursion
 gives it (C times the wait left to the FIFO departure of the last arrival).
-``simulate`` takes it only at the measured departures the flag reads
-(``_flag_window``).  It counts the arrivals up to each with one binary
-search over the merged arrivals under FIFO, and with one per flow under
-the other disciplines, whose service runs after the merged arrivals are
-freed.
+``simulate`` samples it at the last measured departure and, only when that
+sample exceeds 10 bits (the flag cannot trip otherwise), at the middle third
+of them that the flag compares it with (``_flag_window``).  A sample counts
+the arrivals up to its departure with one binary search per flow of the flat
+index, under every discipline.
 
 Warm-up is counted in through-flow packets.  All randomness derives from
 (master_seed, replication, subflow) spawn keys, so replications are
@@ -672,24 +672,25 @@ def _serve(sched, T, S, nt, lanes, cap, need=None, warm=0):
 
 
 def _flag_window(n: int) -> np.ndarray:
-    """Which of n measured departures ``_instability_flag`` reads the backlog at.
-
-    The middle third [n//3, 2*(n//3)), then the last; none below 9.
-    """
+    """The middle third [n//3, 2*(n//3)) of n measured departures, at which
+    ``_instability_flag`` reads the backlog; none below 9."""
     if n < 9:
         return np.empty(0, dtype=np.intp)
-    return np.append(np.arange(n // 3, 2 * (n // 3)), n - 1)
+    return np.arange(n // 3, 2 * (n // 3))
 
 
-def _instability_flag(backlog: np.ndarray) -> bool:
+def _instability_flag(last: float, window) -> bool:
     """End-of-run backlog more than 10x the middle third's maximum.
 
-    ``backlog`` is sampled at the ``_flag_window`` departures: the middle
-    third, then the last.
+    ``last`` is the backlog at the last measured departure, and ``window()``
+    samples it at the ``_flag_window`` departures.  10 max(M, 1) is at least
+    10 for any window maximum M, and a NaN M fails the comparison, so the
+    window is read only when ``last`` exceeds 10 bits.
     """
-    if backlog.size == 0:
+    if not last > 10.0:
         return False
-    return bool(backlog[-1] > 10.0 * max(float(backlog[:-1].max()), 1.0))
+    backlog = window()
+    return backlog.size > 0 and bool(last > 10.0 * max(float(backlog.max()), 1.0))
 
 
 def _stats_from_delays(delays: np.ndarray, grid, unstable: bool) -> DelayStats:
@@ -703,19 +704,17 @@ def _stats_from_delays(delays: np.ndarray, grid, unstable: bool) -> DelayStats:
                       tuple(garr.tolist()), ccdf, unstable)
 
 
-def _backlog(runs, fifo, dep, cap):
-    """Backlog (bits in system) sampled at each departure instant in ``dep``.
+def _backlog(T, nt, fifo, dep, cap):
+    """Backlog (bits in system) at each departure instant in ``dep``.
 
     It is the FIFO unfinished work, which every discipline here shares
     (module docstring): C times the wait left to the FIFO departure
-    ``fifo`` (merged order) of the last arrival.  ``runs`` are sorted
-    arrays whose union is all arrivals: the merged arrivals, or each flow
-    of the flat index; the arrivals up to a departure are counted in each
-    and summed, the same count as in merged order.
+    ``fifo`` (merged order) of the last arrival.  The arrivals up to a
+    departure are counted in each flow of the flat arrivals ``T`` (``nt``
+    through packets first) and summed, the same count as in merged order.
     """
-    idx = np.searchsorted(runs[0], dep, side="right")
-    for run in runs[1:]:
-        idx += np.searchsorted(run, dep, side="right")
+    idx = np.searchsorted(T[:nt], dep, side="right")
+    idx += np.searchsorted(T[nt:], dep, side="right")
     return cap * np.maximum(fifo[idx - 1] - dep, 0.0)
 
 
@@ -724,25 +723,23 @@ def simulate(scenario: Scenario, sched: SchedulerSpec, cfg: SimConfig,
     """One replication: generate arrivals, serve at rate C, summarize delays."""
     T, S, nt = _flat_arrivals(scenario, cfg, replication_index)
     cap = scenario.capacity
-    need = cfg.warmup_packets + cfg.measured_packets
+    warm, need = cfg.warmup_packets, cfg.warmup_packets + cfg.measured_packets
     through, fifo, t = _merge(T, S, nt, cap)
     # packet-sized arrays are freed as soon as they are used
     if sched.kind == "fifo":
-        del S
+        del S, t
         dep_thr = fifo[np.flatnonzero(through)]
         del through
-        runs = (t,)  # the backlog sample searches the merged arrivals once
     else:
         lanes = _lanes(t, through, fifo)
         del t, through
-        dep_thr, _ = _serve(sched, T, S, nt, lanes, cap, need, cfg.warmup_packets)
+        dep_thr, _ = _serve(sched, T, S, nt, lanes, cap, need, warm)
         del lanes
-        runs = (T[:nt], T[nt:])  # ``t`` was freed before service: each flow
-    at = dep_thr[cfg.warmup_packets + _flag_window(cfg.measured_packets)]
-    backlog = _backlog(runs, fifo, at, cap)
-    del runs
-    delays = dep_thr[cfg.warmup_packets:need] - T[cfg.warmup_packets:need]
-    return _stats_from_delays(delays, cfg.delay_grid, _instability_flag(backlog))
+    unstable = _instability_flag(
+        _backlog(T, nt, fifo, dep_thr[need - 1], cap),
+        lambda: _backlog(T, nt, fifo, dep_thr[warm + _flag_window(cfg.measured_packets)], cap))
+    delays = dep_thr[warm:need] - T[warm:need]
+    return _stats_from_delays(delays, cfg.delay_grid, unstable)
 
 
 def _one_replication(args):

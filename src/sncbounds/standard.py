@@ -143,8 +143,11 @@ def _axis(params: MmooParams, c: float, gamma: float) -> _Axis:
     below), M = lam + mu + T (2c - P), K = (lam + mu)(c - m) - T c (P - c),
     with K at least _EDGE*gamma*c*(P - c) to stay below theta(c) where gamma
     rounds above it.  An end gap that underflows to 0 or rounds to c - m or
-    above raises ``InvalidParamsError``.  Both end w move inward by
-    ``_W_INSET`` so that log and exp rounding keeps them inside the insets.
+    above raises ``InvalidParamsError``, and so do a discriminant of that
+    quadratic that rounds below 0 and an end at which theta's denominator
+    r (P - r) underflows to 0 (it is concave in r, so least at an end).
+    Both end w move inward by ``_W_INSET`` so that log and exp rounding
+    keeps them inside the insets.
     256 systems take at most about 2.2 MB.
     """
     lam_mu, peak, m = params.lam + params.mu, params.peak, params.mean_rate
@@ -154,14 +157,26 @@ def _axis(params: MmooParams, c: float, gamma: float) -> _Axis:
     bottom = _above_mean(inset, lam_mu, m, peak)
     kk = max(lam_mu * span - t_top * dc, inset * dc)
     mm = lam_mu + t_top * (2.0 * c - peak)
-    root = math.sqrt(mm * mm - 4.0 * t_top * kk)
+    disc = mm * mm - 4.0 * t_top * kk
+
+    def cannot_place(why):
+        return InvalidParamsError(f"the standard bound's optimizer cannot place the ends of "
+                                  f"(0, gamma={gamma:.6g}): {why}")
+
+    negative = "the upper end's discriminant rounds below 0"
+    if disc < 0.0:
+        raise cannot_place(negative)
+    root = math.sqrt(disc)
     if not root < math.inf:  # as in ``_above_mean``: a difference of squares
         s = 2.0 * math.sqrt(t_top) * math.sqrt(kk)
+        if mm < s:
+            raise cannot_place(negative)
         root = math.sqrt(mm - s) * math.sqrt(mm + s)
     top = 2.0 * kk / (mm + root)
     if not (0 < bottom < span and 0 < top < span):
-        raise InvalidParamsError(f"the standard bound's optimizer cannot place the ends of "
-                                 f"(0, gamma={gamma:.6g}): an end's gap leaves (0, c - p*P)")
+        raise cannot_place("an end's gap leaves (0, c - p*P)")
+    if not min((m + bottom) * (span - bottom + headroom), (c - top) * (top + headroom)) > 0.0:
+        raise cannot_place("r (P - r) underflows to 0 at an end")
     w_bottom = -math.log((span - bottom) / bottom) + _W_INSET
     w_top = math.log((span - top) / top) - _W_INSET
     axis = np.empty((4, 256))

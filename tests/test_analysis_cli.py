@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -567,6 +568,25 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: the standard bound's optimizer cannot place")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, reason", [
+        # r (P - r) underflows to 0 at P = 1e-300, where the martingale bound is finite
+        (["--lambda", "1", "--mu", "1", "--peak", "1e-300"], "underflows to 0"),
+        # the upper end's discriminant rounds below 0
+        (["--lambda", "1e20", "--mu", "1e-200", "--peak", "1e300", "--rho", "0.01"],
+         "discriminant"),
+        # ... where its squares overflow and it is taken as a difference of squares
+        (["--lambda", "1e181", "--mu", "2e4", "--peak", "1e295", "--rho", "0.99"],
+         "discriminant"),
+    ], ids=["denominator", "discriminant", "discriminant-overflow"])
+    def test_optimizer_ends_typed_error(self, capsys, argv, reason):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no NumPy warning on the way
+            assert main(["bound", *argv, "--d", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the standard bound's optimizer cannot place")
+        assert reason in captured.err and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("cmd", ["simulate", "compare"])
     def test_packets_rarer_than_exp_range(self, capsys, cmd):

@@ -96,8 +96,8 @@ def test_backlog_from_fifo_workload(arrivals, size, seed, name):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_backlog_one_search_equals_per_flow_count(seed):
-    """FIFO counts the arrivals up to a departure in the merged arrivals, the
-    other disciplines per flow: the same backlog, bit for bit.
+    """``_backlog`` searches each flow once: the count of arrivals up to a
+    departure equals a direct count over both flows, bit for bit.
 
     Arrivals on a quarter grid tie within and across the flows, and the
     sample instants include every arrival instant and FIFO departure.
@@ -109,10 +109,11 @@ def test_backlog_one_search_equals_per_flow_count(seed):
     S = rng.uniform(0.1, 1.0, T.size)
     _, fifo, t = sim._merge(T, S, tt.size, 1.9)
     dep = np.concatenate([T, fifo, rng.uniform(t[0], fifo[-1] + 1.0, 100)])
-    one = sim._backlog((t,), fifo, dep, 1.9)
-    per_flow = sim._backlog((tt, ct), fifo, dep, 1.9)
-    assert [x.hex() for x in one.tolist()] == [x.hex() for x in per_flow.tolist()]
-    assert (one > 0).any() and (one == 0).any()
+    got = sim._backlog(T, tt.size, fifo, dep, 1.9)
+    idx = np.array([(tt <= x).sum() + (ct <= x).sum() for x in dep])
+    want = 1.9 * np.maximum(fifo[idx - 1] - dep, 0.0)
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+    assert (got > 0).any() and (got == 0).any()
 
 
 @pytest.mark.parametrize("name", sorted(DISCIPLINES))

@@ -229,11 +229,30 @@ class TestConservationAndAudit:
             assert hat - 3 * se <= bound
 
 
+def whole(backlog):
+    """The flag's rule as it read a backlog sampled at every measured departure."""
+    m = backlog.size
+    if m < 9:
+        return False
+    mid = backlog[m // 3: 2 * (m // 3)]
+    return bool(backlog[-1] > 10.0 * max(float(mid.max()), 1.0))
+
+
 class TestInstabilityFlag:
     @staticmethod
-    def flag(series):
-        """The rule on a whole backlog series, sampled as ``simulate`` samples it."""
-        return _instability_flag(series[_flag_window(series.size)])
+    def flag(series, reads=None):
+        """The rule on a whole backlog series, sampled as ``simulate`` samples
+        it; each read of the window appends to ``reads``.
+
+        ``simulate`` always has a last measured departure; an empty series
+        has none, and a NaN sample stands in for it.
+        """
+        def window():
+            if reads is not None:
+                reads.append(series.size)
+            return series[_flag_window(series.size)]
+
+        return _instability_flag(series[-1] if series.size else math.nan, window)
 
     def test_flat_series_not_flagged(self):
         assert not self.flag(np.abs(np.sin(np.arange(1000.0))) * 5)
@@ -247,14 +266,6 @@ class TestInstabilityFlag:
 
     @pytest.mark.parametrize("n", [0, 1, 8, 9, 10, 11, 12, 1000, 1001])
     def test_window_flags_as_the_whole_series_did(self, n):
-        # the rule as it read a backlog sampled at every measured departure
-        def whole(backlog):
-            m = backlog.size
-            if m < 9:
-                return False
-            mid = backlog[m // 3: 2 * (m // 3)]
-            return bool(backlog[-1] > 10.0 * max(float(mid.max()), 1.0))
-
         rng = np.random.default_rng(n)
         seen = set()
         for _ in range(50):
@@ -264,6 +275,42 @@ class TestInstabilityFlag:
             assert flagged == whole(series)
             seen.add(flagged)
         assert seen == ({False, True} if n >= 9 else {False})
+
+    ABOVE_TEN = float(np.nextafter(10.0, np.inf))
+
+    @pytest.mark.parametrize("mid, last, n, flagged", [
+        (0.5, 10.0, 30, False),        # 10 bits: the least the rule trips above
+        (0.5, ABOVE_TEN, 30, True),    # a window maximum below 1 counts as 1
+        (1.0, ABOVE_TEN, 30, True),
+        (1.0 + 2 ** -52, ABOVE_TEN, 30, False),
+        (0.0, 11.0, 30, True),
+        (2.0, 20.0, 30, False),
+        (2.0, float(np.nextafter(20.0, np.inf)), 30, True),
+        (math.nan, 1e6, 30, False),    # a NaN maximum fails the comparison
+        (0.5, 1e6, 8, False),          # n < 9: no window, never flagged
+        (0.5, 1e6, 9, True),
+    ])
+    def test_short_circuit_decides_as_the_whole_window(self, mid, last, n, flagged):
+        series = np.full(n, mid)
+        series[-1] = last
+        reads = []
+        assert self.flag(series, reads) == whole(series) == flagged
+        # the window is read only when the last sample exceeds 10 bits
+        assert reads == ([n] if last > 10.0 else [])
+
+    def test_stable_run_samples_one_departure(self, monkeypatch):
+        import sncbounds.sim as sim
+
+        backlog, needles = sim._backlog, []
+
+        def spy(T, nt, fifo, dep, cap):
+            needles.append(np.size(dep))
+            return backlog(T, nt, fifo, dep, cap)
+
+        monkeypatch.setattr(sim, "_backlog", spy)
+        cfg = small_cfg(measured_packets=100_000, warmup_packets=10_000, replications=1)
+        assert not simulate(scenario(), SchedulerSpec.fifo(), cfg, 0).unstable
+        assert needles == [1]
 
     def test_normal_run_unflagged(self):
         st = simulate(scenario(), SchedulerSpec.fifo(), small_cfg(), 0)
@@ -369,7 +416,7 @@ class TestReplicate:
         box = replicate(scenario(), SchedulerSpec.sp(), cfg)
         assert box.unstable_reps == 0
         flags = iter([False, True, True] * 3)
-        monkeypatch.setattr(sim, "_instability_flag", lambda backlog: next(flags))
+        monkeypatch.setattr(sim, "_instability_flag", lambda last, window: next(flags))
         box = replicate(scenario(), SchedulerSpec.sp(), cfg)
         assert box.unstable_reps == 2
         argv = ["simulate", "--rho", "0.75", "--scheduler", "sp", "--d", "1,2",

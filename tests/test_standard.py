@@ -381,6 +381,21 @@ class TestStandardDelayBounds:
         with pytest.raises(InvalidParamsError, match="optimizer cannot place"):
             standard_delay_bound(sc, SchedulerSpec.fifo(), 1.0)
 
+    @pytest.mark.parametrize("params, rho, reason", [
+        (MmooParams(1.0, 1.0, 1e-300), 0.75, "underflows to 0"),
+        (MmooParams(1e20, 1e-200, 1e300), 0.01, "discriminant"),
+        (MmooParams(1e181, 2e4, 1e295), 0.99, "discriminant"),  # its squares overflow
+    ], ids=["denominator", "discriminant", "discriminant-overflow"])
+    def test_optimizer_ends_typed_error(self, params, rho, reason):
+        # r (P - r) underflows to 0 at an end, or the upper end's
+        # discriminant rounds below 0: no ZeroDivisionError, math domain
+        # error or NumPy warning escapes
+        sc = Scenario.from_utilization(5, 5, rho, params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParamsError, match=f"optimizer cannot place.*{reason}"):
+                standard_delay_bound(sc, SchedulerSpec.fifo(), 1.0)
+
     def test_negative_d_rejected(self):
         with pytest.raises(InvalidParamsError):
             standard_delay_bound(scenario(), SchedulerSpec.fifo(), -1.0)

@@ -285,12 +285,16 @@ def test_kind_comparison_detector():
                                           'if kind == "gps": pass'))
 
 
-def test_stage_times_script_runs(capsys):
-    # the script times private sim and standard functions; a rename must fail here
-    spec = importlib.util.spec_from_file_location("stage_times",
-                                                  ROOT / "scripts" / "stage_times.py")
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_stage_times_script_runs(capsys):
+    # the script times private sim and standard functions; a rename must fail here
+    script = load_script("stage_times")
     script.main(["--repeats", "1"])
     out = json.loads(capsys.readouterr().out)
     names = list(script.SCHEDULERS)
@@ -306,7 +310,8 @@ def test_stage_times_script_runs(capsys):
                           f"bounds.{n}.martingale.cold")]
     assert list(out) == (["arrivals", "arrivals.paths", "arrivals.packetize",
                           "arrivals.sort", "merge", "lanes"] + service
-                         + ["backlog", "statistics"] + [f"simulate.{n}" for n in names]
+                         + ["backlog", "backlog.window", "statistics"]
+                         + [f"simulate.{n}" for n in names]
                          + bounds + [f"bound_rows.{n}" for n in names])
     # the refinement is part of every bound call
     assert all(0 < out[f"bounds.{n}.refine"] < out[f"bounds.{n}"] for n in names)
@@ -316,3 +321,26 @@ def test_stage_times_script_runs(capsys):
     # every refinement evaluates the slope at least once
     assert all(out.pop(f"bounds.{n}.slopes") >= 1 for n in names)
     assert all(isinstance(ms, float) and ms >= 0 for ms in out.values())
+
+
+def test_ab_pairs_verdicts():
+    verdict = load_script("ab_pairs").verdict
+    parent = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00]
+    # all 10 pairs won, the medians 0.1 apart against a quartile distance of 0.0125
+    assert verdict(parent, [x - 0.1 for x in parent], "lower", 0.25) == (10, "gain")
+    # 8 of 10 pairs won is short of a gain; ties count for neither side
+    eight = [x - 0.1 for x in parent[:8]] + parent[8:]
+    assert verdict(parent, eight, "lower", 0.25) == (8, "within bound")
+    assert verdict(parent, parent, "lower", 0.25) == (0, "within bound")
+    # 30 % worse against a bound of 25 % of the parent's median
+    assert verdict(parent, [1.3 * x for x in parent], "lower", 0.25) == (0, "regression")
+    assert verdict(parent, [1.2 * x for x in parent], "lower", 0.25) == (0, "within bound")
+    # a higher-is-better metric
+    assert verdict([1.0] * 10, [0.98] * 10, "higher", 0.01) == (0, "regression")
+    assert verdict([0.5] * 10, [0.6] * 10, "higher", 0.01) == (10, "gain")
+    # the parent's quartile distance, 1.0, exceeds the bound of 0.25 x 1.5
+    wide = [1.0, 2.0] * 5
+    assert verdict(wide, [x + 0.01 for x in wide], "lower", 0.25) == (0, "unresolved")
+    assert verdict(wide, [x - 0.01 for x in wide], "lower", 0.25) == (10, "unresolved")
+    # ... unless every change run beats every parent run
+    assert verdict(wide, [0.99] * 10, "lower", 0.25) == (10, "within bound")
