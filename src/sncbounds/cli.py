@@ -4,9 +4,10 @@ Scenario parameters come either from flags (--lambda --mu --peak --n1 --n2
 and one of --rho / --per-flow-capacity) or from a JSON scenario file.  Delay
 grids accept a single value, a comma list, or start:stop:count.  Only this
 module knows an output format: each table subcommand turns its arguments into
-rows and a JSON document, and ``_emit`` writes the rows as CSV (default) or the
-document as JSON, to --out or stdout.  CSV is byte-stable for a fixed
-configuration and master seed.  Column layouts are documented in docs/formats.md.
+rows and a JSON document, and ``_emit`` writes the rows as CSV (default), under
+a header of their keys, or the document as JSON, to --out or stdout.  CSV is
+byte-stable for a fixed configuration and master seed.  Column layouts are
+documented in docs/formats.md.
 A failed run prints ``error: ...`` on stderr and exits with code 2.
 """
 
@@ -97,19 +98,6 @@ def _add_output_args(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-# the CSV columns of each table subcommand, as docs/formats.md lists them
-_BOUND = ("scheduler", "n1", "n2", "rho", "d", "martingale_raw", "martingale_disp",
-          "standard_raw", "standard_disp", "theta_star")
-COLUMNS = {
-    "bound": _BOUND,
-    "compare": _BOUND + ("sim_median", "sim_q25", "sim_q75", "sim_n"),
-    "simulate": ("d", "median", "q25", "q75", "min", "max", "outlier_count"),
-    "scaling": ("n", "martingale", "standard", "ratio", "alpha_fit", "alpha_closed"),
-    "admission": ("capacity", "d", "epsilon", "method", "scheduler",
-                  "n_max", "stability_cap", "utilization", "limited_by"),
-}
-
-
 # ---------------------------------------------------------------------------
 # arguments to inputs, rows to output
 
@@ -126,11 +114,8 @@ def _scenario_from_args(args) -> Scenario:
 
 
 def _scheduler_from_args(args) -> SchedulerSpec:
-    if args.scheduler == "edf":
-        return SchedulerSpec.edf(args.d1, args.d2)
-    if args.scheduler == "gps":
-        return SchedulerSpec.gps(args.phi1)
-    return SchedulerSpec(args.scheduler)
+    # each kind reads only its own fields: only EDF the deadlines, only GPS phi1
+    return SchedulerSpec(args.scheduler, args.d1, args.d2, args.phi1)
 
 
 def _sim_config_from_args(args) -> SimConfig:
@@ -156,10 +141,9 @@ def _emit(args) -> int:
     if args.format == "json":
         text = json.dumps(_strict(doc), indent=2) + "\n"
     else:
-        columns = COLUMNS[args.command]
-        lines = [",".join(columns)] + [
-            ",".join(f"{v:.12g}" if isinstance(v, float) else str(v)
-                     for v in (row[c] for c in columns))
+        # every table has at least one row, and its keys are the header
+        lines = [",".join(rows[0])] + [
+            ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row.values())
             for row in rows]
         text = "\n".join(lines) + "\n"
     if args.out:

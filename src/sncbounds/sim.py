@@ -82,6 +82,7 @@ reproducible and independent.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -138,7 +139,6 @@ class DelayStats:
     q50: float
     q75: float
     q99: float
-    delay_grid: tuple
     ccdf: np.ndarray
     unstable: bool = False
 
@@ -695,13 +695,12 @@ def _instability_flag(last: float, window) -> bool:
 
 def _stats_from_delays(delays: np.ndarray, grid, unstable: bool) -> DelayStats:
     sd = np.sort(delays)
-    garr = np.asarray(grid, dtype=float)
-    ccdf = 1.0 - np.searchsorted(sd, garr, side="right") / sd.size
+    ccdf = 1.0 - np.searchsorted(sd, np.asarray(grid, dtype=float), side="right") / sd.size
     # np.quantile partitions, which a sorted array passes fast; in place,
     # since ``sd`` is no longer needed sorted
     q25, q50, q75, q99 = np.quantile(sd, [0.25, 0.5, 0.75, 0.99], overwrite_input=True)
     return DelayStats(delays.size, float(q25), float(q50), float(q75), float(q99),
-                      tuple(garr.tolist()), ccdf, unstable)
+                      ccdf, unstable)
 
 
 def _backlog(T, nt, fifo, dep, cap):
@@ -742,11 +741,6 @@ def simulate(scenario: Scenario, sched: SchedulerSpec, cfg: SimConfig,
     return _stats_from_delays(delays, cfg.delay_grid, unstable)
 
 
-def _one_replication(args):
-    scenario, sched, cfg, k = args
-    return simulate(scenario, sched, cfg, k)
-
-
 def replicate(scenario: Scenario, sched: SchedulerSpec, cfg: SimConfig,
               n_jobs: Optional[int] = None) -> BoxStats:
     """Run all replications and aggregate per-grid-point CCDFs into box stats.
@@ -758,15 +752,15 @@ def replicate(scenario: Scenario, sched: SchedulerSpec, cfg: SimConfig,
     """
     if n_jobs is not None and n_jobs < 1:
         raise InvalidParamsError(f"the job count must be at least 1, got {n_jobs}")
-    jobs = [(scenario, sched, cfg, k) for k in range(cfg.replications)]
+    one = functools.partial(simulate, scenario, sched, cfg)
     workers = min(n_jobs or 1, cfg.replications, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            stats = list(ex.map(_one_replication, jobs))
+            stats = list(ex.map(one, range(cfg.replications)))
     else:
-        stats = [_one_replication(j) for j in jobs]
+        stats = list(map(one, range(cfg.replications)))
     ccdfs = np.vstack([st.ccdf for st in stats])
     q25, med, q75 = np.quantile(ccdfs, [0.25, 0.5, 0.75], axis=0)
     iqr = q75 - q25

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,9 +26,11 @@ from sncbounds import (
     verify,
 )
 from sncbounds.analysis import VERIFY_SUITES, _stability_cap, _violation
-from sncbounds.cli import COLUMNS, main
+from sncbounds.cli import main
 
 BASE_SOURCE = MmooParams(0.5, 0.1, 1.0)
+# the pinned `compare` CSV header
+COMPARE_HEADER = (Path(__file__).parent / "golden" / "compare-fifo.csv").read_text().split("\n")[0]
 
 
 def scenario(rho=0.75, n1=5, n2=5):
@@ -56,7 +59,7 @@ class TestCompareExperiment:
         rows = compare_experiment(spec)
         assert len(rows) == 3
         for row in rows:
-            assert set(row) == set(COLUMNS["compare"])
+            assert ",".join(row) == COMPARE_HEADER
             assert row["martingale_disp"] == min(1.0, row["martingale_raw"])
             assert row["standard_disp"] == min(1.0, row["standard_raw"])
             assert row["standard_raw"] > row["martingale_raw"]
@@ -308,7 +311,23 @@ class TestCli:
         main(args)
         second = capsys.readouterr().out
         assert first == second
-        assert first.splitlines()[0] == ",".join(COLUMNS["compare"])
+        assert first.splitlines()[0] == COMPARE_HEADER
+
+    def test_compare_json_keys_are_the_csv_header(self, capsys):
+        # no golden pins compare's JSON: its objects carry the CSV header's
+        # columns, in order, with the same values
+        args = ["compare", "--rho", "0.75", "--n1", "2", "--n2", "2",
+                "--d", "1,3", "--packets", "3000", "--warmup", "300",
+                "--reps", "2", "--seed", "9"]
+        assert main(args) == 0
+        table = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert main(args + ["--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert len(rows) == len(table) - 1 == 2
+        for row, line in zip(rows, table[1:]):
+            assert list(row) == table[0]
+            assert [f"{v:.12g}" if isinstance(v, float) else str(v)
+                    for v in row.values()] == line
 
     def test_simulate_csv(self, capsys):
         rc = main(["simulate", "--rho", "0.75", "--n1", "2", "--n2", "2",
@@ -441,7 +460,7 @@ class TestCli:
             raise AssertionError("a replication or a process pool was started")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-        monkeypatch.setattr(sim, "_one_replication", refuse)
+        monkeypatch.setattr(sim, "simulate", refuse)
         assert main(["compare", "--jobs", jobs, "--packets", "2000", "--warmup", "200",
                      "--reps", "2", "--d", "1"]) == 2
         captured = capsys.readouterr()

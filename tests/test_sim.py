@@ -405,7 +405,7 @@ class TestReplicate:
             raise AssertionError("a replication or a process pool was started")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-        monkeypatch.setattr(sim, "_one_replication", refuse)
+        monkeypatch.setattr(sim, "simulate", refuse)
         with pytest.raises(InvalidParamsError, match="at least 1"):
             replicate(scenario(), SchedulerSpec.fifo(), small_cfg(), n_jobs=n_jobs)
 

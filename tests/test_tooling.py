@@ -230,9 +230,13 @@ def test_format_import_detector():
 
 
 def test_formats_doc_lists_the_cli_columns():
-    # each header line under "CSV outputs" follows the `subcommand` it documents
-    from sncbounds.cli import COLUMNS
-
+    # each header line under "CSV outputs" follows the `subcommand` it
+    # documents, and is the header the CLI writes: the first line of a golden
+    golden = ROOT / "tests" / "golden"
+    real = {name: (golden / f"{case}.csv").read_text().split("\n")[0]
+            for name, case in (("bound", "bound-fifo"), ("compare", "compare-fifo"),
+                               ("simulate", "simulate-fifo"), ("scaling", "scaling"),
+                               ("admission", "admission"))}
     text = (ROOT / "docs" / "formats.md").read_text()
     section = text.split("## CSV outputs")[1].split("\n## ")[0]
     headers, command = {}, None
@@ -241,7 +245,11 @@ def test_formats_doc_lists_the_cli_columns():
             command = line.split("`")[1]
         elif line.startswith("    "):
             headers[command] = line.strip()
-    assert headers == {name: ",".join(cols) for name, cols in COLUMNS.items()}
+    assert headers == real
+    # a JSON row's keys are its CSV header
+    for name, case in (("bound", "bound-fifo"), ("admission", "admission")):
+        first = json.loads((golden / f"{case}.json").read_text())[0]
+        assert ",".join(first) == real[name]
 
 
 def kind_comparisons(tree: ast.AST) -> list:
